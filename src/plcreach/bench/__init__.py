@@ -4,7 +4,7 @@ Eight plant models in two families each: a consolidated single-machine
 variant and a networked variant whose controllers exchange signals over
 lossy connections.  A few extra fixtures (single tank, send/receive demo,
 the two-machine diamond, two reachability queries over the coupled tanks)
-support the command line examples and the test suite.
+support the test suite.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import ModelError, SystemState, canonicalize
-from .por import TransitionId, successors
+from .por import TransitionId, apply, successors
 from .st import BinOp, FieldRef, Lit, UnOp, VarRef, parse_expression
 from .symbolic import concrete_or_none, feasible
 from .timed import RuleCtx, due_machines, tick_apply
@@ -141,7 +141,6 @@ class SearchResult:
     transitions_fired: int = 0
     smt_queries: int = 0
     smt_by_class: dict = field(default_factory=dict)
-    unknowns: int = 0
     wall_time: float = 0.0
     endpoints: set = field(default_factory=set)
 
@@ -157,7 +156,6 @@ class SearchResult:
             "transitionsFired": self.transitions_fired,
             "smtQueries": self.smt_queries,
             "smtByClass": dict(sorted(self.smt_by_class.items())),
-            "unknownsEncountered": self.unknowns,
             "wallTime": round(self.wall_time, 4),
             "witnesses": [
                 {
@@ -191,7 +189,8 @@ def search(
     global clock inside the bound.
     """
     t_start = time.monotonic()
-    stats0 = ctx.checker.stats.snapshot()
+    stats = ctx.checker.stats
+    queries0, by_class0 = stats.queries, dict(stats.by_class)
     prop = compile_property(s0, property_text) if property_text else None
     bound = Fraction(bound)
 
@@ -234,20 +233,15 @@ def search(
         verdict = BOUND_EXHAUSTED
     else:
         verdict = NO_SOLUTION
-    stats1 = ctx.checker.stats.snapshot()
-    by_class = {
-        k: stats1["byClass"].get(k, 0) - stats0["byClass"].get(k, 0)
-        for k in stats1["byClass"]
-    }
+    by_class = {k: v - by_class0.get(k, 0) for k, v in stats.by_class.items()}
     return SearchResult(
         verdict=verdict,
         witnesses=witnesses,
         bound=bound,
         states_explored=len(parents),
         transitions_fired=fired,
-        smt_queries=stats1["queries"] - stats0["queries"],
+        smt_queries=stats.queries - queries0,
         smt_by_class={k: v for k, v in by_class.items() if v},
-        unknowns=stats1["unknowns"] - stats0["unknowns"],
         wall_time=time.monotonic() - t_start,
         endpoints=endpoints,
     )
@@ -328,13 +322,19 @@ def _under(v, model: dict):
     return v
 
 
-def replay(ctx: RuleCtx, s0: SystemState, path) -> SystemState:
-    """Re-run a recorded transition path from the initial state."""
-    from .por import apply
-
+def _replayed(ctx: RuleCtx, s0: SystemState, path):
+    """Yield (tid, state) for each step of a recorded transition path."""
     s = s0
     for tid in path:
         s = apply(ctx, s, tid)
+        yield tid, s
+
+
+def replay(ctx: RuleCtx, s0: SystemState, path) -> SystemState:
+    """Re-run a recorded transition path from the initial state."""
+    s = s0
+    for _, s in _replayed(ctx, s0, path):
+        pass
     return s
 
 
@@ -406,12 +406,7 @@ def _sim_pick(succ, s: SystemState, until):
 
 def trace_lines(ctx: RuleCtx, s0: SystemState, path) -> list:
     """Human-readable replay of a transition path."""
-    lines = []
-    s = s0
-    lines.append(f"  0  clock={s.clock}  (initial)")
-    from .por import apply
-
-    for i, tid in enumerate(path, 1):
-        s = apply(ctx, s, tid)
+    lines = [f"  0  clock={s0.clock}  (initial)"]
+    for i, (tid, s) in enumerate(_replayed(ctx, s0, path), 1):
         lines.append(f"{i:>3}  clock={s.clock}  {tid.pretty()}")
     return lines

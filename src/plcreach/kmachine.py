@@ -18,7 +18,7 @@ and reports a `NeedsComm` outcome for the system layer to answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -366,7 +366,6 @@ class Done:
 class Internal:
     label: str
     cfg: KConfig
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,6 @@ class Branch:
     cond: object  # values.BoolExpr
     then_cfg: KConfig
     else_cfg: KConfig
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -443,7 +441,7 @@ def step(table: PouTable, cfg: KConfig):
                     raise EvalError(f"unbound name {head.target.name}")
             else:
                 loc = _field_loc(cfg, head.target.base, head.target.field)
-            return Internal("assign", pop_head(cfg.write(loc, value)), head_name(head))
+            return Internal("assign", pop_head(cfg.write(loc, value)))
         if isinstance(head, ast.IfStmt):
             cond = _as_condition(eval_expr(head.cond, cfg))
             then_cfg = normalize(replace(cfg, k=head.then_body + cfg.k[1:]))
@@ -464,19 +462,12 @@ def step(table: PouTable, cfg: KConfig):
             if head.name in COMM_INTRINSICS:
                 argvalues = tuple(eval_expr(a.expr, cfg) for a in head.args)
                 return NeedsComm(head.name, argvalues, None)
-            return Internal("call", _do_call(table, cfg, head), head.name)
+            return Internal("call", _do_call(table, cfg, head))
     except _Suspend as s:
         return NeedsComm(s.node.name, s.argvalues, s.node)
     except EvalError as exc:
         return Failed(str(exc))
     return Failed(f"cannot execute {head!r}")
-
-
-def head_name(stmt) -> str:
-    if isinstance(stmt, ast.Assign):
-        t = stmt.target
-        return t.name if isinstance(t, ast.VarRef) else f"{t.base}.{t.field}"
-    return ""
 
 
 def _do_return(cfg: KConfig) -> KConfig:

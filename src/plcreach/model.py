@@ -163,12 +163,6 @@ class SystemState:
             conns = tuple(sorted(self.conns + (c,), key=lambda x: x.pair))
         return replace(self, conns=conns)
 
-    def machine_for_program(self, prog: str) -> Optional[PLCMachine]:
-        for m in self.machines:
-            if prog in m.cfg.programs:
-                return m
-        return None
-
     def add_constraints(self, *conjuncts) -> "SystemState":
         merged = band(*self.constraints, *conjuncts)
         if merged is True:
@@ -178,9 +172,6 @@ class SystemState:
         from .values import conjuncts as split
 
         return replace(self, constraints=split(merged))
-
-    def path_condition(self):
-        return band(*self.constraints)
 
 
 # -- change laws ------------------------------------------------------------
@@ -488,9 +479,3 @@ def canonicalize(s: SystemState) -> tuple:
     # durations it is pure history and must not split states.
     ticked_key = s.ticked if s.options.symbolic else False
     return (machines_key, conns_key, clock_key, constraints_key, ticked_key)
-
-
-def state_fresh_rename(s: SystemState) -> dict:
-    """The renaming canonicalize would apply, for replay comparisons."""
-    order, _ = _canon_order(s)
-    return {n: f"v{i}" for i, n in enumerate(order)}

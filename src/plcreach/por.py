@@ -182,10 +182,10 @@ def _apply_if_enabled(ctx: RuleCtx, s: SystemState, tid: TransitionId):
         if not 0 < d <= cap:
             return None
         return tick_apply(s, d)
-    for t, st in successors(ctx, s, por=False):
-        if t == tid:
-            return st
-    return None
+    try:
+        return apply(ctx, s, tid)
+    except ReplayError:
+        return None
 
 
 def check_independence(ctx: RuleCtx, s: SystemState, t1: TransitionId, t2: TransitionId):

@@ -112,10 +112,10 @@ class Scenario:
             options=opts,
         )
 
-    def context(self, external=None) -> RuleCtx:
+    def context(self) -> RuleCtx:
         return RuleCtx(
             self.table,
-            SmtCheck(external=external),
+            SmtCheck(),
             comm_ample=_links_stable(self.table, self.conns),
         )
 

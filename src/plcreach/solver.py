@@ -1,13 +1,10 @@
 """Satisfiability checking for path constraints.
 
-The internal decision procedure handles linear rational arithmetic exactly:
+The decision procedure handles linear rational arithmetic exactly:
 equalities are removed by substitution, inequalities by Fourier-Motzkin
 elimination with Fraction pivoting, and disjunctions by case splitting.
-Verdicts are definite (sat with a model, or unsat); "unknown" can only come
-from an external back end.
-
-Nonlinear constraints are routed to a configured external SMT-LIB solver.
-Without one, nonlinear queries raise SolverUnavailable rather than guessing.
+Every verdict is definite: sat with a model, or unsat.  A constraint
+outside linear arithmetic raises SolverUnavailable rather than guessing.
 """
 
 from __future__ import annotations
@@ -16,33 +13,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import (
-    And,
-    BoolExpr,
-    Cmp,
-    Not,
-    Or,
-    Poly,
-    band,
-    bool_variables,
-    ckey,
-    conjuncts,
-)
-
-
-class NonlinearError(Exception):
-    """Raised internally when a constraint exceeds linear arithmetic."""
+from .values import And, Cmp, Not, Or, band, ckey, conjuncts
 
 
 class SolverUnavailable(Exception):
-    """A nonlinear query arrived and no external solver is configured."""
+    """A constraint lies outside linear rational arithmetic."""
 
 
 @dataclass(frozen=True)
 class SmtVerdict:
-    status: str  # "sat" | "unsat" | "unknown"
+    status: str  # "sat" | "unsat"
     model: Optional[dict] = None
-    reason: Optional[str] = None
 
     @property
     def is_sat(self) -> bool:
@@ -55,14 +36,15 @@ class SmtVerdict:
 
 SAT = "sat"
 UNSAT = "unsat"
-UNKNOWN = "unknown"
 
 
 def _as_ineq(atom):
-    """Map an atom to ("<=" | "<" | "==", poly) or raise NonlinearError."""
+    """Map an atom to ("<=" | "<" | "==", poly) or raise SolverUnavailable."""
     if isinstance(atom, Cmp):
         if not atom.lhs.is_linear():
-            raise NonlinearError(str(atom))
+            raise SolverUnavailable(
+                f"nonlinear constraint {atom}: only linear arithmetic is supported"
+            )
         return atom.op, atom.lhs
     raise TypeError(f"not an atomic constraint: {atom!r}")
 
@@ -116,9 +98,6 @@ def _solve_conjunction(atoms):
             continue
         var = next(iter(sorted(p.variables())))
         c = p.coeff(var)
-        if c == 0:
-            # variable only occurs nonlinearly; cannot happen for linear p
-            raise NonlinearError(str(p))
         rest = p.drop(var).scale(Fraction(-1) / c)
         subst_log.append((var, rest))
         eqs = [(o, q.substitute({var: rest})) for o, q in eqs]
@@ -210,29 +189,17 @@ class SolverStats:
     queries: int = 0
     by_class: dict = field(default_factory=dict)
     cache_hits: int = 0
-    unknowns: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "queries": self.queries,
-            "byClass": dict(self.by_class),
-            "cacheHits": self.cache_hits,
-            "unknowns": self.unknowns,
-        }
 
 
 class SmtCheck:
-    """Satisfiability front door with memoization and instrumentation.
+    """Memoizing, instrumented front door to `solve_linear`.
 
-    Linear constraints go to the internal procedure; nonlinear ones go to
-    the external back end when one is configured.  Results are cached per
-    canonical constraint, and every fresh solve is counted under the class
-    the caller supplies ("internal" for control constraints, "env" for
-    property and environment checks).
+    Results are cached per canonical constraint, and every fresh solve is
+    counted under the class the caller supplies ("internal" for control
+    constraints, "env" for property and environment checks).
     """
 
-    def __init__(self, external=None):
-        self.external = external
+    def __init__(self):
         self.stats = SolverStats()
         self._cache: dict = {}
 
@@ -248,19 +215,6 @@ class SmtCheck:
             return hit
         self.stats.queries += 1
         self.stats.by_class[cls] = self.stats.by_class.get(cls, 0) + 1
-        try:
-            verdict = solve_linear(expr)
-        except NonlinearError:
-            if self.external is None:
-                raise SolverUnavailable(
-                    "nonlinear constraint and no external solver configured"
-                )
-            verdict = self.external.check(expr)
-            if verdict.status == UNKNOWN:
-                self.stats.unknowns += 1
+        verdict = solve_linear(expr)
         self._cache[key] = verdict
         return verdict
-
-    def is_sat(self, expr, cls: str = "internal") -> bool:
-        """Sat check under the documented policy: unknown counts as sat."""
-        return not self.check(expr, cls).is_unsat

@@ -7,8 +7,6 @@ function-block invocations and intrinsics; elaboration tells them apart.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import ast
 from .lexer import Token, tokenize
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .model import SystemState
 from .solver import SmtCheck
-from .values import Poly, band, bool_evaluate, cmp_eq, cmp_le, cmp_lt
+from .values import Poly, band, bool_evaluate, bool_variables
 
 
 def fresh_var(s: SystemState, prefix: str):
@@ -30,12 +30,7 @@ def feasible(checker: SmtCheck, s: SystemState, *extra, cls: str = "internal") -
     cond = band(*parts)
     if isinstance(cond, bool):
         return cond
-    return checker.is_sat(cond, cls=cls)
-
-
-def assume(s: SystemState, *extra) -> SystemState:
-    """Conjoin constraints onto the path condition."""
-    return s.add_constraints(*extra)
+    return checker.check(cond, cls).is_sat
 
 
 def concrete_or_none(v):
@@ -49,12 +44,6 @@ def concrete_or_none(v):
 
 def evaluate_path(s: SystemState, assignment: dict) -> bool:
     """Check every collected conjunct under a concrete assignment."""
-    full = {name: Fraction(0) for c in s.constraints for name in _vars_of(c)}
+    full = {name: Fraction(0) for c in s.constraints for name in bool_variables(c)}
     full.update({k: Fraction(v) for k, v in assignment.items()})
     return all(bool_evaluate(c, full) for c in s.constraints)
-
-
-def _vars_of(c):
-    from .values import bool_variables
-
-    return bool_variables(c)

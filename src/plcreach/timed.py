@@ -25,7 +25,6 @@ from fractions import Fraction
 from .kmachine import load_programs
 from .model import (
     InputSpec,
-    Msg,
     PLCMachine,
     SystemState,
     actuate,

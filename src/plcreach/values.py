@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-Rat = Fraction
-
 # monomial: ((var, power), ...) sorted by var name; () is the constant term
 Monomial = tuple
 
@@ -439,8 +437,6 @@ class RcvError:
 
 RCV_ERROR = RcvError()
 
-SymValue = Union[bool, int, str, Fraction, Poly, Cmp, Not, And, Or, RcvError]
-
 
 def is_numeric(v) -> bool:
     return isinstance(v, (int, Fraction, Poly)) and not isinstance(v, bool)
@@ -563,21 +559,7 @@ def vnot(a):
 # ---------------------------------------------------------------------------
 # time arithmetic: Fraction when concrete, Poly once symbolic
 
-Time = Union[Fraction, Poly]
-
 INF = float("inf")  # only as an mte result, never stored in a state
-
-
-def is_concrete_time(t) -> bool:
-    return isinstance(t, Fraction) or (isinstance(t, Poly) and t.is_const())
-
-
-def time_value(t) -> Fraction:
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, Poly) and t.is_const():
-        return t.const_value()
-    raise ValueError(f"time {t!r} is symbolic")
 
 
 def t_sub(t, d):

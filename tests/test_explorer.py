@@ -67,7 +67,6 @@ class TestConcreteSearch:
         r = search(ctx, s0, "waterLevel > 20", bound=20)
         assert r.verdict == NO_SOLUTION
         assert r.witnesses == []
-        assert r.unknowns == 0
         assert r.states_explored > 0
 
     def test_bound_prunes_time(self):
@@ -143,7 +142,6 @@ class TestSymbolicSearch:
         ctx, s0 = symb_system()
         r = search(ctx, s0, "o > 50", bound=10)
         assert r.verdict == NO_SOLUTION
-        assert r.unknowns == 0
 
     def test_query_classes_are_split(self):
         ctx, s0 = symb_system()

@@ -12,6 +12,7 @@ from plcreach.scenario import (
     load_scenario,
     scenario_from_dict,
 )
+from plcreach.solver import SolverUnavailable
 from plcreach.st import PouTable, parse_file
 from plcreach.values import Poly, vmul, vsub
 
@@ -303,3 +304,36 @@ class TestDisk:
         p.write_text(json.dumps(doc))
         scen = load_scenario(p, extra_sources=((TANK_SRC, "inline"),))
         assert scen.machines[0].mid == "plc1"
+
+
+LINK_SRC = """\
+PROGRAM LINK
+VAR_INPUT
+  y : REAL;
+END_VAR
+VAR_OUTPUT
+  o : REAL;
+END_VAR
+o := y;
+END_PROGRAM
+"""
+
+
+def test_nonlinear_flow_is_rejected_by_search():
+    # a free input times elapsed time makes the flow's constraint nonlinear
+    doc = {
+        "machines": [
+            {
+                "id": "plc1",
+                "programs": ["LINK"],
+                "cycleTime": 5,
+                "state": {"x": 0},
+                "flow": {"x": "x + o * t"},
+                "inputs": {"y": {"kind": "free", "min": 0, "max": 10}},
+            }
+        ],
+        "analysis": {"mode": "symbolic", "bound": 20, "property": "x > 5"},
+    }
+    scen = scenario_from_dict(doc, table_for(LINK_SRC))
+    with pytest.raises(SolverUnavailable, match="only linear arithmetic"):
+        search(scen.context(), scen.initial_state(), "x > 5", bound=20)

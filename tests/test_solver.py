@@ -135,7 +135,7 @@ def test_smtcheck_caches_and_counts():
 
 def test_smtcheck_nonlinear_without_backend():
     chk = SmtCheck()
-    with pytest.raises(SolverUnavailable):
+    with pytest.raises(SolverUnavailable, match="only linear arithmetic"):
         chk.check(cmp_le(x * y, 1))
 
 
