@@ -43,14 +43,14 @@ class Move:
     ample_ok: bool = True
 
 
-def _with_cfg(s: SystemState, m: PLCMachine, cfg: KConfig) -> SystemState:
+def with_cfg(s: SystemState, m: PLCMachine, cfg: KConfig) -> SystemState:
     # Any machine move re-arms time passage: a tick after it is no
     # longer a mergeable continuation of the previous tick.
     return replace(s.with_machine(replace(m, cfg=cfg)), ticked=False)
 
 
 def _resumed(s: SystemState, m: PLCMachine, out: NeedsComm, value) -> SystemState:
-    return _with_cfg(s, m, resume_comm(m.cfg, out.site, value))
+    return with_cfg(s, m, resume_comm(m.cfg, out.site, value))
 
 
 def _name_arg(out: NeedsComm, idx: int, what: str) -> str:
@@ -63,13 +63,15 @@ def _name_arg(out: NeedsComm, idx: int, what: str) -> str:
 def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
     """All moves the given machine can take from `s` (may be empty)."""
     m = s.machine(mid)
-    out = step(ctx.table, m.cfg)
+    out = ctx.steps.get(m.cfg)
+    if out is None:
+        out = ctx.steps[m.cfg] = step(ctx.table, m.cfg)
     if isinstance(out, Done):
         return []
     if isinstance(out, Failed):
         raise ModelError(f"machine {mid}: runtime failure: {out.reason}")
     if isinstance(out, Internal):
-        return [Move(out.label, "internal", (), _with_cfg(s, m, out.cfg))]
+        return [Move(out.label, "internal", (), with_cfg(s, m, out.cfg))]
     if isinstance(out, Branch):
         return _branch_moves(ctx, s, m, out)
     if isinstance(out, AssertTime):
@@ -90,11 +92,11 @@ def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> l
     neg = bnot(out.cond)
     if feasible(ctx.checker, s, out.cond):
         moves.append(
-            Move("if-true", "internal", (), _with_cfg(s, m, out.then_cfg).add_constraints(out.cond))
+            Move("if-true", "internal", (), with_cfg(s, m, out.then_cfg).add_constraints(out.cond))
         )
     if feasible(ctx.checker, s, neg):
         moves.append(
-            Move("if-false", "internal", (), _with_cfg(s, m, out.else_cfg).add_constraints(neg))
+            Move("if-false", "internal", (), with_cfg(s, m, out.else_cfg).add_constraints(neg))
         )
     return moves
 
@@ -105,12 +107,12 @@ def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) 
     popped = pop_head(m.cfg)
     if ev is not None:
         if out.lo <= ev <= out.hi:
-            return [Move("assertTime", "internal", (), _with_cfg(s, m, popped))]
+            return [Move("assertTime", "internal", (), with_cfg(s, m, popped))]
         return []  # before the window time must pass; after it the scan is stuck
     lo_ok = cmp_le(out.lo, e)
     hi_ok = cmp_le(e, out.hi)
     if feasible(ctx.checker, s, lo_ok, hi_ok):
-        s2 = _with_cfg(s, m, popped).add_constraints(lo_ok, hi_ok)
+        s2 = with_cfg(s, m, popped).add_constraints(lo_ok, hi_ok)
         return [Move("assertTime", "internal", (), s2)]
     return []
 
@@ -122,7 +124,7 @@ def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
         conn = Conn(pair=pair)
     conn = replace(conn, delay_lo=out.lo, delay_hi=out.hi)
     s2 = s.with_conn(conn)
-    return [Move("setDelay", "comm", (pair,), _with_cfg(s2, m, pop_head(m.cfg)))]
+    return [Move("setDelay", "comm", (pair,), with_cfg(s2, m, pop_head(m.cfg)))]
 
 
 # -- connection management ---------------------------------------------------

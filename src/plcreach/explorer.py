@@ -18,7 +18,9 @@ from .model import ModelError, SystemState, canonicalize
 from .por import TransitionId, apply, successors
 from .st import BinOp, FieldRef, Lit, UnOp, VarRef, parse_expression
 from .symbolic import concrete_or_none, feasible
-from .timed import RuleCtx, due_machines, tick_apply
+# perfbench/tracing.py rebinds explorer.due_machines, so the name stays
+# importable from this module.
+from .timed import RuleCtx, due_machines, tick_apply  # noqa: F401
 from .values import (
     Poly,
     band,
@@ -204,15 +206,19 @@ def search(
 
     while queue:
         s, key = queue.popleft()
-        if _at_cycle_endpoint(ctx, s):
-            endpoints.add(_endpoint_record(s))
         if prop is not None and len(witnesses) < max_solutions:
             w = _solution_at(ctx, s, key, parents, prop, bound)
             if w is not None:
                 witnesses.append(w)
                 if len(witnesses) >= max_solutions:
                     break
-        for tid, st in successors(ctx, s, por=por):
+        succ = successors(ctx, s, por=por)
+        # A state is a cycle endpoint exactly when some machine is due.
+        # Every due machine yields a start move, because scenarios reject
+        # empty enumerated input domains.
+        if any(tid.cls == "start" for tid, _ in succ):
+            endpoints.add(_endpoint_record(s))
+        for tid, st in succ:
             fired += 1
             st = _clip_to_bound(ctx, st, bound)
             if st is None:
@@ -256,11 +262,6 @@ def _clip_to_bound(ctx: RuleCtx, s: SystemState, bound: Fraction):
     if not feasible(ctx.checker, s, cond, cls="env"):
         return None
     return s.add_constraints(cond)
-
-
-def _at_cycle_endpoint(ctx: RuleCtx, s: SystemState) -> bool:
-    due, _ = due_machines(ctx, s)
-    return bool(due)
 
 
 def _endpoint_record(s: SystemState):

@@ -14,12 +14,18 @@ executable item at the head or an empty `k`.
 Communication primitives (connectRequest, disconnect, isConnected,
 sendData, rcvData) cannot be resolved locally; evaluation suspends on them
 and reports a `NeedsComm` outcome for the system layer to answer.
+
+`step` must stay a pure function of `(table, cfg)`: the search memoizes
+its outcomes, and whole runs of internal steps, per configuration (see
+`timed.RuleCtx`).  A configuration caches its hash and its symbolic
+variables, and is its own canonical key unless a renaming touches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .st import ast
@@ -104,6 +110,22 @@ class KConfig:
     prog_envs: tuple = ()  # ((prog name, env tuple), ...)
     programs: tuple = ()  # execution order for each cycle
     current_prog: str = ""  # program whose body is executing
+
+    # Hashing walks every statement tree in `k`, so it is done once per
+    # instance.  The caches live in the instance dict: `replace` builds a
+    # new instance, which starts without them.
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(
+            (self.k, self.env, self.store, self.prog_envs, self.programs, self.current_prog)
+        )
+
+    @cached_property
+    def _vars(self) -> tuple:
+        return _config_vars(self)
 
     def lookup_loc(self, name: str) -> Optional[int]:
         for nm, loc in self.env:
@@ -592,9 +614,16 @@ def _canon_stmt(s, rename):
     return s
 
 
-def config_key(cfg: KConfig, rename: dict = None) -> tuple:
-    """Hashable canonical form; `rename` maps symbolic variable names."""
-    rename = rename or {}
+def config_key(cfg: KConfig, rename: dict = None):
+    """Hashable canonical form; `rename` maps symbolic variable names.
+
+    A rename that touches none of the configuration's variables changes
+    nothing, and then the configuration is its own key: it compares like
+    the tuple below (its program environments are fixed per machine) and
+    caches its hash.
+    """
+    if not rename or rename.keys().isdisjoint(config_vars(cfg)):
+        return cfg
     return (
         tuple(_canon_k_item(i, rename) for i in cfg.k),
         cfg.env,
@@ -603,8 +632,12 @@ def config_key(cfg: KConfig, rename: dict = None) -> tuple:
     )
 
 
-def config_vars(cfg: KConfig) -> list:
+def config_vars(cfg: KConfig) -> tuple:
     """Symbolic variable names, in store order then k order."""
+    return cfg._vars
+
+
+def _config_vars(cfg: KConfig) -> tuple:
     out = []
     seen = set()
 
@@ -623,7 +656,7 @@ def config_vars(cfg: KConfig) -> list:
         for node in _walk_lits(item):
             if isinstance(node.value, Poly):
                 add_all(sorted(node.value.variables()))
-    return out
+    return tuple(out)
 
 
 def _walk_lits(item):

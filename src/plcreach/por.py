@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .comm import machine_moves
+from . import comm
+from .comm import machine_moves, with_cfg
+from .kmachine import Done, Internal, KConfig
 from .model import SystemState, canonicalize
 from .timed import (
     RuleCtx,
@@ -86,6 +88,9 @@ def _env_moves(s: SystemState) -> list:
 # stay visible to every interleaving.
 _NO_CHAIN = {"while", "assertTime"}
 
+# Safety cap on a chain; a run without loop steps stays far below it.
+_CHAIN_LIMIT = 512
+
 
 def _private(ctx: RuleCtx, v) -> bool:
     """Does this move commute with time and with every other machine?
@@ -110,27 +115,70 @@ def _ample_eligible(ctx: RuleCtx, moves: list) -> bool:
     return bool(moves) and all(_private(ctx, v) for v in moves)
 
 
-def _chain_internal(ctx: RuleCtx, mid: str, v, limit: int = 512):
+def _private_run(ctx: RuleCtx, cfg: KConfig) -> tuple:
+    """The deterministic run of chainable internal steps from `cfg`.
+
+    Returns `(labels, end configuration)`, memoized in `ctx.runs` by the
+    start configuration; a run is cut after `_CHAIN_LIMIT` steps.  Such a
+    run touches only the machine's own configuration, so it is walked
+    without building system states.  The configurations in between are
+    not kept, so that long simulations do not hold them; the end
+    configuration's step outcome goes into `ctx.steps`, where
+    `machine_moves` reads it.
+    """
+    run = ctx.runs.get(cfg)
+    if run is not None:
+        return run
+    # Stepping through `comm.step` keeps one name for every step call, the
+    # one that tests and perfbench/tracing.py rebind to count them.
+    out = ctx.steps.get(cfg)
+    if out is None:
+        out = comm.step(ctx.table, cfg)
+    labels = []
+    end = cfg
+    while (
+        isinstance(out, Internal)
+        and out.label not in _NO_CHAIN
+        and len(labels) < _CHAIN_LIMIT
+    ):
+        labels.append((out.label, ()))
+        end = out.cfg
+        out = comm.step(ctx.table, end)
+    ctx.steps[end] = out
+    run = ctx.runs[cfg] = (tuple(labels), end)
+    return run
+
+
+def _chain_internal(ctx: RuleCtx, mid: str, v):
     """Extend a machine move across its deterministic private run.
 
     Private moves with a single feasible continuation commute with every
     other enabled transition, so the whole run collapses into one edge.
     Stops at branching points, non-private shared-state moves, and
-    time-sensitive statements.
+    time-sensitive statements, or once the chain is longer than
+    `_CHAIN_LIMIT`.  Runs of internal steps are taken whole from
+    `_private_run`; the system state is built again only where a move
+    needs it.
     """
     if not _private(ctx, v):
         return (TransitionId(v.cls, mid, v.label, v.key), v.state)
     chain = [(v.label, v.key)]
     st = v.state
-    for _ in range(limit):
+    while len(chain) <= _CHAIN_LIMIT:
+        m = st.machine(mid)
+        labels, cfg = _private_run(ctx, m.cfg)
+        if labels:
+            chain.extend(labels)
+            st = with_cfg(st, m, cfg)
+        # Done: the scan is over.  Internal: a loop step, which must stay
+        # visible, or a run cut at `_CHAIN_LIMIT`.
+        if isinstance(ctx.steps[cfg], (Done, Internal)):
+            break
         nxt = machine_moves(ctx, st, mid)
-        if len(nxt) != 1:
+        if len(nxt) != 1 or not _private(ctx, nxt[0]):
             break
-        n = nxt[0]
-        if not _private(ctx, n):
-            break
-        chain.append((n.label, n.key))
-        st = n.state
+        chain.append((nxt[0].label, nxt[0].key))
+        st = nxt[0].state
     if len(chain) == 1:
         return (TransitionId(v.cls, mid, v.label, v.key), st)
     return (TransitionId("internal", mid, "seq", tuple(chain)), st)

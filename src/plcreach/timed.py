@@ -19,7 +19,7 @@ change-law evaluation concrete even in symbolic runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .kmachine import load_programs
@@ -52,7 +52,19 @@ from .values import (
 
 @dataclass
 class RuleCtx:
-    """Shared per-search context: the program table and the solver."""
+    """Shared per-search context: the program table, the solver and the
+    memo tables of the machine-local semantics.
+
+    `steps` maps a `KConfig` to its `kmachine.step` outcome (filled by
+    `comm.machine_moves` and `por._private_run`).  `runs` maps the first
+    `KConfig` of a deterministic run of chainable internal steps to the
+    run's `(labels, end KConfig)` (filled by `por._private_run`).
+    Both hold pure functions of `(table, cfg)`, so they stay valid for as
+    long as the context lives; `Scenario.context()` makes a new, empty
+    context for each search.  A fresh context therefore starts cold, which
+    the benchmark's determinism guard relies on: it checks that the number
+    of `step` calls repeats exactly from one run of a query to the next.
+    """
 
     table: PouTable
     checker: SmtCheck
@@ -60,6 +72,8 @@ class RuleCtx:
     # its delays, and every link has a positive minimum delay.  Gates the
     # reduction's use of receive and status-read moves as private.
     comm_ample: bool = False
+    steps: dict = field(default_factory=dict)
+    runs: dict = field(default_factory=dict)
 
 
 # -- maximal time elapse ----------------------------------------------------

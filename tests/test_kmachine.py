@@ -13,6 +13,7 @@ from plcreach.kmachine import (
     KConfig,
     NeedsComm,
     config_key,
+    config_vars,
     idle_config,
     load_programs,
     pop_head,
@@ -459,3 +460,30 @@ class TestCanonicalForm:
         right = base.write(loc, Poly.var("_u9"))
         assert config_key(left) != config_key(right)
         assert config_key(left, {"_u1": "v0"}) == config_key(right, {"_u9": "v0"})
+
+    def test_equal_configs_share_cached_hash_key_and_vars(self):
+        def build():
+            table, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
+            cfg = cfg.write(prog_loc(cfg, "P", "a"), Poly.var("_u1"))
+            return load_programs(table, cfg)
+
+        one, two = build(), build()
+        assert one is not two
+        assert hash(one) == hash(two)
+        assert config_key(one) == config_key(two)
+        assert config_vars(one) == config_vars(two) == ("_u1",)
+        # Repeated calls answer from the instance's cache.
+        assert hash(one) == hash(one) and config_vars(one) is config_vars(one)
+
+    def test_replace_starts_without_stale_caches(self):
+        table, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
+        loc = prog_loc(cfg, "P", "a")
+        sym = cfg.write(loc, Poly.var("_u1"))
+        key, names = config_key(sym), config_vars(sym)
+        hash(sym)
+        conc = sym.write(loc, 3)
+        assert config_key(conc) != key
+        assert config_vars(conc) == ()
+        assert names == ("_u1",)
+        assert hash(conc) == hash(cfg.write(loc, 3))
+        assert config_key(conc) == config_key(cfg.write(loc, 3))
