@@ -196,7 +196,9 @@ def search(
     prop = compile_property(s0, property_text) if property_text else None
     bound = Fraction(bound)
 
-    key0 = canonicalize(s0)
+    # Interns the pieces of canonical keys; lives as long as `parents`.
+    pool: dict = {}
+    key0 = canonicalize(s0, pool)
     parents = {key0: None}
     queue = deque([(s0, key0)])
     witnesses = []
@@ -223,10 +225,12 @@ def search(
             st = _clip_to_bound(ctx, st, bound)
             if st is None:
                 continue
-            k2 = canonicalize(st)
-            if k2 in parents:
+            k2 = canonicalize(st, pool)
+            # One lookup hashes the key once; a known key keeps its entry.
+            n = len(parents)
+            parents.setdefault(k2, (key, tid))
+            if len(parents) == n:
                 continue
-            parents[k2] = (key, tid)
             queue.append((st, k2))
             if max_states is not None and len(parents) >= max_states:
                 capped = True

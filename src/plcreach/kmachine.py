@@ -561,73 +561,78 @@ def resume_comm(cfg: KConfig, site: Optional[ast.CallExpr], value) -> KConfig:
 # -- canonical form ---------------------------------------------------------
 
 
-def _canon_value(v, rename):
+def _canon_value(v, rename, pool):
     if isinstance(v, Poly):
-        return ("poly", v.rename(rename) if rename else v)
+        return ("poly", v.rename(rename, pool))
     if isinstance(v, Instance):
         return ("inst", v.type_name, v.path, v.env)
     if isinstance(v, _BOOL_EXPRS):
-        return ("bexp", bool_rename(v, rename) if rename else v)
+        return ("bexp", bool_rename(v, rename, pool))
     return ("lit", v)
 
 
-def _canon_k_item(item, rename):
+def _canon_k_item(item, rename, pool):
     if isinstance(item, (BeginProg, EndProg, PopFrame)):
         return item
-    return _canon_stmt(item, rename)
+    return _canon_stmt(item, rename, pool)
 
 
-def _canon_stmt(s, rename):
+def _canon_stmt(s, rename, pool):
     # Substituted literals may hold symbolic values inside statement trees.
-    if not rename:
-        return s
     if isinstance(s, ast.Lit) and isinstance(s.value, Poly):
-        return replace(s, value=s.value.rename(rename))
+        return replace(s, value=s.value.rename(rename, pool))
     if isinstance(s, ast.Assign):
-        return replace(s, expr=_canon_stmt(s.expr, rename))
+        return replace(s, expr=_canon_stmt(s.expr, rename, pool))
     if isinstance(s, ast.IfStmt):
         return replace(
             s,
-            cond=_canon_stmt(s.cond, rename),
-            then_body=tuple(_canon_stmt(t, rename) for t in s.then_body),
-            else_body=tuple(_canon_stmt(t, rename) for t in s.else_body),
+            cond=_canon_stmt(s.cond, rename, pool),
+            then_body=tuple(_canon_stmt(t, rename, pool) for t in s.then_body),
+            else_body=tuple(_canon_stmt(t, rename, pool) for t in s.else_body),
         )
     if isinstance(s, ast.WhileStmt):
         return replace(
             s,
-            cond=_canon_stmt(s.cond, rename),
-            body=tuple(_canon_stmt(t, rename) for t in s.body),
+            cond=_canon_stmt(s.cond, rename, pool),
+            body=tuple(_canon_stmt(t, rename, pool) for t in s.body),
         )
     if isinstance(s, ast.BinOp):
         return replace(
-            s, lhs=_canon_stmt(s.lhs, rename), rhs=_canon_stmt(s.rhs, rename)
+            s,
+            lhs=_canon_stmt(s.lhs, rename, pool),
+            rhs=_canon_stmt(s.rhs, rename, pool),
         )
     if isinstance(s, ast.UnOp):
-        return replace(s, operand=_canon_stmt(s.operand, rename))
+        return replace(s, operand=_canon_stmt(s.operand, rename, pool))
     if isinstance(s, ast.CallExpr):
-        return replace(s, args=tuple(_canon_stmt(a, rename) for a in s.args))
+        return replace(s, args=tuple(_canon_stmt(a, rename, pool) for a in s.args))
     if isinstance(s, ast.CallStmt):
         return replace(
             s,
-            args=tuple(replace(a, expr=_canon_stmt(a.expr, rename)) for a in s.args),
+            args=tuple(
+                replace(a, expr=_canon_stmt(a.expr, rename, pool)) for a in s.args
+            ),
         )
     return s
 
 
-def config_key(cfg: KConfig, rename: dict = None):
+def config_key(cfg: KConfig, rename: dict = None, pool: dict = None):
     """Hashable canonical form; `rename` maps symbolic variable names.
 
     A rename that touches none of the configuration's variables changes
     nothing, and then the configuration is its own key: it compares like
     the tuple below (its program environments are fixed per machine) and
-    caches its hash.
+    caches its hash.  Renamed values are interned in `pool` (see
+    `model.canonicalize`), or in a throwaway dict when it is None.
     """
     if not rename or rename.keys().isdisjoint(config_vars(cfg)):
         return cfg
+    if pool is None:
+        pool = {}
     return (
-        tuple(_canon_k_item(i, rename) for i in cfg.k),
+        tuple(_canon_k_item(i, rename, pool) for i in cfg.k),
         cfg.env,
-        tuple((loc, _canon_value(v, rename)) for loc, v in cfg.store),
+        tuple((loc, _canon_value(v, rename, pool)) for loc, v in cfg.store),
         cfg.current_prog,
     )
 

@@ -420,23 +420,37 @@ def _canon_order(s: SystemState):
     return order, kept
 
 
-def canonicalize(s: SystemState) -> tuple:
+def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     """Hashable key: fresh variables renamed by first use, dead constraints
-    dropped, message identities ignored."""
-    order, kept = _canon_order(s)
-    rename = {n: f"v{i}" for i, n in enumerate(order)}
+    dropped, message identities ignored.
+
+    `pool` interns what the renaming builds (the `v{i}` names, monomials,
+    terms, polynomials and comparisons), so that equal pieces of different
+    keys are one object.  A search passes one pool for its whole life and
+    drops it with its state store; without one, a throwaway pool is used.
+    """
+    if pool is None:
+        pool = {}
+    # Every fresh name comes from symbolic.fresh_var, which counts it: with
+    # the counter at zero there is nothing to rename and no live slice.
+    order, kept = _canon_order(s) if s.fresh_counter else ((), ())
+    intern = pool.setdefault
+    rename = {}
+    for i, n in enumerate(order):
+        name = f"v{i}"
+        rename[n] = intern(name, name)
 
     def rv(v):
         if isinstance(v, Poly):
-            return v.rename(rename)
+            return v.rename(rename, pool)
         if isinstance(v, _BOOL_EXPRS):
-            return bool_rename(v, rename)
+            return bool_rename(v, rename, pool)
         return v
 
     machines_key = tuple(
         (
             m.mid,
-            config_key(m.cfg, rename),
+            config_key(m.cfg, rename, pool),
             rv(m.timer) if isinstance(m.timer, Poly) else m.timer,
             m.env_timer,
             tuple((nm, rv(v)) for nm, v in m.state),

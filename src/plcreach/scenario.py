@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .kmachine import idle_config, load_programs
 from .model import (
+    FLOW_TIME,
     Conn,
     InputSpec,
     Options,
@@ -301,6 +302,14 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
             raise ScenarioError(f"machine {mid!r}: flow for unknown state {name!r}")
         flows[name] = _flow_poly(str(law), f"machine {mid!r} flow {name!r}")
         validate_flow(name, flows[name])
+        # Only state names are substituted when time passes; any other name
+        # would stay in the state as a symbol no fresh-variable count covers.
+        stray = flows[name].variables() - set(state) - {FLOW_TIME}
+        if stray:
+            raise ScenarioError(
+                f"machine {mid!r}: flow for {name!r} names {sorted(stray)}, "
+                f"which are neither state variables nor {FLOW_TIME!r}"
+            )
 
     specs = _input_specs(doc.get("inputs"), programs, mid)
     _check_vars_exist(table, specs, mid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import And, Cmp, Not, Or, band, ckey, conjuncts
+from .values import And, Cmp, Not, Or, band, conjuncts
 
 
 class SolverUnavailable(Exception):
@@ -194,8 +194,11 @@ class SolverStats:
 class SmtCheck:
     """Memoizing, instrumented front door to `solve_linear`.
 
-    Results are cached per canonical constraint, and every fresh solve is
-    counted under the class the caller supplies ("internal" for control
+    Results are cached per constraint, keyed by the constraint itself:
+    normalized constraints are equal exactly when their `ckey`s are (their
+    coefficients are Fractions, and `band`/`bor` sort arguments by `ckey`),
+    and hashing one is cheaper than building its `ckey`.  Every fresh solve
+    is counted under the class the caller supplies ("internal" for control
     constraints, "env" for property and environment checks).
     """
 
@@ -208,13 +211,12 @@ class SmtCheck:
             return SmtVerdict(SAT, model={})
         if expr is False:
             return SmtVerdict(UNSAT)
-        key = ckey(expr)
-        hit = self._cache.get(key)
+        hit = self._cache.get(expr)
         if hit is not None:
             self.stats.cache_hits += 1
             return hit
         self.stats.queries += 1
         self.stats.by_class[cls] = self.stats.by_class.get(cls, 0) + 1
         verdict = solve_linear(expr)
-        self._cache[key] = verdict
+        self._cache[expr] = verdict
         return verdict

@@ -6,6 +6,12 @@ with Fraction coefficients.  Symbolic booleans are BoolExpr trees whose
 atoms are polynomial comparisons against zero.  Every structure here is
 immutable and hashable so machine states can be shared and canonicalized.
 
+Renaming (`Poly.rename`, `bool_rename`) interns what it builds in a pool
+owned by the caller: a renamed monomial, term, polynomial or comparison is
+the very object the pool already holds when an equal one was built before.
+Renamed values are therefore shared between many canonical keys and must
+never be mutated.
+
 All time arithmetic in the package goes through Fraction or Poly; floats
 never enter the value domain.
 """
@@ -142,18 +148,14 @@ class Poly:
             return Poly._raw(())
         return Poly._raw(tuple((m, c * k) for m, c in self.terms))
 
-    def rename(self, names: Mapping[str, str]) -> "Poly":
-        """Injective variable renaming; much cheaper than substitute."""
+    def rename(self, names: Mapping[str, str], pool: dict) -> "Poly":
+        """Injective variable renaming; much cheaper than substitute.
+
+        The result and its monomials and terms are interned in `pool`.
+        """
         if not names:
             return self
-        return Poly._raw(
-            tuple(
-                sorted(
-                    (tuple(sorted((names.get(v, v), p) for v, p in m)), c)
-                    for m, c in self.terms
-                )
-            )
-        )
+        return _interned_poly(_renamed_terms(self, names, pool), pool)
 
     def substitute(self, mapping: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
         if self.degree() <= 1:
@@ -213,6 +215,28 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     for v, p in m2:
         acc[v] = acc.get(v, 0) + p
     return tuple(sorted(acc.items()))
+
+
+def _renamed_terms(p: Poly, names: Mapping[str, str], pool: dict) -> list:
+    """The terms of `p` renamed and sorted; each monomial interned."""
+    intern = pool.setdefault
+    out = []
+    for m, c in p.terms:
+        mono = tuple(sorted((names.get(v, v), e) for v, e in m))
+        out.append((intern(mono, mono), c))
+    out.sort()
+    return out
+
+
+def _interned_poly(terms: list, pool: dict) -> Poly:
+    """The pool's Poly over canonical `terms`; a new one gets interned terms."""
+    got = pool.get(Poly._raw(tuple(terms)))
+    if got is None:
+        # The term tuple needs no entry of its own: only this Poly holds it.
+        intern = pool.setdefault
+        got = Poly._raw(tuple(intern(t, t) for t in terms))
+        pool[got] = got
+    return got
 
 
 def as_poly(x) -> Poly:
@@ -356,26 +380,28 @@ def conjuncts(e) -> tuple:
     return (e,)
 
 
-def bool_rename(e, names):
-    """Injective variable renaming; keeps atoms atoms, so no solver folding."""
+def bool_rename(e, names, pool: dict):
+    """Injective variable renaming; keeps atoms atoms, so no solver folding.
+
+    Renamed atoms and their polynomials are interned in `pool`.
+    """
     if isinstance(e, bool):
         return e
     if isinstance(e, Cmp):
-        lhs = e.lhs.rename(names)
+        terms = _renamed_terms(e.lhs, names, pool)
         # renaming can reorder terms, so re-pin the leading coefficient
-        lead = lhs.terms[0][1]
-        if e.op == "==":
-            if lead != 1:
-                lhs = lhs.scale(1 / lead)
-        elif abs(lead) != 1:
-            lhs = lhs.scale(1 / abs(lead))
-        return Cmp(e.op, lhs)
+        lead = terms[0][1]
+        k = 1 / lead if e.op == "==" else 1 / abs(lead)
+        if k != 1:
+            terms = [(m, c * k) for m, c in terms]
+        atom = Cmp(e.op, _interned_poly(terms, pool))
+        return pool.setdefault(atom, atom)
     if isinstance(e, Not):
-        return Not(bool_rename(e.arg, names))
+        return Not(bool_rename(e.arg, names, pool))
     if isinstance(e, And):
-        return band(*(bool_rename(a, names) for a in e.args))
+        return band(*(bool_rename(a, names, pool) for a in e.args))
     if isinstance(e, Or):
-        return bor(*(bool_rename(a, names) for a in e.args))
+        return bor(*(bool_rename(a, names, pool) for a in e.args))
     raise TypeError(f"not a boolean expression: {e!r}")
 
 

@@ -166,6 +166,12 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown state"):
             scenario_from_dict(doc, table_for())
 
+    def test_flow_names_only_state_and_time(self):
+        doc = tank_doc()
+        doc["machines"][0]["flow"] = {"waterLevel": "waterLevel + _k * t"}
+        with pytest.raises(ScenarioError, match=r"names \['_k'\]"):
+            scenario_from_dict(doc, table_for())
+
     def test_flow_must_be_polynomial(self):
         doc = tank_doc()
         doc["machines"][0]["flow"] = {"waterLevel": "waterLevel < 3"}
