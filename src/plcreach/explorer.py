@@ -22,16 +22,21 @@ from .symbolic import concrete_or_none, feasible
 # importable from this module.
 from .timed import RuleCtx, due_machines, tick_apply  # noqa: F401
 from .values import (
+    EvalError,
     Poly,
     band,
-    bnot,
-    bor,
     cmp_le,
+    evaluate,
+    is_boolish,
     vadd,
+    vand,
+    variables,
     vcmp,
     vdiv,
     vmul,
     vneg,
+    vnot,
+    vor,
     vsub,
 )
 
@@ -51,7 +56,9 @@ def compile_property(s0: SystemState, text: str):
     """Build an evaluator for a boolean expression over machine state.
 
     Bare names resolve against the physical state variables of all
-    machines and must be unique; `machine.var` qualifies explicitly.
+    machines and must be unique; `machine.var` qualifies explicitly.  The
+    property is evaluated once on `s0`: an ill-typed one, or one that is
+    not a boolean, raises PropertyError here.
     """
     expr = parse_expression(text)
     owners: dict = {}
@@ -64,8 +71,13 @@ def compile_property(s0: SystemState, text: str):
 
     def prop(s: SystemState):
         vals = {m.mid: dict(m.state) for m in s.machines}
-        return _eval(expr, vals, owners)
+        try:
+            return _eval(expr, vals, owners)
+        except EvalError as exc:
+            raise PropertyError(f"cannot evaluate {text!r}: {exc}") from exc
 
+    if not is_boolish(prop(s0)):
+        raise PropertyError(f"{text!r} is not a boolean property")
     return prop
 
 
@@ -88,6 +100,9 @@ def _check_refs(e, owners, mids):
         _check_refs(e.operand, owners, mids)
 
 
+_BINARY = {"AND": vand, "OR": vor, "+": vadd, "-": vsub, "*": vmul, "/": vdiv}
+
+
 def _eval(e, vals, owners):
     if isinstance(e, Lit):
         v = e.value
@@ -103,23 +118,12 @@ def _eval(e, vals, owners):
             raise PropertyError(f"machine {e.base!r} has no state {e.field!r}")
     if isinstance(e, UnOp):
         v = _eval(e.operand, vals, owners)
-        return bnot(v) if e.op == "NOT" else vneg(v)
+        return vnot(v) if e.op == "NOT" else vneg(v)
     if isinstance(e, BinOp):
         a = _eval(e.lhs, vals, owners)
         b = _eval(e.rhs, vals, owners)
-        if e.op == "AND":
-            return band(a, b)
-        if e.op == "OR":
-            return bor(a, b)
-        if e.op == "+":
-            return vadd(a, b)
-        if e.op == "-":
-            return vsub(a, b)
-        if e.op == "*":
-            return vmul(a, b)
-        if e.op == "/":
-            return vdiv(a, b)
-        return vcmp(e.op, a, b)
+        fn = _BINARY.get(e.op)
+        return fn(a, b) if fn else vcmp(e.op, a, b)
     raise PropertyError(f"unsupported expression {e!r}")
 
 
@@ -320,11 +324,8 @@ def _valuations(s: SystemState, model: dict) -> tuple:
 
 
 def _under(v, model: dict):
-    if isinstance(v, Poly):
-        full = {name: Fraction(model.get(name, 0)) for name in v.variables()}
-        r = v.substitute(full)
-        return r.const_value()
-    return v
+    """`v` under the model, with variables the model leaves free at 0."""
+    return evaluate(v, {name: model.get(name, 0) for name in variables(v)})
 
 
 def _replayed(ctx: RuleCtx, s0: SystemState, path):

@@ -14,6 +14,11 @@ executable item at the head or an empty `k`.
 Communication primitives (connectRequest, disconnect, isConnected,
 sendData, rcvData) cannot be resolved locally; evaluation suspends on them
 and reports a `NeedsComm` outcome for the system layer to answer.
+`resume_comm` splices the answer into the head statement as a literal, so
+`k` may hold literals of any symbolic kind (a Poly, a comparison, a
+boolean combination), and anywhere inside a statement tree.  One walker,
+`_map_lits`, reaches every literal in `k`: it lists a configuration's
+variables and renames them for its canonical key.
 
 `step` must stay a pure function of `(table, cfg)`: the search memoizes
 its outcomes, and whole runs of internal steps, per configuration (see
@@ -32,19 +37,15 @@ from .st import ast
 from .st.builtins import INTRINSIC_CALLS
 from .st.elaborate import ElabError, PouTable
 from .values import (
-    And,
-    Cmp,
     EvalError,
-    Not,
-    Or,
     Poly,
     RCV_ERROR,
     RcvError,
-    bool_rename,
-    bool_variables,
     cmp_eq,
+    rename,
     vadd,
     vand,
+    variables,
     vcmp,
     vdiv,
     vmul,
@@ -53,8 +54,6 @@ from .values import (
     vor,
     vsub,
 )
-
-_BOOL_EXPRS = (Cmp, Not, And, Or)
 
 COMM_INTRINSICS = INTRINSIC_CALLS - {"thisBlock"}
 
@@ -560,79 +559,67 @@ def resume_comm(cfg: KConfig, site: Optional[ast.CallExpr], value) -> KConfig:
 
 # -- canonical form ---------------------------------------------------------
 
-
-def _canon_value(v, rename, pool):
-    if isinstance(v, Poly):
-        return ("poly", v.rename(rename, pool))
-    if isinstance(v, Instance):
-        return ("inst", v.type_name, v.path, v.env)
-    if isinstance(v, _BOOL_EXPRS):
-        return ("bexp", bool_rename(v, rename, pool))
-    return ("lit", v)
-
-
-def _canon_k_item(item, rename, pool):
-    if isinstance(item, (BeginProg, EndProg, PopFrame)):
-        return item
-    return _canon_stmt(item, rename, pool)
+# The fields of each node kind in `k` that hold subtrees.  Every other item
+# (program and frame markers, references, annotations, RETURN) holds no
+# literal.
+_SUBTREES = {
+    ast.Assign: ("expr",),
+    ast.IfStmt: ("cond", "then_body", "else_body"),
+    ast.WhileStmt: ("cond", "body"),
+    ast.BinOp: ("lhs", "rhs"),
+    ast.UnOp: ("operand",),
+    ast.CallExpr: ("args",),
+    ast.CallStmt: ("args",),
+    ast.ArgBind: ("expr",),
+}
 
 
-def _canon_stmt(s, rename, pool):
-    # Substituted literals may hold symbolic values inside statement trees.
-    if isinstance(s, ast.Lit) and isinstance(s.value, Poly):
-        return replace(s, value=s.value.rename(rename, pool))
-    if isinstance(s, ast.Assign):
-        return replace(s, expr=_canon_stmt(s.expr, rename, pool))
-    if isinstance(s, ast.IfStmt):
-        return replace(
-            s,
-            cond=_canon_stmt(s.cond, rename, pool),
-            then_body=tuple(_canon_stmt(t, rename, pool) for t in s.then_body),
-            else_body=tuple(_canon_stmt(t, rename, pool) for t in s.else_body),
-        )
-    if isinstance(s, ast.WhileStmt):
-        return replace(
-            s,
-            cond=_canon_stmt(s.cond, rename, pool),
-            body=tuple(_canon_stmt(t, rename, pool) for t in s.body),
-        )
-    if isinstance(s, ast.BinOp):
-        return replace(
-            s,
-            lhs=_canon_stmt(s.lhs, rename, pool),
-            rhs=_canon_stmt(s.rhs, rename, pool),
-        )
-    if isinstance(s, ast.UnOp):
-        return replace(s, operand=_canon_stmt(s.operand, rename, pool))
-    if isinstance(s, ast.CallExpr):
-        return replace(s, args=tuple(_canon_stmt(a, rename, pool) for a in s.args))
-    if isinstance(s, ast.CallStmt):
-        return replace(
-            s,
-            args=tuple(
-                replace(a, expr=_canon_stmt(a.expr, rename, pool)) for a in s.args
-            ),
-        )
-    return s
+def _map_lits(node, fn):
+    """`node` with the value of every literal inside it replaced by fn(value).
+
+    The one walk over the items of `k`.  A subtree in which `fn` returned
+    every value itself comes back as the same object, so an `fn` that only
+    looks at the values rebuilds nothing.
+    """
+    if type(node) is ast.Lit:
+        v = fn(node.value)
+        return node if v is node.value else replace(node, value=v)
+    changed = {}
+    for f in _SUBTREES.get(type(node), ()):
+        old = getattr(node, f)
+        if type(old) is tuple:
+            new = tuple(_map_lits(x, fn) for x in old)
+            if all(a is b for a, b in zip(new, old)):
+                continue
+        else:
+            new = _map_lits(old, fn)
+            if new is old:
+                continue
+        changed[f] = new
+    return replace(node, **changed) if changed else node
 
 
-def config_key(cfg: KConfig, rename: dict = None, pool: dict = None):
-    """Hashable canonical form; `rename` maps symbolic variable names.
+def config_key(cfg: KConfig, names: dict = None, pool: dict = None):
+    """Hashable canonical form; `names` renames symbolic variables.
 
-    A rename that touches none of the configuration's variables changes
+    A renaming that touches none of the configuration's variables changes
     nothing, and then the configuration is its own key: it compares like
     the tuple below (its program environments are fixed per machine) and
     caches its hash.  Renamed values are interned in `pool` (see
     `model.canonicalize`), or in a throwaway dict when it is None.
     """
-    if not rename or rename.keys().isdisjoint(config_vars(cfg)):
+    if not names or names.keys().isdisjoint(config_vars(cfg)):
         return cfg
     if pool is None:
         pool = {}
+
+    def renamed(v):
+        return rename(v, names, pool)
+
     return (
-        tuple(_canon_k_item(i, rename, pool) for i in cfg.k),
+        tuple(_map_lits(item, renamed) for item in cfg.k),
         cfg.env,
-        tuple((loc, _canon_value(v, rename, pool)) for loc, v in cfg.store),
+        tuple((loc, renamed(v)) for loc, v in cfg.store),
         cfg.current_prog,
     )
 
@@ -643,48 +630,15 @@ def config_vars(cfg: KConfig) -> tuple:
 
 
 def _config_vars(cfg: KConfig) -> tuple:
-    out = []
-    seen = set()
+    found: dict = {}  # insertion-ordered set
 
-    def add_all(names):
-        for n in names:
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
+    def note(v):
+        for n in sorted(variables(v)):
+            found.setdefault(n)
+        return v
 
     for _, v in cfg.store:
-        if isinstance(v, Poly):
-            add_all(sorted(v.variables()))
-        elif isinstance(v, _BOOL_EXPRS):
-            add_all(sorted(bool_variables(v)))
+        note(v)
     for item in cfg.k:
-        for node in _walk_lits(item):
-            if isinstance(node.value, Poly):
-                add_all(sorted(node.value.variables()))
-    return tuple(out)
-
-
-def _walk_lits(item):
-    if isinstance(item, ast.Lit):
-        yield item
-    elif isinstance(item, ast.Assign):
-        yield from _walk_lits(item.expr)
-    elif isinstance(item, ast.IfStmt):
-        yield from _walk_lits(item.cond)
-        for t in item.then_body + item.else_body:
-            yield from _walk_lits(t)
-    elif isinstance(item, ast.WhileStmt):
-        yield from _walk_lits(item.cond)
-        for t in item.body:
-            yield from _walk_lits(t)
-    elif isinstance(item, ast.BinOp):
-        yield from _walk_lits(item.lhs)
-        yield from _walk_lits(item.rhs)
-    elif isinstance(item, ast.UnOp):
-        yield from _walk_lits(item.operand)
-    elif isinstance(item, ast.CallExpr):
-        for a in item.args:
-            yield from _walk_lits(a)
-    elif isinstance(item, ast.CallStmt):
-        for a in item.args:
-            yield from _walk_lits(a.expr)
+        _map_lits(item, note)
+    return tuple(found)

@@ -27,13 +27,11 @@ from .values import (
     Poly,
     as_poly,
     band,
-    bool_rename,
-    bool_substitute,
-    bool_variables,
     ckey,
+    rename,
+    substitute,
+    variables,
 )
-
-_BOOL_EXPRS = (Cmp, Not, And, Or)
 
 FLOW_TIME = "t"  # reserved name inside change laws
 
@@ -286,16 +284,12 @@ def propagate_pins(s: SystemState) -> SystemState:
 
 
 def _substitute_state(s: SystemState, mapping) -> SystemState:
-    def pv(v):
-        if isinstance(v, Poly):
-            out = v.substitute(mapping)
-            return out.const_value() if out.is_const() else out
-        if isinstance(v, _BOOL_EXPRS):
-            return bool_substitute(v, mapping)
-        return v
-
     machines = tuple(
-        replace(m, timer=pv(m.timer), state=tuple((nm, pv(v)) for nm, v in m.state))
+        replace(
+            m,
+            timer=substitute(m.timer, mapping),
+            state=tuple((nm, substitute(v, mapping)) for nm, v in m.state),
+        )
         for m in s.machines
     )
     conns = tuple(
@@ -304,23 +298,27 @@ def _substitute_state(s: SystemState, mapping) -> SystemState:
             buffer=tuple(
                 replace(
                     msg,
-                    data=pv(msg.data),
-                    min_timer=pv(msg.min_timer),
-                    max_timer=pv(msg.max_timer),
+                    data=substitute(msg.data, mapping),
+                    min_timer=substitute(msg.min_timer, mapping),
+                    max_timer=substitute(msg.max_timer, mapping),
                 )
                 for msg in c.buffer
             ),
         )
         for c in s.conns
     )
-    merged = band(*(pv(c) for c in s.constraints))
+    merged = band(*(substitute(c, mapping) for c in s.constraints))
     if merged is False:
         raise ModelError("pinned substitution contradicts the path condition")
     from .values import conjuncts as split
 
     constraints = () if merged is True else split(merged)
     return replace(
-        s, machines=machines, conns=conns, clock=pv(s.clock), constraints=constraints
+        s,
+        machines=machines,
+        conns=conns,
+        clock=substitute(s.clock, mapping),
+        constraints=constraints,
     )
 
 
@@ -329,22 +327,6 @@ def _substitute_state(s: SystemState, mapping) -> SystemState:
 
 def _is_fresh(name: str) -> bool:
     return name.startswith("_")
-
-
-def _poly_fresh_vars(p: Poly):
-    for mono, _ in p.terms:
-        for v, _ in mono:
-            if _is_fresh(v):
-                yield v
-
-
-def _value_fresh_vars(v):
-    if isinstance(v, Poly):
-        yield from _poly_fresh_vars(v)
-    elif isinstance(v, _BOOL_EXPRS):
-        for name in sorted(bool_variables(v)):
-            if _is_fresh(name):
-                yield name
 
 
 def _masked(v) -> object:
@@ -375,24 +357,20 @@ def _canon_order(s: SystemState):
 
     def note(names):
         for n in names:
-            if n not in seen:
+            if n not in seen and _is_fresh(n):
                 seen.add(n)
                 order.append(n)
 
     for m in s.machines:
-        if isinstance(m.timer, Poly):
-            note(_poly_fresh_vars(m.timer))
+        note(sorted(variables(m.timer)))
         for _, v in m.state:
-            note(_value_fresh_vars(v))
-        note(n for n in config_vars(m.cfg) if _is_fresh(n))
+            note(sorted(variables(v)))
+        note(config_vars(m.cfg))
     for c in s.conns:
         for msg in c.buffer:
-            note(_value_fresh_vars(msg.data))
-            for t in (msg.min_timer, msg.max_timer):
-                if isinstance(t, Poly):
-                    note(_poly_fresh_vars(t))
-    if isinstance(s.clock, Poly):
-        note(_poly_fresh_vars(s.clock))
+            for v in (msg.data, msg.min_timer, msg.max_timer):
+                note(sorted(variables(v)))
+    note(sorted(variables(s.clock)))
     live = set(order)
 
     # Keep only constraints transitively linked to live variables; the rest
@@ -405,7 +383,7 @@ def _canon_order(s: SystemState):
         changed = False
         still = []
         for c in remaining:
-            cv = bool_variables(c)
+            cv = variables(c)
             if cv & live:
                 kept.append(c)
                 live |= cv
@@ -416,7 +394,7 @@ def _canon_order(s: SystemState):
 
     kept.sort(key=lambda c: (repr(_masked(c)), ckey(c)))
     for c in kept:
-        note(n for n in sorted(bool_variables(c)) if _is_fresh(n))
+        note(sorted(variables(c)))
     return order, kept
 
 
@@ -435,25 +413,18 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     # the counter at zero there is nothing to rename and no live slice.
     order, kept = _canon_order(s) if s.fresh_counter else ((), ())
     intern = pool.setdefault
-    rename = {}
+    names = {}
     for i, n in enumerate(order):
         name = f"v{i}"
-        rename[n] = intern(name, name)
-
-    def rv(v):
-        if isinstance(v, Poly):
-            return v.rename(rename, pool)
-        if isinstance(v, _BOOL_EXPRS):
-            return bool_rename(v, rename, pool)
-        return v
-
+        names[n] = intern(name, name)
+    # Each value is renamed only when there is something to rename.
     machines_key = tuple(
         (
             m.mid,
-            config_key(m.cfg, rename, pool),
-            rv(m.timer) if isinstance(m.timer, Poly) else m.timer,
+            config_key(m.cfg, names, pool),
+            rename(m.timer, names, pool) if names else m.timer,
             m.env_timer,
-            tuple((nm, rv(v)) for nm, v in m.state),
+            tuple((nm, rename(v, names, pool)) for nm, v in m.state) if names else m.state,
             m.cycle_time,
             m.cycle_index,
         )
@@ -475,9 +446,9 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
                             msg.receiver,
                             msg.send_fb,
                             msg.recv_fb,
-                            rv(msg.data),
-                            rv(msg.min_timer) if isinstance(msg.min_timer, Poly) else msg.min_timer,
-                            rv(msg.max_timer) if isinstance(msg.max_timer, Poly) else msg.max_timer,
+                            rename(msg.data, names, pool) if names else msg.data,
+                            rename(msg.min_timer, names, pool) if names else msg.min_timer,
+                            rename(msg.max_timer, names, pool) if names else msg.max_timer,
                         )
                         for msg in c.buffer
                     ),
@@ -487,8 +458,8 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
         )
         for c in s.conns
     )
-    constraints_key = tuple(sorted((rv(c) for c in kept), key=ckey))
-    clock_key = rv(s.clock) if isinstance(s.clock, Poly) else s.clock
+    constraints_key = tuple(sorted((rename(c, names, pool) for c in kept), key=ckey))
+    clock_key = rename(s.clock, names, pool) if names else s.clock
     # The post-tick flag only gates the symbolic jump fold; with exact
     # durations it is pure history and must not split states.
     ticked_key = s.ticked if s.options.symbolic else False

@@ -43,8 +43,8 @@ class PouTable:
             _BodyChecker(self, pou).run()
 
     @classmethod
-    def from_units(cls, units, include_builtins: bool = True) -> "PouTable":
-        pous = builtin_pous() if include_builtins else {}
+    def from_units(cls, units) -> "PouTable":
+        pous = builtin_pous()
         for pou in units:
             if pou.name in pous:
                 raise ElabError(f"duplicate definition of {pou.name}", pou.pos)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .model import SystemState
 from .solver import SmtCheck
-from .values import Poly, band, bool_evaluate, bool_variables
+from .values import Poly, band, evaluate, variables
 
 
 def fresh_var(s: SystemState, prefix: str):
@@ -44,6 +44,6 @@ def concrete_or_none(v):
 
 def evaluate_path(s: SystemState, assignment: dict) -> bool:
     """Check every collected conjunct under a concrete assignment."""
-    full = {name: Fraction(0) for c in s.constraints for name in bool_variables(c)}
+    full = {name: Fraction(0) for c in s.constraints for name in variables(c)}
     full.update({k: Fraction(v) for k, v in assignment.items()})
-    return all(bool_evaluate(c, full) for c in s.constraints)
+    return all(evaluate(c, full) for c in s.constraints)

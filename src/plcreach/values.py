@@ -6,7 +6,11 @@ with Fraction coefficients.  Symbolic booleans are BoolExpr trees whose
 atoms are polynomial comparisons against zero.  Every structure here is
 immutable and hashable so machine states can be shared and canonicalized.
 
-Renaming (`Poly.rename`, `bool_rename`) interns what it builds in a pool
+Which values are symbolic, and how to list, rename, substitute or evaluate
+their variables, is decided here alone, by `variables`, `rename`,
+`substitute` and `evaluate`; they accept any runtime value.
+
+Renaming (`Poly.rename`, `rename`) interns what it builds in a pool
 owned by the caller: a renamed monomial, term, polynomial or comparison is
 the very object the pool already holds when an equal one was built before.
 Renamed values are therefore shared between many canonical keys and must
@@ -380,73 +384,96 @@ def conjuncts(e) -> tuple:
     return (e,)
 
 
-def bool_rename(e, names, pool: dict):
+# ---------------------------------------------------------------------------
+# variables of any runtime value
+#
+# Poly and the boolean expressions over it are the symbolic values.  Every
+# other runtime value (bool, int, Fraction, str, rcvError, a block
+# instance) is concrete: it has no variables and comes back unchanged.
+
+_NO_VARS = frozenset()
+
+
+def variables(v):
+    """The names of the symbolic variables in `v`, as a set not to mutate."""
+    if isinstance(v, Poly):
+        return v.variables()
+    if isinstance(v, Cmp):
+        return v.lhs.variables()
+    if isinstance(v, Not):
+        return variables(v.arg)
+    if isinstance(v, (And, Or)):
+        out = set()
+        for a in v.args:
+            out |= variables(a)
+        return out
+    return _NO_VARS
+
+
+def rename(v, names: Mapping[str, str], pool: dict):
     """Injective variable renaming; keeps atoms atoms, so no solver folding.
 
-    Renamed atoms and their polynomials are interned in `pool`.
+    Renamed polynomials and atoms are interned in `pool`.
     """
-    if isinstance(e, bool):
-        return e
-    if isinstance(e, Cmp):
-        terms = _renamed_terms(e.lhs, names, pool)
+    if isinstance(v, Poly):
+        return v.rename(names, pool)
+    if isinstance(v, Cmp):
+        terms = _renamed_terms(v.lhs, names, pool)
         # renaming can reorder terms, so re-pin the leading coefficient
         lead = terms[0][1]
-        k = 1 / lead if e.op == "==" else 1 / abs(lead)
+        k = 1 / lead if v.op == "==" else 1 / abs(lead)
         if k != 1:
             terms = [(m, c * k) for m, c in terms]
-        atom = Cmp(e.op, _interned_poly(terms, pool))
+        atom = Cmp(v.op, _interned_poly(terms, pool))
         return pool.setdefault(atom, atom)
-    if isinstance(e, Not):
-        return Not(bool_rename(e.arg, names, pool))
-    if isinstance(e, And):
-        return band(*(bool_rename(a, names, pool) for a in e.args))
-    if isinstance(e, Or):
-        return bor(*(bool_rename(a, names, pool) for a in e.args))
-    raise TypeError(f"not a boolean expression: {e!r}")
+    if isinstance(v, Not):
+        return Not(rename(v.arg, names, pool))
+    if isinstance(v, And):
+        return band(*(rename(a, names, pool) for a in v.args))
+    if isinstance(v, Or):
+        return bor(*(rename(a, names, pool) for a in v.args))
+    return v
 
 
-def bool_substitute(e, mapping):
-    if isinstance(e, bool):
-        return e
-    if isinstance(e, Cmp):
-        return _norm_cmp(e.op, e.lhs.substitute(mapping))
-    if isinstance(e, Not):
-        return bnot(bool_substitute(e.arg, mapping))
-    if isinstance(e, And):
-        return band(*(bool_substitute(a, mapping) for a in e.args))
-    if isinstance(e, Or):
-        return bor(*(bool_substitute(a, mapping) for a in e.args))
-    raise TypeError(f"not a boolean expression: {e!r}")
+def substitute(v, mapping: Mapping):
+    """Replace variables by Polys or rationals.
+
+    A polynomial that becomes constant comes back as its Fraction, and a
+    comparison that becomes constant as its bool.
+    """
+    if isinstance(v, Poly):
+        out = v.substitute(mapping)
+        return out.const_value() if out.is_const() else out
+    if isinstance(v, Cmp):
+        return _norm_cmp(v.op, v.lhs.substitute(mapping))
+    if isinstance(v, Not):
+        return bnot(substitute(v.arg, mapping))
+    if isinstance(v, And):
+        return band(*(substitute(a, mapping) for a in v.args))
+    if isinstance(v, Or):
+        return bor(*(substitute(a, mapping) for a in v.args))
+    return v
 
 
-def bool_evaluate(e, assignment) -> bool:
-    if isinstance(e, bool):
-        return e
-    if isinstance(e, Cmp):
-        v = e.lhs.evaluate(assignment)
-        return {"<=": v <= 0, "<": v < 0, "==": v == 0}[e.op]
-    if isinstance(e, Not):
-        return not bool_evaluate(e.arg, assignment)
-    if isinstance(e, And):
-        return all(bool_evaluate(a, assignment) for a in e.args)
-    if isinstance(e, Or):
-        return any(bool_evaluate(a, assignment) for a in e.args)
-    raise TypeError(f"not a boolean expression: {e!r}")
+def evaluate(v, assignment: Mapping):
+    """The concrete value of `v` when every variable in it is assigned."""
+    if isinstance(v, Poly):
+        return v.evaluate(assignment)
+    if isinstance(v, Cmp):
+        x = v.lhs.evaluate(assignment)
+        return {"<=": x <= 0, "<": x < 0, "==": x == 0}[v.op]
+    if isinstance(v, Not):
+        return not evaluate(v.arg, assignment)
+    if isinstance(v, And):
+        return all(evaluate(a, assignment) for a in v.args)
+    if isinstance(v, Or):
+        return any(evaluate(a, assignment) for a in v.args)
+    return v
 
 
-def bool_variables(e) -> set:
-    if isinstance(e, bool):
-        return set()
-    if isinstance(e, Cmp):
-        return e.lhs.variables()
-    if isinstance(e, Not):
-        return bool_variables(e.arg)
-    if isinstance(e, (And, Or)):
-        out = set()
-        for a in e.args:
-            out |= bool_variables(a)
-        return out
-    raise TypeError(f"not a boolean expression: {e!r}")
+# Names under which callers outside the package use the two on booleans.
+bool_variables = variables
+bool_evaluate = evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from plcreach import bench
 from plcreach.explorer import (
     BOUND_EXHAUSTED,
     NO_SOLUTION,
@@ -180,6 +181,17 @@ class TestPropertyCompiler:
         assert p(s0) is True
         p2 = compile_property(s0, "waterLevel / 4 <= 2")
         assert p2(s0) is False
+
+    @pytest.mark.parametrize("mode", ["concrete", "symbolic"])
+    @pytest.mark.parametrize(
+        "text", ["level1 AND pump1", "NOT level1", "level1 + 1", "level1 = TRUE"]
+    )
+    def test_ill_typed_property_rejected(self, text, mode):
+        # level1 and pump1 are numbers; none of these is a boolean property.
+        scen = bench.load("query1")
+        s0 = scen.initial_state(mode=mode)
+        with pytest.raises(PropertyError):
+            search(scen.context(), s0, text, bound=5)
 
 
 class TestWalksAndTraces:

@@ -1,0 +1,50 @@
+"""Deterministic simulation of the consolidated models up to a horizon."""
+
+from fractions import Fraction
+
+import pytest
+
+from plcreach import bench
+from plcreach.explorer import replay, simulate
+from plcreach.model import canonicalize
+
+MODELS = ("ptp", "rv", "ther", "swat1")
+
+
+def _run(name, until, clock_sep=False):
+    scen = bench.load(name)
+    s0 = scen.initial_state(clock_sep=clock_sep)
+    out = simulate(scen.context(), s0, until)
+    assert out[0] == (None, s0)
+    cycles = sum(1 for tid, _ in out[1:] if tid.cls == "start")
+    return scen, s0, out, cycles
+
+
+@pytest.mark.parametrize("clock_sep", [False, True], ids=["joint", "clock-sep"])
+@pytest.mark.parametrize("name", MODELS)
+def test_simulation_reaches_the_horizon_and_replays(name, clock_sep):
+    until = Fraction(200)
+    scen, s0, out, cycles = _run(name, until, clock_sep)
+    final = out[-1][1]
+    assert final.clock == until
+    assert cycles == until / s0.machines[0].cycle_time
+    if clock_sep:
+        assert any(tid.cls == "env" for tid, _ in out[1:])
+    end = replay(scen.context(), s0, [tid for tid, _ in out[1:]])
+    assert canonicalize(end) == canonicalize(final)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_horizon_inside_a_tick_clips_the_last_tick(name):
+    until = Fraction(195)
+    scen, s0, out, cycles = _run(name, until)
+    assert out[-1][1].clock == until
+    # The scan starting at clock 190 runs; the tick after it is cut to 5.
+    assert cycles == 20
+    last, before = out[-1][0], out[-2][1]
+    assert last.cls == "tick" and last.key == (Fraction(5),)
+    assert before.clock == 190
+    # The clipped tick is no enabled transition, so only the path up to
+    # it replays.
+    end = replay(scen.context(), s0, [tid for tid, _ in out[1:-1]])
+    assert canonicalize(end) == canonicalize(before)

@@ -9,18 +9,22 @@ from plcreach.values import (
     band,
     bnot,
     bool_evaluate,
-    bool_substitute,
     bor,
     cmp_eq,
     cmp_le,
     cmp_lt,
     monus,
+    RCV_ERROR,
+    evaluate,
     rat,
+    rename,
+    substitute,
     vadd,
     vcmp,
     vdiv,
     vmul,
     vsub,
+    variables,
 )
 
 rationals = st.fractions(
@@ -124,8 +128,27 @@ def test_demorgan_under_evaluation(p, q, env):
 def test_bool_substitute():
     x, t = Poly.var("x"), Poly.var("t")
     c = cmp_le(x + t, 10)
-    c2 = bool_substitute(c, {"t": Poly.const(4)})
+    c2 = substitute(c, {"t": Poly.const(4)})
     assert bool_evaluate(c2, {"x": 6}) and not bool_evaluate(c2, {"x": 7})
+
+
+def test_value_domain_helpers_cover_every_kind():
+    x, y = Poly.var("_x"), Poly.var("_y")
+    e = bor(bnot(cmp_eq(x, 1)), cmp_le(x + y, 3))
+    assert variables(x + y) == variables(e) == {"_x", "_y"}
+    assert rename(e, {"_x": "v0", "_y": "v1"}, {}) == bor(
+        bnot(cmp_eq(Poly.var("v0"), 1)), cmp_le(Poly.var("v0") + Poly.var("v1"), 3)
+    )
+    # A polynomial that becomes constant comes back as its Fraction.
+    assert substitute(x + y, {"_x": Poly.const(1), "_y": 2}) == Fraction(3)
+    assert substitute(e, {"_y": 2}) == bor(bnot(cmp_eq(x, 1)), cmp_le(x, 1))
+    assert evaluate(x + y, {"_x": 1, "_y": 2}) == 3
+    assert evaluate(e, {"_x": 1, "_y": 3}) is False
+    for concrete in (True, 3, Fraction(1, 2), "T2", RCV_ERROR):
+        assert variables(concrete) == set()
+        assert rename(concrete, {"_x": "v0"}, {}) is concrete
+        assert substitute(concrete, {"_x": 1}) is concrete
+        assert evaluate(concrete, {}) is concrete
 
 
 def test_runtime_value_helpers():
