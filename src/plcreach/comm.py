@@ -102,19 +102,14 @@ def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> l
 
 
 def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) -> list:
+    # Before the window time must pass; after it the scan is stuck.
     e = elapsed_in_cycle(m)
-    ev = concrete_or_none(e)
-    popped = pop_head(m.cfg)
-    if ev is not None:
-        if out.lo <= ev <= out.hi:
-            return [Move("assertTime", "internal", (), with_cfg(s, m, popped))]
-        return []  # before the window time must pass; after it the scan is stuck
     lo_ok = cmp_le(out.lo, e)
     hi_ok = cmp_le(e, out.hi)
-    if feasible(ctx.checker, s, lo_ok, hi_ok):
-        s2 = with_cfg(s, m, popped).add_constraints(lo_ok, hi_ok)
-        return [Move("assertTime", "internal", (), s2)]
-    return []
+    if not feasible(ctx.checker, s, lo_ok, hi_ok):
+        return []
+    s2 = with_cfg(s, m, pop_head(m.cfg)).add_constraints(lo_ok, hi_ok)
+    return [Move("assertTime", "internal", (), s2)]
 
 
 def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
@@ -242,27 +237,18 @@ def _rcv_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> l
     ample = _rcv_ample(conn, matching)
     moves = []
     for msg in matching:
-        mn = concrete_or_none(msg.min_timer)
+        open_now = cmp_le(msg.min_timer, 0)
+        if not feasible(ctx.checker, s, open_now):
+            continue
         rest = tuple(x for x in conn.buffer if x.seq != msg.seq)
-        if mn is not None:
-            if mn > 0:
-                continue
-            s2 = s.with_conn(replace(conn, buffer=rest))
-        else:
-            open_now = cmp_le(msg.min_timer, 0)
-            if not feasible(ctx.checker, s, open_now):
-                continue
-            s2 = s.with_conn(replace(conn, buffer=rest)).add_constraints(open_now)
+        s2 = s.with_conn(replace(conn, buffer=rest)).add_constraints(open_now)
         moves.append(
             Move("rcvData", "comm", (msg.seq,), _resumed(s2, m, out, msg.data), ample)
         )
     if s.options.rcv_no_on_pending:
         # Giving up is only allowed while every candidate is still in transit.
         pending = [cmp_lt(0, msg.min_timer) for msg in matching]
-        if all(isinstance(p, bool) for p in pending):
-            if all(pending):
-                moves.append(Move("rcvNo", "comm", (pair,), _resumed(s, m, out, RCV_ERROR)))
-        elif feasible(ctx.checker, s, *pending):
+        if feasible(ctx.checker, s, *pending):
             s2 = s.add_constraints(*pending)
             moves.append(Move("rcvNo", "comm", (pair,), _resumed(s2, m, out, RCV_ERROR)))
     return moves

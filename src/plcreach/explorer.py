@@ -11,34 +11,18 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .kmachine import Literals, eval_expr
 from .model import ModelError, SystemState, canonicalize
-from .por import TransitionId, apply, successors
-from .st import BinOp, FieldRef, Lit, UnOp, VarRef, parse_expression
-from .symbolic import concrete_or_none, feasible
+from .por import apply, successors
+from .st import parse_expression
+from .symbolic import feasible
 # perfbench/tracing.py rebinds explorer.due_machines, so the name stays
 # importable from this module.
-from .timed import RuleCtx, due_machines, tick_apply  # noqa: F401
-from .values import (
-    EvalError,
-    Poly,
-    band,
-    cmp_le,
-    evaluate,
-    is_boolish,
-    vadd,
-    vand,
-    variables,
-    vcmp,
-    vdiv,
-    vmul,
-    vneg,
-    vnot,
-    vor,
-    vsub,
-)
+from .timed import RuleCtx, due_machines, env_tick_apply, tick_apply  # noqa: F401
+from .values import EvalError, Poly, band, cmp_le, evaluate, is_boolish, variables
 
 SOLUTION_FOUND = "SolutionFound"
 NO_SOLUTION = "NoSolution"
@@ -52,79 +36,53 @@ class PropertyError(Exception):
 # -- state properties --------------------------------------------------------
 
 
-def compile_property(s0: SystemState, text: str):
-    """Build an evaluator for a boolean expression over machine state.
+class _StateNames(Literals):
+    """A property's names: the physical state variables of one state's
+    machines.  A bare name must live on exactly one machine."""
 
-    Bare names resolve against the physical state variables of all
-    machines and must be unique; `machine.var` qualifies explicitly.  The
-    property is evaluated once on `s0`: an ill-typed one, or one that is
-    not a boolean, raises PropertyError here.
+    def __init__(self, owners: dict, s: SystemState):
+        self.owners = owners
+        self.s = s
+
+    def var(self, name: str):
+        found = self.owners.get(name)
+        if not found:
+            raise EvalError(f"unknown state variable {name!r}")
+        if len(found) > 1:
+            raise EvalError(f"{name!r} lives on machines {sorted(found)}; qualify it")
+        return self.field(found[0], name)
+
+    def field(self, base: str, name: str):
+        try:
+            return self.s.machine(base).state_value(name)
+        except ModelError as exc:
+            raise EvalError(str(exc)) from exc
+
+
+def compile_property(s0: SystemState, text: str):
+    """Build an evaluator for a property: an ST expression over state names.
+
+    It means what the same text means in a program (`kmachine.eval_expr`);
+    a bare name must be unique among all machines' state variables, and
+    `machine.var` qualifies explicitly.  The property is evaluated once on
+    `s0`: an unknown name, an ill-typed property, or one that is not a
+    boolean raises PropertyError here.
     """
     expr = parse_expression(text)
     owners: dict = {}
-    mids = set()
     for m in s0.machines:
-        mids.add(m.mid)
         for name, _ in m.state:
             owners.setdefault(name, []).append(m.mid)
-    _check_refs(expr, owners, mids)
 
     def prop(s: SystemState):
-        vals = {m.mid: dict(m.state) for m in s.machines}
         try:
-            return _eval(expr, vals, owners)
+            return eval_expr(expr, _StateNames(owners, s))
         except EvalError as exc:
             raise PropertyError(f"cannot evaluate {text!r}: {exc}") from exc
 
     if not is_boolish(prop(s0)):
         raise PropertyError(f"{text!r} is not a boolean property")
     return prop
-
-
-def _check_refs(e, owners, mids):
-    if isinstance(e, VarRef):
-        found = owners.get(e.name)
-        if not found:
-            raise PropertyError(f"unknown state variable {e.name!r}")
-        if len(found) > 1:
-            raise PropertyError(
-                f"{e.name!r} lives on machines {sorted(found)}; qualify it"
-            )
-    elif isinstance(e, FieldRef):
-        if e.base not in mids:
-            raise PropertyError(f"unknown machine {e.base!r}")
-    elif isinstance(e, BinOp):
-        _check_refs(e.lhs, owners, mids)
-        _check_refs(e.rhs, owners, mids)
-    elif isinstance(e, UnOp):
-        _check_refs(e.operand, owners, mids)
-
-
-_BINARY = {"AND": vand, "OR": vor, "+": vadd, "-": vsub, "*": vmul, "/": vdiv}
-
-
-def _eval(e, vals, owners):
-    if isinstance(e, Lit):
-        v = e.value
-        if isinstance(v, int) and not isinstance(v, bool):
-            return Fraction(v)
-        return v
-    if isinstance(e, VarRef):
-        return vals[owners[e.name][0]][e.name]
-    if isinstance(e, FieldRef):
-        try:
-            return vals[e.base][e.field]
-        except KeyError:
-            raise PropertyError(f"machine {e.base!r} has no state {e.field!r}")
-    if isinstance(e, UnOp):
-        v = _eval(e.operand, vals, owners)
-        return vnot(v) if e.op == "NOT" else vneg(v)
-    if isinstance(e, BinOp):
-        a = _eval(e.lhs, vals, owners)
-        b = _eval(e.rhs, vals, owners)
-        fn = _BINARY.get(e.op)
-        return fn(a, b) if fn else vcmp(e.op, a, b)
-    raise PropertyError(f"unsupported expression {e!r}")
 
 
 # -- results -----------------------------------------------------------------
@@ -194,6 +152,8 @@ def search(
     endpoint comparisons).  Witness states satisfy the property with the
     global clock inside the bound.
     """
+    if max_solutions < 1:
+        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
     t_start = time.monotonic()
     stats = ctx.checker.stats
     queries0, by_class0 = stats.queries, dict(stats.by_class)
@@ -263,9 +223,6 @@ def search(
 
 def _clip_to_bound(ctx: RuleCtx, s: SystemState, bound: Fraction):
     """Absorb states past the bound; pin symbolic clocks inside it."""
-    c = concrete_or_none(s.clock)
-    if c is not None:
-        return s if c <= bound else None
     cond = cmp_le(s.clock, bound)
     if not feasible(ctx.checker, s, cond, cls="env"):
         return None
@@ -287,21 +244,15 @@ def _solution_at(ctx, s, key, parents, prop, bound):
     got = prop(s)
     if got is False:
         return None
-    clock_ok = True
-    c = concrete_or_none(s.clock)
-    if c is None:
-        clock_ok = cmp_le(s.clock, bound)
-    if got is True and clock_ok is True and not s.constraints:
-        return Witness(s, _path_to(parents, key), {}, _valuations(s, {}))
-    cond = band(*s.constraints, clock_ok, got)
+    cond = band(*s.constraints, cmp_le(s.clock, bound), got)
     if cond is False:
         return None
-    if cond is True:
-        return Witness(s, _path_to(parents, key), {}, _valuations(s, {}))
-    verdict = ctx.checker.check(cond, cls="property")
-    if not verdict.is_sat:
-        return None
-    model = dict(verdict.model or {})
+    model = {}
+    if cond is not True:
+        verdict = ctx.checker.check(cond, cls="property")
+        if not verdict.is_sat:
+            return None
+        model = dict(verdict.model or {})
     return Witness(s, _path_to(parents, key), model, _valuations(s, model))
 
 
@@ -366,8 +317,10 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
 
     Policy: fire due scan starts first, then the lowest-numbered
     machine's moves preferring success branches, and only then let time
-    pass to the nearest boundary (clipped at the horizon).  Returns
-    [(tid, state), ...] with the initial state first under a None tid.
+    pass to the nearest boundary.  The step that moves the global clock
+    (tick, or envTick with clock separation) is cut short at the horizon;
+    `replay` takes it by its duration.  Returns [(tid, state), ...] with
+    the initial state first under a None tid.
     """
     until = Fraction(until)
     s = s0
@@ -394,20 +347,17 @@ def _sim_pick(succ, s: SystemState, until):
         first = machine[0][0].mid
         mine = [p for p in machine if p[0].mid == first]
         return min(mine, key=lambda p: _SIM_COST.get(p[0].label, 0))
-    for tid, t in succ:
-        if tid.cls != "tick":
-            continue
-        (d,) = tid.key
-        clip = min(Fraction(d), until - s.clock)
-        if clip <= 0:
-            return None
-        if clip == d:
-            return (tid, t)
-        return (TransitionId("tick", "", "tick", (clip,)), tick_apply(s, clip))
-    envs = [p for p in succ if p[0].cls == "env"]
-    if envs:
-        return envs[0]
-    return None
+    # Ticks come before envTicks in `succ`.
+    timed = [p for p in succ if p[0].cls in ("tick", "env")]
+    if not timed:
+        return None
+    tid, t = timed[0]
+    clocked = "env" if s.options.clock_sep else "tick"
+    left = until - s.clock
+    if tid.cls != clocked or tid.key[0] <= left:
+        return tid, t
+    clipped = replace(tid, key=(left,))
+    return clipped, (env_tick_apply if clocked == "env" else tick_apply)(s, left)
 
 
 def trace_lines(ctx: RuleCtx, s0: SystemState, path) -> list:

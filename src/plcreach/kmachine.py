@@ -20,6 +20,14 @@ boolean combination), and anywhere inside a statement tree.  One walker,
 `_map_lits`, reaches every literal in `k`: it lists a configuration's
 variables and renames them for its canonical key.
 
+`eval_expr(e, names)` is the one evaluator of `st.ast` expressions, so
+programs, properties, change laws and initializers give a text one
+meaning.  Only names differ: the resolver `names` answers
+`var(name)`, `field(base, name)` and `call(node, argvalues)`, or raises
+`EvalError`.  A `KConfig` reads its environment and store and suspends on
+communication intrinsics; `Literals` resolves nothing (initializers), and
+properties (`explorer`) and change laws (`scenario`) extend it.
+
 `step` must stay a pure function of `(table, cfg)`: the search memoizes
 its outcomes, and whole runs of internal steps, per configuration (see
 `timed.RuleCtx`).  A configuration caches its hash and its symbolic
@@ -155,6 +163,31 @@ class KConfig:
                 return env
         raise EvalError(f"no environment for program {name}")
 
+    # -- names for eval_expr --
+
+    def var(self, name: str):
+        loc = self.lookup_loc(name)
+        if loc is not None:
+            return self.read(loc)
+        if name == "rcvError":
+            return RCV_ERROR
+        if name == "thisBlock":
+            this = self.lookup_loc("__this")
+            if this is None:
+                raise EvalError("thisBlock outside a block body")
+            return self.read(this)
+        raise EvalError(f"unbound name {name}")
+
+    def field(self, base: str, name: str):
+        return self.read(_field_loc(self, base, name))
+
+    def call(self, node: ast.CallExpr, argvalues: tuple):
+        if node.name == "thisBlock":
+            return self.var("thisBlock")
+        if node.name in COMM_INTRINSICS:
+            raise _Suspend(node, argvalues)
+        raise EvalError(f"{node.name} is not callable")
+
     @property
     def head(self):
         return self.k[0] if self.k else None
@@ -175,17 +208,11 @@ def _default_value(type_name: str):
 
 
 def const_eval(e: ast.Expr):
-    """Fold a declaration initializer; only literal arithmetic is allowed."""
-    if isinstance(e, ast.Lit):
-        return e.value
-    if isinstance(e, ast.UnOp) and e.op == "-":
-        return vneg(const_eval(e.operand))
-    if isinstance(e, ast.BinOp):
-        lhs, rhs = const_eval(e.lhs), const_eval(e.rhs)
-        fn = {"+": vadd, "-": vsub, "*": vmul, "/": vdiv}.get(e.op)
-        if fn:
-            return fn(lhs, rhs)
-    raise ElabError(f"initializer is not constant: {e!r}")
+    """Fold a declaration initializer, which may name nothing."""
+    try:
+        return eval_expr(e, Literals())
+    except EvalError as exc:
+        raise ElabError(f"initializer is not constant: {exc}") from exc
 
 
 class _Builder:
@@ -282,20 +309,6 @@ class _Suspend(Exception):
         self.argvalues = argvalues
 
 
-def _read_var(cfg: KConfig, name: str):
-    loc = cfg.lookup_loc(name)
-    if loc is not None:
-        return cfg.read(loc)
-    if name == "rcvError":
-        return RCV_ERROR
-    if name == "thisBlock":
-        this = cfg.lookup_loc("__this")
-        if this is None:
-            raise EvalError("thisBlock outside a block body")
-        return cfg.read(this)
-    raise EvalError(f"unbound name {name}")
-
-
 def _field_loc(cfg: KConfig, base: str, fld: str) -> int:
     loc = cfg.lookup_loc(base)
     if loc is None:
@@ -304,6 +317,19 @@ def _field_loc(cfg: KConfig, base: str, fld: str) -> int:
     if not isinstance(inst, Instance):
         raise EvalError(f"{base} is not a block instance")
     return inst.loc(fld)
+
+
+class Literals:
+    """The resolver of an expression that may name nothing."""
+
+    def var(self, name: str):
+        raise EvalError(f"cannot name {name} here")
+
+    def field(self, base: str, name: str):
+        raise EvalError(f"cannot name {base}.{name} here")
+
+    def call(self, node: ast.CallExpr, argvalues: tuple):
+        raise EvalError(f"cannot call {node.name} here")
 
 
 _BIN = {
@@ -316,30 +342,26 @@ _BIN = {
 }
 
 
-def eval_expr(e: ast.Expr, cfg: KConfig):
+def eval_expr(e: ast.Expr, names):
+    """The value of `e`, with its names resolved by `names` (see above)."""
     if isinstance(e, ast.Lit):
         return e.value
     if isinstance(e, ast.VarRef):
-        return _read_var(cfg, e.name)
+        return names.var(e.name)
     if isinstance(e, ast.FieldRef):
-        return cfg.read(_field_loc(cfg, e.base, e.field))
+        return names.field(e.base, e.field)
     if isinstance(e, ast.UnOp):
-        v = eval_expr(e.operand, cfg)
+        v = eval_expr(e.operand, names)
         return vnot(v) if e.op == "NOT" else vneg(v)
     if isinstance(e, ast.BinOp):
-        lhs = eval_expr(e.lhs, cfg)
-        rhs = eval_expr(e.rhs, cfg)
+        lhs = eval_expr(e.lhs, names)
+        rhs = eval_expr(e.rhs, names)
         fn = _BIN.get(e.op)
         if fn:
             return fn(lhs, rhs)
         return vcmp(e.op, lhs, rhs)
     if isinstance(e, ast.CallExpr):
-        argvalues = tuple(eval_expr(a, cfg) for a in e.args)
-        if e.name == "thisBlock":
-            return _read_var(cfg, "thisBlock")
-        if e.name in COMM_INTRINSICS:
-            raise _Suspend(e, argvalues)
-        raise EvalError(f"{e.name} is not callable")
+        return names.call(e, tuple(eval_expr(a, names) for a in e.args))
     raise EvalError(f"cannot evaluate {e!r}")
 
 
@@ -435,8 +457,7 @@ def _as_condition(v):
     if isinstance(v, bool):
         return v
     if isinstance(v, Poly):
-        c = cmp_eq(v, Poly.const(1))
-        return c
+        return cmp_eq(v, 1)
     if isinstance(v, (int, Fraction)):
         return v != 0
     if isinstance(v, (str, RcvError, Instance)):

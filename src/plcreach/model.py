@@ -162,6 +162,8 @@ class SystemState:
         return replace(self, conns=conns)
 
     def add_constraints(self, *conjuncts) -> "SystemState":
+        if all(c is True for c in conjuncts):
+            return self
         merged = band(*self.constraints, *conjuncts)
         if merged is True:
             return replace(self, constraints=())

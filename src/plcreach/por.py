@@ -26,7 +26,9 @@ from .kmachine import Done, Internal, KConfig
 from .model import SystemState, canonicalize
 from .timed import (
     RuleCtx,
+    env_mte,
     env_tick,
+    env_tick_apply,
     mte_concrete,
     start_variants,
     tick_apply,
@@ -210,26 +212,40 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
 
 
 def apply(ctx: RuleCtx, s: SystemState, tid: TransitionId) -> SystemState:
-    """Replay one recorded transition; the full set is searched so that
-    reduced-run traces replay identically."""
-    for t, st in successors(ctx, s, por=False):
-        if t == tid:
+    """Replay one recorded transition.
+
+    A concrete tick or envTick is taken by its duration d whenever
+    0 < d <= the maximal time elapse, so a step cut short at a simulation
+    horizon replays too.  Every other move is looked up in the full set,
+    so that reduced-run traces replay identically.
+    """
+    if tid.cls in ("tick", "env") and not isinstance(tid.key[0], str):
+        st = _elapse(s, tid.cls, tid.key[0])
+        if st is not None:
             return st
+    else:
+        for t, st in successors(ctx, s, por=False):
+            if t == tid:
+                return st
     raise ReplayError(f"transition {tid.pretty()} not enabled")
 
 
-def _apply_if_enabled(ctx: RuleCtx, s: SystemState, tid: TransitionId):
-    if tid.cls == "tick":
-        if not tid.key or isinstance(tid.key[0], str):
-            return None  # fixed-duration oracle is for concrete states
-        d = tid.key[0]
+def _elapse(s: SystemState, cls: str, d):
+    if cls == "env":
+        cap = env_mte(s)
+    else:
         try:
             cap = mte_concrete(s)
-        except ValueError:
+        except ValueError:  # symbolic deadlines: no fixed duration is enabled
             return None
-        if not 0 < d <= cap:
-            return None
-        return tick_apply(s, d)
+    if cap is None or not 0 < d <= cap:
+        return None
+    return env_tick_apply(s, d) if cls == "env" else tick_apply(s, d)
+
+
+def _apply_if_enabled(ctx: RuleCtx, s: SystemState, tid: TransitionId):
+    if tid.cls == "tick" and isinstance(tid.key[0], str):
+        return None  # a fresh duration is named anew in every state
     try:
         return apply(ctx, s, tid)
     except ReplayError:

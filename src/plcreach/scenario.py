@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .kmachine import idle_config, load_programs
+from .kmachine import Literals, eval_expr, idle_config, load_programs
 from .model import (
     FLOW_TIME,
     Conn,
@@ -27,21 +27,18 @@ from .model import (
 )
 from .solver import SmtCheck
 from .st import (
-    BinOp,
     CallStmt,
     DelayAnn,
     IfStmt,
     Lit,
     ParseError,
     PouTable,
-    UnOp,
-    VarRef,
     WhileStmt,
     parse_expression,
     parse_file,
 )
 from .timed import RuleCtx
-from .values import Poly, vadd, vdiv, vmul, vneg, vsub
+from .values import EvalError, Poly, as_poly, is_numeric
 
 
 class ScenarioError(Exception):
@@ -188,39 +185,30 @@ def _num(v, where: str):
     raise ScenarioError(f"{where}: unsupported value {v!r}")
 
 
+class _LawNames(Literals):
+    """In a change law every name is a variable: a state name or t."""
+
+    def var(self, name: str):
+        return Poly.var(name)
+
+
 def _flow_poly(text: str, where: str) -> Poly:
     try:
-        expr = parse_expression(text)
-    except ParseError as e:
+        law = eval_expr(parse_expression(text), _LawNames())
+    except (ParseError, EvalError) as e:
         raise ScenarioError(f"{where}: {e}")
-    return _to_poly(expr, where)
-
-
-def _to_poly(e, where: str):
-    if isinstance(e, Lit):
-        if isinstance(e.value, bool):
-            raise ScenarioError(f"{where}: booleans have no flow")
-        return Poly.const(Fraction(e.value))
-    if isinstance(e, VarRef):
-        return Poly.var(e.name)
-    if isinstance(e, UnOp) and e.op == "-":
-        return vneg(_to_poly(e.operand, where))
-    if isinstance(e, BinOp) and e.op in {"+", "-", "*", "/"}:
-        a = _to_poly(e.lhs, where)
-        b = _to_poly(e.rhs, where)
-        op = {"+": vadd, "-": vsub, "*": vmul, "/": vdiv}[e.op]
-        try:
-            return op(a, b)
-        except Exception as ex:
-            raise ScenarioError(f"{where}: {ex}")
-    raise ScenarioError(f"{where}: flow laws are polynomial expressions over "
-                        f"state names and t")
+    if not is_numeric(law):
+        raise ScenarioError(f"{where}: flow laws are polynomial expressions over "
+                            f"state names and t")
+    return as_poly(law)
 
 
 # -- machine construction ----------------------------------------------------
 
 
 def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
+    if doc is not None and not isinstance(doc, dict):
+        raise ScenarioError(f"machine {mid!r}: 'inputs' must be an object")
     out = []
     for var, spec in (doc or {}).items():
         where = f"machine {mid!r} input {var!r}"
@@ -249,6 +237,8 @@ def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
                                         f"or a finite values list")
                 lo = _num(spec["min"], where)
                 hi = _num(spec["max"], where)
+                if lo > hi:
+                    raise ScenarioError(f"{where}: min {lo} is above max {hi}")
         elif kind in {"script", "enumerate"} and not values:
             raise ScenarioError(f"{where}: 'values' must be non-empty")
         out.append(InputSpec(prog, var, kind, values, lo, hi))
@@ -423,12 +413,20 @@ def _build_analysis(doc: dict) -> Analysis:
         por=bool(doc.get("por", False)),
         clock_sep=bool(doc.get("clockSep", False)),
         property=doc.get("property"),
-        max_solutions=int(doc.get("maxSolutions", 1)),
+        max_solutions=_count(doc.get("maxSolutions", 1), "analysis.maxSolutions"),
         max_states=doc.get("maxStates"),
     )
     if a.bound < 0:
         raise ScenarioError("analysis.bound must be >= 0")
+    if a.max_states is not None:
+        _count(a.max_states, "analysis.maxStates")
     return a
+
+
+def _count(v, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ScenarioError(f"{where} must be a positive integer, got {v!r}")
+    return v
 
 
 def _check_free_inputs_mode(scen: Scenario):

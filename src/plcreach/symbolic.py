@@ -23,11 +23,17 @@ def fresh_var(s: SystemState, prefix: str):
 
 
 def feasible(checker: SmtCheck, s: SystemState, *extra, cls: str = "internal") -> bool:
-    """Is the path condition still satisfiable with `extra` added?"""
-    parts = list(s.constraints) + [e for e in extra if e is not True]
+    """Is the path condition still satisfiable with `extra` added?
+
+    A decided guard (a bool) costs no solver call: every stored state's
+    path condition is satisfiable, so adding only True keeps it so.
+    """
     if any(e is False for e in extra):
         return False
-    cond = band(*parts)
+    parts = [e for e in extra if e is not True]
+    if not parts:
+        return True
+    cond = band(*s.constraints, *parts)
     if isinstance(cond, bool):
         return cond
     return checker.check(cond, cls).is_sat

@@ -216,29 +216,34 @@ def tick_symbolic(ctx: RuleCtx, s: SystemState):
 # -- environment tick -------------------------------------------------------
 
 
-def env_tick(s: SystemState):
-    """Jump the physical side to the next environment deadline."""
+def env_mte(s: SystemState):
+    """Time to the next environment deadline; None without clock separation."""
     if not s.options.clock_sep or not s.machines:
         return None
-    d = min(m.env_timer for m in s.machines)
-    if d <= 0:
-        return None
+    return min(m.env_timer for m in s.machines)
+
+
+def env_tick_apply(s: SystemState, d) -> SystemState:
+    """Advance the physical side and the global clock by d."""
     machines = tuple(
         apply_flow(replace(m, env_timer=m.env_timer - d), d) for m in s.machines
     )
-    return d, replace(
-        s, machines=machines, clock=t_add(s.clock, d), ticked=False
-    )
+    return replace(s, machines=machines, clock=t_add(s.clock, d), ticked=False)
+
+
+def env_tick(s: SystemState):
+    """Jump the physical side to the next environment deadline."""
+    d = env_mte(s)
+    if d is None or d <= 0:
+        return None
+    return d, env_tick_apply(s, d)
 
 
 # -- scan start -------------------------------------------------------------
 
 
 def _timer_due(ctx: RuleCtx, s: SystemState, m: PLCMachine):
-    c = concrete_or_none(m.timer)
-    if c is not None:
-        return c == 0, True
-    eq = cmp_eq(as_poly(m.timer), Poly.const(0))
+    eq = cmp_eq(m.timer, 0)
     return feasible(ctx.checker, s, eq, cls="start"), eq
 
 

@@ -8,7 +8,10 @@ immutable and hashable so machine states can be shared and canonicalized.
 
 Which values are symbolic, and how to list, rename, substitute or evaluate
 their variables, is decided here alone, by `variables`, `rename`,
-`substitute` and `evaluate`; they accept any runtime value.
+`substitute` and `evaluate`; they accept any runtime value.  So is whether
+a comparison is decided: `cmp_le`, `cmp_lt` and `cmp_eq` return a bool when
+neither operand is a Poly (or when the difference folds to a constant), and
+a comparison atom only when a variable remains.
 
 Renaming (`Poly.rename`, `rename`) interns what it builds in a pool
 owned by the caller: a renamed monomial, term, polynomial or comparison is
@@ -307,15 +310,21 @@ def _norm_cmp(op: str, lhs: Poly):
 
 
 def cmp_le(a, b):
-    return _norm_cmp("<=", as_poly(a) - as_poly(b))
+    if isinstance(a, Poly) or isinstance(b, Poly):
+        return _norm_cmp("<=", as_poly(a) - as_poly(b))
+    return a <= b
 
 
 def cmp_lt(a, b):
-    return _norm_cmp("<", as_poly(a) - as_poly(b))
+    if isinstance(a, Poly) or isinstance(b, Poly):
+        return _norm_cmp("<", as_poly(a) - as_poly(b))
+    return a < b
 
 
 def cmp_eq(a, b):
-    return _norm_cmp("==", as_poly(a) - as_poly(b))
+    if isinstance(a, Poly) or isinstance(b, Poly):
+        return _norm_cmp("==", as_poly(a) - as_poly(b))
+    return a == b
 
 
 def bnot(e):

@@ -178,6 +178,30 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="polynomial"):
             scenario_from_dict(doc, table_for())
 
+    def test_flow_must_be_numeric(self):
+        doc = tank_doc()
+        doc["machines"][0]["flow"] = {"waterLevel": "'abc'"}
+        with pytest.raises(ScenarioError, match="polynomial"):
+            scenario_from_dict(doc, table_for())
+
+    @pytest.mark.parametrize(
+        "analysis", [{"maxSolutions": 0}, {"maxSolutions": "abc"}, {"maxStates": "abc"}]
+    )
+    def test_analysis_counts_are_positive_integers(self, analysis):
+        with pytest.raises(ScenarioError, match="positive integer"):
+            scenario_from_dict(tank_doc(analysis=analysis), table_for())
+
+    def test_search_needs_a_solution_to_look_for(self):
+        scen = scenario_from_dict(tank_doc(), table_for())
+        with pytest.raises(ValueError, match="max_solutions"):
+            search(scen.context(), scen.initial_state(), "waterLevel < 5", max_solutions=0)
+
+    def test_inputs_must_be_an_object(self):
+        doc = tank_doc()
+        doc["machines"][0]["inputs"] = "x"
+        with pytest.raises(ScenarioError, match="'inputs' must be an object"):
+            scenario_from_dict(doc, table_for())
+
     def test_input_kind_checked(self):
         doc = tank_doc()
         doc["machines"][0]["inputs"]["input"] = {"kind": "random"}
@@ -194,6 +218,14 @@ class TestValidation:
         doc = tank_doc(analysis={"mode": "symbolic"})
         doc["machines"][0]["inputs"]["input"] = {"kind": "free"}
         with pytest.raises(ScenarioError, match="min/max"):
+            scenario_from_dict(doc, table_for())
+
+    def test_free_bounds_ordered(self):
+        # With min above max no input value exists, so every path after the
+        # first scan start would be infeasible and any verdict vacuous.
+        doc = tank_doc(analysis={"mode": "symbolic"})
+        doc["machines"][0]["inputs"]["input"] = {"kind": "free", "min": 5, "max": 1}
+        with pytest.raises(ScenarioError, match="min 5 is above max 1"):
             scenario_from_dict(doc, table_for())
 
     def test_input_var_must_exist(self):

@@ -37,14 +37,19 @@ def test_simulation_reaches_the_horizon_and_replays(name, clock_sep):
 @pytest.mark.parametrize("name", MODELS)
 def test_horizon_inside_a_tick_clips_the_last_tick(name):
     until = Fraction(195)
-    scen, s0, out, cycles = _run(name, until)
-    assert out[-1][1].clock == until
-    # The scan starting at clock 190 runs; the tick after it is cut to 5.
-    assert cycles == 20
-    last, before = out[-1][0], out[-2][1]
-    assert last.cls == "tick" and last.key == (Fraction(5),)
-    assert before.clock == 190
-    # The clipped tick is no enabled transition, so only the path up to
-    # it replays.
-    end = replay(scen.context(), s0, [tid for tid, _ in out[1:-1]])
-    assert canonicalize(end) == canonicalize(before)
+    for clock_sep in (False, True):
+        scen, s0, out, cycles = _run(name, until, clock_sep)
+        final = out[-1][1]
+        assert final.clock == until
+        # The scan starting at clock 190 runs; the step after it that
+        # moves the global clock is cut to 5: the tick, or with clock
+        # separation the envTick that follows the scan side's full tick.
+        assert cycles == 20
+        last = out[-1][0]
+        assert last.cls == ("env" if clock_sep else "tick")
+        assert last.key == (Fraction(5),)
+        assert out[-2][1].clock == 190
+        # The clipped step is taken by its duration, so the whole path
+        # replays.
+        end = replay(scen.context(), s0, [tid for tid, _ in out[1:]])
+        assert canonicalize(end) == canonicalize(final)

@@ -54,3 +54,69 @@ def test_traced_search_runs_and_restores_the_names():
     with tracing.counting_starts(box):
         explorer.search(scen.context(), s0, bound=5, por=True)
     assert box[0] > 0
+
+
+# Rebound names that the program no longer calls, with the reason.  A
+# per-layer metric read through one of them is zero by construction.
+DEAD_TARGETS = {
+    ("plcreach.explorer", "due_machines"): (
+        "the explorer stopped calling it; the name stays importable because "
+        "the tracer rebinds it"
+    ),
+}
+
+
+def test_every_rebound_name_stays_on_the_call_path():
+    """Each traced name is called by a search, a simulation or the oracle.
+
+    Resolving is not enough: a refactor that stops calling, say,
+    `comm.feasible` would leave its layer metric at zero unnoticed.  The
+    names are counted by wrappers of this test's own, installed the way
+    the tracer installs its own.
+    """
+    tracing = _load_tracing()
+    calls: dict = {}
+    saved = []
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    try:
+        for mod, attr, _ in tracing.REBINDINGS:
+            fn = getattr(mod, attr)
+            saved.append((mod, attr, fn))
+            setattr(mod, attr, counting(fn, (mod.__name__, attr)))
+
+        scen = bench.load("commdemo")
+        s0 = scen.initial_state(mode="symbolic", por=True)
+        explorer.search(scen.context(), s0, "plc1.pumpSwitch < 0", bound=5, por=True)
+
+        scen = bench.load("ptpc")
+        s0 = scen.initial_state(mode="concrete")
+        explorer.search(scen.context(), s0, bound=5)
+
+        scen = bench.load("ptp")
+        s0 = scen.initial_state()
+        explorer.simulate(scen.context(), s0, 95)
+
+        ctx = scen.context()
+        (start,) = por.successors(ctx, s0, por=False)
+        s1 = start[1]
+        succ = por.successors(ctx, s1, por=False)
+        tick = next(tid for tid, _ in succ if tid.cls == "tick")
+        move = next(tid for tid, _ in succ if tid.cls == "internal")
+        por.check_independence(ctx, s1, tick, move)
+    finally:
+        for mod, attr, fn in reversed(saved):
+            setattr(mod, attr, fn)
+
+    for mod, attr, span in tracing.REBINDINGS:
+        key = (mod.__name__, attr)
+        if key in DEAD_TARGETS:
+            assert key not in calls, f"{key} is called again; drop it from DEAD_TARGETS"
+        else:
+            assert calls.get(key), f"{mod.__name__}.{attr} ({span}) is never called"
