@@ -79,10 +79,7 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
     if isinstance(out, DelaySet):
         return _delay_moves(s, m, out)
     if isinstance(out, NeedsComm):
-        handler = _COMM_RULES.get(out.name)
-        if handler is None:
-            raise ModelError(f"machine {mid}: unknown intrinsic {out.name}")
-        return handler(ctx, s, m, out)
+        return _COMM_RULES[out.name](ctx, s, m, out)
     raise ModelError(f"machine {mid}: unexpected step outcome {out!r}")
 
 
@@ -254,6 +251,7 @@ def _rcv_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> l
     return moves
 
 
+# One rule per name in `st.builtins.COMM_INTRINSICS`.
 _COMM_RULES = {
     "connectRequest": _connect_moves,
     "disconnect": _disconnect_moves,

@@ -14,11 +14,14 @@ executable item at the head or an empty `k`.
 Communication primitives (connectRequest, disconnect, isConnected,
 sendData, rcvData) cannot be resolved locally; evaluation suspends on them
 and reports a `NeedsComm` outcome for the system layer to answer.
-`resume_comm` splices the answer into the head statement as a literal, so
-`k` may hold literals of any symbolic kind (a Poly, a comparison, a
-boolean combination), and anywhere inside a statement tree.  One walker,
-`_map_lits`, reaches every literal in `k`: it lists a configuration's
-variables and renames them for its canonical key.
+`k` holds only program text.  The answers live in `answers`: the results
+of the communication calls the head statement has already made, in
+evaluation order.  `step` evaluates the head again from the start and
+takes the i-th answer at its i-th communication call, suspending at the
+first call without one; whatever consumes the head clears them.  An
+answer may be symbolic, like a store value: the store and the answers
+hold all of a configuration's variables, which `config_vars` lists and
+`config_key` renames.
 
 `eval_expr(e, names)` is the one evaluator of `st.ast` expressions, so
 programs, properties, change laws and initializers give a text one
@@ -42,7 +45,7 @@ from functools import cached_property
 from typing import Optional
 
 from .st import ast
-from .st.builtins import INTRINSIC_CALLS
+from .st.builtins import COMM_INTRINSICS
 from .st.elaborate import ElabError, PouTable
 from .values import (
     EvalError,
@@ -62,9 +65,6 @@ from .values import (
     vor,
     vsub,
 )
-
-COMM_INTRINSICS = INTRINSIC_CALLS - {"thisBlock"}
-
 
 # -- store values -----------------------------------------------------------
 
@@ -117,6 +117,7 @@ class KConfig:
     prog_envs: tuple = ()  # ((prog name, env tuple), ...)
     programs: tuple = ()  # execution order for each cycle
     current_prog: str = ""  # program whose body is executing
+    answers: tuple = ()  # results of the head's communication calls so far
 
     # Hashing walks every statement tree in `k`, so it is done once per
     # instance.  The caches live in the instance dict: `replace` builds a
@@ -127,7 +128,15 @@ class KConfig:
     @cached_property
     def _hash(self) -> int:
         return hash(
-            (self.k, self.env, self.store, self.prog_envs, self.programs, self.current_prog)
+            (
+                self.k,
+                self.env,
+                self.store,
+                self.prog_envs,
+                self.programs,
+                self.current_prog,
+                self.answers,
+            )
         )
 
     @cached_property
@@ -319,6 +328,24 @@ def _field_loc(cfg: KConfig, base: str, fld: str) -> int:
     return inst.loc(fld)
 
 
+class _Answered:
+    """Resolves like `cfg`, answering its i-th communication call with
+    the i-th of `cfg.answers`; a call past the last answer suspends."""
+
+    def __init__(self, cfg: KConfig):
+        self.var = cfg.var
+        self.field = cfg.field
+        self._cfg = cfg
+        self._next = 0
+
+    def call(self, node: ast.CallExpr, argvalues: tuple):
+        answers = self._cfg.answers
+        if node.name in COMM_INTRINSICS and self._next < len(answers):
+            self._next += 1
+            return answers[self._next - 1]
+        return self._cfg.call(node, argvalues)
+
+
 class Literals:
     """The resolver of an expression that may name nothing."""
 
@@ -363,38 +390,6 @@ def eval_expr(e: ast.Expr, names):
     if isinstance(e, ast.CallExpr):
         return names.call(e, tuple(eval_expr(a, names) for a in e.args))
     raise EvalError(f"cannot evaluate {e!r}")
-
-
-def replace_first(e: ast.Expr, target: ast.Expr, repl: ast.Expr):
-    """Replace the first occurrence of `target` in evaluation order.
-
-    Traversal mirrors eval_expr: operands left to right, call arguments
-    before the call itself.  Returns (new_expr, found).
-    """
-    if isinstance(e, ast.CallExpr):
-        args = list(e.args)
-        for i, a in enumerate(args):
-            new_a, found = replace_first(a, target, repl)
-            if found:
-                args[i] = new_a
-                return replace(e, args=tuple(args)), True
-        if e == target:
-            return repl, True
-        return e, False
-    if e == target:
-        return repl, True
-    if isinstance(e, ast.UnOp):
-        new_op, found = replace_first(e.operand, target, repl)
-        return (replace(e, operand=new_op), True) if found else (e, False)
-    if isinstance(e, ast.BinOp):
-        new_lhs, found = replace_first(e.lhs, target, repl)
-        if found:
-            return replace(e, lhs=new_lhs), True
-        new_rhs, found = replace_first(e.rhs, target, repl)
-        if found:
-            return replace(e, rhs=new_rhs), True
-        return e, False
-    return e, False
 
 
 # -- stepping ---------------------------------------------------------------
@@ -449,6 +444,8 @@ class Failed:
 
 
 def pop_head(cfg: KConfig) -> KConfig:
+    if cfg.answers:
+        return normalize(replace(cfg, k=cfg.k[1:], answers=()))
     return normalize(replace(cfg, k=cfg.k[1:]))
 
 
@@ -474,9 +471,10 @@ def step(table: PouTable, cfg: KConfig):
         return AssertTime(head.lo, head.hi)
     if isinstance(head, ast.DelayAnn):
         return DelaySet(head.a, head.b, head.lo, head.hi)
+    names = _Answered(cfg) if cfg.answers else cfg
     try:
         if isinstance(head, ast.Assign):
-            value = eval_expr(head.expr, cfg)
+            value = eval_expr(head.expr, names)
             if isinstance(head.target, ast.VarRef):
                 loc = cfg.lookup_loc(head.target.name)
                 if loc is None:
@@ -485,9 +483,10 @@ def step(table: PouTable, cfg: KConfig):
                 loc = _field_loc(cfg, head.target.base, head.target.field)
             return Internal("assign", pop_head(cfg.write(loc, value)))
         if isinstance(head, ast.IfStmt):
-            cond = _as_condition(eval_expr(head.cond, cfg))
-            then_cfg = normalize(replace(cfg, k=head.then_body + cfg.k[1:]))
-            else_cfg = normalize(replace(cfg, k=head.else_body + cfg.k[1:]))
+            cond = _as_condition(eval_expr(head.cond, names))
+            rest = cfg.k[1:]
+            then_cfg = normalize(replace(cfg, k=head.then_body + rest, answers=()))
+            else_cfg = normalize(replace(cfg, k=head.else_body + rest, answers=()))
             if isinstance(cond, bool):
                 if cond:
                     return Internal("if-true", then_cfg)
@@ -502,9 +501,9 @@ def step(table: PouTable, cfg: KConfig):
             return Internal("return", _do_return(cfg))
         if isinstance(head, ast.CallStmt):
             if head.name in COMM_INTRINSICS:
-                argvalues = tuple(eval_expr(a.expr, cfg) for a in head.args)
+                argvalues = tuple(eval_expr(a.expr, names) for a in head.args)
                 return NeedsComm(head.name, argvalues, None)
-            return Internal("call", _do_call(table, cfg, head))
+            return Internal("call", _do_call(table, cfg, head, names))
     except _Suspend as s:
         return NeedsComm(s.node.name, s.argvalues, s.node)
     except EvalError as exc:
@@ -521,7 +520,7 @@ def _do_return(cfg: KConfig) -> KConfig:
     return normalize(replace(cfg, k=(), current_prog=""))
 
 
-def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt) -> KConfig:
+def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt, names) -> KConfig:
     loc = cfg.lookup_loc(call.name)
     if loc is None:
         raise EvalError(f"unbound name {call.name}")
@@ -533,7 +532,7 @@ def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt) -> KConfig:
     writes = []
     pos_index = 0
     for arg in call.args:
-        value = eval_expr(arg.expr, cfg)
+        value = eval_expr(arg.expr, names)
         if arg.name is None:
             if pos_index >= len(input_names):
                 raise EvalError(f"too many arguments to {call.name}")
@@ -544,80 +543,21 @@ def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt) -> KConfig:
         writes.append((inst.loc(target), value))
     new_cfg = cfg.write_many(writes)
     k = pou.body + (PopFrame(cfg.env),) + cfg.k[1:]
-    return normalize(replace(new_cfg, k=k, env=inst.env))
+    return normalize(replace(new_cfg, k=k, env=inst.env, answers=()))
 
 
 # -- resumption after a communication decision -------------------------------
 
 
 def resume_comm(cfg: KConfig, site: Optional[ast.CallExpr], value) -> KConfig:
-    """Feed an intrinsic's result back in and consume or rewrite the head."""
-    head = cfg.head
+    """Feed an intrinsic's result back in: a call in statement position
+    (`site` None) is done, any other call's result joins the answers."""
     if site is None:
         return pop_head(cfg)
-    lit = ast.Lit(value)
-    if isinstance(head, ast.Assign):
-        new_expr, found = replace_first(head.expr, site, lit)
-        new_head = replace(head, expr=new_expr)
-    elif isinstance(head, ast.IfStmt):
-        new_expr, found = replace_first(head.cond, site, lit)
-        new_head = replace(head, cond=new_expr)
-    elif isinstance(head, ast.CallStmt):
-        found = False
-        args = list(head.args)
-        for i, a in enumerate(args):
-            new_e, found = replace_first(a.expr, site, lit)
-            if found:
-                args[i] = replace(a, expr=new_e)
-                break
-        new_head = replace(head, args=tuple(args))
-    else:
-        raise EvalError(f"cannot resume into {head!r}")
-    if not found:
-        raise EvalError("suspended call site vanished")
-    return replace(cfg, k=(new_head,) + cfg.k[1:])
+    return replace(cfg, answers=cfg.answers + (value,))
 
 
 # -- canonical form ---------------------------------------------------------
-
-# The fields of each node kind in `k` that hold subtrees.  Every other item
-# (program and frame markers, references, annotations, RETURN) holds no
-# literal.
-_SUBTREES = {
-    ast.Assign: ("expr",),
-    ast.IfStmt: ("cond", "then_body", "else_body"),
-    ast.WhileStmt: ("cond", "body"),
-    ast.BinOp: ("lhs", "rhs"),
-    ast.UnOp: ("operand",),
-    ast.CallExpr: ("args",),
-    ast.CallStmt: ("args",),
-    ast.ArgBind: ("expr",),
-}
-
-
-def _map_lits(node, fn):
-    """`node` with the value of every literal inside it replaced by fn(value).
-
-    The one walk over the items of `k`.  A subtree in which `fn` returned
-    every value itself comes back as the same object, so an `fn` that only
-    looks at the values rebuilds nothing.
-    """
-    if type(node) is ast.Lit:
-        v = fn(node.value)
-        return node if v is node.value else replace(node, value=v)
-    changed = {}
-    for f in _SUBTREES.get(type(node), ()):
-        old = getattr(node, f)
-        if type(old) is tuple:
-            new = tuple(_map_lits(x, fn) for x in old)
-            if all(a is b for a, b in zip(new, old)):
-                continue
-        else:
-            new = _map_lits(old, fn)
-            if new is old:
-                continue
-        changed[f] = new
-    return replace(node, **changed) if changed else node
 
 
 def config_key(cfg: KConfig, names: dict = None, pool: dict = None):
@@ -633,33 +573,23 @@ def config_key(cfg: KConfig, names: dict = None, pool: dict = None):
         return cfg
     if pool is None:
         pool = {}
-
-    def renamed(v):
-        return rename(v, names, pool)
-
     return (
-        tuple(_map_lits(item, renamed) for item in cfg.k),
+        cfg.k,
         cfg.env,
-        tuple((loc, renamed(v)) for loc, v in cfg.store),
+        tuple((loc, rename(v, names, pool)) for loc, v in cfg.store),
+        tuple(rename(v, names, pool) for v in cfg.answers),
         cfg.current_prog,
     )
 
 
 def config_vars(cfg: KConfig) -> tuple:
-    """Symbolic variable names, in store order then k order."""
+    """Symbolic variable names, in store order then answer order."""
     return cfg._vars
 
 
 def _config_vars(cfg: KConfig) -> tuple:
     found: dict = {}  # insertion-ordered set
-
-    def note(v):
+    for v in [v for _, v in cfg.store] + list(cfg.answers):
         for n in sorted(variables(v)):
             found.setdefault(n)
-        return v
-
-    for _, v in cfg.store:
-        note(v)
-    for item in cfg.k:
-        _map_lits(item, note)
     return tuple(found)

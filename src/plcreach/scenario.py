@@ -19,6 +19,7 @@ from .model import (
     FLOW_TIME,
     Conn,
     InputSpec,
+    ModelError,
     Options,
     PLCMachine,
     SystemState,
@@ -290,8 +291,12 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
     for name, law in (doc.get("flow") or {}).items():
         if name not in state:
             raise ScenarioError(f"machine {mid!r}: flow for unknown state {name!r}")
-        flows[name] = _flow_poly(str(law), f"machine {mid!r} flow {name!r}")
-        validate_flow(name, flows[name])
+        where = f"machine {mid!r} flow {name!r}"
+        flows[name] = _flow_poly(str(law), where)
+        try:
+            validate_flow(name, flows[name])
+        except ModelError as e:
+            raise ScenarioError(f"{where}: {e}")
         # Only state names are substituted when time passes; any other name
         # would stay in the state as a symbol no fresh-variable count covers.
         stray = flows[name].variables() - set(state) - {FLOW_TIME}
@@ -393,8 +398,8 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
         machines=tuple(sorted(machines, key=lambda m: m.mid)),
         conns=tuple(sorted(conns, key=lambda c: c.pair)),
         analysis=analysis,
-        rcv_no_on_pending=bool(doc.get("rcvNoOnPending", False)),
-        reliable_connect=bool(doc.get("reliableConnect", False)),
+        rcv_no_on_pending=_flag(doc.get("rcvNoOnPending", False), "rcvNoOnPending"),
+        reliable_connect=_flag(doc.get("reliableConnect", False), "reliableConnect"),
     )
     _check_free_inputs_mode(scen)
     return scen
@@ -407,12 +412,18 @@ def _build_analysis(doc: dict) -> Analysis:
     mode = doc.get("mode", "concrete")
     if mode not in {"concrete", "symbolic"}:
         raise ScenarioError("analysis.mode must be 'concrete' or 'symbolic'")
+    bound = doc.get("bound", 100)
+    if isinstance(bound, bool):
+        raise ScenarioError(f"analysis.bound must be a number, got {bound!r}")
+    prop = doc.get("property")
+    if prop is not None and not isinstance(prop, str):
+        raise ScenarioError(f"analysis.property must be a string, got {prop!r}")
     a = Analysis(
-        bound=_num(doc.get("bound", 100), "analysis.bound"),
+        bound=_num(bound, "analysis.bound"),
         mode=mode,
-        por=bool(doc.get("por", False)),
-        clock_sep=bool(doc.get("clockSep", False)),
-        property=doc.get("property"),
+        por=_flag(doc.get("por", False), "analysis.por"),
+        clock_sep=_flag(doc.get("clockSep", False), "analysis.clockSep"),
+        property=prop,
         max_solutions=_count(doc.get("maxSolutions", 1), "analysis.maxSolutions"),
         max_states=doc.get("maxStates"),
     )
@@ -421,6 +432,12 @@ def _build_analysis(doc: dict) -> Analysis:
     if a.max_states is not None:
         _count(a.max_states, "analysis.maxStates")
     return a
+
+
+def _flag(v, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ScenarioError(f"{where} must be true or false, got {v!r}")
+    return v
 
 
 def _count(v, where: str) -> int:

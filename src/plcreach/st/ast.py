@@ -26,7 +26,7 @@ _NOPOS = Pos()
 
 @dataclass(frozen=True)
 class Lit:
-    value: object  # int | Fraction | bool | str
+    value: object  # int | Fraction | bool | str, as written in the program
     pos: Pos = field(compare=False, default=_NOPOS)
 
 

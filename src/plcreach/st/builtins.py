@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from .parser import parse_file
 
-INTRINSIC_CALLS = {
-    "connectRequest",
-    "disconnect",
-    "isConnected",
-    "sendData",
-    "rcvData",
-    "thisBlock",
+# Callable intrinsics and their arities.  All but thisBlock are
+# communication calls, which the system layer answers.
+INTRINSIC_ARITY = {
+    "connectRequest": 1,
+    "disconnect": 1,
+    "isConnected": 1,
+    "sendData": 4,
+    "rcvData": 3,
+    "thisBlock": 0,
 }
+COMM_INTRINSICS = frozenset(INTRINSIC_ARITY) - {"thisBlock"}
 
 # Nullary intrinsics usable without parentheses in expression position.
 INTRINSIC_NAMES = {"thisBlock", "rcvError"}

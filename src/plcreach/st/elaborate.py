@@ -8,19 +8,9 @@ unresolved variables, and badly-bound calls before anything executes.
 from __future__ import annotations
 
 from . import ast
-from .builtins import INTRINSIC_NAMES, builtin_pous
+from .builtins import INTRINSIC_ARITY, INTRINSIC_NAMES, builtin_pous
 
 BASE_TYPES = {"INT", "DINT", "REAL", "BOOL", "STRING", "ANY"}
-
-# Statement/expression intrinsics with fixed arity.
-INTRINSIC_ARITY = {
-    "connectRequest": 1,
-    "disconnect": 1,
-    "isConnected": 1,
-    "sendData": 4,
-    "rcvData": 3,
-    "thisBlock": 0,
-}
 
 
 class ElabError(Exception):

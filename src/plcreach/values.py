@@ -579,25 +579,19 @@ def vcmp(op: str, a, b):
             return bnot(vcmp("=", a, b))
         raise EvalError("ordering is undefined for booleans")
     a, b = _num(a), _num(b)
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        table = {
-            "=": lambda: cmp_eq(a, b),
-            "<>": lambda: bnot(cmp_eq(a, b)),
-            "<": lambda: cmp_lt(a, b),
-            "<=": lambda: cmp_le(a, b),
-            ">": lambda: cmp_lt(b, a),
-            ">=": lambda: cmp_le(b, a),
-        }
-        return table[op]()
-    table = {
-        "=": a == b,
-        "<>": a != b,
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-    }
-    return table[op]
+    if op == "=":
+        return cmp_eq(a, b)
+    if op == "<>":
+        return bnot(cmp_eq(a, b))
+    if op == "<":
+        return cmp_lt(a, b)
+    if op == "<=":
+        return cmp_le(a, b)
+    if op == ">":
+        return cmp_lt(b, a)
+    if op == ">=":
+        return cmp_le(b, a)
+    raise EvalError(f"unknown comparison {op}")
 
 
 def vand(a, b):

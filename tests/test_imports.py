@@ -1,0 +1,48 @@
+"""Every module of the package uses every name it imports.
+
+An import left behind by a deletion keeps a dead name reachable and hides
+that nothing uses it any more.  A name a module exports through
+`__all__` counts as used; an import line marked `# noqa: F401` is kept on
+purpose and exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plcreach"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def unused_imports(path: Path) -> list:
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}  # bound name -> line number
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            imported[bound] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_the_package_has_modules():
+    assert len(MODULES) > 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -184,6 +184,45 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="polynomial"):
             scenario_from_dict(doc, table_for())
 
+    @pytest.mark.parametrize("law", ["5", "t", "waterLevel * t"])
+    def test_flow_must_start_from_its_variable(self, law):
+        doc = tank_doc()
+        doc["machines"][0]["flow"] = {"waterLevel": law}
+        with pytest.raises(
+            ScenarioError,
+            match="machine 'plc1' flow 'waterLevel': .*does not start from waterLevel",
+        ):
+            scenario_from_dict(doc, table_for())
+
+    @pytest.mark.parametrize("key", ["por", "clockSep"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_analysis_flags_are_booleans(self, key, value):
+        with pytest.raises(ScenarioError, match=f"analysis.{key} must be true or false"):
+            scenario_from_dict(tank_doc(analysis={key: value}), table_for())
+
+    @pytest.mark.parametrize("key", ["rcvNoOnPending", "reliableConnect"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_link_flags_are_booleans(self, key, value):
+        with pytest.raises(ScenarioError, match=f"{key} must be true or false"):
+            scenario_from_dict(tank_doc(**{key: value}), table_for())
+
+    def test_flags_load_as_written(self):
+        doc = tank_doc(rcvNoOnPending=True, reliableConnect=False)
+        doc["analysis"].update(por=True, clockSep=False)
+        scen = scenario_from_dict(doc, table_for())
+        assert (scen.rcv_no_on_pending, scen.reliable_connect) == (True, False)
+        assert (scen.analysis.por, scen.analysis.clock_sep) == (True, False)
+
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_bound_is_not_a_boolean(self, bound):
+        with pytest.raises(ScenarioError, match="analysis.bound must be a number"):
+            scenario_from_dict(tank_doc(analysis={"bound": bound}), table_for())
+
+    @pytest.mark.parametrize("prop", [5, True, ["waterLevel < 5"]])
+    def test_property_is_a_string(self, prop):
+        with pytest.raises(ScenarioError, match="analysis.property must be a string"):
+            scenario_from_dict(tank_doc(analysis={"property": prop}), table_for())
+
     @pytest.mark.parametrize(
         "analysis", [{"maxSolutions": 0}, {"maxSolutions": "abc"}, {"maxStates": "abc"}]
     )

@@ -1,10 +1,12 @@
-"""Symbolic literals spliced into `k` by `resume_comm` belong to the state.
+"""Symbolic communication answers held by `resume_comm` belong to the state.
 
-A communication result is fed back into the suspended statement as a
-literal, and that result may be symbolic of any kind: a Poly or a boolean
-expression.  Such a literal names variables like any store value does, so
-it must be listed by `config_vars`, renamed by `config_key`, keep its path
-condition in the canonical key, and keep its pin in the path condition.
+A communication result is kept in the configuration's `answers` until the
+suspended statement is consumed, and that result may be symbolic of any
+kind: a Poly or a boolean expression.  Such an answer names variables like
+any store value does, so it must be listed by `config_vars`, renamed by
+`config_key`, keep its path condition in the canonical key, and keep its
+pin in the path condition, whatever the shape of the statement that made
+the call.
 """
 
 from dataclasses import replace
@@ -36,8 +38,8 @@ END_VAR
 END_FUNCTION_BLOCK
 """
 
-# Each head statement suspends on isConnected('T2'); resume_comm then puts
-# the literal where the call was.
+# Each head statement suspends on isConnected('T2'); resume_comm then holds
+# the answer until the statement is evaluated again.
 SHAPES = {
     "assign": "b := isConnected('T2');",
     "if-cond": "IF isConnected('T2') THEN b := TRUE; END_IF;",
@@ -55,7 +57,7 @@ KINDS = {
 
 
 def spliced(shape: str, value):
-    """(table, loaded configuration whose head holds `value` as a literal)."""
+    """(table, loaded configuration whose head's first call has answered `value`)."""
     src = BLOCK_SRC + (
         "PROGRAM P\nVAR\n  b : BOOL;\n  fb : FB;\nEND_VAR\n"
         + SHAPES[shape]
@@ -85,7 +87,7 @@ def test_config_vars_and_key_cover_spliced_literals(shape, kind):
 
 
 def state_with_literal(value, constraints=(), state=None):
-    """A symbolic one-machine state whose head statement holds `value`."""
+    """A symbolic one-machine state whose head statement has answer `value`."""
     table, cfg = spliced("assign", value)
     m = replace(make_machine(table, "m1", ("P",), state=state), cfg=cfg)
     s = make_system([m], options=Options(mode="symbolic"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from plcreach import comm
 from plcreach.comm import machine_moves
 from plcreach.kmachine import idle_config, load_programs
 from plcreach.model import (
@@ -20,6 +21,7 @@ from plcreach.model import (
 from plcreach.por import TransitionId, check_independence, successors
 from plcreach.solver import SmtCheck
 from plcreach.st import PouTable, parse_file
+from plcreach.st.builtins import COMM_INTRINSICS, INTRINSIC_ARITY
 from plcreach.timed import (
     RuleCtx,
     env_tick,
@@ -436,6 +438,11 @@ def comm_fixture(src, mid="m1", prog="S1", conns=(), options=None, cycle=10):
     m = make_machine(table, mid, (prog,), cycle_time=cycle, preload=True)
     s = make_system([m], conns=conns, options=options)
     return table, ctx_for(table), s
+
+
+def test_every_communication_intrinsic_has_one_rule():
+    assert set(comm._COMM_RULES) == COMM_INTRINSICS
+    assert COMM_INTRINSICS == set(INTRINSIC_ARITY) - {"thisBlock"}
 
 
 class TestConnectionRules:
