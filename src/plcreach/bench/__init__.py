@@ -2,8 +2,11 @@
 
 Eight plant models in two families each: a consolidated single-machine
 variant and a networked variant whose controllers exchange signals over
-lossy connections.  A few extra fixtures (single tank, send/receive demo,
-the two-machine diamond, two reachability queries over the coupled tanks)
+delayed links.  Every networked scenario sets `reliableConnect` (a
+connect request on a configured link always succeeds) and
+`rcvNoOnPending` (a receive may report no data while its messages are in
+transit).  A few extra fixtures (single tank, send/receive demo, the
+two-machine diamond, two reachability queries over the coupled tanks)
 support the test suite.
 """
 

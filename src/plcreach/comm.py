@@ -79,7 +79,9 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
     if isinstance(out, DelaySet):
         return _delay_moves(s, m, out)
     if isinstance(out, NeedsComm):
-        return _COMM_RULES[out.name](ctx, s, m, out)
+        partner = _name_arg(out, 0, "partner")
+        pair = conn_pair(m.cfg.current_prog, partner)
+        return _COMM_RULES[out.name](ctx, s, m, out, partner, pair, s.conn(*pair))
     raise ModelError(f"machine {mid}: unexpected step outcome {out!r}")
 
 
@@ -122,10 +124,11 @@ def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
 # -- connection management ---------------------------------------------------
 
 
-def _connect_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> list:
-    partner = _name_arg(out, 0, "partner")
-    pair = conn_pair(m.cfg.current_prog, partner)
-    conn = s.conn(*pair)
+# Each rule below takes the machine's pending call `out`, its partner
+# program, the link's pair and the link itself (None if never set up).
+
+
+def _connect_moves(ctx, s, m, out, partner, pair, conn) -> list:
     if conn is None:
         return [Move("conFail", "comm", (pair,), _resumed(s, m, out, False))]
     if conn.valid:
@@ -139,10 +142,7 @@ def _connect_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) 
     return moves
 
 
-def _disconnect_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> list:
-    partner = _name_arg(out, 0, "partner")
-    pair = conn_pair(m.cfg.current_prog, partner)
-    conn = s.conn(*pair)
+def _disconnect_moves(ctx, s, m, out, partner, pair, conn) -> list:
     s2 = s
     was = False
     if conn is not None:
@@ -152,9 +152,7 @@ def _disconnect_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsCom
     return [Move("disconnect", "comm", (pair,), _resumed(s2, m, out, was))]
 
 
-def _concheck_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> list:
-    partner = _name_arg(out, 0, "partner")
-    conn = s.conn(m.cfg.current_prog, partner)
+def _concheck_moves(ctx, s, m, out, partner, pair, conn) -> list:
     valid = bool(conn is not None and conn.valid)
     return [Move("conCheck", "comm", (valid,), _resumed(s, m, out, valid))]
 
@@ -188,18 +186,14 @@ def _rcv_ample(conn: Conn, matching: list) -> bool:
     return conn.delay_lo > horizon and all(mn > horizon for mn in pending)
 
 
-def _send_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> list:
-    partner = _name_arg(out, 0, "partner")
+def _send_moves(ctx, s, m, out, partner, pair, conn) -> list:
     send_fb = _name_arg(out, 1, "sending block")
     recv_fb = _name_arg(out, 2, "receiving block")
     data = out.argvalues[3]
-    cur = m.cfg.current_prog
-    pair = conn_pair(cur, partner)
-    conn = s.conn(*pair)
     if conn is None or not conn.valid:
         return [Move("sendDataFail", "comm", (pair,), _resumed(s, m, out, False))]
     msg = Msg(
-        sender=cur,
+        sender=m.cfg.current_prog,
         receiver=partner,
         send_fb=send_fb,
         recv_fb=recv_fb,
@@ -212,13 +206,10 @@ def _send_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> 
     return [Move("sendData", "comm", (msg.seq,), _resumed(s2, m, out, True))]
 
 
-def _rcv_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: NeedsComm) -> list:
-    partner = _name_arg(out, 0, "partner")
+def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
     want_fb = _name_arg(out, 1, "sending block")
     own_fb = _name_arg(out, 2, "receiving block")
     cur = m.cfg.current_prog
-    pair = conn_pair(cur, partner)
-    conn = s.conn(*pair)
     if conn is None or not conn.valid:
         return [Move("rcvFail", "comm", (pair,), _resumed(s, m, out, RCV_ERROR))]
     matching = [

@@ -8,8 +8,8 @@ snapshots.
 
 Physical quantities evolve between scans according to per-variable change
 laws: polynomials in the elapsed time `t` whose other names refer to the
-values held when the segment began.  A law must reproduce the current value
-at t = 0.
+numeric state values held when the segment began.  A law must reproduce the
+current value at t = 0.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .values import (
     Not,
     Or,
     Poly,
-    as_poly,
     band,
     ckey,
+    conjuncts,
     rename,
     substitute,
     variables,
@@ -161,17 +161,15 @@ class SystemState:
             conns = tuple(sorted(self.conns + (c,), key=lambda x: x.pair))
         return replace(self, conns=conns)
 
-    def add_constraints(self, *conjuncts) -> "SystemState":
-        if all(c is True for c in conjuncts):
+    def add_constraints(self, *extra) -> "SystemState":
+        if all(c is True for c in extra):
             return self
-        merged = band(*self.constraints, *conjuncts)
+        merged = band(*self.constraints, *extra)
         if merged is True:
             return replace(self, constraints=())
         if merged is False:
             raise ModelError("constraint set collapsed to false")
-        from .values import conjuncts as split
-
-        return replace(self, constraints=split(merged))
+        return replace(self, constraints=conjuncts(merged))
 
 
 # -- change laws ------------------------------------------------------------
@@ -190,13 +188,9 @@ def apply_flow(m: PLCMachine, duration) -> PLCMachine:
     """Advance the physical state by `duration` along the change laws."""
     if not m.flow:
         return m
-    base = {nm: as_poly(v) for nm, v in m.state if not isinstance(v, (bool, str))}
-    base[FLOW_TIME] = as_poly(duration)
-    updates = {}
-    for nm, law in m.flow:
-        out = law.substitute(base)
-        updates[nm] = out.const_value() if out.is_const() else out
-    return m.with_state(updates)
+    base = dict(m.state)
+    base[FLOW_TIME] = duration
+    return m.with_state({nm: substitute(law, base) for nm, law in m.flow})
 
 
 # -- scan boundary helpers --------------------------------------------------
@@ -312,9 +306,7 @@ def _substitute_state(s: SystemState, mapping) -> SystemState:
     merged = band(*(substitute(c, mapping) for c in s.constraints))
     if merged is False:
         raise ModelError("pinned substitution contradicts the path condition")
-    from .values import conjuncts as split
-
-    constraints = () if merged is True else split(merged)
+    constraints = () if merged is True else conjuncts(merged)
     return replace(
         s,
         machines=machines,
@@ -462,7 +454,5 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     )
     constraints_key = tuple(sorted((rename(c, names, pool) for c in kept), key=ckey))
     clock_key = rename(s.clock, names, pool) if names else s.clock
-    # The post-tick flag only gates the symbolic jump fold; with exact
-    # durations it is pure history and must not split states.
-    ticked_key = s.ticked if s.options.symbolic else False
-    return (machines_key, conns_key, clock_key, constraints_key, ticked_key)
+    # Only a symbolic tick sets the fold flag, so concrete keys never split on it.
+    return (machines_key, conns_key, clock_key, constraints_key, s.ticked)

@@ -231,13 +231,7 @@ def apply(ctx: RuleCtx, s: SystemState, tid: TransitionId) -> SystemState:
 
 
 def _elapse(s: SystemState, cls: str, d):
-    if cls == "env":
-        cap = env_mte(s)
-    else:
-        try:
-            cap = mte_concrete(s)
-        except ValueError:  # symbolic deadlines: no fixed duration is enabled
-            return None
+    cap = env_mte(s) if cls == "env" else mte_concrete(s)
     if cap is None or not 0 < d <= cap:
         return None
     return env_tick_apply(s, d) if cls == "env" else tick_apply(s, d)

@@ -284,9 +284,12 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
     state_doc = doc.get("state") or {}
     state = {k: _num(v, f"machine {mid!r} state {k!r}") for k, v in state_doc.items()}
     # every actuated output is part of the physical state it drives
+    non_numeric = {k for k, v in state.items() if isinstance(v, bool)}
     for p in programs:
         for d in table.get(p).outputs:
             state.setdefault(d.name, _default_state_value(d.type_name))
+            if d.type_name in ("BOOL", "STRING"):
+                non_numeric.add(d.name)
     flows = {}
     for name, law in (doc.get("flow") or {}).items():
         if name not in state:
@@ -304,6 +307,13 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
             raise ScenarioError(
                 f"machine {mid!r}: flow for {name!r} names {sorted(stray)}, "
                 f"which are neither state variables nor {FLOW_TIME!r}"
+            )
+        # A law is a polynomial: a truth value or a text in it has no meaning.
+        bad = sorted(flows[name].variables() & non_numeric)
+        if bad:
+            raise ScenarioError(
+                f"{where}: law {law!r} names {bad[0]!r}, which is not a "
+                f"numeric state variable"
             )
 
     specs = _input_specs(doc.get("inputs"), programs, mid)

@@ -3,8 +3,9 @@
 Time advances in three ways:
   * tick: the scan-side clock moves forward, counting down scan timers,
     message delivery windows, and any open annotation deadline.  Concrete
-    runs always jump by the maximal time elapse; symbolic runs introduce a
-    fresh positive duration bounded by the same quantities.
+    runs explore a menu of jumps: the maximal time elapse and every event
+    boundary before it; symbolic runs introduce a fresh positive duration
+    bounded by the same quantities.
   * envTick (clock-separated runs only): the physical side jumps by the
     smallest pending environment countdown, evaluating change laws and
     advancing the global clock in concrete steps.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .kmachine import load_programs
 from .model import (
@@ -45,8 +45,8 @@ from .values import (
     cmp_le,
     cmp_lt,
     monus,
-    t_add,
-    t_sub,
+    vadd,
+    vsub,
 )
 
 
@@ -76,55 +76,58 @@ class RuleCtx:
     runs: dict = field(default_factory=dict)
 
 
-# -- maximal time elapse ----------------------------------------------------
+# -- time limits ------------------------------------------------------------
 
 
 def elapsed_in_cycle(m: PLCMachine):
     """Time since this machine's scan started."""
-    return t_sub(m.cycle_time, m.timer)
+    return vsub(m.cycle_time, m.timer)
 
 
-def head_deadline(m: PLCMachine):
-    """Time left before an open head annotation's window closes, or None."""
-    head = m.cfg.head
-    if not isinstance(head, AssertTimeAnn):
-        return None
-    # window closes when elapsed reaches hi: remaining = hi - elapsed.
-    return t_sub(head.hi, elapsed_in_cycle(m))
+def limits(s: SystemState) -> tuple:
+    """The remaining times a time step in `s` is measured against.
 
-
-def mte_candidates(s: SystemState):
-    """Everything a time step must not overrun.
-
-    Returns (concrete, symbolic): a list of Fractions and a list of Polys.
-    A concrete candidate that is already negative counts as zero.
+    Returns `(caps, opens)`.  A step must not overrun any cap: a scan
+    timer, the close of an open `assertTime` window, a message's latest
+    delivery.  The opens are where something becomes enabled on the way:
+    that window's open, a message's earliest delivery.  Each entry is a
+    Fraction or a Poly; a concrete one may be zero or negative.
     """
-    concrete: list = []
-    symbolic: list = []
-
-    def put(v):
-        c = concrete_or_none(v)
-        if c is not None:
-            concrete.append(max(c, Fraction(0)))
-        else:
-            symbolic.append(as_poly(v))
-
+    caps = []
+    opens = []
     for m in s.machines:
-        put(m.timer)
-        dl = head_deadline(m)
-        if dl is not None:
-            put(dl)
+        caps.append(m.timer)
+        head = m.cfg.head
+        if isinstance(head, AssertTimeAnn):
+            e = elapsed_in_cycle(m)
+            opens.append(vsub(head.lo, e))
+            caps.append(vsub(head.hi, e))
     for conn in s.conns:
         for msg in conn.buffer:
-            put(msg.max_timer)
-    return concrete, symbolic
+            opens.append(msg.min_timer)
+            caps.append(msg.max_timer)
+    return caps, opens
+
+
+def _least_cap(caps) -> tuple:
+    """`(least concrete cap or INF, the symbolic caps)`."""
+    least = INF
+    symbolic = []
+    for v in caps:
+        c = concrete_or_none(v)
+        if c is None:
+            symbolic.append(v)
+        elif c < least:
+            least = c
+    return least, symbolic
 
 
 def mte_concrete(s: SystemState):
-    concrete, symbolic = mte_candidates(s)
-    if symbolic:
-        raise ValueError("mte is symbolic; use tick_symbolic")
-    return min(concrete) if concrete else INF
+    """The maximal time elapse: the least cap, INF without caps, and None
+    when a cap is symbolic (no fixed duration is then known to be safe).
+    At most zero means time cannot pass."""
+    least, symbolic = _least_cap(limits(s)[0])
+    return None if symbolic else least
 
 
 # -- tick -------------------------------------------------------------------
@@ -135,7 +138,7 @@ def tick_apply(s: SystemState, d) -> SystemState:
     sep = s.options.clock_sep
     machines = []
     for m in s.machines:
-        m2 = replace(m, timer=t_sub(m.timer, d))
+        m2 = replace(m, timer=vsub(m.timer, d))
         if not sep:
             m2 = apply_flow(m2, d)
         machines.append(m2)
@@ -146,47 +149,35 @@ def tick_apply(s: SystemState, d) -> SystemState:
                 replace(
                     msg,
                     min_timer=monus(msg.min_timer, d),
-                    max_timer=t_sub(msg.max_timer, d),
+                    max_timer=vsub(msg.max_timer, d),
                 )
                 for msg in c.buffer
             ),
         )
         for c in s.conns
     )
-    clock = s.clock if sep else t_add(s.clock, d)
-    return replace(s, machines=tuple(machines), conns=conns, clock=clock, ticked=True)
+    clock = s.clock if sep else vadd(s.clock, d)
+    return replace(s, machines=tuple(machines), conns=conns, clock=clock)
 
 
 def tick_menu(s: SystemState) -> list:
     """Concrete durations worth exploring from this state.
 
     Arbitrary durations would make the concrete graph infinite, so jumps
-    are limited to the maximal time elapse plus every event boundary on
-    the way there: timer expiries, message window edges, and annotation
-    window edges.
+    are limited to the maximal time elapse plus every opening on the way
+    there.  Every cap is at least the maximal time elapse, so no other
+    cap lies before it.
     """
-    cap = mte_concrete(s)
-    if cap == INF or cap <= 0:
+    caps, opens = limits(s)
+    cap, symbolic = _least_cap(caps)
+    if symbolic or cap == INF or cap <= 0:
         return []
-    boundaries = {cap}
-
-    def put(v):
+    menu = {cap}
+    for v in opens:
         c = concrete_or_none(v)
-        if c is not None and 0 < c <= cap:
-            boundaries.add(c)
-
-    for m in s.machines:
-        put(m.timer)
-        head = m.cfg.head
-        if isinstance(head, AssertTimeAnn):
-            e = elapsed_in_cycle(m)
-            put(t_sub(head.lo, e))
-            put(t_sub(head.hi, e))
-    for conn in s.conns:
-        for msg in conn.buffer:
-            put(msg.min_timer)
-            put(msg.max_timer)
-    return sorted(boundaries)
+        if c is not None and 0 < c < cap:
+            menu.add(c)
+    return sorted(menu)
 
 
 def tick_concrete(s: SystemState) -> list:
@@ -195,21 +186,25 @@ def tick_concrete(s: SystemState) -> list:
 
 
 def tick_symbolic(ctx: RuleCtx, s: SystemState):
-    """One fresh-duration tick; chained ticks are folded into one."""
+    """One fresh-duration tick; chained ticks are folded into one.
+
+    The result is marked `ticked`, so that no second tick follows it
+    before some other move: two jumps in a row equal one longer jump.
+    """
     if s.ticked:
         return None
-    concrete, symbolic = mte_candidates(s)
-    if concrete and min(concrete) <= 0:
+    least, symbolic = _least_cap(limits(s)[0])
+    if least <= 0:
         return None
     s2, dvar = fresh_var(s, "d")
     constraints = [cmp_lt(Poly.const(0), dvar)]
-    if concrete:
-        constraints.append(cmp_le(dvar, Poly.const(min(concrete))))
+    if least != INF:
+        constraints.append(cmp_le(dvar, Poly.const(least)))
     for b in symbolic:
         constraints.append(cmp_le(dvar, b))
     if not feasible(ctx.checker, s2, *constraints, cls="tick"):
         return None
-    s3 = s2.add_constraints(*constraints)
+    s3 = replace(s2.add_constraints(*constraints), ticked=True)
     return dvar, tick_apply(s3, dvar)
 
 
@@ -228,7 +223,7 @@ def env_tick_apply(s: SystemState, d) -> SystemState:
     machines = tuple(
         apply_flow(replace(m, env_timer=m.env_timer - d), d) for m in s.machines
     )
-    return replace(s, machines=machines, clock=t_add(s.clock, d), ticked=False)
+    return replace(s, machines=machines, clock=vadd(s.clock, d), ticked=False)
 
 
 def env_tick(s: SystemState):

@@ -19,8 +19,9 @@ the very object the pool already holds when an equal one was built before.
 Renamed values are therefore shared between many canonical keys and must
 never be mutated.
 
-All time arithmetic in the package goes through Fraction or Poly; floats
-never enter the value domain.
+All time arithmetic in the package goes through `vadd`, `vsub` and `monus`
+(truncated subtraction), over Fraction or Poly; floats never enter the
+value domain.
 """
 
 from __future__ import annotations
@@ -165,29 +166,31 @@ class Poly:
         return _interned_poly(_renamed_terms(self, names, pool), pool)
 
     def substitute(self, mapping: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
-        if self.degree() <= 1:
-            # degree-1 terms splice replacement terms in directly
-            acc: dict[Monomial, Fraction] = {}
-            for m, c in self.terms:
-                rep = mapping.get(m[0][0]) if m else None
-                if rep is None:
-                    acc[m] = acc.get(m, Fraction(0)) + c
-                elif isinstance(rep, Poly):
-                    for m2, c2 in rep.terms:
-                        acc[m2] = acc.get(m2, Fraction(0)) + c * c2
-                else:
-                    acc[()] = acc.get((), Fraction(0)) + c * rat(rep)
-            return Poly(acc)
-        out = Poly()
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
-            term = Poly.const(c)
+            # c times the variables of m left alone, times each Poly factor;
+            # a rational replacement folds into c without building a Poly
+            kept = []
+            factors = []
             for v, p in m:
                 rep = mapping.get(v)
-                rep = Poly.var(v) if rep is None else as_poly(rep)
-                for _ in range(p):
-                    term = term * rep
-            out = out + term
-        return out
+                if rep is None:
+                    kept.append((v, p))
+                elif isinstance(rep, Poly):
+                    factors.extend([rep] * p)
+                else:
+                    c *= rat(rep) ** p
+            part = {tuple(kept): c}
+            for f in factors:
+                nxt: dict[Monomial, Fraction] = {}
+                for m1, c1 in part.items():
+                    for m2, c2 in f.terms:
+                        mm = _mono_mul(m1, m2) if m1 else m2
+                        nxt[mm] = nxt.get(mm, 0) + c1 * c2
+                part = nxt
+            for mm, cc in part.items():
+                acc[mm] = acc.get(mm, 0) + cc
+        return Poly(acc)
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -618,25 +621,11 @@ def vnot(a):
 INF = float("inf")  # only as an mte result, never stored in a state
 
 
-def t_sub(t, d):
-    """Plain subtraction; symbolic timers rely on constraints for bounds."""
-    if isinstance(t, Poly) or isinstance(d, Poly):
-        return as_poly(t) - as_poly(d)
-    return rat(t) - rat(d)
-
-
 def monus(t, d):
-    """Truncated subtraction max(t - d, 0) for concrete times."""
-    if isinstance(t, Poly) or isinstance(d, Poly):
-        return t_sub(t, d)
-    r = rat(t) - rat(d)
-    return r if r > 0 else Fraction(0)
-
-
-def t_add(t, d):
-    if isinstance(t, Poly) or isinstance(d, Poly):
-        return as_poly(t) + as_poly(d)
-    return rat(t) + rat(d)
+    """Truncated subtraction max(t - d, 0) for concrete times; symbolic
+    times subtract plainly and rely on constraints for bounds."""
+    r = vsub(t, d)
+    return r if isinstance(r, Poly) or r > 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

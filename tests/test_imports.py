@@ -1,9 +1,11 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and imports
+only at module level.
 
 An import left behind by a deletion keeps a dead name reachable and hides
 that nothing uses it any more.  A name a module exports through
 `__all__` counts as used; an import line marked `# noqa: F401` is kept on
-purpose and exempt.
+purpose and exempt.  An import inside a function hides a module's
+dependencies from its import block and runs again on every call.
 """
 
 import ast
@@ -46,3 +48,26 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def function_imports(path: Path) -> list:
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.extend(
+                f"{fn.name} (line {node.lineno})"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_imports_inside_functions(path):
+    assert function_imports(path) == []
+
+
+def test_function_imports_are_found(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\n\ndef f():\n    from . import x\n    return x\n")
+    assert function_imports(src) == ["f (line 4)"]

@@ -33,6 +33,19 @@ END_IF;
 END_PROGRAM
 """
 
+HELD_SRC = """\
+PROGRAM TANK
+VAR_INPUT
+  waterLevel : REAL;
+  input : BOOL;
+END_VAR
+VAR_OUTPUT
+  pumpSwitch : {out_type};
+END_VAR
+{body}
+END_PROGRAM
+"""
+
 TWO_PROG_SRC = TANK_SRC + """
 PROGRAM AUX
 VAR_OUTPUT
@@ -191,6 +204,31 @@ class TestValidation:
         with pytest.raises(
             ScenarioError,
             match="machine 'plc1' flow 'waterLevel': .*does not start from waterLevel",
+        ):
+            scenario_from_dict(doc, table_for())
+
+    @pytest.mark.parametrize(
+        "out_type, body", [("BOOL", "pumpSwitch := input;"), ("STRING", "pumpSwitch := 'off';")]
+    )
+    def test_flow_rejects_a_non_numeric_output(self, out_type, body):
+        # With the pump held FALSE the level never moves; a law that reads
+        # the switch as a number would leave it a free symbol instead.
+        src = HELD_SRC.format(out_type=out_type, body=body)
+        doc = tank_doc()
+        doc["machines"][0]["inputs"]["input"]["values"] = [False]
+        with pytest.raises(
+            ScenarioError,
+            match=r"machine 'plc1' flow 'waterLevel': law 'waterLevel - pumpSwitch \* t' "
+            r"names 'pumpSwitch', which is not a numeric state variable",
+        ):
+            scenario_from_dict(doc, table_for(src))
+
+    def test_flow_rejects_a_boolean_state(self):
+        doc = tank_doc()
+        doc["machines"][0]["state"]["valve"] = True
+        doc["machines"][0]["flow"] = {"waterLevel": "waterLevel - valve * t"}
+        with pytest.raises(
+            ScenarioError, match="machine 'plc1' flow 'waterLevel': .* names 'valve'"
         ):
             scenario_from_dict(doc, table_for())
 

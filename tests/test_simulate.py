@@ -7,6 +7,8 @@ import pytest
 from plcreach import bench
 from plcreach.explorer import replay, simulate
 from plcreach.model import canonicalize
+from plcreach.por import successors
+from plcreach.timed import diagnose_stuck
 
 MODELS = ("ptp", "rv", "ther", "swat1")
 
@@ -53,3 +55,18 @@ def test_horizon_inside_a_tick_clips_the_last_tick(name):
         # replays.
         end = replay(scen.context(), s0, [tid for tid, _ in out[1:]])
         assert canonicalize(end) == canonicalize(final)
+
+
+@pytest.mark.parametrize(
+    "name, a, b", [("ptpc", "TANK1", "TANK2"), ("therc", "ROOM1", "ROOM2")]
+)
+def test_time_lock_is_diagnosed(name, a, b):
+    # A message still in its link at its latest delivery time stops time.
+    scen, s0, out, _ = _run(name, 200)
+    stuck = out[-1][1]
+    assert stuck.clock == 40
+    assert successors(scen.context(), stuck, por=False) == []
+    assert sorted(diagnose_stuck(stuck)) == [
+        f"message {a}->{b} expired undelivered",
+        f"message {b}->{a} expired undelivered",
+    ]

@@ -85,6 +85,21 @@ def test_substitute_then_evaluate(p, env):
     assert p.substitute(sub).const_value() == p.evaluate(env)
 
 
+@given(
+    linear_polys(),
+    linear_polys(),
+    st.dictionaries(var_names, st.one_of(rationals, linear_polys())),
+    st.dictionaries(var_names, rationals, min_size=4),
+)
+def test_substitute_into_products(p, q, mapping, env):
+    # Replacements are simultaneous: a replacement's own variables are
+    # evaluated in `env`, not substituted again.
+    product = p * q
+    inner = {v: mapping.get(v, env[v]) for v in env}
+    inner = {v: r.evaluate(env) if isinstance(r, Poly) else r for v, r in inner.items()}
+    assert product.substitute(mapping).evaluate(env) == product.evaluate(inner)
+
+
 def test_cmp_constant_folding():
     assert cmp_le(1, 2) is True
     assert cmp_lt(2, 2) is False
