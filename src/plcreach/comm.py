@@ -46,7 +46,8 @@ class Move:
 def with_cfg(s: SystemState, m: PLCMachine, cfg: KConfig) -> SystemState:
     # Any machine move re-arms time passage: a tick after it is no
     # longer a mergeable continuation of the previous tick.
-    return replace(s.with_machine(replace(m, cfg=cfg)), ticked=False)
+    machines = tuple(replace(x, cfg=cfg) if x.mid == m.mid else x for x in s.machines)
+    return replace(s, machines=machines, ticked=False)
 
 
 def _resumed(s: SystemState, m: PLCMachine, out: NeedsComm, value) -> SystemState:
@@ -88,27 +89,23 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
 def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> list:
     # Undetermined condition: explore both arms under the matching constraint.
     moves = []
-    neg = bnot(out.cond)
-    if feasible(ctx.checker, s, out.cond):
-        moves.append(
-            Move("if-true", "internal", (), with_cfg(s, m, out.then_cfg).add_constraints(out.cond))
-        )
-    if feasible(ctx.checker, s, neg):
-        moves.append(
-            Move("if-false", "internal", (), with_cfg(s, m, out.else_cfg).add_constraints(neg))
-        )
+    for label, cond, cfg in (
+        ("if-true", out.cond, out.then_cfg),
+        ("if-false", bnot(out.cond), out.else_cfg),
+    ):
+        s2 = feasible(ctx.checker, s, cond)
+        if s2 is not False:
+            moves.append(Move(label, "internal", (), with_cfg(s2, m, cfg)))
     return moves
 
 
 def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) -> list:
     # Before the window time must pass; after it the scan is stuck.
     e = elapsed_in_cycle(m)
-    lo_ok = cmp_le(out.lo, e)
-    hi_ok = cmp_le(e, out.hi)
-    if not feasible(ctx.checker, s, lo_ok, hi_ok):
+    s2 = feasible(ctx.checker, s, cmp_le(out.lo, e), cmp_le(e, out.hi))
+    if s2 is False:
         return []
-    s2 = with_cfg(s, m, pop_head(m.cfg)).add_constraints(lo_ok, hi_ok)
-    return [Move("assertTime", "internal", (), s2)]
+    return [Move("assertTime", "internal", (), with_cfg(s2, m, pop_head(m.cfg)))]
 
 
 def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
@@ -225,19 +222,19 @@ def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
     ample = _rcv_ample(conn, matching)
     moves = []
     for msg in matching:
-        open_now = cmp_le(msg.min_timer, 0)
-        if not feasible(ctx.checker, s, open_now):
+        s2 = feasible(ctx.checker, s, cmp_le(msg.min_timer, 0))
+        if s2 is False:
             continue
         rest = tuple(x for x in conn.buffer if x.seq != msg.seq)
-        s2 = s.with_conn(replace(conn, buffer=rest)).add_constraints(open_now)
+        s2 = s2.with_conn(replace(conn, buffer=rest))
         moves.append(
             Move("rcvData", "comm", (msg.seq,), _resumed(s2, m, out, msg.data), ample)
         )
     if s.options.rcv_no_on_pending:
         # Giving up is only allowed while every candidate is still in transit.
         pending = [cmp_lt(0, msg.min_timer) for msg in matching]
-        if feasible(ctx.checker, s, *pending):
-            s2 = s.add_constraints(*pending)
+        s2 = feasible(ctx.checker, s, *pending)
+        if s2 is not False:
             moves.append(Move("rcvNo", "comm", (pair,), _resumed(s2, m, out, RCV_ERROR)))
     return moves
 

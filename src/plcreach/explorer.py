@@ -186,8 +186,9 @@ def search(
             endpoints.add(_endpoint_record(s))
         for tid, st in succ:
             fired += 1
-            st = _clip_to_bound(ctx, st, bound)
-            if st is None:
+            # Absorb states past the bound; pin symbolic clocks inside it.
+            st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
+            if st is False:
                 continue
             k2 = canonicalize(st, pool)
             # One lookup hashes the key once; a known key keeps its entry.
@@ -219,14 +220,6 @@ def search(
         wall_time=time.monotonic() - t_start,
         endpoints=endpoints,
     )
-
-
-def _clip_to_bound(ctx: RuleCtx, s: SystemState, bound: Fraction):
-    """Absorb states past the bound; pin symbolic clocks inside it."""
-    cond = cmp_le(s.clock, bound)
-    if not feasible(ctx.checker, s, cond, cls="env"):
-        return None
-    return s.add_constraints(cond)
 
 
 def _endpoint_record(s: SystemState):

@@ -22,7 +22,6 @@ from .kmachine import KConfig, config_key, config_vars
 from .values import (
     And,
     Cmp,
-    Not,
     Or,
     Poly,
     band,
@@ -130,7 +129,9 @@ class SystemState:
     machines: tuple  # (PLCMachine, ...) ordered by mid
     conns: tuple  # (Conn, ...) ordered by pair
     clock: object  # Fraction | Poly
-    constraints: tuple = ()  # conjuncts, sorted by ckey, deduplicated
+    # The path condition: satisfiable conjuncts (atoms and Ors), sorted by
+    # ckey, deduplicated.  Guards join it through symbolic.feasible.
+    constraints: tuple = ()
     fresh_counter: int = 0
     msg_seq: int = 0
     ticked: bool = False
@@ -335,8 +336,6 @@ def _masked(v) -> object:
         )
     if isinstance(v, Cmp):
         return ("c", v.op, _masked(v.lhs))
-    if isinstance(v, Not):
-        return ("n", _masked(v.arg))
     if isinstance(v, And):
         return ("a", tuple(_masked(a) for a in v.args))
     if isinstance(v, Or):

@@ -97,7 +97,10 @@ class Scenario:
         unknown = set(overrides) - set(base)
         if unknown:
             raise ScenarioError(f"unknown option overrides: {sorted(unknown)}")
-        base.update({k: v for k, v in overrides.items() if v is not None})
+        for k, v in overrides.items():
+            if v is not None:
+                where = f"override {k}"
+                base[k] = _mode(v, where) if k == "mode" else _flag(v, where)
         return Options(**base)
 
     def initial_state(self, **overrides) -> SystemState:
@@ -340,7 +343,8 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
 
 
 def _default_state_value(type_name: str):
-    return False if type_name == "BOOL" else Fraction(0)
+    # the value the program variable starts with (kmachine._default_value)
+    return {"BOOL": False, "STRING": ""}.get(type_name, Fraction(0))
 
 
 def _preload(table: PouTable, m: PLCMachine) -> PLCMachine:
@@ -419,9 +423,6 @@ def _build_analysis(doc: dict) -> Analysis:
     extra = set(doc) - _ANALYSIS_KEYS
     if extra:
         raise ScenarioError(f"analysis: unknown keys {sorted(extra)}")
-    mode = doc.get("mode", "concrete")
-    if mode not in {"concrete", "symbolic"}:
-        raise ScenarioError("analysis.mode must be 'concrete' or 'symbolic'")
     bound = doc.get("bound", 100)
     if isinstance(bound, bool):
         raise ScenarioError(f"analysis.bound must be a number, got {bound!r}")
@@ -430,7 +431,7 @@ def _build_analysis(doc: dict) -> Analysis:
         raise ScenarioError(f"analysis.property must be a string, got {prop!r}")
     a = Analysis(
         bound=_num(bound, "analysis.bound"),
-        mode=mode,
+        mode=_mode(doc.get("mode", "concrete"), "analysis.mode"),
         por=_flag(doc.get("por", False), "analysis.por"),
         clock_sep=_flag(doc.get("clockSep", False), "analysis.clockSep"),
         property=prop,
@@ -442,6 +443,12 @@ def _build_analysis(doc: dict) -> Analysis:
     if a.max_states is not None:
         _count(a.max_states, "analysis.maxStates")
     return a
+
+
+def _mode(v, where: str) -> str:
+    if v not in ("concrete", "symbolic"):
+        raise ScenarioError(f"{where} must be 'concrete' or 'symbolic', got {v!r}")
+    return v
 
 
 def _flag(v, where: str) -> bool:

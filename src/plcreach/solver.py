@@ -2,7 +2,8 @@
 
 The decision procedure handles linear rational arithmetic exactly:
 equalities are removed by substitution, inequalities by Fourier-Motzkin
-elimination with Fraction pivoting, and disjunctions by case splitting.
+elimination with Fraction pivoting, and disjunctions by case splitting; a
+disequality p != 0 is split into p < 0 or p > 0.
 Every verdict is definite: sat with a model, or unsat.  A constraint
 outside linear arithmetic raises SolverUnavailable rather than guessing.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import And, Cmp, Not, Or, band, conjuncts
+from .values import And, Cmp, Or, band, conjuncts
 
 
 class SolverUnavailable(Exception):
@@ -53,17 +54,12 @@ def _split_candidates(items):
     """Partition conjuncts into atoms and case-split nodes."""
     atoms, splits = [], []
     for it in items:
-        if isinstance(it, Cmp):
+        if isinstance(it, Cmp) and it.op == "!=":
+            splits.append((Cmp("<", it.lhs), Cmp("<", -it.lhs)))
+        elif isinstance(it, Cmp):
             atoms.append(it)
         elif isinstance(it, Or):
             splits.append(tuple(it.args))
-        elif isinstance(it, Not):
-            # only Not(==) survives normalization; it is a disequality
-            inner = it.arg
-            if isinstance(inner, Cmp) and inner.op == "==":
-                splits.append((Cmp("<", inner.lhs), Cmp("<", -inner.lhs)))
-            else:
-                raise TypeError(f"unnormalized constraint: {it!r}")
         elif isinstance(it, And):
             a, s = _split_candidates(it.args)
             atoms.extend(a)

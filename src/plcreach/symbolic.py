@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .model import SystemState
 from .solver import SmtCheck
-from .values import Poly, band, evaluate, variables
+from .values import Poly, band, conjuncts, evaluate, variables
 
 
 def fresh_var(s: SystemState, prefix: str):
@@ -22,21 +22,21 @@ def fresh_var(s: SystemState, prefix: str):
     return replace(s, fresh_counter=s.fresh_counter + 1), Poly.var(name)
 
 
-def feasible(checker: SmtCheck, s: SystemState, *extra, cls: str = "internal") -> bool:
-    """Is the path condition still satisfiable with `extra` added?
+def feasible(checker: SmtCheck, s: SystemState, *guards, cls: str = "internal"):
+    """`s` with `guards` conjoined to its path condition, or False when
+    the result is unsatisfiable.
 
     A decided guard (a bool) costs no solver call: every stored state's
-    path condition is satisfiable, so adding only True keeps it so.
+    path condition is satisfiable, so adding only True keeps it so, and
+    then `s` itself comes back.
     """
-    if any(e is False for e in extra):
-        return False
-    parts = [e for e in extra if e is not True]
+    parts = [g for g in guards if g is not True]
     if not parts:
-        return True
+        return s
     cond = band(*s.constraints, *parts)
-    if isinstance(cond, bool):
-        return cond
-    return checker.check(cond, cls).is_sat
+    if cond is False or not checker.check(cond, cls).is_sat:
+        return False
+    return replace(s, constraints=conjuncts(cond))
 
 
 def concrete_or_none(v):

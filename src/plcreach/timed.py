@@ -202,10 +202,10 @@ def tick_symbolic(ctx: RuleCtx, s: SystemState):
         constraints.append(cmp_le(dvar, Poly.const(least)))
     for b in symbolic:
         constraints.append(cmp_le(dvar, b))
-    if not feasible(ctx.checker, s2, *constraints, cls="tick"):
+    s3 = feasible(ctx.checker, s2, *constraints, cls="tick")
+    if s3 is False:
         return None
-    s3 = replace(s2.add_constraints(*constraints), ticked=True)
-    return dvar, tick_apply(s3, dvar)
+    return dvar, tick_apply(replace(s3, ticked=True), dvar)
 
 
 # -- environment tick -------------------------------------------------------
@@ -237,16 +237,13 @@ def env_tick(s: SystemState):
 # -- scan start -------------------------------------------------------------
 
 
-def _timer_due(ctx: RuleCtx, s: SystemState, m: PLCMachine):
-    eq = cmp_eq(m.timer, 0)
-    return feasible(ctx.checker, s, eq, cls="start"), eq
-
-
 def due_machines(ctx: RuleCtx, s: SystemState):
-    """Machines ready to begin a scan, plus the constraints that pin it.
+    """Machines ready to begin a scan, and `s` with their timers pinned.
 
     A machine is due when its scan finished, its timer can be zero now, and
-    (clock-separated runs) the environment countdown hit zero too.
+    (clock-separated runs) the environment countdown hit zero too.  Returns
+    `(due, pinned)`: `pinned` is `s` with `timer == 0` conjoined for each
+    due machine, and `s` itself when every due timer is concretely zero.
     """
     due = []
     eqs = []
@@ -255,19 +252,17 @@ def due_machines(ctx: RuleCtx, s: SystemState):
             continue
         if s.options.clock_sep and m.env_timer != 0:
             continue
-        ok, eq = _timer_due(ctx, s, m)
-        if not ok:
-            continue
-        due.append(m)
-        if eq is not True:
+        eq = cmp_eq(m.timer, 0)
+        if feasible(ctx.checker, s, eq, cls="start") is not False:
+            due.append(m)
             eqs.append(eq)
-    if due and eqs:
-        if not feasible(ctx.checker, s, *eqs, cls="start"):
-            # Joint start impossible; let the first machine go alone.
-            first = due[0]
-            _, eq = _timer_due(ctx, s, first)
-            return [first], [] if eq is True else [eq]
-    return due, eqs
+    if not due:
+        return [], s
+    pinned = feasible(ctx.checker, s, *eqs, cls="start")
+    if pinned is False:
+        # Joint start impossible; let the first machine go alone.
+        return due[:1], feasible(ctx.checker, s, eqs[0], cls="start")
+    return due, pinned
 
 
 def _injection_plans(m: PLCMachine):
@@ -293,9 +288,13 @@ def start_variants(ctx: RuleCtx, s: SystemState):
     Enumerated inputs branch into one variant per value combination; the
     variant's choice tuple records (machine, program, variable, value).
     """
-    due, eqs = due_machines(ctx, s)
+    due, pinned = due_machines(ctx, s)
     if not due:
         return []
+    if pinned is not s:
+        # Pinning the jump length here keeps the sensed values concrete,
+        # so guards over them branch on real numbers instead of forking.
+        pinned = propagate_pins(pinned)
     due_ids = [m.mid for m in due]
 
     enum_axes = []  # (mid, spec)
@@ -312,15 +311,11 @@ def start_variants(ctx: RuleCtx, s: SystemState):
             for ((mid, spec), value) in zip(enum_axes, combo)
         }
         choice = tuple(sorted((k[0], k[1], k[2], v) for k, v in chosen.items()))
-        variants.append((choice, _apply_start(ctx, s, due_ids, eqs, chosen)))
+        variants.append((choice, _apply_start(ctx, pinned, due_ids, chosen)))
     return variants
 
 
-def _apply_start(ctx: RuleCtx, s: SystemState, due_ids, eqs, chosen) -> SystemState:
-    if eqs:
-        # Pinning the jump length here keeps the sensed values concrete,
-        # so guards over them branch on real numbers instead of forking.
-        s = propagate_pins(s.add_constraints(*eqs))
+def _apply_start(ctx: RuleCtx, s: SystemState, due_ids, chosen) -> SystemState:
     for mid in due_ids:
         m = s.machine(mid)
         m = actuate(m)

@@ -2,8 +2,10 @@
 
 Concrete runtime values are Python bool/int/str and fractions.Fraction.
 Symbolic real values are Poly: a normalized polynomial over named variables
-with Fraction coefficients.  Symbolic booleans are BoolExpr trees whose
-atoms are polynomial comparisons against zero.  Every structure here is
+with Fraction coefficients.  Symbolic booleans are BoolExpr trees of And and
+Or whose atoms are polynomial comparisons against zero: `p <= 0`, `p < 0`,
+`p == 0` and `p != 0`.  There is no negation node; `bnot` pushes a
+negation down to the atoms and flips each one.  Every structure here is
 immutable and hashable so machine states can be shared and canonicalized.
 
 Which values are symbolic, and how to list, rename, substitute or evaluate
@@ -26,6 +28,7 @@ value domain.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -261,21 +264,13 @@ def as_poly(x) -> Poly:
 
 @dataclass(frozen=True)
 class Cmp:
-    """Atomic constraint: lhs op 0, with op one of <=, <, ==."""
+    """Atomic constraint: lhs op 0, with op one of <=, <, ==, !=."""
 
     op: str
     lhs: Poly
 
     def __repr__(self):
         return f"({self.lhs} {self.op} 0)"
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: "BoolExpr"
-
-    def __repr__(self):
-        return f"(not {self.arg})"
 
 
 @dataclass(frozen=True)
@@ -294,20 +289,25 @@ class Or:
         return "(" + " or ".join(map(repr, self.args)) + ")"
 
 
-BoolExpr = Union[Cmp, Not, And, Or]
+BoolExpr = Union[Cmp, And, Or]
+
+
+_HOLDS = {"<=": operator.le, "<": operator.lt, "==": operator.eq, "!=": operator.ne}
+
+
+def _holds(op: str, x: Fraction) -> bool:
+    """Does the atom `x op 0` hold for a concrete x?"""
+    return _HOLDS[op](x, 0)
 
 
 def _norm_cmp(op: str, lhs: Poly):
     """Fold constant comparisons and scale the polynomial canonically."""
     if lhs.is_const():
-        c = lhs.const_value()
-        return {"<=": c <= 0, "<": c < 0, "==": c == 0}[op]
+        return _holds(op, lhs.const_value())
     lead = lhs.terms[0][1]
-    if op == "==":
-        if lead < 0:
-            lhs = lhs.scale(-1)
-            lead = -lead
-        return Cmp("==", lhs.scale(1 / lead))
+    if op in ("==", "!="):
+        # sign-free: pin the leading coefficient to 1
+        return Cmp(op, lhs.scale(1 / lead))
     # direction-preserving positive scaling
     return Cmp(op, lhs.scale(1 / abs(lead)))
 
@@ -333,15 +333,13 @@ def cmp_eq(a, b):
 def bnot(e):
     if isinstance(e, bool):
         return not e
-    if isinstance(e, Not):
-        return e.arg
     if isinstance(e, Cmp):
         # not(p <= 0) is -p < 0, not(p < 0) is -p <= 0
         if e.op == "<=":
             return _norm_cmp("<", -e.lhs)
         if e.op == "<":
             return _norm_cmp("<=", -e.lhs)
-        return Not(e)
+        return Cmp("!=" if e.op == "==" else "==", e.lhs)
     if isinstance(e, And):
         return bor(*(bnot(a) for a in e.args))
     if isinstance(e, Or):
@@ -412,8 +410,6 @@ def variables(v):
         return v.variables()
     if isinstance(v, Cmp):
         return v.lhs.variables()
-    if isinstance(v, Not):
-        return variables(v.arg)
     if isinstance(v, (And, Or)):
         out = set()
         for a in v.args:
@@ -433,13 +429,11 @@ def rename(v, names: Mapping[str, str], pool: dict):
         terms = _renamed_terms(v.lhs, names, pool)
         # renaming can reorder terms, so re-pin the leading coefficient
         lead = terms[0][1]
-        k = 1 / lead if v.op == "==" else 1 / abs(lead)
+        k = 1 / lead if v.op in ("==", "!=") else 1 / abs(lead)
         if k != 1:
             terms = [(m, c * k) for m, c in terms]
         atom = Cmp(v.op, _interned_poly(terms, pool))
         return pool.setdefault(atom, atom)
-    if isinstance(v, Not):
-        return Not(rename(v.arg, names, pool))
     if isinstance(v, And):
         return band(*(rename(a, names, pool) for a in v.args))
     if isinstance(v, Or):
@@ -458,8 +452,6 @@ def substitute(v, mapping: Mapping):
         return out.const_value() if out.is_const() else out
     if isinstance(v, Cmp):
         return _norm_cmp(v.op, v.lhs.substitute(mapping))
-    if isinstance(v, Not):
-        return bnot(substitute(v.arg, mapping))
     if isinstance(v, And):
         return band(*(substitute(a, mapping) for a in v.args))
     if isinstance(v, Or):
@@ -472,10 +464,7 @@ def evaluate(v, assignment: Mapping):
     if isinstance(v, Poly):
         return v.evaluate(assignment)
     if isinstance(v, Cmp):
-        x = v.lhs.evaluate(assignment)
-        return {"<=": x <= 0, "<": x < 0, "==": x == 0}[v.op]
-    if isinstance(v, Not):
-        return not evaluate(v.arg, assignment)
+        return _holds(v.op, v.lhs.evaluate(assignment))
     if isinstance(v, And):
         return all(evaluate(a, assignment) for a in v.args)
     if isinstance(v, Or):
@@ -508,7 +497,7 @@ def is_numeric(v) -> bool:
 
 
 def is_boolish(v) -> bool:
-    return isinstance(v, (bool, Cmp, Not, And, Or))
+    return isinstance(v, (bool, Cmp, And, Or))
 
 
 class EvalError(Exception):
@@ -633,26 +622,13 @@ def monus(t, d):
 
 
 def ckey(v):
-    """Total ordering key over the whole value domain."""
-    if isinstance(v, bool):
-        return (0, v)
-    if isinstance(v, (int, Fraction)):
-        f = Fraction(v)
-        return (1, f.numerator, f.denominator)
-    if isinstance(v, str):
-        return (2, v)
-    if isinstance(v, RcvError):
-        return (3,)
+    """Total ordering key over polynomials and boolean expressions."""
     if isinstance(v, Poly):
-        return (4, tuple((m, (c.numerator, c.denominator)) for m, c in v.terms))
+        return (0, tuple((m, (c.numerator, c.denominator)) for m, c in v.terms))
     if isinstance(v, Cmp):
-        return (5, v.op, ckey(v.lhs))
-    if isinstance(v, Not):
-        return (6, ckey(v.arg))
+        return (1, v.op, ckey(v.lhs))
     if isinstance(v, And):
-        return (7, tuple(ckey(a) for a in v.args))
+        return (2, tuple(ckey(a) for a in v.args))
     if isinstance(v, Or):
-        return (8, tuple(ckey(a) for a in v.args))
-    if isinstance(v, tuple):
-        return (9, tuple(ckey(a) for a in v))
+        return (3, tuple(ckey(a) for a in v.args))
     raise TypeError(f"no canonical key for {v!r}")

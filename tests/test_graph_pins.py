@@ -1,0 +1,67 @@
+"""Pinned graphs of bundled searches.
+
+A refactor of the semantics that keeps every verdict can still change the
+graph a search walks: a state split or merged by the canonical form, a
+guard checked twice or not at all.  These searches pin the verdict, the
+number of states, transitions and fresh solver queries, and the number of
+scan-cycle endpoints, so that any such change shows in the tier-1 run.
+A change that alters them on purpose updates the figures here and says why.
+"""
+
+import pytest
+
+from plcreach import bench
+from plcreach.explorer import NO_SOLUTION, SOLUTION_FOUND, search
+
+# (model, mode, POR, bound, property,
+#  (verdict, states, transitions, solver queries, endpoints))
+PINS = [
+    ("ptpc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 5)),
+    ("therc", "concrete", True, 20, None, (NO_SOLUTION, 1893, 2478, 0, 4)),
+    ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 1024, 1343, 170, 4)),
+    ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1721, 1928, 234, 1)),
+    ("query1", "symbolic", True, 10, "pump1 = 1", (SOLUTION_FOUND, 529, 588, 20, 1)),
+]
+
+PUMP1_WITNESS = [
+    "start[('tank1', 'TANK1', 'input', Fraction(1, 1)),"
+    "('tank2', 'TANK2', 'input', Fraction(0, 1))]",
+    "seq(tank1)[('call', ()),('if-true', ())]",
+    "seq(tank2)[('call', ()),('if-true', ())]",
+    "conSucc(tank1)[('TANK1', 'TANK2')]",
+    "seq(tank1)[('if-false', ()),('conCheck', (True,)),('if-true', ()),"
+    "('assign', ()),('assign', ()),('assign', ()),('assign', ()),"
+    "('if-false', ()),('assign', ()),('call', ()),('if-false', ()),"
+    "('conCheck', (True,)),('if-false', ()),('assign', ())]",
+    "seq(tank2)[('conSucc', (('TANK1', 'TANK2'),)),('if-false', ()),"
+    "('conCheck', (True,)),('if-true', ()),('assign', ()),('assign', ()),"
+    "('assign', ()),('assign', ()),('if-false', ()),('assign', ()),"
+    "('call', ()),('if-false', ()),('conCheck', (True,)),('if-false', ()),"
+    "('assign', ())]",
+    "sendData(tank1)[0]",
+    "seq(tank1)[('assign', ()),('if-true', ()),('assign', ()),('assign', ()),"
+    "('assign', ()),('call', ()),('if-false', ()),('conCheck', (True,)),"
+    "('if-false', ()),('assign', ())]",
+    "rcvNo(tank1)[('TANK1', 'TANK2')]",
+    "seq(tank1)[('assign', ()),('if-false', ()),('assign', ()),('assign', ()),"
+    "('assign', ()),('assign', ()),('assign', ())]",
+    "tick[_d0]",
+    "start[('tank1', 'TANK1', 'input', Fraction(0, 1))]",
+]
+
+
+@pytest.mark.parametrize(
+    "name, mode, por, bound, prop, expected",
+    PINS,
+    ids=[f"{p[0]}-{p[1]}-{'por' if p[2] else 'full'}-{p[3]}" for p in PINS],
+)
+def test_search_graph_is_pinned(name, mode, por, bound, prop, expected):
+    scen = bench.load(name)
+    s0 = scen.initial_state(mode=mode, por=por)
+    r = search(scen.context(), s0, prop, bound=bound, por=por)
+    got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints))
+    assert got == expected
+    if prop == "pump1 = 1":
+        (w,) = r.witnesses
+        assert [t.pretty() for t in w.path] == PUMP1_WITNESS
+        assert w.model == {}

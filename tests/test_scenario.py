@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcreach.explorer import search
+from plcreach.explorer import PropertyError, search
 from plcreach.scenario import (
     Analysis,
     ScenarioError,
@@ -223,6 +223,17 @@ class TestValidation:
         ):
             scenario_from_dict(doc, table_for(src))
 
+    def test_string_output_starts_as_the_program_variable_does(self):
+        src = HELD_SRC.format(out_type="STRING", body="pumpSwitch := 'off';")
+        doc = tank_doc()
+        del doc["machines"][0]["flow"]
+        scen = scenario_from_dict(doc, table_for(src))
+        s0 = scen.initial_state()
+        assert dict(s0.machines[0].state)["pumpSwitch"] == ""
+        # a text has no order, from the initial state on
+        with pytest.raises(PropertyError, match="ordering is undefined"):
+            search(scen.context(), s0, "pumpSwitch < 1", bound=20)
+
     def test_flow_rejects_a_boolean_state(self):
         doc = tank_doc()
         doc["machines"][0]["state"]["valve"] = True
@@ -237,6 +248,11 @@ class TestValidation:
     def test_analysis_flags_are_booleans(self, key, value):
         with pytest.raises(ScenarioError, match=f"analysis.{key} must be true or false"):
             scenario_from_dict(tank_doc(analysis={key: value}), table_for())
+
+    @pytest.mark.parametrize("mode", ["Symbolic", "", 1, None])
+    def test_analysis_mode_checked(self, mode):
+        with pytest.raises(ScenarioError, match="analysis.mode must be 'concrete' or 'symbolic'"):
+            scenario_from_dict(tank_doc(analysis={"mode": mode}), table_for())
 
     @pytest.mark.parametrize("key", ["rcvNoOnPending", "reliableConnect"])
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
@@ -359,6 +375,22 @@ class TestModes:
         scen = scenario_from_dict(tank_doc(), table_for())
         with pytest.raises(ScenarioError, match="unknown option"):
             scen.options(depth=3)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("mode", "Symbolic", "'concrete' or 'symbolic'"),
+            ("mode", True, "'concrete' or 'symbolic'"),
+            ("por", "yes", "true or false"),
+            ("clock_sep", 1, "true or false"),
+            ("rcv_no_on_pending", 0, "true or false"),
+            ("reliable_connect", "false", "true or false"),
+        ],
+    )
+    def test_overrides_checked_like_the_file(self, key, value, expected):
+        scen = scenario_from_dict(tank_doc(), table_for())
+        with pytest.raises(ScenarioError, match=f"override {key} must be {expected}"):
+            scen.initial_state(**{key: value})
 
     def test_override_flags_flow_into_options(self):
         scen = scenario_from_dict(tank_doc(), table_for())

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcreach.values import (
+    Cmp,
     Poly,
     band,
     bnot,
@@ -126,6 +127,21 @@ def test_connective_normalization():
     assert bnot(bnot(a)) == a
     # negation of <= flips to strict < on the negated polynomial
     assert bool_evaluate(bnot(a), {"x": 2}) and not bool_evaluate(bnot(a), {"x": 1})
+
+
+def test_disequality_is_an_atom():
+    x, y = Poly.var("x"), Poly.var("y")
+    ne = bnot(cmp_eq(x.scale(-2), y))
+    assert isinstance(ne, Cmp) and ne.op == "!="
+    # scaled like ==: the sign of the leading coefficient is pinned too
+    assert ne == bnot(cmp_eq(y, x.scale(-2)))
+    assert bnot(ne) == cmp_eq(x.scale(-2), y)
+    assert substitute(ne, {"x": 1, "y": -2}) is False
+    assert substitute(ne, {"x": 1, "y": 0}) is True
+    assert evaluate(ne, {"x": 1, "y": 0}) and not evaluate(ne, {"x": 1, "y": -2})
+    # renaming reorders the terms here; the new leading coefficient is pinned
+    renamed = rename(bnot(cmp_eq(x, y.scale(3))), {"x": "b", "y": "a"}, {})
+    assert renamed == bnot(cmp_eq(Poly.var("b"), Poly.var("a").scale(3)))
 
 
 @given(linear_polys(), linear_polys(), st.dictionaries(var_names, rationals, min_size=4))
