@@ -1,10 +1,16 @@
 """Per-machine scan steps lifted to whole-system moves.
 
-A machine's next step is either private (assignment, branch, timing
+A machine's next step is either internal (assignment, branch, timing
 window) or touches the shared network state (connection management,
 message transfer).  Each candidate move carries the interleaving class
 the reduction heuristics key on: "internal" moves affect only the owning
 machine, "comm" moves may read or write channel state.
+
+No rule builds a successor state.  A `Move` keeps its two halves apart:
+`shared`, the system state with the move's effect on links, `msg_seq` and
+the path condition, and `cfg`, the machine's configuration after the
+move; `Move.state` joins them through `with_cfg`.  The rule that makes a
+move also decides whether it is `private`, with the reason next to it.
 """
 
 from __future__ import annotations
@@ -32,26 +38,37 @@ from .values import RCV_ERROR, bnot, cmp_le, cmp_lt
 
 @dataclass(frozen=True)
 class Move:
-    """One enabled transition of a single machine."""
+    """One enabled transition of machine `mid`.
+
+    `private` is true when the move commutes with time passage and with
+    every move of every other machine, so that `por` may take it alone.
+    """
 
     label: str
     cls: str  # "internal" | "comm"
     key: tuple
-    state: SystemState
-    # False when taking this move ahead of other machines could hide a
-    # behavior; only receive moves ever clear it (see _rcv_moves).
-    ample_ok: bool = True
+    mid: str
+    shared: SystemState
+    cfg: KConfig
+    private: bool
+
+    @property
+    def state(self) -> SystemState:
+        return with_cfg(self.shared, self.mid, self.cfg)
 
 
-def with_cfg(s: SystemState, m: PLCMachine, cfg: KConfig) -> SystemState:
+def with_cfg(s: SystemState, mid: str, cfg: KConfig) -> SystemState:
     # Any machine move re-arms time passage: a tick after it is no
     # longer a mergeable continuation of the previous tick.
-    machines = tuple(replace(x, cfg=cfg) if x.mid == m.mid else x for x in s.machines)
+    machines = tuple(replace(x, cfg=cfg) if x.mid == mid else x for x in s.machines)
     return replace(s, machines=machines, ticked=False)
 
 
-def _resumed(s: SystemState, m: PLCMachine, out: NeedsComm, value) -> SystemState:
-    return with_cfg(s, m, resume_comm(m.cfg, out.site, value))
+def chainable(out) -> bool:
+    """Is this step outcome a private internal move?  A loop step is not:
+    it may recur forever, and every cycle in the reduced graph must keep
+    a fully expanded state."""
+    return isinstance(out, Internal) and out.label != "while"
 
 
 def _name_arg(out: NeedsComm, idx: int, what: str) -> str:
@@ -72,7 +89,8 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
     if isinstance(out, Failed):
         raise ModelError(f"machine {mid}: runtime failure: {out.reason}")
     if isinstance(out, Internal):
-        return [Move(out.label, "internal", (), with_cfg(s, m, out.cfg))]
+        # Private unless it is a loop step (see chainable).
+        return [Move(out.label, "internal", (), mid, s, out.cfg, chainable(out))]
     if isinstance(out, Branch):
         return _branch_moves(ctx, s, m, out)
     if isinstance(out, AssertTime):
@@ -95,7 +113,9 @@ def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> l
     ):
         s2 = feasible(ctx.checker, s, cond)
         if s2 is not False:
-            moves.append(Move(label, "internal", (), with_cfg(s2, m, cfg)))
+            # Private: the arm only narrows the path condition, over values
+            # this scan has already fixed.
+            moves.append(Move(label, "internal", (), m.mid, s2, cfg, True))
     return moves
 
 
@@ -105,53 +125,60 @@ def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) 
     s2 = feasible(ctx.checker, s, cmp_le(out.lo, e), cmp_le(e, out.hi))
     if s2 is False:
         return []
-    return [Move("assertTime", "internal", (), with_cfg(s2, m, pop_head(m.cfg)))]
+    # Not private: whether the window is open depends on elapsed time.
+    return [Move("assertTime", "internal", (), m.mid, s2, pop_head(m.cfg), False)]
 
 
 def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
     pair = conn_pair(out.a, out.b)
-    conn = s.conn(*pair)
-    if conn is None:
-        conn = Conn(pair=pair)
-    conn = replace(conn, delay_lo=out.lo, delay_hi=out.hi)
-    s2 = s.with_conn(conn)
-    return [Move("setDelay", "comm", (pair,), with_cfg(s2, m, pop_head(m.cfg)))]
+    conn = s.conn(*pair) or Conn(pair=pair)
+    s2 = s.with_conn(replace(conn, delay_lo=out.lo, delay_hi=out.hi))
+    # Not private: later sends on the link read its delays.
+    return [Move("setDelay", "comm", (pair,), m.mid, s2, pop_head(m.cfg), False)]
 
 
 # -- connection management ---------------------------------------------------
 
 
 # Each rule below takes the machine's pending call `out`, its partner
-# program, the link's pair and the link itself (None if never set up).
+# program, the link's pair and the link itself (None if never set up); the
+# call's answer goes into the machine's configuration by `resume_comm`.
+# Only the moves marked below are private.  Every other one writes a link,
+# or reads what a move of another machine or time passage can change.
 
 
 def _connect_moves(ctx, s, m, out, partner, pair, conn) -> list:
     if conn is None:
-        return [Move("conFail", "comm", (pair,), _resumed(s, m, out, False))]
+        fail = resume_comm(m.cfg, out.site, False)
+        return [Move("conFail", "comm", (pair,), m.mid, s, fail, False)]
+    ok = resume_comm(m.cfg, out.site, True)
     if conn.valid:
-        # Re-requesting an established connection succeeds without touching
-        # shared state, so the move is private to this machine.
-        return [Move("conSucc", "internal", (pair,), _resumed(s, m, out, True))]
-    ok = s.with_conn(replace(conn, valid=True))
-    moves = [Move("conSucc", "comm", (pair,), _resumed(ok, m, out, True))]
+        # Private: re-requesting an established connection succeeds
+        # without writing shared state.
+        return [Move("conSucc", "internal", (pair,), m.mid, s, ok, True)]
+    up = s.with_conn(replace(conn, valid=True))
+    moves = [Move("conSucc", "comm", (pair,), m.mid, up, ok, False)]
     if not s.options.reliable_connect:
-        moves.append(Move("conFail", "comm", (pair,), _resumed(s, m, out, False)))
+        fail = resume_comm(m.cfg, out.site, False)
+        moves.append(Move("conFail", "comm", (pair,), m.mid, s, fail, False))
     return moves
 
 
 def _disconnect_moves(ctx, s, m, out, partner, pair, conn) -> list:
-    s2 = s
-    was = False
-    if conn is not None:
-        was = conn.valid
-        # In-flight messages stay deliverable; only the link validity drops.
-        s2 = s.with_conn(replace(conn, valid=False))
-    return [Move("disconnect", "comm", (pair,), _resumed(s2, m, out, was))]
+    was = conn is not None and conn.valid
+    # In-flight messages stay deliverable; only the link validity drops.
+    s2 = s if conn is None else s.with_conn(replace(conn, valid=False))
+    cfg = resume_comm(m.cfg, out.site, was)
+    return [Move("disconnect", "comm", (pair,), m.mid, s2, cfg, False)]
 
 
 def _concheck_moves(ctx, s, m, out, partner, pair, conn) -> list:
     valid = bool(conn is not None and conn.valid)
-    return [Move("conCheck", "comm", (valid,), _resumed(s, m, out, valid))]
+    cfg = resume_comm(m.cfg, out.site, valid)
+    # Private when the link is up and the loaded programs never drop a
+    # link (`ctx.comm_ample`): nothing writes its validity then.
+    private = valid and ctx.comm_ample
+    return [Move("conCheck", "comm", (valid,), m.mid, s, cfg, private)]
 
 
 # -- message transfer --------------------------------------------------------
@@ -184,11 +211,14 @@ def _rcv_ample(conn: Conn, matching: list) -> bool:
 
 
 def _send_moves(ctx, s, m, out, partner, pair, conn) -> list:
+    # Never private: the delivery window starts at the send instant, so
+    # reordering a send against a time step is observable.
     send_fb = _name_arg(out, 1, "sending block")
     recv_fb = _name_arg(out, 2, "receiving block")
     data = out.argvalues[3]
     if conn is None or not conn.valid:
-        return [Move("sendDataFail", "comm", (pair,), _resumed(s, m, out, False))]
+        fail = resume_comm(m.cfg, out.site, False)
+        return [Move("sendDataFail", "comm", (pair,), m.mid, s, fail, False)]
     msg = Msg(
         sender=m.cfg.current_prog,
         receiver=partner,
@@ -200,26 +230,22 @@ def _send_moves(ctx, s, m, out, partner, pair, conn) -> list:
         seq=s.msg_seq,
     )
     s2 = replace(s.with_conn(replace(conn, buffer=conn.buffer + (msg,))), msg_seq=s.msg_seq + 1)
-    return [Move("sendData", "comm", (msg.seq,), _resumed(s2, m, out, True))]
+    cfg = resume_comm(m.cfg, out.site, True)
+    return [Move("sendData", "comm", (msg.seq,), m.mid, s2, cfg, False)]
 
 
 def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
-    want_fb = _name_arg(out, 1, "sending block")
-    own_fb = _name_arg(out, 2, "receiving block")
-    cur = m.cfg.current_prog
+    want = (partner, m.cfg.current_prog, _name_arg(out, 1, "sending block"),
+            _name_arg(out, 2, "receiving block"))
+    error = resume_comm(m.cfg, out.site, RCV_ERROR)
     if conn is None or not conn.valid:
-        return [Move("rcvFail", "comm", (pair,), _resumed(s, m, out, RCV_ERROR))]
-    matching = [
-        msg
-        for msg in conn.buffer
-        if msg.sender == partner
-        and msg.receiver == cur
-        and msg.send_fb == want_fb
-        and msg.recv_fb == own_fb
-    ]
+        return [Move("rcvFail", "comm", (pair,), m.mid, s, error, False)]
+    matching = [x for x in conn.buffer if (x.sender, x.receiver, x.send_fb, x.recv_fb) == want]
     if not matching:
-        return [Move("rcvNo", "comm", (pair,), _resumed(s, m, out, RCV_ERROR))]
-    ample = _rcv_ample(conn, matching)
+        return [Move("rcvNo", "comm", (pair,), m.mid, s, error, False)]
+    # Private when the loaded programs never drop a link and no rival
+    # delivery can race this one (see _rcv_ample).
+    private = ctx.comm_ample and _rcv_ample(conn, matching)
     moves = []
     for msg in matching:
         s2 = feasible(ctx.checker, s, cmp_le(msg.min_timer, 0))
@@ -227,15 +253,14 @@ def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
             continue
         rest = tuple(x for x in conn.buffer if x.seq != msg.seq)
         s2 = s2.with_conn(replace(conn, buffer=rest))
-        moves.append(
-            Move("rcvData", "comm", (msg.seq,), _resumed(s2, m, out, msg.data), ample)
-        )
+        cfg = resume_comm(m.cfg, out.site, msg.data)
+        moves.append(Move("rcvData", "comm", (msg.seq,), m.mid, s2, cfg, private))
     if s.options.rcv_no_on_pending:
         # Giving up is only allowed while every candidate is still in transit.
         pending = [cmp_lt(0, msg.min_timer) for msg in matching]
         s2 = feasible(ctx.checker, s, *pending)
         if s2 is not False:
-            moves.append(Move("rcvNo", "comm", (pair,), _resumed(s2, m, out, RCV_ERROR)))
+            moves.append(Move("rcvNo", "comm", (pair,), m.mid, s2, error, False))
     return moves
 
 

@@ -4,16 +4,17 @@ The reduction picks, per state, a sound subset of enabled transitions:
 
 1. cycle-start transitions when any machine is due (time cannot advance
    then, and starts commute with every other enabled move);
-2. otherwise the private moves of the lowest-numbered machine that has
-   any: moves that touch only that machine's control state, plus, when
-   the loaded programs provably never drop a link, deliveries that no
-   rival delivery can race and status reads of a link that is up;
+2. otherwise the moves of the lowest-numbered machine whose moves are all
+   `private`, a flag each rule in `comm` sets where it makes the move:
+   moves that touch only that machine's control state, plus, when the
+   loaded programs provably never drop a link, deliveries that no rival
+   delivery can race and status reads of a link that is up;
 3. otherwise the full enabled set: sends are deliberately never singled
    out, because the delivery window starts at the send instant, so
    pruning time steps around them would drop reachable behaviors.
 
-Loop back-edges disqualify a machine's moves from case 2 so that every
-cycle in the reduced graph contains a fully expanded state.
+Loop steps are never private, so that every cycle in the reduced graph
+contains a fully expanded state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import comm
-from .comm import machine_moves, with_cfg
+from .comm import chainable, machine_moves, with_cfg
 from .kmachine import Done, Internal, KConfig
 from .model import SystemState, canonicalize
 from .timed import (
@@ -86,35 +87,8 @@ def _env_moves(s: SystemState) -> list:
     return [(TransitionId("env", "", "envTick", (d,)), st)]
 
 
-# Moves whose enabledness tracks elapsed time (or may recur forever) must
-# stay visible to every interleaving.
-_NO_CHAIN = {"while", "assertTime"}
-
 # Safety cap on a chain; a run without loop steps stays far below it.
 _CHAIN_LIMIT = 512
-
-
-def _private(ctx: RuleCtx, v) -> bool:
-    """Does this move commute with time and with every other machine?
-
-    Internal moves qualify outright.  With the static link guarantees in
-    force (`ctx.comm_ample`), so do deliveries that no rival delivery can
-    race (the move's own flag) and status reads of a link that is up:
-    nothing co-enabled writes link validity then, and time passage never
-    does.  Sends never qualify: the delivery window starts at the send
-    instant, so reordering a send against a time step is observable.
-    """
-    if v.cls == "internal":
-        return v.label not in _NO_CHAIN
-    if not ctx.comm_ample:
-        return False
-    if v.label == "rcvData":
-        return v.ample_ok
-    return v.label == "conCheck" and v.key == (True,)
-
-
-def _ample_eligible(ctx: RuleCtx, moves: list) -> bool:
-    return bool(moves) and all(_private(ctx, v) for v in moves)
 
 
 def _private_run(ctx: RuleCtx, cfg: KConfig) -> tuple:
@@ -138,11 +112,7 @@ def _private_run(ctx: RuleCtx, cfg: KConfig) -> tuple:
         out = comm.step(ctx.table, cfg)
     labels = []
     end = cfg
-    while (
-        isinstance(out, Internal)
-        and out.label not in _NO_CHAIN
-        and len(labels) < _CHAIN_LIMIT
-    ):
+    while chainable(out) and len(labels) < _CHAIN_LIMIT:
         labels.append((out.label, ()))
         end = out.cfg
         out = comm.step(ctx.table, end)
@@ -151,39 +121,40 @@ def _private_run(ctx: RuleCtx, cfg: KConfig) -> tuple:
     return run
 
 
-def _chain_internal(ctx: RuleCtx, mid: str, v):
+def _chain_internal(ctx: RuleCtx, v):
     """Extend a machine move across its deterministic private run.
 
     Private moves with a single feasible continuation commute with every
     other enabled transition, so the whole run collapses into one edge.
-    Stops at branching points, non-private shared-state moves, and
-    time-sensitive statements, or once the chain is longer than
-    `_CHAIN_LIMIT`.  Runs of internal steps are taken whole from
-    `_private_run`; the system state is built again only where a move
-    needs it.
+    Stops at branching points, non-private moves, and loop steps, or once
+    the chain is longer than `_CHAIN_LIMIT`.  The chain walks the move's
+    two halves, the shared state and the machine's configuration; runs of
+    internal steps are taken whole from `_private_run`.  The system state
+    is built once per step that needs `machine_moves`; the last one built
+    is the chain's end.
     """
-    if not _private(ctx, v):
-        return (TransitionId(v.cls, mid, v.label, v.key), v.state)
+    if not v.private:
+        return (TransitionId(v.cls, v.mid, v.label, v.key), v.state)
     chain = [(v.label, v.key)]
-    st = v.state
+    shared, cfg = v.shared, v.cfg
     while len(chain) <= _CHAIN_LIMIT:
-        m = st.machine(mid)
-        labels, cfg = _private_run(ctx, m.cfg)
-        if labels:
-            chain.extend(labels)
-            st = with_cfg(st, m, cfg)
+        labels, cfg = _private_run(ctx, cfg)
+        chain.extend(labels)
+        st = with_cfg(shared, v.mid, cfg)
         # Done: the scan is over.  Internal: a loop step, which must stay
         # visible, or a run cut at `_CHAIN_LIMIT`.
         if isinstance(ctx.steps[cfg], (Done, Internal)):
             break
-        nxt = machine_moves(ctx, st, mid)
-        if len(nxt) != 1 or not _private(ctx, nxt[0]):
+        nxt = machine_moves(ctx, st, v.mid)
+        if len(nxt) != 1 or not nxt[0].private:
             break
         chain.append((nxt[0].label, nxt[0].key))
-        st = nxt[0].state
+        shared, cfg = nxt[0].shared, nxt[0].cfg
+    else:  # cut at `_CHAIN_LIMIT` after a machine-level step
+        st = with_cfg(shared, v.mid, cfg)
     if len(chain) == 1:
-        return (TransitionId(v.cls, mid, v.label, v.key), st)
-    return (TransitionId("internal", mid, "seq", tuple(chain)), st)
+        return (TransitionId(v.cls, v.mid, v.label, v.key), st)
+    return (TransitionId("internal", v.mid, "seq", tuple(chain)), st)
 
 
 def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
@@ -200,12 +171,12 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
     per = []
     for m in s.machines:
         moves = machine_moves(ctx, s, m.mid)
-        if por and _ample_eligible(ctx, moves):
-            return [_chain_internal(ctx, m.mid, v) for v in moves]
-        per.append((m.mid, moves))
+        if por and moves and all(v.private for v in moves):
+            return [_chain_internal(ctx, v) for v in moves]
+        per.append(moves)
     out = list(starts)
-    for mid, moves in per:
-        out.extend(_chain_internal(ctx, mid, v) for v in moves)
+    for moves in per:
+        out.extend(_chain_internal(ctx, v) for v in moves)
     out.extend(_tick_moves(ctx, s))
     out.extend(_env_moves(s))
     return out

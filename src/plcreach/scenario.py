@@ -189,6 +189,20 @@ def _num(v, where: str):
     raise ScenarioError(f"{where}: unsupported value {v!r}")
 
 
+def _number(v, where: str) -> Fraction:
+    """A quantity; a JSON boolean is a truth value, not a number."""
+    if isinstance(v, bool):
+        raise ScenarioError(f"{where} must be a number, got {v!r}")
+    return _num(v, where)
+
+
+def _object(doc: dict, key: str, mid: str) -> dict:
+    v = doc.get(key) or {}
+    if not isinstance(v, dict):
+        raise ScenarioError(f"machine {mid!r}: {key!r} must be an object")
+    return v
+
+
 class _LawNames(Literals):
     """In a change law every name is a variable: a state name or t."""
 
@@ -211,10 +225,8 @@ def _flow_poly(text: str, where: str) -> Poly:
 
 
 def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
-    if doc is not None and not isinstance(doc, dict):
-        raise ScenarioError(f"machine {mid!r}: 'inputs' must be an object")
     out = []
-    for var, spec in (doc or {}).items():
+    for var, spec in doc.items():
         where = f"machine {mid!r} input {var!r}"
         if not isinstance(spec, dict):
             raise ScenarioError(f"{where}: expected an object")
@@ -229,7 +241,10 @@ def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
         kind = spec.get("kind")
         if kind not in {"script", "enumerate", "free"}:
             raise ScenarioError(f"{where}: kind must be script, enumerate or free")
-        values = tuple(_num(v, where) for v in spec.get("values", []))
+        values = spec.get("values", [])
+        if not isinstance(values, list):
+            raise ScenarioError(f"{where}: 'values' must be a list")
+        values = tuple(_num(v, where) for v in values)
         lo = hi = None
         if kind == "free":
             if "values" in spec:
@@ -239,8 +254,8 @@ def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
                 if "min" not in spec or "max" not in spec:
                     raise ScenarioError(f"{where}: free inputs need min/max "
                                         f"or a finite values list")
-                lo = _num(spec["min"], where)
-                hi = _num(spec["max"], where)
+                lo = _number(spec["min"], f"{where} min")
+                hi = _number(spec["max"], f"{where} max")
                 if lo > hi:
                     raise ScenarioError(f"{where}: min {lo} is above max {hi}")
         elif kind in {"script", "enumerate"} and not values:
@@ -280,11 +295,11 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
     cycle = doc.get("cycleTime")
     if cycle is None:
         raise ScenarioError(f"machine {mid!r}: 'cycleTime' is required")
-    cycle = _num(cycle, f"machine {mid!r} cycleTime")
-    if not isinstance(cycle, Fraction) or cycle <= 0:
+    cycle = _number(cycle, f"machine {mid!r} cycleTime")
+    if cycle <= 0:
         raise ScenarioError(f"machine {mid!r}: cycleTime must be positive")
 
-    state_doc = doc.get("state") or {}
+    state_doc = _object(doc, "state", mid)
     state = {k: _num(v, f"machine {mid!r} state {k!r}") for k, v in state_doc.items()}
     # every actuated output is part of the physical state it drives
     non_numeric = {k for k, v in state.items() if isinstance(v, bool)}
@@ -294,7 +309,7 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
             if d.type_name in ("BOOL", "STRING"):
                 non_numeric.add(d.name)
     flows = {}
-    for name, law in (doc.get("flow") or {}).items():
+    for name, law in _object(doc, "flow", mid).items():
         if name not in state:
             raise ScenarioError(f"machine {mid!r}: flow for unknown state {name!r}")
         where = f"machine {mid!r} flow {name!r}"
@@ -319,7 +334,7 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
                 f"numeric state variable"
             )
 
-    specs = _input_specs(doc.get("inputs"), programs, mid)
+    specs = _input_specs(_object(doc, "inputs", mid), programs, mid)
     _check_vars_exist(table, specs, mid)
 
     cfg = idle_config(table, programs)
@@ -397,8 +412,8 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
         delay = cd.get("delay", [10, 20])
         if not (isinstance(delay, (list, tuple)) and len(delay) == 2):
             raise ScenarioError("connection delay must be [min, max]")
-        lo = _num(delay[0], "connection delay")
-        hi = _num(delay[1], "connection delay")
+        lo = _number(delay[0], "connection delay")
+        hi = _number(delay[1], "connection delay")
         if lo < 0 or hi < lo:
             raise ScenarioError("connection delay needs 0 <= min <= max")
         conns.append(Conn(pair=conn_pair(a, b), delay_lo=lo, delay_hi=hi))
@@ -423,14 +438,11 @@ def _build_analysis(doc: dict) -> Analysis:
     extra = set(doc) - _ANALYSIS_KEYS
     if extra:
         raise ScenarioError(f"analysis: unknown keys {sorted(extra)}")
-    bound = doc.get("bound", 100)
-    if isinstance(bound, bool):
-        raise ScenarioError(f"analysis.bound must be a number, got {bound!r}")
     prop = doc.get("property")
     if prop is not None and not isinstance(prop, str):
         raise ScenarioError(f"analysis.property must be a string, got {prop!r}")
     a = Analysis(
-        bound=_num(bound, "analysis.bound"),
+        bound=_number(doc.get("bound", 100), "analysis.bound"),
         mode=_mode(doc.get("mode", "concrete"), "analysis.mode"),
         por=_flag(doc.get("por", False), "analysis.por"),
         clock_sep=_flag(doc.get("clockSep", False), "analysis.clockSep"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import And, Cmp, Or, band, conjuncts
+from .values import Cmp, Or, band, conjuncts
 
 
 class SolverUnavailable(Exception):
@@ -60,13 +60,6 @@ def _split_candidates(items):
             atoms.append(it)
         elif isinstance(it, Or):
             splits.append(tuple(it.args))
-        elif isinstance(it, And):
-            a, s = _split_candidates(it.args)
-            atoms.extend(a)
-            splits.extend(s)
-        elif isinstance(it, bool):
-            if not it:
-                return None, None
         else:
             raise TypeError(f"not a constraint: {it!r}")
     return atoms, splits
@@ -163,8 +156,6 @@ def solve_linear(expr) -> SmtVerdict:
     if expr is False:
         return SmtVerdict(UNSAT)
     atoms, splits = _split_candidates(conjuncts(expr))
-    if atoms is None:
-        return SmtVerdict(UNSAT)
     if not splits:
         ok, model = _solve_conjunction(atoms)
         return SmtVerdict(SAT, model=model) if ok else SmtVerdict(UNSAT)
@@ -203,10 +194,6 @@ class SmtCheck:
         self._cache: dict = {}
 
     def check(self, expr, cls: str = "internal") -> SmtVerdict:
-        if expr is True:
-            return SmtVerdict(SAT, model={})
-        if expr is False:
-            return SmtVerdict(UNSAT)
         hit = self._cache.get(expr)
         if hit is not None:
             self.stats.cache_hits += 1

@@ -265,23 +265,6 @@ def due_machines(ctx: RuleCtx, s: SystemState):
     return due, pinned
 
 
-def _injection_plans(m: PLCMachine):
-    """Per input spec: list of (value-or-None, needs_fresh, spec)."""
-    fixed = []
-    enumerated = []
-    for spec in m.inputs:
-        if spec.kind == "script":
-            idx = min(m.cycle_index, len(spec.values) - 1)
-            fixed.append((spec, spec.values[idx]))
-        elif spec.kind == "enumerate":
-            enumerated.append(spec)
-        elif spec.kind == "free":
-            fixed.append((spec, None))  # fresh var at apply time
-        else:
-            raise ValueError(f"unknown input kind {spec.kind}")
-    return fixed, enumerated
-
-
 def start_variants(ctx: RuleCtx, s: SystemState):
     """All ways the due machines can begin their next scan.
 
@@ -296,43 +279,29 @@ def start_variants(ctx: RuleCtx, s: SystemState):
         # so guards over them branch on real numbers instead of forking.
         pinned = propagate_pins(pinned)
     due_ids = [m.mid for m in due]
-
-    enum_axes = []  # (mid, spec)
-    for m in due:
-        _, enumerated = _injection_plans(m)
-        for spec in enumerated:
-            enum_axes.append((m.mid, spec))
-
-    combos = itertools.product(*(spec.values for _, spec in enum_axes)) if enum_axes else [()]
+    axes = [(m.mid, spec) for m in due for spec in m.inputs if spec.kind == "enumerate"]
     variants = []
-    for combo in combos:
-        chosen = {
-            (mid, spec.prog, spec.var): value
-            for ((mid, spec), value) in zip(enum_axes, combo)
-        }
-        choice = tuple(sorted((k[0], k[1], k[2], v) for k, v in chosen.items()))
+    for combo in itertools.product(*(spec.values for _, spec in axes)):
+        chosen = dict(zip(axes, combo))
+        choice = tuple(sorted((mid, spec.prog, spec.var, v)
+                              for (mid, spec), v in chosen.items()))
         variants.append((choice, _apply_start(ctx, pinned, due_ids, chosen)))
     return variants
 
 
 def _apply_start(ctx: RuleCtx, s: SystemState, due_ids, chosen) -> SystemState:
     for mid in due_ids:
-        m = s.machine(mid)
-        m = actuate(m)
-        m = sense(m)
+        m = sense(actuate(s.machine(mid)))
         writes = []
-        fixed, enumerated = _injection_plans(m)
-        for spec, value in fixed:
-            if value is None:  # free input
-                s, var = fresh_var(s, "u")
-                value = var
-                s = s.add_constraints(*_domain_of(spec, var))
-            env = dict(m.cfg.prog_env(spec.prog))
-            writes.append((env[spec.var], value))
-        for spec in enumerated:
-            value = chosen[(mid, spec.prog, spec.var)]
-            env = dict(m.cfg.prog_env(spec.prog))
-            writes.append((env[spec.var], value))
+        for spec in m.inputs:
+            if spec.kind == "script":
+                value = spec.values[min(m.cycle_index, len(spec.values) - 1)]
+            elif spec.kind == "enumerate":
+                value = chosen[(mid, spec)]
+            else:  # free: a fresh variable over the input's domain
+                s, value = fresh_var(s, "u")
+                s = s.add_constraints(*_domain_of(spec, value))
+            writes.append((dict(m.cfg.prog_env(spec.prog))[spec.var], value))
         cfg = m.cfg.write_many(writes) if writes else m.cfg
         cfg = load_programs(ctx.table, cfg)
         m = replace(

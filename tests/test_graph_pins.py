@@ -17,6 +17,8 @@ from plcreach.explorer import NO_SOLUTION, SOLUTION_FOUND, search
 #  (verdict, states, transitions, solver queries, endpoints))
 PINS = [
     ("ptpc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 5)),
+    ("rvc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 3)),
+    ("diamond", "concrete", False, 3, "x1 = 2 AND x2 = 0", (SOLUTION_FOUND, 11, 15, 0, 1)),
     ("therc", "concrete", True, 20, None, (NO_SOLUTION, 1893, 2478, 0, 4)),
     ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 1024, 1343, 170, 4)),
     ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1721, 1928, 234, 1)),
@@ -49,6 +51,12 @@ PUMP1_WITNESS = [
     "start[('tank1', 'TANK1', 'input', Fraction(0, 1))]",
 ]
 
+# m1 runs its whole scan and starts the next one alone, while m2's scan
+# is still unfinished.
+DIAMOND_WITNESS = ["seq(m1)[('assign', ()),('assign', ())]", "tick[3]", "start"]
+
+WITNESSES = {"pump1 = 1": PUMP1_WITNESS, "x1 = 2 AND x2 = 0": DIAMOND_WITNESS}
+
 
 @pytest.mark.parametrize(
     "name, mode, por, bound, prop, expected",
@@ -61,7 +69,7 @@ def test_search_graph_is_pinned(name, mode, por, bound, prop, expected):
     r = search(scen.context(), s0, prop, bound=bound, por=por)
     got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints))
     assert got == expected
-    if prop == "pump1 = 1":
+    if prop is not None:
         (w,) = r.witnesses
-        assert [t.pretty() for t in w.path] == PUMP1_WITNESS
+        assert [t.pretty() for t in w.path] == WITNESSES[prop]
         assert w.model == {}

@@ -2,9 +2,11 @@
 
 import json
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
+from plcreach import bench
 from plcreach.explorer import PropertyError, search
 from plcreach.scenario import (
     Analysis,
@@ -321,6 +323,36 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="min 5 is above max 1"):
             scenario_from_dict(doc, table_for())
 
+    @pytest.mark.parametrize("field", ["cycleTime", "min", "max", "delay_lo", "delay_hi"])
+    def test_quantities_are_not_booleans(self, field):
+        doc = tank_doc(analysis={"mode": "symbolic"})
+        machine = doc["machines"][0]
+        if field == "cycleTime":
+            machine["cycleTime"] = True
+        elif field in ("min", "max"):
+            machine["inputs"]["input"] = {"kind": "free", "min": 0, "max": 1, field: True}
+        else:
+            machine["programs"] = ["TANK", "AUX"]
+            machine["inputs"] = {}
+            delay = [True, 20] if field == "delay_lo" else [10, True]
+            doc["connections"] = [{"a": "TANK", "b": "AUX", "delay": delay}]
+        with pytest.raises(ScenarioError, match="must be a number, got True"):
+            scenario_from_dict(doc, table_for(TWO_PROG_SRC))
+
+    @pytest.mark.parametrize("key, value", [("state", [1, 2]), ("flow", ["x"])])
+    def test_state_and_flow_must_be_objects(self, key, value):
+        doc = tank_doc()
+        doc["machines"][0][key] = value
+        with pytest.raises(ScenarioError, match=f"'{key}' must be an object"):
+            scenario_from_dict(doc, table_for())
+
+    @pytest.mark.parametrize("kind", ["script", "enumerate", "free"])
+    def test_input_values_must_be_a_list(self, kind):
+        doc = tank_doc(analysis={"mode": "symbolic"})
+        doc["machines"][0]["inputs"]["input"] = {"kind": kind, "values": 5}
+        with pytest.raises(ScenarioError, match="'values' must be a list"):
+            scenario_from_dict(doc, table_for())
+
     def test_input_var_must_exist(self):
         doc = tank_doc()
         doc["machines"][0]["inputs"]["switch"] = {"kind": "script", "values": [1]}
@@ -484,3 +516,25 @@ def test_nonlinear_flow_is_rejected_by_search():
     scen = scenario_from_dict(doc, table_for(LINK_SRC))
     with pytest.raises(SolverUnavailable, match="only linear arithmetic"):
         search(scen.context(), scen.initial_state(), "x > 5", bound=20)
+
+
+@pytest.mark.parametrize(
+    "prop, verdict, states", [("go1 = 1", "SolutionFound", 11), ("go1 = 2", "NoSolution", 19)]
+)
+def test_free_input_over_finite_values(prop, verdict, states):
+    # The bundled `rv` with its first input free over {0, 1}: the fresh
+    # variable is constrained to exactly those values.
+    data = resources.files(bench) / "data"
+    doc = json.loads((data / "rv.json").read_text())
+    doc["machines"][0]["inputs"]["input1"] = {
+        "program": "VEH1", "kind": "free", "values": [0, 1],
+    }
+    doc["analysis"]["mode"] = "symbolic"
+    table = PouTable.from_units(parse_file((data / "rv.st").read_text()))
+    scen = scenario_from_dict(doc, table)
+    s0 = scen.initial_state(por=True)
+    r = search(scen.context(), s0, prop, bound=10, por=True)
+    assert (r.verdict, r.states_explored) == (verdict, states)
+    if r.found:
+        (w,) = r.witnesses
+        assert w.model["_u0"] == 1

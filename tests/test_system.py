@@ -1,5 +1,6 @@
 """System-level rules: scan starts, time passage, communication, reduction."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -965,3 +966,128 @@ class TestIndependence:
         assert check_independence(ctx, s, tick, send) is False
         sel = successors(ctx, s, por=True)
         assert sorted(t.cls for t, _ in sel) == ["comm", "tick"]  # full set
+
+
+# -- which moves are private -------------------------------------------------
+
+LOOP_SRC = """
+PROGRAM L
+VAR
+  i : INT;
+END_VAR
+WHILE i < 2 DO
+  i := i + 1;
+END_WHILE;
+END_PROGRAM
+"""
+
+CONCHECK_SRC = """
+PROGRAM S1
+VAR
+  b : BOOL;
+END_VAR
+b := isConnected('S2');
+END_PROGRAM
+"""
+
+
+def ample_ctx(ctx, comm_ample):
+    return replace(ctx, comm_ample=comm_ample)
+
+
+def next_moves(ctx, s, mid, stop_labels):
+    s, label = run_until(ctx, s, mid, stop_labels)
+    assert label is not None
+    return machine_moves(ctx, s, mid)
+
+
+class TestPrivateMoves:
+    """Each rule in `comm` decides, where it makes a move, whether the
+    reduction may take the move alone."""
+
+    def test_assignment_is_private(self):
+        table = table_for(IDLE_SRC)
+        m = make_machine(table, "m1", ("IDLE",), preload=True)
+        (v,) = machine_moves(ctx_for(table), make_system([m]), "m1")
+        assert (v.label, v.private) == ("assign", True)
+
+    def test_loop_step_is_not_private(self):
+        table = table_for(LOOP_SRC)
+        m = make_machine(table, "m1", ("L",), preload=True)
+        (v,) = machine_moves(ctx_for(table), make_system([m]), "m1")
+        assert (v.label, v.private) == ("while", False)
+        assert not comm.chainable(comm.step(table, m.cfg))
+
+    def test_assert_time_is_not_private(self):
+        table = table_for(WINDOW_SRC)
+        m = make_machine(table, "m1", ("W",), cycle_time=10, preload=True)
+        at3 = tick_concrete(make_system([m]))[0][1]
+        (v,) = machine_moves(ctx_for(table), at3, "m1")
+        assert (v.label, v.private) == ("assertTime", False)
+
+    def test_both_arms_of_a_symbolic_branch_are_private(self):
+        ctx, s = TestSymbolicBranch()._start()
+        moves = machine_moves(ctx, s, "m1")
+        assert sorted((v.label, v.private) for v in moves) == [
+            ("if-false", True),
+            ("if-true", True),
+        ]
+
+    @pytest.mark.parametrize("valid, private", [(True, True), (False, False)])
+    def test_connect_success_is_private_on_a_link_that_is_up(self, valid, private):
+        _, ctx, s = comm_fixture(
+            CONNECT_REQ_SRC,
+            conns=[Conn(pair=conn_pair("S1", "S2"), valid=valid)],
+            options=Options(reliable_connect=True),
+        )
+        (v,) = next_moves(ctx, s, "m1", {"conSucc"})
+        assert (v.label, v.private) == ("conSucc", private)
+
+    @pytest.mark.parametrize(
+        "valid, comm_ample, private",
+        [(True, True, True), (True, False, False), (False, True, False)],
+    )
+    def test_status_read_is_private_on_an_up_link_with_comm_ample(
+        self, valid, comm_ample, private
+    ):
+        _, ctx, s = comm_fixture(
+            CONCHECK_SRC, conns=[Conn(pair=conn_pair("S1", "S2"), valid=valid)]
+        )
+        ctx = ample_ctx(ctx, comm_ample)
+        (v,) = next_moves(ctx, s, "m1", {"conCheck"})
+        assert (v.key, v.private) == ((valid,), private)
+
+    @pytest.mark.parametrize("valid", [True, False])
+    @pytest.mark.parametrize("comm_ample", [True, False])
+    def test_send_is_never_private(self, valid, comm_ample):
+        _, ctx, s = comm_fixture(
+            SEND_SRC, conns=[Conn(pair=conn_pair("S1", "S2"), valid=valid)]
+        )
+        ctx = ample_ctx(ctx, comm_ample)
+        (v,) = next_moves(ctx, s, "m1", {"sendData", "sendDataFail"})
+        assert v.label == ("sendData" if valid else "sendDataFail")
+        assert v.private is False
+
+    @pytest.mark.parametrize(
+        "comm_ample, delay_lo, rival, private",
+        [
+            (True, F(10), None, True),
+            (False, F(10), None, False),
+            # A send on the link could arrive before the deadline at 5.
+            (True, F(3), None, False),
+            # A message in transit opens at 2, before the deadline at 5.
+            (True, F(10), F(2), False),
+        ],
+    )
+    def test_receive_is_private_with_comm_ample_inside_the_horizon(
+        self, comm_ample, delay_lo, rival, private
+    ):
+        buffer = (Msg("S1", "S2", "blk", "dst", 1, F(0), F(5), seq=0),)
+        if rival is not None:
+            buffer += (Msg("S1", "S2", "blk", "dst", 2, rival, F(9), seq=1),)
+        conn = Conn(pair=conn_pair("S1", "S2"), valid=True, buffer=buffer,
+                    delay_lo=delay_lo)
+        _, ctx, s = comm_fixture(RECV_SRC, prog="S2", conns=[conn])
+        ctx = ample_ctx(ctx, comm_ample)
+        (v,) = next_moves(ctx, s, "m1", {"rcvData"})
+        assert (v.label, v.key, v.private) == ("rcvData", (0,), private)
