@@ -153,9 +153,11 @@ def _connect_moves(ctx, s, m, out, partner, pair, conn) -> list:
         return [Move("conFail", "comm", (pair,), m.mid, s, fail, False)]
     ok = resume_comm(m.cfg, out.site, True)
     if conn.valid:
-        # Private: re-requesting an established connection succeeds
-        # without writing shared state.
-        return [Move("conSucc", "internal", (pair,), m.mid, s, ok, True)]
+        # Re-requesting an established connection succeeds without writing
+        # shared state.  Private only when the loaded programs never drop a
+        # link (`ctx.comm_ample`): after another machine's disconnect, the
+        # request would bring the link back up.
+        return [Move("conSucc", "internal", (pair,), m.mid, s, ok, ctx.comm_ample)]
     up = s.with_conn(replace(conn, valid=True))
     moves = [Move("conSucc", "comm", (pair,), m.mid, up, ok, False)]
     if not s.options.reliable_connect:

@@ -142,7 +142,6 @@ def search(
     s0: SystemState,
     property_text: str = None,
     bound=Fraction(100),
-    max_solutions: int = 1,
     por: bool = None,
     max_states: int = None,
 ) -> SearchResult:
@@ -152,8 +151,6 @@ def search(
     endpoint comparisons).  Witness states satisfy the property with the
     global clock inside the bound.
     """
-    if max_solutions < 1:
-        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
     t_start = time.monotonic()
     stats = ctx.checker.stats
     queries0, by_class0 = stats.queries, dict(stats.by_class)
@@ -172,12 +169,11 @@ def search(
 
     while queue:
         s, key = queue.popleft()
-        if prop is not None and len(witnesses) < max_solutions:
+        if prop is not None:
             w = _solution_at(ctx, s, key, parents, prop, bound)
             if w is not None:
                 witnesses.append(w)
-                if len(witnesses) >= max_solutions:
-                    break
+                break
         succ = successors(ctx, s, por=por)
         # A state is a cycle endpoint exactly when some machine is due.
         # Every due machine yields a start move, because scenarios reject

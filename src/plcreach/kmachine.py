@@ -6,10 +6,13 @@ programs on the controller.  Function-block instances live in the store, so
 their outputs and locals persist across calls and cycles.
 
 Execution advances in rule-sized steps: assignments, branch decisions,
-loop unfoldings, block calls, and returns each count as one step.  Pure
-bookkeeping (entering and leaving program bodies, frame pops) is folded
-into the neighbouring step, so a stored configuration always has either an
-executable item at the head or an empty `k`.
+loop unfoldings, block calls, and returns each count as one step.  Program
+and block bodies are entered and left through one marker, `Frame(env,
+prog)`, which sets the active environment and program: one before each
+program body and one at the end of the scan, and one after each block body
+that restores its caller.  Frame markers are folded into the neighbouring
+step, so a stored configuration always has either an executable item at
+the head or an empty `k`.
 
 Communication primitives (connectRequest, disconnect, isConnected,
 sendData, rcvData) cannot be resolved locally; evaluation suspends on them
@@ -88,18 +91,11 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class PopFrame:
-    env: tuple  # caller env, sorted ((name, loc), ...)
+class Frame:
+    """Makes `env` the active environment and `prog` the running program."""
 
-
-@dataclass(frozen=True)
-class BeginProg:
-    name: str
-
-
-@dataclass(frozen=True)
-class EndProg:
-    name: str
+    env: tuple  # sorted ((name, loc), ...)
+    prog: str
 
 
 # -- configuration ----------------------------------------------------------
@@ -277,33 +273,22 @@ def load_programs(table: PouTable, cfg: KConfig) -> KConfig:
     """Queue every program body for one scan cycle."""
     items: list = []
     for name in cfg.programs:
-        pou = table.get(name)
-        items.append(BeginProg(name))
-        items.extend(pou.body)
-        items.append(EndProg(name))
+        items.append(Frame(cfg.prog_env(name), name))
+        items.extend(table.get(name).body)
+    items.append(Frame((), ""))
     return normalize(replace(cfg, k=tuple(items)))
 
 
 def normalize(cfg: KConfig) -> KConfig:
-    """Consume bookkeeping markers until an executable head (or empty k)."""
-    k, env, prog = cfg.k, cfg.env, cfg.current_prog
-    changed = False
-    while k:
-        item = k[0]
-        if isinstance(item, BeginProg):
-            env = cfg.prog_env(item.name)
-            prog = item.name
-        elif isinstance(item, PopFrame):
-            env = item.env
-        elif isinstance(item, EndProg):
-            prog = ""
-        else:
-            break
-        k = k[1:]
-        changed = True
-    if not changed:
+    """Consume the leading frame markers; the last one wins."""
+    k = cfg.k
+    i = 0
+    while i < len(k) and isinstance(k[i], Frame):
+        i += 1
+    if not i:
         return cfg
-    return replace(cfg, k=k, env=env, current_prog=prog)
+    frame = k[i - 1]
+    return replace(cfg, k=k[i:], env=frame.env, current_prog=frame.prog)
 
 
 # -- expression evaluation --------------------------------------------------
@@ -512,12 +497,10 @@ def step(table: PouTable, cfg: KConfig):
 
 
 def _do_return(cfg: KConfig) -> KConfig:
-    for i, item in enumerate(cfg.k):
-        if isinstance(item, PopFrame):
-            return normalize(replace(cfg, k=cfg.k[i + 1 :], env=item.env))
-        if isinstance(item, EndProg):
-            return normalize(replace(cfg, k=cfg.k[i + 1 :], current_prog=""))
-    return normalize(replace(cfg, k=(), current_prog=""))
+    """Skip the rest of the body, up to the next frame marker."""
+    k = cfg.k
+    i = next((i for i, item in enumerate(k) if isinstance(item, Frame)), len(k))
+    return normalize(replace(cfg, k=k[i:]))
 
 
 def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt, names) -> KConfig:
@@ -542,7 +525,7 @@ def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt, names) -> KConfi
             target = arg.name
         writes.append((inst.loc(target), value))
     new_cfg = cfg.write_many(writes)
-    k = pou.body + (PopFrame(cfg.env),) + cfg.k[1:]
+    k = pou.body + (Frame(cfg.env, cfg.current_prog),) + cfg.k[1:]
     return normalize(replace(new_cfg, k=k, env=inst.env, answers=()))
 
 

@@ -106,8 +106,6 @@ class PLCMachine:
     cycle_time: Fraction
     cycle_index: int = 0
     inputs: tuple = ()  # (InputSpec, ...)
-    in_vars: tuple = ()  # ((prog, (name, ...)), ...) sensed from state
-    out_vars: tuple = ()  # ((prog, (name, ...)), ...) driven into state
 
     def state_value(self, name: str):
         for nm, v in self.state:
@@ -192,37 +190,6 @@ def apply_flow(m: PLCMachine, duration) -> PLCMachine:
     base = dict(m.state)
     base[FLOW_TIME] = duration
     return m.with_state({nm: substitute(law, base) for nm, law in m.flow})
-
-
-# -- scan boundary helpers --------------------------------------------------
-
-
-def actuate(m: PLCMachine) -> PLCMachine:
-    """Publish declared outputs into same-named physical state variables."""
-    known = {nm for nm, _ in m.state}
-    updates = {}
-    for prog, names in m.out_vars:
-        env = dict(m.cfg.prog_env(prog))
-        for nm in names:
-            if nm in known:
-                updates[nm] = m.cfg.read(env[nm])
-    if not updates:
-        return m
-    return m.with_state(updates)
-
-
-def sense(m: PLCMachine) -> PLCMachine:
-    """Copy physical state into same-named declared inputs."""
-    values = dict(m.state)
-    writes = []
-    for prog, names in m.in_vars:
-        env = dict(m.cfg.prog_env(prog))
-        for nm in names:
-            if nm in values:
-                writes.append((env[nm], values[nm]))
-    if not writes:
-        return m
-    return replace(m, cfg=m.cfg.write_many(writes))
 
 
 # -- pinned variables -------------------------------------------------------

@@ -10,11 +10,11 @@ run so the same file serves comparisons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .kmachine import Literals, eval_expr, idle_config, load_programs
+from .kmachine import Literals, eval_expr, idle_config
 from .model import (
     FLOW_TIME,
     Conn,
@@ -38,7 +38,7 @@ from .st import (
     parse_expression,
     parse_file,
 )
-from .timed import RuleCtx
+from .timed import RuleCtx, start_scans
 from .values import EvalError, Poly, as_poly, is_numeric
 
 
@@ -52,7 +52,6 @@ _ANALYSIS_KEYS = {
     "por",
     "clockSep",
     "property",
-    "maxSolutions",
     "maxStates",
 }
 _MACHINE_KEYS = {"id", "programs", "cycleTime", "state", "flow", "inputs", "preload"}
@@ -73,18 +72,18 @@ class Analysis:
     por: bool = False
     clock_sep: bool = False
     property: str = None
-    max_solutions: int = 1
     max_states: int = None
 
 
 @dataclass
 class Scenario:
     table: PouTable
-    machines: tuple  # PLCMachine templates (idle or preloaded)
+    machines: tuple  # PLCMachine templates, idle: no scan has begun
     conns: tuple
     analysis: Analysis
     rcv_no_on_pending: bool = False
     reliable_connect: bool = False
+    preload: tuple = ()  # ids of the machines whose first scan has begun
 
     def options(self, **overrides) -> Options:
         base = dict(
@@ -107,12 +106,13 @@ class Scenario:
         opts = self.options(**overrides)
         if opts.mode == "concrete":
             _reject_free_inputs(self.machines)
-        return SystemState(
+        s = SystemState(
             machines=self.machines,
             conns=self.conns,
             clock=Fraction(0),
             options=opts,
         )
+        return start_scans(self.table, s, self.preload, {})
 
     def context(self) -> RuleCtx:
         return RuleCtx(
@@ -301,11 +301,14 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
 
     state_doc = _object(doc, "state", mid)
     state = {k: _num(v, f"machine {mid!r} state {k!r}") for k, v in state_doc.items()}
-    # every actuated output is part of the physical state it drives
+    # every actuated output is part of the physical state it drives, and
+    # starts at the program's value unless the file gives one
+    cfg = idle_config(table, programs)
     non_numeric = {k for k, v in state.items() if isinstance(v, bool)}
     for p in programs:
+        env = dict(cfg.prog_env(p))
         for d in table.get(p).outputs:
-            state.setdefault(d.name, _default_state_value(d.type_name))
+            state.setdefault(d.name, cfg.read(env[d.name]))
             if d.type_name in ("BOOL", "STRING"):
                 non_numeric.add(d.name)
     flows = {}
@@ -337,10 +340,10 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
     specs = _input_specs(_object(doc, "inputs", mid), programs, mid)
     _check_vars_exist(table, specs, mid)
 
-    cfg = idle_config(table, programs)
-    in_vars = tuple((p, tuple(d.name for d in table.get(p).inputs)) for p in programs)
-    out_vars = tuple((p, tuple(d.name for d in table.get(p).outputs)) for p in programs)
-    m = PLCMachine(
+    preload = _flag(doc.get("preload", False), f"machine {mid!r} preload")
+    if preload and any(spec.kind != "script" for spec in specs):
+        raise ScenarioError(f"machine {mid!r}: preload only works with script inputs")
+    return PLCMachine(
         mid=mid,
         cfg=cfg,
         timer=Fraction(0),
@@ -349,32 +352,7 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
         flow=tuple(sorted(flows.items())),
         cycle_time=cycle,
         inputs=specs,
-        in_vars=in_vars,
-        out_vars=out_vars,
     )
-    if doc.get("preload"):
-        m = _preload(table, m)
-    return m
-
-
-def _default_state_value(type_name: str):
-    # the value the program variable starts with (kmachine._default_value)
-    return {"BOOL": False, "STRING": ""}.get(type_name, Fraction(0))
-
-
-def _preload(table: PouTable, m: PLCMachine) -> PLCMachine:
-    """Treat cycle 0 as already begun: programs loaded, first inputs fed."""
-    cfg = load_programs(table, m.cfg)
-    writes = []
-    for spec in m.inputs:
-        if spec.kind != "script":
-            raise ScenarioError(
-                f"machine {m.mid!r}: preload only works with script inputs"
-            )
-        env = dict(cfg.prog_env(spec.prog))
-        writes.append((env[spec.var], spec.values[0]))
-    cfg = cfg.write_many(writes)
-    return replace(m, cfg=cfg, timer=m.cycle_time, cycle_index=1)
 
 
 # -- scenario assembly -------------------------------------------------------
@@ -429,6 +407,7 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
         analysis=analysis,
         rcv_no_on_pending=_flag(doc.get("rcvNoOnPending", False), "rcvNoOnPending"),
         reliable_connect=_flag(doc.get("reliableConnect", False), "reliableConnect"),
+        preload=tuple(sorted(md["id"] for md in machines_doc if md.get("preload"))),
     )
     _check_free_inputs_mode(scen)
     return scen
@@ -447,7 +426,6 @@ def _build_analysis(doc: dict) -> Analysis:
         por=_flag(doc.get("por", False), "analysis.por"),
         clock_sep=_flag(doc.get("clockSep", False), "analysis.clockSep"),
         property=prop,
-        max_solutions=_count(doc.get("maxSolutions", 1), "analysis.maxSolutions"),
         max_states=doc.get("maxStates"),
     )
     if a.bound < 0:

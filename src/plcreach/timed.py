@@ -10,7 +10,9 @@ Time advances in three ways:
     smallest pending environment countdown, evaluating change laws and
     advancing the global clock in concrete steps.
   * start: every due controller publishes its outputs, refreshes its
-    inputs, and reloads its program list for the next scan.
+    inputs, and reloads its program list for the next scan.  The same
+    rule, `start_scans`, makes the first scan of a machine the scenario
+    marks `preload`, at the initial state.
 
 Without clock separation, tick also carries the physical side (change laws
 and global clock).  With it, tick leaves them to envTick, which keeps
@@ -23,15 +25,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .kmachine import load_programs
-from .model import (
-    InputSpec,
-    PLCMachine,
-    SystemState,
-    actuate,
-    apply_flow,
-    propagate_pins,
-    sense,
-)
+from .model import InputSpec, PLCMachine, SystemState, apply_flow, propagate_pins
 from .solver import SmtCheck
 from .st.ast import AssertTimeAnn
 from .st.elaborate import PouTable
@@ -285,14 +279,29 @@ def start_variants(ctx: RuleCtx, s: SystemState):
         chosen = dict(zip(axes, combo))
         choice = tuple(sorted((mid, spec.prog, spec.var, v)
                               for (mid, spec), v in chosen.items()))
-        variants.append((choice, _apply_start(ctx, pinned, due_ids, chosen)))
+        variants.append((choice, start_scans(ctx.table, pinned, due_ids, chosen)))
     return variants
 
 
-def _apply_start(ctx: RuleCtx, s: SystemState, due_ids, chosen) -> SystemState:
-    for mid in due_ids:
-        m = sense(actuate(s.machine(mid)))
-        writes = []
+def start_scans(table: PouTable, s: SystemState, mids, chosen) -> SystemState:
+    """Begin the next scan of each machine in `mids`: the one start rule.
+
+    Each program's declared outputs are published into the same-named
+    plant variables, its declared inputs sense them, and every input
+    spec feeds its value: the script's, the one `chosen` maps `(mid,
+    spec)` to, or a fresh variable over a free input's domain.  Then the
+    program bodies are queued and the timers reset.
+    """
+    for mid in mids:
+        m = s.machine(mid)
+        cfg = m.cfg
+        envs = {p: (table.get(p), dict(cfg.prog_env(p))) for p in cfg.programs}
+        plant = dict(m.state)
+        outputs = {d.name: cfg.read(env[d.name])
+                   for pou, env in envs.values() for d in pou.outputs if d.name in plant}
+        plant.update(outputs)
+        writes = [(env[d.name], plant[d.name])
+                  for pou, env in envs.values() for d in pou.inputs if d.name in plant]
         for spec in m.inputs:
             if spec.kind == "script":
                 value = spec.values[min(m.cycle_index, len(spec.values) - 1)]
@@ -301,12 +310,10 @@ def _apply_start(ctx: RuleCtx, s: SystemState, due_ids, chosen) -> SystemState:
             else:  # free: a fresh variable over the input's domain
                 s, value = fresh_var(s, "u")
                 s = s.add_constraints(*_domain_of(spec, value))
-            writes.append((dict(m.cfg.prog_env(spec.prog))[spec.var], value))
-        cfg = m.cfg.write_many(writes) if writes else m.cfg
-        cfg = load_programs(ctx.table, cfg)
+            writes.append((envs[spec.prog][1][spec.var], value))
         m = replace(
-            m,
-            cfg=cfg,
+            m.with_state(outputs) if outputs else m,
+            cfg=load_programs(table, cfg.write_many(writes) if writes else cfg),
             timer=m.cycle_time,
             env_timer=m.cycle_time if s.options.clock_sep else m.env_timer,
             cycle_index=m.cycle_index + 1,

@@ -10,6 +10,8 @@ import pytest
 
 from plcreach import bench
 from plcreach.explorer import search
+from plcreach.scenario import scenario_from_dict
+from plcreach.st import PouTable, parse_file
 
 DIAMOND_DEFECT = (
     "POR drops a reachable state: without it the search finds x1 = 2 AND "
@@ -50,3 +52,44 @@ def test_por_keeps_verdict_and_endpoints(name, bound, prop):
     reduced_verdict, reduced_endpoints = _outcome(name, bound, prop, por=True)
     assert reduced_verdict == full_verdict
     assert reduced_endpoints == full_endpoints
+
+
+# m1 asks twice for the link; m2 drops it and looks again.  z = 1 needs m2
+# to disconnect between m1's two requests, so that the second brings the
+# link back up: a request on an up link is not private when a loaded
+# program can drop links.
+RELINK_SRC = """\
+PROGRAM A
+VAR n : INT; END_VAR
+IF n = 0 THEN connectRequest('B'); connectRequest('B'); END_IF;
+n := 1;
+END_PROGRAM
+PROGRAM B
+VAR_OUTPUT z : INT; END_VAR
+IF isConnected('A') THEN
+  disconnect('A');
+  IF isConnected('A') THEN z := 1; END_IF;
+END_IF;
+END_PROGRAM
+"""
+
+RELINK_DOC = {
+    "machines": [
+        {"id": "m1", "programs": ["A"], "cycleTime": 10},
+        {"id": "m2", "programs": ["B"], "cycleTime": 10},
+    ],
+    "connections": [{"a": "A", "b": "B"}],
+    "reliableConnect": True,
+}
+
+
+def test_por_keeps_the_verdict_of_a_request_after_a_disconnect():
+    # Verdicts only: the endpoints of this model also differ by the start
+    # after an overrun that the diamond case shows.
+    scen = scenario_from_dict(RELINK_DOC, PouTable.from_units(parse_file(RELINK_SRC)))
+    assert not scen.context().comm_ample
+    verdicts = [
+        search(scen.context(), scen.initial_state(por=por), "z = 1", bound=10, por=por).verdict
+        for por in (False, True)
+    ]
+    assert verdicts == ["SolutionFound", "SolutionFound"]

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from plcreach import bench
-from plcreach.explorer import PropertyError, search
+from plcreach.explorer import PropertyError, search, simulate
 from plcreach.scenario import (
     Analysis,
     ScenarioError,
@@ -120,7 +120,7 @@ class TestBuild:
         doc = tank_doc()
         doc["machines"][0]["preload"] = True
         scen = scenario_from_dict(doc, table_for())
-        (m,) = scen.machines
+        (m,) = scen.initial_state().machines
         assert m.timer == F(10)
         assert m.cycle_index == 1
         assert not m.cfg.is_cycle_complete()
@@ -130,6 +130,14 @@ class TestBuild:
         doc["machines"][0]["preload"] = True
         doc["machines"][0]["inputs"]["input"] = {"kind": "enumerate", "values": [True, False]}
         with pytest.raises(ScenarioError, match="preload"):
+            scenario_from_dict(doc, table_for())
+
+
+    @pytest.mark.parametrize("value", ["no", 1])
+    def test_preload_is_a_boolean(self, value):
+        doc = tank_doc()
+        doc["machines"][0]["preload"] = value
+        with pytest.raises(ScenarioError, match="machine 'plc1' preload must be true or false"):
             scenario_from_dict(doc, table_for())
 
 
@@ -280,16 +288,18 @@ class TestValidation:
             scenario_from_dict(tank_doc(analysis={"property": prop}), table_for())
 
     @pytest.mark.parametrize(
-        "analysis", [{"maxSolutions": 0}, {"maxSolutions": "abc"}, {"maxStates": "abc"}]
+        "analysis", [{"maxStates": 0}, {"maxStates": True}, {"maxStates": "abc"}]
     )
     def test_analysis_counts_are_positive_integers(self, analysis):
         with pytest.raises(ScenarioError, match="positive integer"):
             scenario_from_dict(tank_doc(analysis=analysis), table_for())
 
-    def test_search_needs_a_solution_to_look_for(self):
-        scen = scenario_from_dict(tank_doc(), table_for())
-        with pytest.raises(ValueError, match="max_solutions"):
-            search(scen.context(), scen.initial_state(), "waterLevel < 5", max_solutions=0)
+    @pytest.mark.parametrize("value", [0, 1, "abc"])
+    def test_max_solutions_is_an_unknown_key(self, value):
+        # a search stops at its first witness; there is nothing to set
+        doc = tank_doc(analysis={"maxSolutions": value})
+        with pytest.raises(ScenarioError, match=r"analysis: unknown keys \['maxSolutions'\]"):
+            scenario_from_dict(doc, table_for())
 
     def test_inputs_must_be_an_object(self):
         doc = tank_doc()
@@ -498,6 +508,14 @@ END_PROGRAM
 """
 
 
+def bundled(name):
+    """A bundled scenario's document and program table, to edit and load."""
+    data = resources.files(bench) / "data"
+    doc = json.loads((data / f"{name}.json").read_text())
+    units = [u for src in doc["sources"] for u in parse_file((data / src).read_text())]
+    return doc, PouTable.from_units(units)
+
+
 def test_nonlinear_flow_is_rejected_by_search():
     # a free input times elapsed time makes the flow's constraint nonlinear
     doc = {
@@ -524,13 +542,11 @@ def test_nonlinear_flow_is_rejected_by_search():
 def test_free_input_over_finite_values(prop, verdict, states):
     # The bundled `rv` with its first input free over {0, 1}: the fresh
     # variable is constrained to exactly those values.
-    data = resources.files(bench) / "data"
-    doc = json.loads((data / "rv.json").read_text())
+    doc, table = bundled("rv")
     doc["machines"][0]["inputs"]["input1"] = {
         "program": "VEH1", "kind": "free", "values": [0, 1],
     }
     doc["analysis"]["mode"] = "symbolic"
-    table = PouTable.from_units(parse_file((data / "rv.st").read_text()))
     scen = scenario_from_dict(doc, table)
     s0 = scen.initial_state(por=True)
     r = search(scen.context(), s0, prop, bound=10, por=True)
@@ -538,3 +554,145 @@ def test_free_input_over_finite_values(prop, verdict, states):
     if r.found:
         (w,) = r.witnesses
         assert w.model["_u0"] == 1
+
+
+# -- the start rule ----------------------------------------------------------
+
+
+def check_initial_state(scen, s0, doc):
+    """An output starts in the plant at the program's value, unless the
+    file gives it one; a preloaded machine has published its outputs,
+    sensed its inputs and, with clock separation, waits a full cycle for
+    the plant."""
+    given = {md["id"]: set(md.get("state") or ()) for md in doc["machines"]}
+    for m in s0.machines:
+        plant = dict(m.state)
+        preloaded = m.mid in scen.preload
+        for p in m.cfg.programs:
+            pou = scen.table.get(p)
+            env = dict(m.cfg.prog_env(p))
+            for d in pou.outputs:
+                if d.name in plant and (preloaded or d.name not in given[m.mid]):
+                    assert plant[d.name] == m.cfg.read(env[d.name]), (m.mid, d.name)
+            for d in pou.inputs if preloaded else ():
+                if d.name in plant:
+                    assert m.cfg.read(env[d.name]) == plant[d.name], (m.mid, d.name)
+        assert m.cycle_index == (1 if preloaded else 0)
+        sep = s0.options.clock_sep
+        assert m.env_timer == (m.cycle_time if preloaded and sep else 0)
+
+
+@pytest.mark.parametrize("mode", ["concrete", "symbolic"])
+@pytest.mark.parametrize("name", bench.all_names())
+def test_initial_state_follows_the_start_rule(name, mode):
+    doc, table = bundled(name)
+    as_bundled = scenario_from_dict(doc, table)
+    # every machine that may be preloaded (script inputs only) is
+    for md in doc["machines"]:
+        specs = (md.get("inputs") or {}).values()
+        md["preload"] = all(spec["kind"] == "script" for spec in specs)
+    preloaded = scenario_from_dict(doc, table)
+    for scen in (as_bundled, preloaded):
+        for clock_sep in (False, True):
+            s0 = scen.initial_state(mode=mode, clock_sep=clock_sep)
+            check_initial_state(scen, s0, doc)
+
+
+def test_preloaded_tank_senses_the_plant():
+    doc, table = bundled("tank")
+    doc["machines"][0]["preload"] = True
+    scen = scenario_from_dict(doc, table)
+    (m,) = scen.initial_state().machines
+    assert m.cfg.read(dict(m.cfg.prog_env("TANK"))["waterLevel"]) == 10
+
+
+def test_clock_separated_preload_takes_its_first_scan():
+    # Both machines of `diamond` are preloaded with a cycle of 3: their
+    # second scan starts when the plant has caught up, at clock 3.
+    scen = bench.load("diamond")
+    s0 = scen.initial_state(clock_sep=True)
+    trace = simulate(scen.context(), s0, 7)
+    starts = [s.clock for tid, s in trace[1:] if tid.cls == "start"]
+    assert starts == [3, 6]
+
+
+OUT_INIT_SRC = """\
+PROGRAM P
+VAR_OUTPUT
+  pump : INT := 1;
+  mode : STRING := "auto";
+END_VAR
+END_PROGRAM
+"""
+
+
+def test_output_initializers_reach_the_plant():
+    doc = {"machines": [{"id": "m", "programs": ["P"], "cycleTime": 5}]}
+    scen = scenario_from_dict(doc, table_for(OUT_INIT_SRC))
+    s0 = scen.initial_state()
+    assert dict(s0.machines[0].state) == {"mode": "auto", "pump": 1}
+    r = search(scen.context(), s0, "pump = 1", bound=0)
+    assert r.found and r.witnesses[0].path == ()
+
+
+def test_preloaded_machine_publishes_over_the_file_value():
+    doc = {"machines": [{"id": "m", "programs": ["P"], "cycleTime": 5,
+                         "state": {"pump": 7}, "preload": True}]}
+    scen = scenario_from_dict(doc, table_for(OUT_INIT_SRC))
+    assert dict(scen.machines[0].state)["pump"] == 7
+    assert dict(scen.initial_state().machines[0].state)["pump"] == 1
+
+
+# -- the link-stability gate -------------------------------------------------
+
+LINK_SRC_TEMPLATE = """\
+PROGRAM A
+VAR comm : CONNECT; go : BOOL; n : INT; END_VAR
+comm(TRUE, 'B');
+{stmt}
+END_PROGRAM
+PROGRAM B
+VAR x : INT; END_VAR
+x := 1;
+END_PROGRAM
+"""
+
+
+def linked(stmt="", delay=(10, 20)):
+    doc = {
+        "machines": [
+            {"id": "m1", "programs": ["A"], "cycleTime": 10},
+            {"id": "m2", "programs": ["B"], "cycleTime": 10},
+        ],
+        "connections": [{"a": "A", "b": "B", "delay": list(delay)}],
+    }
+    return scenario_from_dict(doc, table_for(LINK_SRC_TEMPLATE.format(stmt=stmt)))
+
+
+@pytest.mark.parametrize(
+    "stmt, delay",
+    [
+        pytest.param("", (0, 20), id="zero-minimum-delay"),
+        pytest.param("//delay(A, B, 5, 10)", (10, 20), id="delay-annotation"),
+        pytest.param("disconnect('B');", (10, 20), id="disconnect"),
+        pytest.param("IF n = 0 THEN disconnect('B'); END_IF;", (10, 20), id="disconnect-in-then"),
+        pytest.param(
+            "IF n = 0 THEN n := 1; ELSE disconnect('B'); END_IF;", (10, 20), id="disconnect-in-else"
+        ),
+        pytest.param(
+            "WHILE n = 0 DO n := 1; disconnect('B'); END_WHILE;", (10, 20), id="disconnect-in-while"
+        ),
+        pytest.param("comm(go, 'B');", (10, 20), id="connect-enable-not-literal"),
+        pytest.param("comm(ENC := FALSE, PARTNER := 'B');", (10, 20), id="connect-enable-false"),
+    ],
+)
+def test_link_stability_gate_closes(stmt, delay):
+    assert linked().context().comm_ample
+    assert not linked(stmt, delay).context().comm_ample
+
+
+@pytest.mark.parametrize("name", ["commdemo", "ptpc", "rvc", "therc", "swat2", "query1", "query2"])
+def test_link_stability_gate_is_open_on_the_networked_models(name):
+    scen = bench.load(name)
+    assert scen.conns
+    assert scen.context().comm_ample

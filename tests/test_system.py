@@ -7,7 +7,7 @@ import pytest
 
 from plcreach import comm
 from plcreach.comm import machine_moves
-from plcreach.kmachine import idle_config, load_programs
+from plcreach.kmachine import idle_config
 from plcreach.model import (
     Conn,
     InputSpec,
@@ -26,6 +26,7 @@ from plcreach.st.builtins import COMM_INTRINSICS, INTRINSIC_ARITY
 from plcreach.timed import (
     RuleCtx,
     env_tick,
+    start_scans,
     start_variants,
     tick_apply,
     tick_concrete,
@@ -138,12 +139,6 @@ def make_machine(
     flow_t = tuple(sorted((flows or {}).items()))
     for nm, law in flow_t:
         validate_flow(nm, law)
-    in_vars = tuple(
-        (p, tuple(d.name for d in table.get(p).inputs)) for p in programs
-    )
-    out_vars = tuple(
-        (p, tuple(d.name for d in table.get(p).outputs)) for p in programs
-    )
     m = PLCMachine(
         mid=mid,
         cfg=cfg,
@@ -153,19 +148,10 @@ def make_machine(
         flow=flow_t,
         cycle_time=F(cycle_time),
         inputs=tuple(inputs),
-        in_vars=in_vars,
-        out_vars=out_vars,
     )
     if preload:
-        m = replace_cfg(m, load_programs(table, m.cfg))
-        m = m.__class__(**{**m.__dict__, "timer": F(cycle_time), "cycle_index": 1})
+        m = start_scans(table, make_system([m]), [mid], {}).machine(mid)
     return m
-
-
-def replace_cfg(m, cfg):
-    from dataclasses import replace
-
-    return replace(m, cfg=cfg)
 
 
 def make_system(machines, conns=(), options=None, clock=0):
@@ -1033,13 +1019,21 @@ class TestPrivateMoves:
             ("if-true", True),
         ]
 
-    @pytest.mark.parametrize("valid, private", [(True, True), (False, False)])
-    def test_connect_success_is_private_on_a_link_that_is_up(self, valid, private):
+    @pytest.mark.parametrize(
+        "valid, comm_ample, private",
+        [(True, True, True), (True, False, False), (False, True, False)],
+    )
+    def test_connect_success_is_private_on_a_link_that_is_up(
+        self, valid, comm_ample, private
+    ):
+        # Without comm_ample another machine may drop the link, and then
+        # the request brings it back up: the two do not commute.
         _, ctx, s = comm_fixture(
             CONNECT_REQ_SRC,
             conns=[Conn(pair=conn_pair("S1", "S2"), valid=valid)],
             options=Options(reliable_connect=True),
         )
+        ctx = ample_ctx(ctx, comm_ample)
         (v,) = next_moves(ctx, s, "m1", {"conSucc"})
         assert (v.label, v.private) == ("conSucc", private)
 
