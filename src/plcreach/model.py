@@ -310,8 +310,23 @@ def _masked(v) -> object:
     return ("l", v)
 
 
-def _canon_order(s: SystemState):
+# Keys of the two per-search memos in a canonicalization pool; the pool's
+# other keys are `v{i}` names, tuples and values, so these never collide.
+_FACTS_MEMO = "canon-facts"
+_RENAMED_MEMO = "canon-renamed"
+
+
+def _constraint_facts(c, memo: dict) -> tuple:
+    """(sort key, sorted variable names) of one constraint, memoised."""
+    facts = memo.get(c)
+    if facts is None:
+        facts = memo[c] = ((repr(_masked(c)), ckey(c)), tuple(sorted(variables(c))))
+    return facts
+
+
+def _canon_order(s: SystemState, memo: dict = None):
     """First-use order of fresh variables, plus the live constraint slice."""
+    memo = {} if memo is None else memo
     order: list = []
     seen: set = set()
 
@@ -343,18 +358,18 @@ def _canon_order(s: SystemState):
         changed = False
         still = []
         for c in remaining:
-            cv = variables(c)
-            if cv & live:
+            cv = _constraint_facts(c, memo)[1]
+            if not live.isdisjoint(cv):
                 kept.append(c)
-                live |= cv
+                live.update(cv)
                 changed = True
             else:
                 still.append(c)
         remaining = still
 
-    kept.sort(key=lambda c: (repr(_masked(c)), ckey(c)))
+    kept.sort(key=lambda c: _constraint_facts(c, memo)[0])
     for c in kept:
-        note(sorted(variables(c)))
+        note(_constraint_facts(c, memo)[1])
     return order, kept
 
 
@@ -364,14 +379,17 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
 
     `pool` interns what the renaming builds (the `v{i}` names, monomials,
     terms, polynomials and comparisons), so that equal pieces of different
-    keys are one object.  A search passes one pool for its whole life and
-    drops it with its state store; without one, a throwaway pool is used.
+    keys are one object.  It also memoises each constraint's sort key and
+    variables, and its renaming under each naming of those variables.  A
+    search passes one pool for its whole life and drops it with its state
+    store; without one, a throwaway pool is used.
     """
     if pool is None:
         pool = {}
+    facts = pool.setdefault(_FACTS_MEMO, {})
     # Every fresh name comes from symbolic.fresh_var, which counts it: with
     # the counter at zero there is nothing to rename and no live slice.
-    order, kept = _canon_order(s) if s.fresh_counter else ((), ())
+    order, kept = _canon_order(s, facts) if s.fresh_counter else ((), ())
     intern = pool.setdefault
     names = {}
     for i, n in enumerate(order):
@@ -418,7 +436,15 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
         )
         for c in s.conns
     )
-    constraints_key = tuple(sorted((rename(c, names, pool) for c in kept), key=ckey))
+    renamed = pool.setdefault(_RENAMED_MEMO, {})
+    atoms = []
+    for c in kept:
+        at = (c, tuple(names.get(n) for n in _constraint_facts(c, facts)[1]))
+        atom = renamed.get(at)
+        if atom is None:
+            atom = renamed[at] = rename(c, names, pool)
+        atoms.append(atom)
+    constraints_key = tuple(sorted(atoms, key=ckey))
     clock_key = rename(s.clock, names, pool) if names else s.clock
     # Only a symbolic tick sets the fold flag, so concrete keys never split on it.
     return (machines_key, conns_key, clock_key, constraints_key, s.ticked)

@@ -10,6 +10,7 @@ run so the same file serves comparisons.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from .solver import SmtCheck
 from .st import (
     CallStmt,
     DelayAnn,
+    ElabError,
     IfStmt,
     Lit,
     ParseError,
@@ -180,6 +182,9 @@ def _num(v, where: str):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        # json.loads accepts NaN and Infinity, which no Fraction holds
+        if not math.isfinite(v):
+            raise ScenarioError(f"{where}: not a finite number: {v!r}")
         return Fraction(str(v))
     if isinstance(v, str):
         try:
@@ -276,19 +281,23 @@ def _check_vars_exist(table: PouTable, specs, mid: str):
 
 
 def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"'machines' entries must be objects, got {doc!r}")
     extra = set(doc) - _MACHINE_KEYS
     if extra:
         raise ScenarioError(f"machine entry: unknown keys {sorted(extra)}")
     mid = doc.get("id")
     if not mid or not isinstance(mid, str):
         raise ScenarioError("machine entry: 'id' (string) is required")
-    programs = tuple(doc.get("programs") or ())
-    if not programs:
-        raise ScenarioError(f"machine {mid!r}: 'programs' must be non-empty")
+    programs = doc.get("programs")
+    if not (isinstance(programs, list) and programs and all(isinstance(p, str) for p in programs)):
+        raise ScenarioError(f"machine {mid!r}: 'programs' must be a non-empty list "
+                            f"of program names, got {programs!r}")
+    programs = tuple(programs)
     for p in programs:
         try:
             pou = table.get(p)
-        except Exception:
+        except ElabError:
             raise ScenarioError(f"machine {mid!r}: unknown program {p!r}")
         if pou.kind != "program":
             raise ScenarioError(f"machine {mid!r}: {p!r} is not a program")
@@ -363,7 +372,7 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
     if extra:
         raise ScenarioError(f"unknown top-level keys {sorted(extra)}")
     machines_doc = doc.get("machines")
-    if not machines_doc:
+    if not isinstance(machines_doc, list) or not machines_doc:
         raise ScenarioError("'machines' must be a non-empty list")
     machines = [_build_machine(table, md) for md in machines_doc]
     ids = [m.mid for m in machines]
@@ -377,13 +386,18 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
             prog_owner[p] = m.mid
 
     conns = []
-    for cd in doc.get("connections") or []:
+    conns_doc = doc.get("connections") or []
+    if not isinstance(conns_doc, list):
+        raise ScenarioError("'connections' must be a list")
+    for cd in conns_doc:
+        if not isinstance(cd, dict):
+            raise ScenarioError(f"'connections' entries must be objects, got {cd!r}")
         extra = set(cd) - {"a", "b", "delay"}
         if extra:
             raise ScenarioError(f"connection entry: unknown keys {sorted(extra)}")
         a, b = cd.get("a"), cd.get("b")
-        if not a or not b or a == b:
-            raise ScenarioError("connection needs two distinct program names")
+        if not (isinstance(a, str) and isinstance(b, str) and a and b and a != b):
+            raise ScenarioError("connection ends 'a' and 'b' must be distinct program names")
         for end in (a, b):
             if end not in prog_owner:
                 raise ScenarioError(f"connection end {end!r} is not a loaded program")
@@ -414,6 +428,8 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
 
 
 def _build_analysis(doc: dict) -> Analysis:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"'analysis' must be an object, got {doc!r}")
     extra = set(doc) - _ANALYSIS_KEYS
     if extra:
         raise ScenarioError(f"analysis: unknown keys {sorted(extra)}")
@@ -475,6 +491,8 @@ def load_scenario(path, extra_sources=()) -> Scenario:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: a scenario is a JSON object")
     units = []
     sources = list(doc.get("sources") or [])
     if not sources and not extra_sources:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import Cmp, Or, band, conjuncts
+from .values import Cmp, Or, band, ckey, conjuncts
 
 
 class SolverUnavailable(Exception):
@@ -181,11 +181,11 @@ class SolverStats:
 class SmtCheck:
     """Memoizing, instrumented front door to `solve_linear`.
 
-    Results are cached per constraint, keyed by the constraint itself:
-    normalized constraints are equal exactly when their `ckey`s are (their
-    coefficients are Fractions, and `band`/`bor` sort arguments by `ckey`),
-    and hashing one is cheaper than building its `ckey`.  Every fresh solve
-    is counted under the class the caller supplies ("internal" for control
+    Results are cached per constraint, keyed by its `ckey` (True and False
+    key themselves): normalized constraints are equal exactly when their
+    `ckey`s are.  Each atom keeps its `ckey`, and a hit compares ints and
+    strings in C rather than Fractions in Python.  Every fresh solve is
+    counted under the class the caller supplies ("internal" for control
     constraints, "env" for property and environment checks).
     """
 
@@ -194,12 +194,13 @@ class SmtCheck:
         self._cache: dict = {}
 
     def check(self, expr, cls: str = "internal") -> SmtVerdict:
-        hit = self._cache.get(expr)
+        key = expr if isinstance(expr, bool) else ckey(expr)
+        hit = self._cache.get(key)
         if hit is not None:
             self.stats.cache_hits += 1
             return hit
         self.stats.queries += 1
         self.stats.by_class[cls] = self.stats.by_class.get(cls, 0) + 1
         verdict = solve_linear(expr)
-        self._cache[expr] = verdict
+        self._cache[key] = verdict
         return verdict

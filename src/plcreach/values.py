@@ -8,6 +8,13 @@ Or whose atoms are polynomial comparisons against zero: `p <= 0`, `p < 0`,
 negation down to the atoms and flips each one.  Every structure here is
 immutable and hashable so machine states can be shared and canonicalized.
 
+A Poly's `terms` are canonical: monomials strictly increasing, every
+coefficient a nonzero Fraction.  Sums merge two such tuples (`_merged`)
+into a Poly built by `_raw`, which checks nothing.  A Poly hashes itself
+once, when built; a boolean expression computes its hash and `ckey` on
+first use and keeps them.  Neither can go stale, because no value here
+changes after it is built.
+
 Which values are symbolic, and how to list, rename, substitute or evaluate
 their variables, is decided here alone, by `variables`, `rename`,
 `substitute` and `evaluate`; they accept any runtime value.  So is whether
@@ -31,6 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 # monomial: ((var, power), ...) sorted by var name; () is the constant term
@@ -80,11 +88,11 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = rat(c)
-        return Poly({(): c} if c else {})
+        return Poly._raw((((), c),) if c else ())
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly._raw(((((name, 1),), Fraction(1)),))
 
     def __hash__(self):
         return self._hash
@@ -124,11 +132,7 @@ class Poly:
         )
 
     def __add__(self, other):
-        other = as_poly(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly(acc)
+        return Poly._raw(_merged(self.terms, as_poly(other).terms))
 
     __radd__ = __add__
 
@@ -221,6 +225,28 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _merged(a: tuple, b: tuple) -> tuple:
+    """The canonical terms of a + b: one merge of the two sorted term
+    tuples, dropping the terms that cancel."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ma, ca), (mb, cb) = a[i], b[j]
+        if ma < mb:
+            out.append(a[i])
+            i += 1
+        elif mb < ma:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ma, c))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     acc: dict[str, int] = {}
     for v, p in m1:
@@ -262,28 +288,56 @@ def as_poly(x) -> Poly:
 # boolean expressions
 
 
-@dataclass(frozen=True)
-class Cmp:
+class _Keyed:
+    """A boolean expression keeps its `ckey` once computed.  Two are equal
+    exactly when their keys are: comparing or hashing keys goes through
+    ints and strings in C, never through a Fraction."""
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._ckey == other._ckey)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._ckey)
+
+
+@dataclass(frozen=True, eq=False)
+class Cmp(_Keyed):
     """Atomic constraint: lhs op 0, with op one of <=, <, ==, !=."""
 
     op: str
     lhs: Poly
 
+    @cached_property
+    def _ckey(self) -> tuple:
+        return (1, self.op, ckey(self.lhs))
+
     def __repr__(self):
         return f"({self.lhs} {self.op} 0)"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Keyed):
     args: tuple
+
+    @cached_property
+    def _ckey(self) -> tuple:
+        return (2, tuple(a._ckey for a in self.args))
 
     def __repr__(self):
         return "(" + " and ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Keyed):
     args: tuple
+
+    @cached_property
+    def _ckey(self) -> tuple:
+        return (3, tuple(a._ckey for a in self.args))
 
     def __repr__(self):
         return "(" + " or ".join(map(repr, self.args)) + ")"
@@ -445,9 +499,12 @@ def substitute(v, mapping: Mapping):
     """Replace variables by Polys or rationals.
 
     A polynomial that becomes constant comes back as its Fraction, and a
-    comparison that becomes constant as its bool.
+    comparison that becomes constant as its bool.  A polynomial whose every
+    variable maps to an int or Fraction is evaluated without building one.
     """
     if isinstance(v, Poly):
+        if all(isinstance(mapping.get(n), (int, Fraction)) for m, _ in v.terms for n, _ in m):
+            return v.evaluate(mapping)
         out = v.substitute(mapping)
         return out.const_value() if out.is_const() else out
     if isinstance(v, Cmp):
@@ -625,10 +682,6 @@ def ckey(v):
     """Total ordering key over polynomials and boolean expressions."""
     if isinstance(v, Poly):
         return (0, tuple((m, (c.numerator, c.denominator)) for m, c in v.terms))
-    if isinstance(v, Cmp):
-        return (1, v.op, ckey(v.lhs))
-    if isinstance(v, And):
-        return (2, tuple(ckey(a) for a in v.args))
-    if isinstance(v, Or):
-        return (3, tuple(ckey(a) for a in v.args))
+    if isinstance(v, (Cmp, And, Or)):
+        return v._ckey
     raise TypeError(f"no canonical key for {v!r}")

@@ -481,6 +481,12 @@ class TestDisk:
         with pytest.raises(ScenarioError, match="JSON"):
             load_scenario(p)
 
+    def test_document_must_be_an_object(self, tmp_path):
+        p = tmp_path / "scenario.json"
+        p.write_text("[1]")
+        with pytest.raises(ScenarioError, match="a scenario is a JSON object"):
+            load_scenario(p)
+
     def test_bad_source_reports_file(self, tmp_path):
         doc = tank_doc(sources=["tank.st"])
         p = self.write(tmp_path, doc, src="PROGRAM Broken\nEND_PROGRAM\nwat")
@@ -554,6 +560,57 @@ def test_free_input_over_finite_values(prop, verdict, states):
     if r.found:
         (w,) = r.witnesses
         assert w.model["_u0"] == 1
+
+
+def _set(*path_and_value):
+    """An edit of a document: set the value at a path of keys and indices."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+# json.loads accepts these two, and a Fraction holds neither
+NAN, INF = json.loads("[NaN, Infinity]")
+
+MALFORMED = [
+    ("machine-entry", _set("machines", [1]), "'machines' entries must be objects"),
+    ("connection-entry", _set("connections", [1]), "'connections' entries must be objects"),
+    ("connections-object", _set("connections", {"a": 1}), "'connections' must be a list"),
+    ("connection-end-list", _set("connections", 0, "a", ["x"]), "connection ends 'a' and 'b'"),
+    ("bound-nan", _set("analysis", "bound", NAN), "analysis.bound: not a finite number"),
+    ("bound-inf", _set("analysis", "bound", INF), "analysis.bound: not a finite number"),
+    ("cycle-nan", _set("machines", 0, "cycleTime", NAN), "cycleTime: not a finite number"),
+    ("cycle-inf", _set("machines", 0, "cycleTime", INF), "cycleTime: not a finite number"),
+    ("state-nan", _set("machines", 0, "state", "level1", NAN), "'level1': not a finite number"),
+    ("state-inf", _set("machines", 0, "state", "level1", INF), "'level1': not a finite number"),
+    (
+        "input-nan",
+        _set("machines", 0, "inputs", "input", {"kind": "script", "values": [NAN]}),
+        "input 'input': not a finite number",
+    ),
+    (
+        "input-inf",
+        _set("machines", 0, "inputs", "input", {"kind": "script", "values": [INF]}),
+        "input 'input': not a finite number",
+    ),
+    ("analysis-number", _set("analysis", 5), "'analysis' must be an object"),
+    ("analysis-list", _set("analysis", ["bound"]), "'analysis' must be an object"),
+    ("programs-string", _set("machines", 0, "programs", "TANK1"), "'programs' must be a non-empty list of"),
+    ("program-name", _set("machines", 0, "programs", [1]), "'programs' must be a non-empty list of"),
+]
+
+
+@pytest.mark.parametrize("edit, match", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_document_names_the_field(edit, match):
+    doc, table = bundled("ptpc")
+    edit(doc)
+    with pytest.raises(ScenarioError, match=match):
+        scenario_from_dict(doc, table)
 
 
 # -- the start rule ----------------------------------------------------------

@@ -6,14 +6,19 @@ from hypothesis import strategies as st
 
 from plcreach.solver import SmtCheck, SolverUnavailable, solve_linear
 from plcreach.values import (
+    And,
+    Cmp,
+    Or,
     Poly,
     band,
     bnot,
     bool_evaluate,
     bor,
+    ckey,
     cmp_eq,
     cmp_le,
     cmp_lt,
+    rename,
 )
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
@@ -131,6 +136,62 @@ def test_smtcheck_caches_and_counts():
     assert chk.stats.queries == 1
     assert chk.stats.cache_hits == 1
     assert chk.stats.by_class == {"internal": 1}
+
+
+def test_smtcheck_hits_on_an_equal_constraint_built_again():
+    # Fresh atoms each time, joined in the other order: equal constraints
+    # that share no object share one cache entry.
+    def atoms():
+        return cmp_le(Poly.const(0), Poly.var("x")), cmp_lt(Poly.var("x") + Poly.var("y"), 4)
+
+    a, b = atoms()
+    c, d = atoms()
+    assert a is not c and b is not d
+    chk = SmtCheck()
+    assert chk.check(band(a, b)).is_sat
+    assert chk.check(band(d, c)).is_sat
+    assert (chk.stats.queries, chk.stats.cache_hits) == (1, 1)
+
+
+def test_smtcheck_answers_decided_constraints():
+    chk = SmtCheck()
+    assert chk.check(True).is_sat
+    assert chk.check(False).is_unsat
+    assert chk.check(True).is_sat
+    assert (chk.stats.queries, chk.stats.cache_hits) == (2, 1)
+
+
+def _fresh_ckey(v):
+    """The canonical key computed from the structure, caching nothing."""
+    if isinstance(v, Cmp):
+        terms = tuple((m, (c.numerator, c.denominator)) for m, c in v.lhs.terms)
+        return (1, v.op, (0, terms))
+    return (2 if isinstance(v, And) else 3, tuple(_fresh_ckey(a) for a in v.args))
+
+
+def test_cached_keys_of_equal_expressions_agree():
+    def build():
+        le = cmp_le(x.scale(2) + y, 3)
+        ne = bnot(cmp_eq(x, z))
+        return le, ne, band(le, ne), bor(le, cmp_lt(z, 0))
+
+    for first, second in zip(build(), build()):
+        assert first is not second and first == second
+        assert (hash(first), ckey(first)) == (hash(second), ckey(second))
+        assert ckey(first) == _fresh_ckey(first)
+    le, _, conj, disj = build()
+    assert isinstance(conj, And) and isinstance(disj, Or)
+    assert le != conj and conj != disj and le != le.lhs
+
+
+def test_atom_interned_by_rename_has_a_fresh_key():
+    pool = {}
+    names = {"x": "v1", "y": "v0"}
+    first = rename(cmp_le(x.scale(3) + y, 1), names, pool)
+    again = rename(cmp_le(x.scale(3) + y, 1), names, pool)
+    assert again is first
+    want = cmp_le(Poly.var("v1").scale(3) + Poly.var("v0"), 1)
+    assert ckey(first) == ckey(want) == _fresh_ckey(first)
 
 
 def test_smtcheck_nonlinear_without_backend():

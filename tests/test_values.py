@@ -11,6 +11,7 @@ from plcreach.values import (
     bnot,
     bool_evaluate,
     bor,
+    ckey,
     cmp_eq,
     cmp_le,
     cmp_lt,
@@ -46,6 +47,83 @@ def linear_polys():
         st.lists(st.tuples(var_names, rationals), max_size=4),
         rationals,
     )
+
+
+# Polynomials with nonlinear monomials (x*y, x^2) and constants, built by
+# the reference construction: Poly over a list of terms, which sums equal
+# monomials and drops zeros.
+monomials = st.dictionaries(var_names, st.integers(1, 3), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+polys = st.lists(st.tuples(monomials, rationals), max_size=6).map(Poly)
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, q), where q often shares or cancels some of p's terms."""
+    p = draw(polys)
+    shared = draw(st.lists(st.sampled_from(p.terms), unique=True) if p.terms else st.just([]))
+    sign = draw(st.sampled_from([1, -1]))
+    q = Poly([(m, sign * c) for m, c in shared] + list(draw(polys).terms))
+    return p, draw(st.sampled_from([q, p, -p]))
+
+
+def reference(*signed):
+    """Poly over the dict of summed terms of each (sign, poly)."""
+    acc = {}
+    for sign, p in signed:
+        for m, c in p.terms:
+            acc[m] = acc.get(m, 0) + sign * c
+    return Poly(acc)
+
+
+def assert_canonical(got, want):
+    assert got.terms == want.terms
+    monos = [m for m, _ in got.terms]
+    assert all(a < b for a, b in zip(monos, monos[1:]))
+    assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+    assert hash(got) == hash(want)
+    assert ckey(got) == ckey(want)
+
+
+@given(poly_pairs(), st.one_of(rationals, st.integers(-3, 3)))
+def test_kernel_arithmetic_matches_the_reference(pq, k):
+    p, q = pq
+    assert_canonical(p + q, reference((1, p), (1, q)))
+    assert_canonical(p - q, reference((1, p), (-1, q)))
+    assert_canonical(-p, reference((-1, p)))
+    assert_canonical(p.scale(k), Poly({m: c * k for m, c in p.terms}))
+
+
+def test_kernel_arithmetic_cancels_to_zero():
+    x, y = Poly.var("x"), Poly.var("y")
+    p = x * y + x * x - Poly.const(2)
+    assert (p - p).terms == () and (p + -p).terms == ()
+    assert (p - (x * x - Poly.const(2))).terms == (((("x", 1), ("y", 1)), Fraction(1)),)
+    assert Poly.const(0).terms == () and Poly.const(3).terms == (((), Fraction(3)),)
+
+
+rational_values = st.one_of(st.integers(-5, 5), rationals)
+all_names = ["x", "y", "z", "w"]
+
+
+@given(polys, st.fixed_dictionaries({n: rational_values for n in all_names}))
+def test_rational_substitution_evaluates(p, mapping):
+    got = substitute(p, mapping)
+    assert type(got) is Fraction
+    assert got == p.substitute(mapping).const_value()
+
+
+@given(
+    polys,
+    st.one_of(
+        st.dictionaries(var_names, rational_values, max_size=3),
+        st.fixed_dictionaries({n: st.one_of(rational_values, polys) for n in all_names}),
+    ),
+)
+def test_partial_or_polynomial_substitution_takes_the_general_path(p, mapping):
+    out = p.substitute(mapping)
+    assert substitute(p, mapping) == (out.const_value() if out.is_const() else out)
 
 
 def test_rat_coercions():
