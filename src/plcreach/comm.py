@@ -15,7 +15,7 @@ move also decides whether it is `private`, with the reason next to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .kmachine import (
     AssertTime,
@@ -33,7 +33,7 @@ from .kmachine import (
 from .model import Conn, ModelError, Msg, PLCMachine, SystemState, conn_pair
 from .symbolic import concrete_or_none, feasible
 from .timed import RuleCtx, elapsed_in_cycle
-from .values import RCV_ERROR, bnot, cmp_le, cmp_lt
+from .values import RCV_ERROR, bnot, cmp_le, cmp_lt, copy_with
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class Move:
 def with_cfg(s: SystemState, mid: str, cfg: KConfig) -> SystemState:
     # Any machine move re-arms time passage: a tick after it is no
     # longer a mergeable continuation of the previous tick.
-    machines = tuple(replace(x, cfg=cfg) if x.mid == mid else x for x in s.machines)
-    return replace(s, machines=machines, ticked=False)
+    machines = tuple(copy_with(x, cfg=cfg) if x.mid == mid else x for x in s.machines)
+    return copy_with(s, machines=machines, ticked=False)
 
 
 def chainable(out) -> bool:
@@ -132,7 +132,7 @@ def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) 
 def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
     pair = conn_pair(out.a, out.b)
     conn = s.conn(*pair) or Conn(pair=pair)
-    s2 = s.with_conn(replace(conn, delay_lo=out.lo, delay_hi=out.hi))
+    s2 = s.with_conn(copy_with(conn, delay_lo=out.lo, delay_hi=out.hi))
     # Not private: later sends on the link read its delays.
     return [Move("setDelay", "comm", (pair,), m.mid, s2, pop_head(m.cfg), False)]
 
@@ -158,7 +158,7 @@ def _connect_moves(ctx, s, m, out, partner, pair, conn) -> list:
         # link (`ctx.comm_ample`): after another machine's disconnect, the
         # request would bring the link back up.
         return [Move("conSucc", "internal", (pair,), m.mid, s, ok, ctx.comm_ample)]
-    up = s.with_conn(replace(conn, valid=True))
+    up = s.with_conn(copy_with(conn, valid=True))
     moves = [Move("conSucc", "comm", (pair,), m.mid, up, ok, False)]
     if not s.options.reliable_connect:
         fail = resume_comm(m.cfg, out.site, False)
@@ -169,7 +169,7 @@ def _connect_moves(ctx, s, m, out, partner, pair, conn) -> list:
 def _disconnect_moves(ctx, s, m, out, partner, pair, conn) -> list:
     was = conn is not None and conn.valid
     # In-flight messages stay deliverable; only the link validity drops.
-    s2 = s if conn is None else s.with_conn(replace(conn, valid=False))
+    s2 = s if conn is None else s.with_conn(copy_with(conn, valid=False))
     cfg = resume_comm(m.cfg, out.site, was)
     return [Move("disconnect", "comm", (pair,), m.mid, s2, cfg, False)]
 
@@ -231,7 +231,8 @@ def _send_moves(ctx, s, m, out, partner, pair, conn) -> list:
         max_timer=conn.delay_hi,
         seq=s.msg_seq,
     )
-    s2 = replace(s.with_conn(replace(conn, buffer=conn.buffer + (msg,))), msg_seq=s.msg_seq + 1)
+    s2 = s.with_conn(copy_with(conn, buffer=conn.buffer + (msg,)))
+    s2 = copy_with(s2, msg_seq=s.msg_seq + 1)
     cfg = resume_comm(m.cfg, out.site, True)
     return [Move("sendData", "comm", (msg.seq,), m.mid, s2, cfg, False)]
 
@@ -254,7 +255,7 @@ def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
         if s2 is False:
             continue
         rest = tuple(x for x in conn.buffer if x.seq != msg.seq)
-        s2 = s2.with_conn(replace(conn, buffer=rest))
+        s2 = s2.with_conn(copy_with(conn, buffer=rest))
         cfg = resume_comm(m.cfg, out.site, msg.data)
         moves.append(Move("rcvData", "comm", (msg.seq,), m.mid, s2, cfg, private))
     if s.options.rcv_no_on_pending:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .kmachine import Literals, eval_expr
@@ -22,7 +22,16 @@ from .symbolic import feasible
 # perfbench/tracing.py rebinds explorer.due_machines, so the name stays
 # importable from this module.
 from .timed import RuleCtx, due_machines, env_tick_apply, tick_apply  # noqa: F401
-from .values import EvalError, Poly, band, cmp_le, evaluate, is_boolish, variables
+from .values import (
+    EvalError,
+    Poly,
+    band,
+    cmp_le,
+    copy_with,
+    evaluate,
+    is_boolish,
+    variables,
+)
 
 SOLUTION_FOUND = "SolutionFound"
 NO_SOLUTION = "NoSolution"
@@ -67,18 +76,30 @@ def compile_property(s0: SystemState, text: str):
     `machine.var` qualifies explicitly.  The property is evaluated once on
     `s0`: an unknown name, an ill-typed property, or one that is not a
     boolean raises PropertyError here.
+
+    The property reads nothing but the machines' plant states, so the
+    evaluator keeps one result per distinct tuple of them, with the class
+    of every value beside it (`True == 1`, yet only one of them is a
+    number).  An evaluation that raises keeps nothing and raises again.
     """
     expr = parse_expression(text)
     owners: dict = {}
     for m in s0.machines:
         for name, _ in m.state:
             owners.setdefault(name, []).append(m.mid)
+    memo: dict = {}
 
     def prop(s: SystemState):
-        try:
-            return eval_expr(expr, _StateNames(owners, s))
-        except EvalError as exc:
-            raise PropertyError(f"cannot evaluate {text!r}: {exc}") from exc
+        key = tuple(
+            (m.mid, m.state, tuple([v.__class__ for _, v in m.state])) for m in s.machines
+        )
+        got = memo.get(key, memo)
+        if got is memo:
+            try:
+                got = memo[key] = eval_expr(expr, _StateNames(owners, s))
+            except EvalError as exc:
+                raise PropertyError(f"cannot evaluate {text!r}: {exc}") from exc
+        return got
 
     if not is_boolish(prop(s0)):
         raise PropertyError(f"{text!r} is not a boolean property")
@@ -151,11 +172,13 @@ def search(
     endpoint comparisons).  Witness states satisfy the property with the
     global clock inside the bound.
     """
+    bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     t_start = time.monotonic()
     stats = ctx.checker.stats
     queries0, by_class0 = stats.queries, dict(stats.by_class)
     prop = compile_property(s0, property_text) if property_text else None
-    bound = Fraction(bound)
 
     # Interns the pieces of canonical keys; lives as long as `parents`.
     pool: dict = {}
@@ -312,12 +335,14 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
     the initial state first under a None tid.
     """
     until = Fraction(until)
+    if until < s0.clock:
+        raise ValueError(f"until must not lie before the initial clock {s0.clock}, got {until}")
     s = s0
     out = [(None, s0)]
     for _ in range(max_steps):
         if s.clock >= until:
             break
-        pick = _sim_pick(successors(ctx, s, por=False), s, until)
+        pick = _sim_pick(ctx, successors(ctx, s, por=False), s, until)
         if pick is None:
             break
         out.append(pick)
@@ -327,7 +352,7 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
     return out
 
 
-def _sim_pick(succ, s: SystemState, until):
+def _sim_pick(ctx: RuleCtx, succ, s: SystemState, until):
     starts = [p for p in succ if p[0].cls == "start"]
     if starts:
         return starts[0]
@@ -345,8 +370,8 @@ def _sim_pick(succ, s: SystemState, until):
     left = until - s.clock
     if tid.cls != clocked or tid.key[0] <= left:
         return tid, t
-    clipped = replace(tid, key=(left,))
-    return clipped, (env_tick_apply if clocked == "env" else tick_apply)(s, left)
+    clipped = copy_with(tid, key=(left,))
+    return clipped, (env_tick_apply if clocked == "env" else tick_apply)(ctx, s, left)
 
 
 def trace_lines(ctx: RuleCtx, s0: SystemState, path) -> list:

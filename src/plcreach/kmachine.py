@@ -42,7 +42,7 @@ variables, and is its own canonical key unless a renaming touches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -56,6 +56,7 @@ from .values import (
     RCV_ERROR,
     RcvError,
     cmp_eq,
+    copy_with,
     rename,
     vadd,
     vand,
@@ -115,9 +116,10 @@ class KConfig:
     current_prog: str = ""  # program whose body is executing
     answers: tuple = ()  # results of the head's communication calls so far
 
-    # Hashing walks every statement tree in `k`, so it is done once per
-    # instance.  The caches live in the instance dict: `replace` builds a
-    # new instance, which starts without them.
+    # Hashing walks `k` and the store, so it is done once per instance
+    # (statement trees hash once themselves).  The caches live in the
+    # instance dict: `copy_with` copies only the fields, so a copy starts
+    # without them.
     def __hash__(self):
         return self._hash
 
@@ -153,14 +155,14 @@ class KConfig:
 
     def write(self, loc: int, value) -> "KConfig":
         store = tuple((lc, value if lc == loc else val) for lc, val in self.store)
-        return replace(self, store=store)
+        return copy_with(self, store=store)
 
     def write_many(self, pairs) -> "KConfig":
         updates = dict(pairs)
         store = tuple((lc, updates.pop(lc, val)) for lc, val in self.store)
         if updates:
             raise EvalError(f"unallocated locations {sorted(updates)}")
-        return replace(self, store=store)
+        return copy_with(self, store=store)
 
     def prog_env(self, name: str) -> tuple:
         for nm, env in self.prog_envs:
@@ -276,7 +278,7 @@ def load_programs(table: PouTable, cfg: KConfig) -> KConfig:
         items.append(Frame(cfg.prog_env(name), name))
         items.extend(table.get(name).body)
     items.append(Frame((), ""))
-    return normalize(replace(cfg, k=tuple(items)))
+    return normalize(copy_with(cfg, k=tuple(items)))
 
 
 def normalize(cfg: KConfig) -> KConfig:
@@ -288,7 +290,7 @@ def normalize(cfg: KConfig) -> KConfig:
     if not i:
         return cfg
     frame = k[i - 1]
-    return replace(cfg, k=k[i:], env=frame.env, current_prog=frame.prog)
+    return copy_with(cfg, k=k[i:], env=frame.env, current_prog=frame.prog)
 
 
 # -- expression evaluation --------------------------------------------------
@@ -430,8 +432,8 @@ class Failed:
 
 def pop_head(cfg: KConfig) -> KConfig:
     if cfg.answers:
-        return normalize(replace(cfg, k=cfg.k[1:], answers=()))
-    return normalize(replace(cfg, k=cfg.k[1:]))
+        return normalize(copy_with(cfg, k=cfg.k[1:], answers=()))
+    return normalize(copy_with(cfg, k=cfg.k[1:]))
 
 
 def _as_condition(v):
@@ -470,8 +472,8 @@ def step(table: PouTable, cfg: KConfig):
         if isinstance(head, ast.IfStmt):
             cond = _as_condition(eval_expr(head.cond, names))
             rest = cfg.k[1:]
-            then_cfg = normalize(replace(cfg, k=head.then_body + rest, answers=()))
-            else_cfg = normalize(replace(cfg, k=head.else_body + rest, answers=()))
+            then_cfg = normalize(copy_with(cfg, k=head.then_body + rest, answers=()))
+            else_cfg = normalize(copy_with(cfg, k=head.else_body + rest, answers=()))
             if isinstance(cond, bool):
                 if cond:
                     return Internal("if-true", then_cfg)
@@ -480,7 +482,7 @@ def step(table: PouTable, cfg: KConfig):
         if isinstance(head, ast.WhileStmt):
             unfolded = ast.IfStmt(head.cond, head.body + (head,), (), head.pos)
             return Internal(
-                "while", replace(cfg, k=(unfolded,) + cfg.k[1:])
+                "while", copy_with(cfg, k=(unfolded,) + cfg.k[1:])
             )
         if isinstance(head, ast.ReturnStmt):
             return Internal("return", _do_return(cfg))
@@ -500,7 +502,7 @@ def _do_return(cfg: KConfig) -> KConfig:
     """Skip the rest of the body, up to the next frame marker."""
     k = cfg.k
     i = next((i for i, item in enumerate(k) if isinstance(item, Frame)), len(k))
-    return normalize(replace(cfg, k=k[i:]))
+    return normalize(copy_with(cfg, k=k[i:]))
 
 
 def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt, names) -> KConfig:
@@ -526,7 +528,7 @@ def _do_call(table: PouTable, cfg: KConfig, call: ast.CallStmt, names) -> KConfi
         writes.append((inst.loc(target), value))
     new_cfg = cfg.write_many(writes)
     k = pou.body + (Frame(cfg.env, cfg.current_prog),) + cfg.k[1:]
-    return normalize(replace(new_cfg, k=k, env=inst.env, answers=()))
+    return normalize(copy_with(new_cfg, k=k, env=inst.env, answers=()))
 
 
 # -- resumption after a communication decision -------------------------------
@@ -537,7 +539,7 @@ def resume_comm(cfg: KConfig, site: Optional[ast.CallExpr], value) -> KConfig:
     (`site` None) is done, any other call's result joins the answers."""
     if site is None:
         return pop_head(cfg)
-    return replace(cfg, answers=cfg.answers + (value,))
+    return copy_with(cfg, answers=cfg.answers + (value,))
 
 
 # -- canonical form ---------------------------------------------------------

@@ -14,7 +14,7 @@ current value at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -27,6 +27,7 @@ from .values import (
     band,
     ckey,
     conjuncts,
+    copy_with,
     rename,
     substitute,
     variables,
@@ -119,7 +120,7 @@ class PLCMachine:
         if bad:
             raise ModelError(f"{self.mid} has no state variable(s) {sorted(bad)}")
         new = tuple((nm, updates.get(nm, v)) for nm, v in self.state)
-        return replace(self, state=new)
+        return copy_with(self, state=new)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class SystemState:
         raise ModelError(f"no machine {mid}")
 
     def with_machine(self, m: PLCMachine) -> "SystemState":
-        return replace(
+        return copy_with(
             self, machines=tuple(m if x.mid == m.mid else x for x in self.machines)
         )
 
@@ -158,17 +159,17 @@ class SystemState:
             conns = tuple(c if x.pair == c.pair else x for x in self.conns)
         else:
             conns = tuple(sorted(self.conns + (c,), key=lambda x: x.pair))
-        return replace(self, conns=conns)
+        return copy_with(self, conns=conns)
 
     def add_constraints(self, *extra) -> "SystemState":
         if all(c is True for c in extra):
             return self
         merged = band(*self.constraints, *extra)
         if merged is True:
-            return replace(self, constraints=())
+            return copy_with(self, constraints=())
         if merged is False:
             raise ModelError("constraint set collapsed to false")
-        return replace(self, constraints=conjuncts(merged))
+        return copy_with(self, constraints=conjuncts(merged))
 
 
 # -- change laws ------------------------------------------------------------
@@ -249,7 +250,7 @@ def propagate_pins(s: SystemState) -> SystemState:
 
 def _substitute_state(s: SystemState, mapping) -> SystemState:
     machines = tuple(
-        replace(
+        copy_with(
             m,
             timer=substitute(m.timer, mapping),
             state=tuple((nm, substitute(v, mapping)) for nm, v in m.state),
@@ -257,10 +258,10 @@ def _substitute_state(s: SystemState, mapping) -> SystemState:
         for m in s.machines
     )
     conns = tuple(
-        replace(
+        copy_with(
             c,
             buffer=tuple(
-                replace(
+                copy_with(
                     msg,
                     data=substitute(msg.data, mapping),
                     min_timer=substitute(msg.min_timer, mapping),
@@ -275,7 +276,7 @@ def _substitute_state(s: SystemState, mapping) -> SystemState:
     if merged is False:
         raise ModelError("pinned substitution contradicts the path condition")
     constraints = () if merged is True else conjuncts(merged)
-    return replace(
+    return copy_with(
         s,
         machines=machines,
         conns=conns,

@@ -75,12 +75,12 @@ def _tick_moves(ctx: RuleCtx, s: SystemState) -> list:
         name = sorted(dvar.variables())[0]
         return [(TransitionId("tick", "", "tick", (name,)), st)]
     return [
-        (TransitionId("tick", "", "tick", (d,)), st) for d, st in tick_concrete(s)
+        (TransitionId("tick", "", "tick", (d,)), st) for d, st in tick_concrete(ctx, s)
     ]
 
 
-def _env_moves(s: SystemState) -> list:
-    r = env_tick(s)
+def _env_moves(ctx: RuleCtx, s: SystemState) -> list:
+    r = env_tick(ctx, s)
     if r is None:
         return []
     d, st = r
@@ -178,7 +178,7 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
     for moves in per:
         out.extend(_chain_internal(ctx, v) for v in moves)
     out.extend(_tick_moves(ctx, s))
-    out.extend(_env_moves(s))
+    out.extend(_env_moves(ctx, s))
     return out
 
 
@@ -191,7 +191,7 @@ def apply(ctx: RuleCtx, s: SystemState, tid: TransitionId) -> SystemState:
     so that reduced-run traces replay identically.
     """
     if tid.cls in ("tick", "env") and not isinstance(tid.key[0], str):
-        st = _elapse(s, tid.cls, tid.key[0])
+        st = _elapse(ctx, s, tid.cls, tid.key[0])
         if st is not None:
             return st
     else:
@@ -201,11 +201,11 @@ def apply(ctx: RuleCtx, s: SystemState, tid: TransitionId) -> SystemState:
     raise ReplayError(f"transition {tid.pretty()} not enabled")
 
 
-def _elapse(s: SystemState, cls: str, d):
+def _elapse(ctx: RuleCtx, s: SystemState, cls: str, d):
     cap = env_mte(s) if cls == "env" else mte_concrete(s)
     if cap is None or not 0 < d <= cap:
         return None
-    return env_tick_apply(s, d) if cls == "env" else tick_apply(s, d)
+    return (env_tick_apply if cls == "env" else tick_apply)(ctx, s, d)
 
 
 def _apply_if_enabled(ctx: RuleCtx, s: SystemState, tid: TransitionId):

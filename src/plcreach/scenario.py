@@ -201,6 +201,25 @@ def _number(v, where: str) -> Fraction:
     return _num(v, where)
 
 
+def _state_value(v, types, where: str):
+    """A plant value from the file.  It must have the type every program
+    declares for it (`types`): a JSON boolean for BOOL, a string for
+    STRING, a number otherwise.  A STRING keeps its text; any other value
+    is read as a number or a truth value."""
+    for type_name in sorted(types):
+        if type_name == "BOOL":
+            ok = isinstance(v, bool)
+        elif type_name == "STRING":
+            ok = isinstance(v, str)
+        else:
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not ok:
+            raise ScenarioError(f"{where}: {v!r} does not match its declared type {type_name}")
+    if isinstance(v, str) and "STRING" in types:
+        return v
+    return _num(v, where)
+
+
 def _object(doc: dict, key: str, mid: str) -> dict:
     v = doc.get(key) or {}
     if not isinstance(v, dict):
@@ -309,11 +328,16 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
         raise ScenarioError(f"machine {mid!r}: cycleTime must be positive")
 
     state_doc = _object(doc, "state", mid)
-    state = {k: _num(v, f"machine {mid!r} state {k!r}") for k, v in state_doc.items()}
+    declared = {}  # name -> the types the programs' inputs and outputs give it
+    for p in programs:
+        for d in table.get(p).inputs + table.get(p).outputs:
+            declared.setdefault(d.name, set()).add(d.type_name)
+    state = {k: _state_value(v, declared.get(k, ()), f"machine {mid!r} state {k!r}")
+             for k, v in state_doc.items()}
     # every actuated output is part of the physical state it drives, and
     # starts at the program's value unless the file gives one
     cfg = idle_config(table, programs)
-    non_numeric = {k for k, v in state.items() if isinstance(v, bool)}
+    non_numeric = {k for k, v in state.items() if isinstance(v, (bool, str))}
     for p in programs:
         env = dict(cfg.prog_env(p))
         for d in table.get(p).outputs:

@@ -2,13 +2,16 @@
 
 Nodes are frozen dataclasses so they can live inside hashable machine
 configurations.  Source positions ride along but never take part in
-equality.
+equality or hashing.  A node hashes once: the hash of its compared fields
+is kept in the instance dict on first use, so hashing a configuration
+costs one lookup per statement instead of a walk of every tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 
@@ -21,45 +24,64 @@ class Pos:
 _NOPOS = Pos()
 
 
+class _Node:
+    """Base of every node: the field hash, computed once and kept."""
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return self._fields_hash()
+
+
+def _node(cls):
+    """Make `cls` a frozen dataclass node that hashes once."""
+    cls = dataclass(frozen=True)(cls)
+    # the generated hash of the compared fields, behind the cached one
+    cls._fields_hash, cls.__hash__ = cls.__hash__, _Node.__hash__
+    return cls
+
+
 # -- expressions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+@_node
+class Lit(_Node):
     value: object  # int | Fraction | bool | str, as written in the program
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class VarRef:
+@_node
+class VarRef(_Node):
     name: str
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class FieldRef:
+@_node
+class FieldRef(_Node):
     base: str
     field: str
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class BinOp:
+@_node
+class BinOp(_Node):
     op: str  # + - * / = <> < <= > >= AND OR
     lhs: "Expr"
     rhs: "Expr"
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class UnOp:
+@_node
+class UnOp(_Node):
     op: str  # - NOT
     operand: "Expr"
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class CallExpr:
+@_node
+class CallExpr(_Node):
     """Intrinsic use in expression position, e.g. isConnected(ID)."""
 
     name: str
@@ -73,42 +95,42 @@ Expr = Union[Lit, VarRef, FieldRef, BinOp, UnOp, CallExpr]
 # -- statements -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
+@_node
+class Assign(_Node):
     target: Union[VarRef, FieldRef]
     expr: Expr
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class IfStmt:
+@_node
+class IfStmt(_Node):
     cond: Expr
     then_body: tuple
     else_body: tuple
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class WhileStmt:
+@_node
+class WhileStmt(_Node):
     cond: Expr
     body: tuple
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class ReturnStmt:
+@_node
+class ReturnStmt(_Node):
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class ArgBind:
+@_node
+class ArgBind(_Node):
     name: Optional[str]  # None for positional
     expr: Expr
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class CallStmt:
+@_node
+class CallStmt(_Node):
     """Function-block invocation or intrinsic call in statement position."""
 
     name: str
@@ -116,15 +138,15 @@ class CallStmt:
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class AssertTimeAnn:
+@_node
+class AssertTimeAnn(_Node):
     lo: Fraction
     hi: Fraction
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class DelayAnn:
+@_node
+class DelayAnn(_Node):
     a: str
     b: str
     lo: Fraction
@@ -138,16 +160,16 @@ Stmt = Union[Assign, IfStmt, WhileStmt, ReturnStmt, CallStmt, AssertTimeAnn, Del
 # -- declarations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarDecl:
+@_node
+class VarDecl(_Node):
     name: str
     type_name: str  # INT, DINT, REAL, BOOL, STRING, ANY, or an FB name
     init: Optional[Expr] = None
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
-@dataclass(frozen=True)
-class Pou:
+@_node
+class Pou(_Node):
     kind: str  # "program" | "function_block"
     name: str
     inputs: tuple

@@ -8,18 +8,17 @@ when states are canonicalized.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .model import SystemState
 from .solver import SmtCheck
-from .values import Poly, band, conjuncts, evaluate, variables
+from .values import Poly, band, conjuncts, copy_with, evaluate, variables
 
 
 def fresh_var(s: SystemState, prefix: str):
     """Allocate one fresh symbolic variable; returns (state, Poly)."""
     name = f"_{prefix}{s.fresh_counter}"
-    return replace(s, fresh_counter=s.fresh_counter + 1), Poly.var(name)
+    return copy_with(s, fresh_counter=s.fresh_counter + 1), Poly.var(name)
 
 
 def feasible(checker: SmtCheck, s: SystemState, *guards, cls: str = "internal"):
@@ -36,7 +35,7 @@ def feasible(checker: SmtCheck, s: SystemState, *guards, cls: str = "internal"):
     cond = band(*s.constraints, *parts)
     if cond is False or not checker.check(cond, cls).is_sat:
         return False
-    return replace(s, constraints=conjuncts(cond))
+    return copy_with(s, constraints=conjuncts(cond))
 
 
 def concrete_or_none(v):

@@ -31,6 +31,9 @@ never be mutated.
 All time arithmetic in the package goes through `vadd`, `vsub` and `monus`
 (truncated subtraction), over Fraction or Poly; floats never enter the
 value domain.
+
+Every frozen record of the package (states, machines, links, messages,
+configurations) is copied with changed fields by `copy_with`.
 """
 
 from __future__ import annotations
@@ -612,11 +615,12 @@ def vdiv(a, b):
 def vcmp(op: str, a, b):
     """Relational operators; returns bool or a BoolExpr for symbolic args."""
     if isinstance(a, (str, RcvError)) or isinstance(b, (str, RcvError)):
-        if op == "=":
-            return a == b
-        if op == "<>":
-            return a != b
-        raise EvalError(f"ordering is undefined for {a!r} and {b!r}")
+        if op not in ("=", "<>"):
+            raise EvalError(f"ordering is undefined for {a!r} and {b!r}")
+        # rcvError compares with any value; a text only with a text
+        if not (isinstance(a, RcvError) or isinstance(b, RcvError) or type(a) is type(b)):
+            raise EvalError(f"type mismatch comparing {a!r} and {b!r}")
+        return a == b if op == "=" else a != b
     if is_boolish(a) or is_boolish(b):
         if not (is_boolish(a) and is_boolish(b)):
             raise EvalError(f"type mismatch comparing {a!r} and {b!r}")
@@ -685,3 +689,32 @@ def ckey(v):
     if isinstance(v, (Cmp, And, Or)):
         return v._ckey
     raise TypeError(f"no canonical key for {v!r}")
+
+
+# ---------------------------------------------------------------------------
+# copying frozen records
+
+
+def copy_with(obj, **changes):
+    """A copy of the dataclass instance `obj` with some fields changed.
+
+    `dataclasses.replace` without its walk of `fields()` and its trip
+    through `__init__` on every call.  Exactly the dataclass fields are
+    copied, so a cache kept in the instance dict (a hash, a variable list)
+    never survives into a copy whose fields differ.  An unknown field name
+    raises TypeError, as `replace` does.
+    """
+    cls = obj.__class__
+    names = cls.__dataclass_fields__
+    if not names.keys() >= changes.keys():
+        raise TypeError(f"{cls.__name__} has no field(s) {sorted(changes.keys() - names.keys())}")
+    old = obj.__dict__
+    new = object.__new__(cls)
+    fields = new.__dict__
+    # An instance dict holds every field; anything more is a cache.
+    if len(old) == len(names):
+        fields.update(old)
+    else:
+        fields.update({n: old[n] for n in names})
+    fields.update(changes)
+    return new

@@ -63,6 +63,12 @@ class TestConcreteSearch:
         end = replay(ctx, s0, w.path)
         assert canonicalize(end) == canonicalize(w.state)
 
+    @pytest.mark.parametrize("bound", [-5, F(-1, 2)])
+    def test_negative_bound_rejected(self, bound):
+        ctx, s0 = tank_system()
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            search(ctx, s0, "waterLevel < 5", bound=bound)
+
     def test_overfill_unreachable(self):
         ctx, s0 = tank_system()
         r = search(ctx, s0, "waterLevel > 20", bound=20)
@@ -192,6 +198,13 @@ class TestPropertyCompiler:
         s0 = scen.initial_state(mode=mode)
         with pytest.raises(PropertyError):
             search(scen.context(), s0, text, bound=5)
+
+
+    @pytest.mark.parametrize("text", ["level1 = 'a'", "'a' <> pump1", "level1 = 'a' OR TRUE"])
+    def test_text_compared_with_a_number_rejected(self, text):
+        scen = bench.load("ptpc")
+        with pytest.raises(PropertyError, match="type mismatch"):
+            search(scen.context(), scen.initial_state(), text, bound=5)
 
 
 class TestWalksAndTraces:

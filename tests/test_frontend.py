@@ -28,6 +28,7 @@ from plcreach.st import (
     builtin_pous,
     parse_expression,
     parse_file,
+    expr_to_st,
     pou_to_st,
     tokenize,
 )
@@ -343,6 +344,37 @@ class TestExprRoundTrip:
         from plcreach.st import expr_to_st
 
         assert parse_expression(expr_to_st(e)) == e
+
+
+class TestNodeHash:
+    """A node hashes once, by its compared fields: never by its position."""
+
+    def test_equal_nodes_built_apart_hash_equal(self):
+        (a,) = parse_file(TANK_SRC)
+        (b,) = parse_file("\n\n" + TANK_SRC.replace("    ", "  "))
+        assert a.pos != b.pos and a.body[0].pos != b.body[0].pos
+        assert a == b and hash(a) == hash(b)
+        for x, y in zip(a.body, b.body):
+            assert hash(x) == hash(y)
+
+    @given(_expr)
+    @settings(max_examples=100, deadline=None)
+    def test_a_parsed_expression_hashes_as_the_built_one(self, e):
+        parsed = parse_expression("  " + expr_to_st(e))
+        assert parsed == e and hash(parsed) == hash(e)
+
+    def test_a_node_hashes_once(self, monkeypatch):
+        e = parse_expression("a + b * 2 - c")
+        computed = []
+        for cls in (BinOp, VarRef, Lit):
+            real = cls._fields_hash
+            monkeypatch.setattr(
+                cls, "_fields_hash", lambda self, real=real: computed.append(self) or real(self)
+            )
+        h = hash(e)
+        assert len(computed) == 7  # three operators, three names, one literal
+        assert hash(e) == h and hash(e.lhs) == hash(e.lhs)
+        assert len(computed) == 7
 
 
 class TestElaborate:

@@ -1,11 +1,14 @@
-"""Every module of the package uses every name it imports, and imports
-only at module level.
+"""Every module of the package uses every name it imports, imports only
+at module level, and copies records one way.
 
 An import left behind by a deletion keeps a dead name reachable and hides
 that nothing uses it any more.  A name a module exports through
 `__all__` counts as used; an import line marked `# noqa: F401` is kept on
 purpose and exempt.  An import inside a function hides a module's
 dependencies from its import block and runs again on every call.
+Frozen records are copied with `values.copy_with`, never with
+`dataclasses.replace`, which walks the fields and runs `__init__` on every
+call.
 """
 
 import ast
@@ -71,3 +74,32 @@ def test_function_imports_are_found(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("import os\n\ndef f():\n    from . import x\n    return x\n")
     assert function_imports(src) == ["f (line 4)"]
+
+
+def dataclasses_replace_uses(path: Path) -> list:
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            out.extend(f"import (line {node.lineno})" for a in node.names if a.name == "replace")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "replace"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "dataclasses"
+        ):
+            out.append(f"dataclasses.replace (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_records_are_not_copied_with_dataclasses_replace(path):
+    assert dataclasses_replace_uses(path) == []
+
+
+def test_dataclasses_replace_is_found(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import dataclasses\nfrom dataclasses import field, replace\n\n"
+        "def f(x):\n    return dataclasses.replace(x), replace, field, 'a'.replace('a', 'b')\n"
+    )
+    assert dataclasses_replace_uses(src) == ["import (line 2)", "dataclasses.replace (line 5)"]

@@ -244,6 +244,45 @@ class TestValidation:
         with pytest.raises(PropertyError, match="ordering is undefined"):
             search(scen.context(), s0, "pumpSwitch < 1", bound=20)
 
+    @pytest.mark.parametrize(
+        "out_type, value",
+        [("BOOL", 0), ("BOOL", 1), ("BOOL", "FALSE"), ("STRING", 0), ("STRING", False),
+         ("INT", True), ("INT", "3"), ("REAL", "abc")],
+    )
+    def test_state_value_must_match_the_declared_type(self, out_type, value):
+        src = HELD_SRC.format(out_type=out_type, body="")
+        doc = tank_doc()
+        del doc["machines"][0]["flow"]
+        doc["machines"][0]["state"]["pumpSwitch"] = value
+        with pytest.raises(
+            ScenarioError,
+            match=f"machine 'plc1' state 'pumpSwitch': .* does not match its declared "
+            f"type {out_type}",
+        ):
+            scenario_from_dict(doc, table_for(src))
+
+    def test_declared_inputs_are_checked_too(self):
+        doc = tank_doc()
+        doc["machines"][0]["state"]["input"] = 1
+        with pytest.raises(ScenarioError, match="state 'input': 1 .* declared type BOOL"):
+            scenario_from_dict(doc, table_for())
+
+    @pytest.mark.parametrize(
+        "out_type, value, holds",
+        [("BOOL", False, "pumpSwitch = FALSE"), ("STRING", "on", "pumpSwitch = 'on'"),
+         ("INT", 2, "pumpSwitch = 2"), ("REAL", 0.5, "pumpSwitch = 0.5")],
+    )
+    def test_state_value_of_the_declared_type_is_held(self, out_type, value, holds):
+        src = HELD_SRC.format(out_type=out_type, body="")
+        doc = tank_doc()
+        del doc["machines"][0]["flow"]
+        doc["machines"][0]["state"]["pumpSwitch"] = value
+        scen = scenario_from_dict(doc, table_for(src))
+        s0 = scen.initial_state()
+        assert dict(s0.machines[0].state)["pumpSwitch"] == value
+        r = search(scen.context(), s0, holds, bound=0)
+        assert r.found and r.witnesses[0].path == ()
+
     def test_flow_rejects_a_boolean_state(self):
         doc = tank_doc()
         doc["machines"][0]["state"]["valve"] = True

@@ -57,6 +57,17 @@ def test_horizon_inside_a_tick_clips_the_last_tick(name):
         assert canonicalize(end) == canonicalize(final)
 
 
+def test_horizon_in_the_past_rejected():
+    scen = bench.load("ptp")
+    s0 = scen.initial_state()
+    with pytest.raises(ValueError, match="until must not lie before the initial clock 0"):
+        simulate(scen.context(), s0, -5)
+    later = simulate(scen.context(), s0, 15)[-1][1]
+    with pytest.raises(ValueError, match="until"):
+        simulate(scen.context(), later, 10)
+    assert simulate(scen.context(), later, later.clock) == [(None, later)]
+
+
 @pytest.mark.parametrize(
     "name, a, b", [("ptpc", "TANK1", "TANK2"), ("therc", "ROOM1", "ROOM2")]
 )

@@ -248,7 +248,7 @@ class TestSingleTankCycle:
         assert env_value(m, "TANK", "pumpSwitch") == 1
         assert m.state_value("pumpSwitch") == 0
 
-        jumps = tick_concrete(s)
+        jumps = tick_concrete(self.ctx, s)
         assert [d for d, _ in jumps] == [F(10)]
         s = jumps[0][1]
         m = s.machine("plc1")
@@ -261,7 +261,7 @@ class TestSingleTankCycle:
         assert m.state_value("pumpSwitch") == 1  # previous cycle published
         assert m.cycle_index == 2
 
-        s = tick_apply(s, F(6))
+        s = tick_apply(self.ctx, s, F(6))
         m = s.machine("plc1")
         assert m.state_value("waterLevel") == 4
         assert m.timer == 4
@@ -270,7 +270,7 @@ class TestSingleTankCycle:
     def test_empty_script_repeats_last_value(self):
         (_, s), = start_variants(self.ctx, self.s0)
         s = run_scan(self.ctx, s, "plc1")
-        s = tick_concrete(s)[0][1]
+        s = tick_concrete(self.ctx, s)[0][1]
         (_, s), = start_variants(self.ctx, s)
         m = s.machine("plc1")
         assert env_value(m, "TANK", "input") is True  # script shorter than run
@@ -311,7 +311,7 @@ class TestCommTrace:
         # three units pass before the signal is handed to the network
         s, label = run_until(ctx, s, "plc1", {"sendData", "sendDataFail"})
         assert label == "sendData"
-        s = tick_apply(s, F(3))
+        s = tick_apply(ctx, s, F(3))
         s = take(ctx, s, "plc1", "sendData")
         buf = s.conn("T1", "T2").buffer
         assert len(buf) == 1
@@ -343,7 +343,7 @@ class TestCommTrace:
 
         # to the scan boundary: menu offers exactly the remaining 7 units
         assert tick_menu(s) == [F(7)]
-        s = tick_concrete(s)[0][1]
+        s = tick_concrete(ctx, s)[0][1]
         assert s.clock == 10
         msg = s.conn("T1", "T2").buffer[0]
         assert (msg.min_timer, msg.max_timer) == (F(3), F(13))
@@ -355,7 +355,7 @@ class TestCommTrace:
 
         s, label = run_until(ctx, s, "plc2", {"rcvData", "rcvNo"})
         assert label == "rcvNo"  # still 3 units early
-        s = tick_apply(s, F(3))
+        s = tick_apply(ctx, s, F(3))
         msg = s.conn("T1", "T2").buffer[0]
         assert (msg.min_timer, msg.max_timer) == (F(0), F(10))
         moves = machine_moves(ctx, s, "plc2")
@@ -628,7 +628,7 @@ class TestTimePassage:
         )
         # scans still pending, so both machines can execute; time may pass too
         assert tick_menu(s) == [F(2), F(4)]
-        d, s2 = tick_concrete(s)[-1]
+        d, s2 = tick_concrete(ctx_for(table), s)[-1]
         assert d == 4
         buf = s2.conn("A", "B").buffer
         assert (buf[0].min_timer, buf[0].max_timer) == (F(0), F(2))  # clamped
@@ -641,8 +641,8 @@ class TestTimePassage:
         table = table_for(IDLE_SRC)
         m = make_machine(table, "m1", ("IDLE",), cycle_time=9, preload=True)
         s = make_system([m])
-        one = tick_apply(tick_apply(s, F(2)), F(3))
-        other = tick_apply(s, F(5))
+        one = tick_apply(ctx_for(table), tick_apply(ctx_for(table), s, F(2)), F(3))
+        other = tick_apply(ctx_for(table), s, F(5))
         assert canonicalize(one) == canonicalize(other)
 
     def test_window_edges_reachable_and_gate_the_pop(self):
@@ -652,12 +652,12 @@ class TestTimePassage:
         s = make_system([m])
         assert machine_moves(ctx, s, "m1") == []  # window not open yet
         assert tick_menu(s) == [F(3), F(5)]
-        at3 = tick_concrete(s)[0][1]
+        at3 = tick_concrete(ctx, s)[0][1]
         moves = machine_moves(ctx, at3, "m1")
         assert [v.label for v in moves] == ["assertTime"]
         done = run_scan(ctx, moves[0].state, "m1")
         assert env_value(done.machine("m1"), "W", "x") == 1
-        at5 = tick_concrete(s)[1][1]
+        at5 = tick_concrete(ctx, s)[1][1]
         assert [v.label for v in machine_moves(ctx, at5, "m1")] == ["assertTime"]
         assert tick_menu(at5) == []  # deadline edge: time waits for the pop
         popped = take(ctx, at5, "m1", "assertTime")
@@ -678,12 +678,12 @@ class TestTimePassage:
         )
         m = replace(m, env_timer=F(6))
         s = make_system([m], options=Options(clock_sep=True))
-        d, s2 = tick_concrete(s)[-1]
+        d, s2 = tick_concrete(ctx_for(table), s)[-1]
         assert d == 6
         assert s2.machine("m1").timer == 0
         assert s2.machine("m1").state_value("level") == 8  # physics untouched
         assert s2.clock == 0
-        r = env_tick(s2)
+        r = env_tick(ctx_for(table), s2)
         assert r is not None
         d2, s3 = r
         assert d2 == 6
@@ -1007,7 +1007,7 @@ class TestPrivateMoves:
     def test_assert_time_is_not_private(self):
         table = table_for(WINDOW_SRC)
         m = make_machine(table, "m1", ("W",), cycle_time=10, preload=True)
-        at3 = tick_concrete(make_system([m]))[0][1]
+        at3 = tick_concrete(ctx_for(table), make_system([m]))[0][1]
         (v,) = machine_moves(ctx_for(table), at3, "m1")
         assert (v.label, v.private) == ("assertTime", False)
 

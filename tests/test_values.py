@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from plcreach.values import (
     Cmp,
+    EvalError,
     Poly,
     band,
     bnot,
@@ -273,6 +274,24 @@ def test_runtime_value_helpers():
     assert vcmp("<>", "T1", "T2") is True
     sym = vcmp(">=", Poly.var("x"), 5)
     assert bool_evaluate(sym, {"x": 5})
+
+
+@pytest.mark.parametrize(
+    "a, b", [("a", 1), (1, "a"), ("a", True), (False, ""), ("1", Fraction(1)), ("x", Poly.var("x"))]
+)
+@pytest.mark.parametrize("op", ["=", "<>"])
+def test_a_text_equals_only_a_text(op, a, b):
+    with pytest.raises(EvalError, match="type mismatch"):
+        vcmp(op, a, b)
+
+
+def test_rcv_error_compares_with_anything_and_a_text_has_no_order():
+    for v in (RCV_ERROR, 1, True, "a", Poly.var("x")):
+        assert vcmp("=", RCV_ERROR, v) is (v is RCV_ERROR)
+        assert vcmp("<>", v, RCV_ERROR) is (v is not RCV_ERROR)
+    for a, b in (("a", "b"), ("a", 1), (RCV_ERROR, 1)):
+        with pytest.raises(EvalError, match="ordering is undefined"):
+            vcmp("<", a, b)
 
 
 def test_monus():
