@@ -23,10 +23,6 @@ BENCHMARKS = ("ptp", "ptpc", "rv", "rvc", "ther", "therc", "swat1", "swat2")
 EXTRAS = ("tank", "commdemo", "diamond", "query1", "query2")
 
 
-def names() -> tuple[str, ...]:
-    return BENCHMARKS
-
-
 def all_names() -> tuple[str, ...]:
     return BENCHMARKS + EXTRAS
 

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kmachine import (
-    AssertTime,
     Branch,
-    DelaySet,
     Done,
     Failed,
     Internal,
@@ -31,6 +29,7 @@ from .kmachine import (
     step,
 )
 from .model import Conn, ModelError, Msg, PLCMachine, SystemState, conn_pair
+from .st.ast import AssertTimeAnn, DelayAnn
 from .symbolic import concrete_or_none, feasible
 from .timed import RuleCtx, elapsed_in_cycle
 from .values import RCV_ERROR, bnot, cmp_le, cmp_lt, copy_with
@@ -93,9 +92,9 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
         return [Move(out.label, "internal", (), mid, s, out.cfg, chainable(out))]
     if isinstance(out, Branch):
         return _branch_moves(ctx, s, m, out)
-    if isinstance(out, AssertTime):
+    if isinstance(out, AssertTimeAnn):
         return _assert_moves(ctx, s, m, out)
-    if isinstance(out, DelaySet):
+    if isinstance(out, DelayAnn):
         return _delay_moves(s, m, out)
     if isinstance(out, NeedsComm):
         partner = _name_arg(out, 0, "partner")
@@ -119,7 +118,7 @@ def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> l
     return moves
 
 
-def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) -> list:
+def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTimeAnn) -> list:
     # Before the window time must pass; after it the scan is stuck.
     e = elapsed_in_cycle(m)
     s2 = feasible(ctx.checker, s, cmp_le(out.lo, e), cmp_le(e, out.hi))
@@ -129,7 +128,7 @@ def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTime) 
     return [Move("assertTime", "internal", (), m.mid, s2, pop_head(m.cfg), False)]
 
 
-def _delay_moves(s: SystemState, m: PLCMachine, out: DelaySet) -> list:
+def _delay_moves(s: SystemState, m: PLCMachine, out: DelayAnn) -> list:
     pair = conn_pair(out.a, out.b)
     conn = s.conn(*pair) or Conn(pair=pair)
     s2 = s.with_conn(copy_with(conn, delay_lo=out.lo, delay_hi=out.hi))

@@ -162,19 +162,24 @@ def search(
     ctx: RuleCtx,
     s0: SystemState,
     property_text: str = None,
-    bound=Fraction(100),
-    por: bool = None,
+    *,
+    bound,
     max_states: int = None,
 ) -> SearchResult:
     """Breadth-first reachability up to the time bound.
 
     With no property the graph is simply explored (for statistics and
     endpoint comparisons).  Witness states satisfy the property with the
-    global clock inside the bound.
+    global clock inside the bound.  The options of `s0` decide the mode
+    and whether the reduction runs.  `max_states`, a positive int, caps
+    the stored states; the verdict is then BoundExhausted.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    if max_states is not None and (
+            isinstance(max_states, bool) or not isinstance(max_states, int) or max_states < 1):
+        raise ValueError(f"max_states must be a positive integer or None, got {max_states!r}")
     t_start = time.monotonic()
     stats = ctx.checker.stats
     queries0, by_class0 = stats.queries, dict(stats.by_class)
@@ -197,7 +202,7 @@ def search(
             if w is not None:
                 witnesses.append(w)
                 break
-        succ = successors(ctx, s, por=por)
+        succ = successors(ctx, s)
         # A state is a cycle endpoint exactly when some machine is due.
         # Every due machine yields a start move, because scenarios reject
         # empty enumerated input domains.

@@ -16,7 +16,8 @@ the head or an empty `k`.
 
 Communication primitives (connectRequest, disconnect, isConnected,
 sendData, rcvData) cannot be resolved locally; evaluation suspends on them
-and reports a `NeedsComm` outcome for the system layer to answer.
+and reports a `NeedsComm` outcome for the system layer to answer.  `step`
+hands timing annotations to that layer as written, as their syntax nodes.
 `k` holds only program text.  The answers live in `answers`: the results
 of the communication calls the head statement has already made, in
 evaluation order.  `step` evaluates the head again from the start and
@@ -412,20 +413,6 @@ class NeedsComm:
 
 
 @dataclass(frozen=True)
-class AssertTime:
-    lo: Fraction
-    hi: Fraction
-
-
-@dataclass(frozen=True)
-class DelaySet:
-    a: str
-    b: str
-    lo: Fraction
-    hi: Fraction
-
-
-@dataclass(frozen=True)
 class Failed:
     reason: str
 
@@ -450,14 +437,14 @@ def _as_condition(v):
 
 
 def step(table: PouTable, cfg: KConfig):
-    """Compute this machine's next execution outcome without applying time."""
+    """This machine's next execution outcome, without applying time: `Done`,
+    `Internal`, `Branch`, `NeedsComm`, `Failed`, or the head's timing
+    annotation (`ast.AssertTimeAnn`, `ast.DelayAnn`) as written."""
     head = cfg.head
     if head is None:
         return Done()
-    if isinstance(head, ast.AssertTimeAnn):
-        return AssertTime(head.lo, head.hi)
-    if isinstance(head, ast.DelayAnn):
-        return DelaySet(head.a, head.b, head.lo, head.hi)
+    if isinstance(head, (ast.AssertTimeAnn, ast.DelayAnn)):
+        return head
     names = _Answered(cfg) if cfg.answers else cfg
     try:
         if isinstance(head, ast.Assign):

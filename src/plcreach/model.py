@@ -68,6 +68,21 @@ class Options:
         return self.mode == "symbolic"
 
 
+@dataclass(frozen=True)
+class TransitionId:
+    """Replayable identity of one transition out of a given state."""
+
+    cls: str  # "start" | "tick" | "env" | "internal" | "comm"
+    mid: str  # owning machine, "" for system-wide moves
+    label: str
+    key: tuple = ()
+
+    def pretty(self) -> str:
+        who = f"({self.mid})" if self.mid else ""
+        extra = "[" + ",".join(str(k) for k in self.key) + "]" if self.key else ""
+        return f"{self.label}{who}{extra}"
+
+
 # -- dynamic pieces ---------------------------------------------------------
 
 

@@ -19,12 +19,10 @@ contains a fully expanded state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import comm
 from .comm import chainable, machine_moves, with_cfg
 from .kmachine import Done, Internal, KConfig
-from .model import SystemState, canonicalize
+from .model import SystemState, TransitionId, canonicalize
 from .timed import (
     RuleCtx,
     env_mte,
@@ -38,53 +36,8 @@ from .timed import (
 )
 
 
-@dataclass(frozen=True)
-class TransitionId:
-    """Replayable identity of one transition out of a given state."""
-
-    cls: str  # "start" | "tick" | "env" | "internal" | "comm"
-    mid: str  # owning machine, "" for system-wide moves
-    label: str
-    key: tuple = ()
-
-    def pretty(self) -> str:
-        who = f"({self.mid})" if self.mid else ""
-        extra = ""
-        if self.key:
-            extra = "[" + ",".join(str(k) for k in self.key) + "]"
-        return f"{self.label}{who}{extra}"
-
-
 class ReplayError(Exception):
     pass
-
-
-def _start_moves(ctx: RuleCtx, s: SystemState) -> list:
-    return [
-        (TransitionId("start", "", "start", tuple(choice)), st)
-        for choice, st in start_variants(ctx, s)
-    ]
-
-
-def _tick_moves(ctx: RuleCtx, s: SystemState) -> list:
-    if s.options.symbolic:
-        r = tick_symbolic(ctx, s)
-        if r is None:
-            return []
-        dvar, st = r
-        name = sorted(dvar.variables())[0]
-        return [(TransitionId("tick", "", "tick", (name,)), st)]
-    return [
-        (TransitionId("tick", "", "tick", (d,)), st) for d, st in tick_concrete(ctx, s)
-    ]
-
-
-def _env_moves(ctx: RuleCtx, s: SystemState) -> list:
-    r = env_tick(ctx, s)
-    if r is None:
-        return []
-    d, st = r
-    return [(TransitionId("env", "", "envTick", (d,)), st)]
 
 
 # Safety cap on a chain; a run without loop steps stays far below it.
@@ -158,14 +111,15 @@ def _chain_internal(ctx: RuleCtx, v):
 
 
 def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
-    """Enabled transitions from `s` as (TransitionId, state) pairs.
+    """Enabled transitions from `s` as (TransitionId, state) pairs, as the
+    rules make them, with machine moves chained across private runs.
 
     `por=None` follows the state's own options; passing True/False
     forces the reduced or the full enumeration.
     """
     if por is None:
         por = s.options.por
-    starts = _start_moves(ctx, s)
+    starts = start_variants(ctx, s)
     if por and starts:
         return starts
     per = []
@@ -177,8 +131,8 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
     out = list(starts)
     for moves in per:
         out.extend(_chain_internal(ctx, v) for v in moves)
-    out.extend(_tick_moves(ctx, s))
-    out.extend(_env_moves(ctx, s))
+    out.extend((tick_symbolic if s.options.symbolic else tick_concrete)(ctx, s))
+    out.extend(env_tick(ctx, s))
     return out
 
 

@@ -3,8 +3,9 @@
 A scenario names the controller programs (from .st sources), the physical
 state each machine owns with its flow laws, per-cycle input feeds, the
 connections between programs, and the analysis settings.  Loading one
-yields ready-to-run initial states; analysis flags can be overridden per
-run so the same file serves comparisons.
+yields ready-to-run initial states.  The file's run settings form one
+`Options` record, which `Scenario.initial_state(**overrides)` overrides
+per run, so the same file serves comparisons.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .st import (
     parse_file,
 )
 from .timed import RuleCtx, start_scans
-from .values import EvalError, Poly, as_poly, is_numeric
+from .values import EvalError, Poly, as_poly, copy_with, is_numeric
 
 
 class ScenarioError(Exception):
@@ -67,12 +68,14 @@ _TOP_KEYS = {
 }
 
 
+# The file's key for each `Options` field: in 'analysis', or top-level.
+_OPTION_KEYS = {"mode": "analysis.mode", "por": "analysis.por", "clock_sep": "analysis.clockSep",
+                "rcv_no_on_pending": "rcvNoOnPending", "reliable_connect": "reliableConnect"}
+
+
 @dataclass
 class Analysis:
     bound: Fraction = Fraction(100)
-    mode: str = "concrete"
-    por: bool = False
-    clock_sep: bool = False
     property: str = None
     max_states: int = None
 
@@ -83,29 +86,18 @@ class Scenario:
     machines: tuple  # PLCMachine templates, idle: no scan has begun
     conns: tuple
     analysis: Analysis
-    rcv_no_on_pending: bool = False
-    reliable_connect: bool = False
+    options: Options = Options()
     preload: tuple = ()  # ids of the machines whose first scan has begun
 
-    def options(self, **overrides) -> Options:
-        base = dict(
-            mode=self.analysis.mode,
-            por=self.analysis.por,
-            clock_sep=self.analysis.clock_sep,
-            rcv_no_on_pending=self.rcv_no_on_pending,
-            reliable_connect=self.reliable_connect,
-        )
-        unknown = set(overrides) - set(base)
+    def initial_state(self, **overrides) -> SystemState:
+        """The initial state under the file's options, with any `Options`
+        field overridden by name; an override of None keeps the file's value."""
+        unknown = set(overrides) - set(_OPTION_KEYS)
         if unknown:
             raise ScenarioError(f"unknown option overrides: {sorted(unknown)}")
-        for k, v in overrides.items():
-            if v is not None:
-                where = f"override {k}"
-                base[k] = _mode(v, where) if k == "mode" else _flag(v, where)
-        return Options(**base)
-
-    def initial_state(self, **overrides) -> SystemState:
-        opts = self.options(**overrides)
+        opts = copy_with(self.options, **{
+            k: _option(k, v, f"override {k}") for k, v in overrides.items() if v is not None
+        })
         if opts.mode == "concrete":
             _reject_free_inputs(self.machines)
         s = SystemState(
@@ -437,17 +429,16 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
     if len(set(pairs)) != len(pairs):
         raise ScenarioError("duplicate connection")
 
-    analysis = _build_analysis(doc.get("analysis") or {})
     scen = Scenario(
         table=table,
         machines=tuple(sorted(machines, key=lambda m: m.mid)),
         conns=tuple(sorted(conns, key=lambda c: c.pair)),
-        analysis=analysis,
-        rcv_no_on_pending=_flag(doc.get("rcvNoOnPending", False), "rcvNoOnPending"),
-        reliable_connect=_flag(doc.get("reliableConnect", False), "reliableConnect"),
+        analysis=_build_analysis(doc.get("analysis") or {}),
+        options=_build_options(doc),
         preload=tuple(sorted(md["id"] for md in machines_doc if md.get("preload"))),
     )
-    _check_free_inputs_mode(scen)
+    if not scen.options.symbolic:
+        _reject_free_inputs(scen.machines)
     return scen
 
 
@@ -462,9 +453,6 @@ def _build_analysis(doc: dict) -> Analysis:
         raise ScenarioError(f"analysis.property must be a string, got {prop!r}")
     a = Analysis(
         bound=_number(doc.get("bound", 100), "analysis.bound"),
-        mode=_mode(doc.get("mode", "concrete"), "analysis.mode"),
-        por=_flag(doc.get("por", False), "analysis.por"),
-        clock_sep=_flag(doc.get("clockSep", False), "analysis.clockSep"),
         property=prop,
         max_states=doc.get("maxStates"),
     )
@@ -473,6 +461,21 @@ def _build_analysis(doc: dict) -> Analysis:
     if a.max_states is not None:
         _count(a.max_states, "analysis.maxStates")
     return a
+
+
+def _build_options(doc: dict) -> Options:
+    """The file's run settings; an absent key takes `Options`' default."""
+    given = {}
+    for name, path in _OPTION_KEYS.items():
+        section, _, key = path.rpartition(".")
+        src = doc.get(section) or {} if section else doc
+        if key in src:
+            given[name] = _option(name, src[key], path)
+    return Options(**given)
+
+
+def _option(name: str, v, where: str):
+    return _mode(v, where) if name == "mode" else _flag(v, where)
 
 
 def _mode(v, where: str) -> str:
@@ -491,11 +494,6 @@ def _count(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ScenarioError(f"{where} must be a positive integer, got {v!r}")
     return v
-
-
-def _check_free_inputs_mode(scen: Scenario):
-    if scen.analysis.mode != "symbolic":
-        _reject_free_inputs(scen.machines)
 
 
 def _reject_free_inputs(machines):

@@ -51,6 +51,12 @@ class Lit(_Node):
     value: object  # int | Fraction | bool | str, as written in the program
     pos: Pos = field(compare=False, default=_NOPOS)
 
+    def __eq__(self, other):
+        # `True == 1`, but TRUE is not the literal 1: the classes must match.
+        if other.__class__ is not Lit:
+            return NotImplemented
+        return self.value.__class__ is other.value.__class__ and self.value == other.value
+
 
 @_node
 class VarRef(_Node):

@@ -17,6 +17,9 @@ Time advances in three ways:
 Without clock separation, tick also carries the physical side (change laws
 and global clock).  With it, tick leaves them to envTick, which keeps
 change-law evaluation concrete even in symbolic runs.
+
+Each rule (`start_variants`, `tick_concrete`, `tick_symbolic`, `env_tick`)
+returns its transitions as a list of `(TransitionId, state)` pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .kmachine import load_programs
-from .model import InputSpec, PLCMachine, SystemState, apply_flow, propagate_pins
+from .model import InputSpec, PLCMachine, SystemState, TransitionId, apply_flow, propagate_pins
 from .solver import SmtCheck
 from .st.ast import AssertTimeAnn
 from .st.elaborate import PouTable
@@ -190,21 +193,21 @@ def tick_menu(s: SystemState) -> list:
 
 
 def tick_concrete(ctx: RuleCtx, s: SystemState) -> list:
-    """All menu jumps as (duration, state) pairs; empty when time is stopped."""
-    return [(d, tick_apply(ctx, s, d)) for d in tick_menu(s)]
+    """One tick per menu jump, keyed by its duration; none when time is stopped."""
+    return [(TransitionId("tick", "", "tick", (d,)), tick_apply(ctx, s, d)) for d in tick_menu(s)]
 
 
-def tick_symbolic(ctx: RuleCtx, s: SystemState):
-    """One fresh-duration tick; chained ticks are folded into one.
+def tick_symbolic(ctx: RuleCtx, s: SystemState) -> list:
+    """One tick by a fresh duration, keyed by its name; chained ticks fold into one.
 
     The result is marked `ticked`, so that no second tick follows it
     before some other move: two jumps in a row equal one longer jump.
     """
     if s.ticked:
-        return None
+        return []
     least, symbolic = _least_cap(limits(s)[0])
     if least <= 0:
-        return None
+        return []
     s2, dvar = fresh_var(s, "d")
     constraints = [cmp_lt(Poly.const(0), dvar)]
     if least != INF:
@@ -213,8 +216,9 @@ def tick_symbolic(ctx: RuleCtx, s: SystemState):
         constraints.append(cmp_le(dvar, b))
     s3 = feasible(ctx.checker, s2, *constraints, cls="tick")
     if s3 is False:
-        return None
-    return dvar, tick_apply(ctx, copy_with(s3, ticked=True), dvar)
+        return []
+    tid = TransitionId("tick", "", "tick", tuple(dvar.variables()))  # the fresh name
+    return [(tid, tick_apply(ctx, copy_with(s3, ticked=True), dvar))]
 
 
 # -- environment tick -------------------------------------------------------
@@ -235,12 +239,12 @@ def env_tick_apply(ctx: RuleCtx, s: SystemState, d) -> SystemState:
     return copy_with(s, machines=machines, clock=vadd(s.clock, d), ticked=False)
 
 
-def env_tick(ctx: RuleCtx, s: SystemState):
-    """Jump the physical side to the next environment deadline."""
+def env_tick(ctx: RuleCtx, s: SystemState) -> list:
+    """One jump of the physical side to the next environment deadline, if any."""
     d = env_mte(s)
     if d is None or d <= 0:
-        return None
-    return d, env_tick_apply(ctx, s, d)
+        return []
+    return [(TransitionId("env", "", "envTick", (d,)), env_tick_apply(ctx, s, d))]
 
 
 # -- scan start -------------------------------------------------------------
@@ -274,11 +278,11 @@ def due_machines(ctx: RuleCtx, s: SystemState):
     return due, pinned
 
 
-def start_variants(ctx: RuleCtx, s: SystemState):
-    """All ways the due machines can begin their next scan.
+def start_variants(ctx: RuleCtx, s: SystemState) -> list:
+    """One start per way the due machines can begin their next scan.
 
     Enumerated inputs branch into one variant per value combination; the
-    variant's choice tuple records (machine, program, variable, value).
+    start's key records each choice as (machine, program, variable, value).
     """
     due, pinned = due_machines(ctx, s)
     if not due:
@@ -292,9 +296,9 @@ def start_variants(ctx: RuleCtx, s: SystemState):
     variants = []
     for combo in itertools.product(*(spec.values for _, spec in axes)):
         chosen = dict(zip(axes, combo))
-        choice = tuple(sorted((mid, spec.prog, spec.var, v)
-                              for (mid, spec), v in chosen.items()))
-        variants.append((choice, start_scans(ctx.table, pinned, due_ids, chosen)))
+        tid = TransitionId("start", "", "start", tuple(sorted(
+            (mid, spec.prog, spec.var, v) for (mid, spec), v in chosen.items())))
+        variants.append((tid, start_scans(ctx.table, pinned, due_ids, chosen)))
     return variants
 
 

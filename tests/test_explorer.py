@@ -21,6 +21,7 @@ from plcreach.model import InputSpec, Options, canonicalize
 from plcreach.solver import SmtCheck
 from plcreach.st import PouTable, parse_file
 from plcreach.timed import RuleCtx
+from plcreach.values import copy_with
 
 from test_system import (
     IDLE_SRC,
@@ -90,6 +91,13 @@ class TestConcreteSearch:
         r = search(ctx, s0, "waterLevel < 5", bound=200, max_states=4)
         assert r.verdict == BOUND_EXHAUSTED
 
+    @pytest.mark.parametrize("max_states", [0, -3, True, 2.5])
+    def test_state_cap_must_be_a_positive_int(self, max_states):
+        scen = bench.load("tank")
+        with pytest.raises(ValueError, match="max_states must be a positive integer"):
+            search(scen.context(), scen.initial_state(), bound=scen.analysis.bound,
+                   max_states=max_states)
+
     def test_jsonable_shape(self):
         ctx, s0 = tank_system()
         r = search(ctx, s0, "waterLevel < 5", bound=20)
@@ -102,8 +110,8 @@ class TestConcreteSearch:
 class TestReductionCounts:
     def test_diamond_full_and_reduced(self):
         ctx, s = diamond_system()
-        full = search(ctx, s, bound=3, por=False)
-        reduced = search(ctx, s, bound=3, por=True)
+        full = search(ctx, s, bound=3)
+        reduced = search(ctx, copy_with(s, options=Options(por=True)), bound=3)
         assert full.states_explored == 8
         assert reduced.states_explored == 4
         assert full.verdict == NO_SOLUTION and reduced.verdict == NO_SOLUTION

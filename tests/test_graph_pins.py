@@ -66,7 +66,7 @@ WITNESSES = {"pump1 = 1": PUMP1_WITNESS, "x1 = 2 AND x2 = 0": DIAMOND_WITNESS}
 def test_search_graph_is_pinned(name, mode, por, bound, prop, expected):
     scen = bench.load(name)
     s0 = scen.initial_state(mode=mode, por=por)
-    r = search(scen.context(), s0, prop, bound=bound, por=por)
+    r = search(scen.context(), s0, prop, bound=bound)
     got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints))
     assert got == expected
     if prop is not None:

@@ -106,7 +106,7 @@ def test_symbolic_search_memory_peak():
     ctx = scen.context()
     tracemalloc.start()
     try:
-        r = search(ctx, scen.initial_state(), bound=5, por=True, max_states=1000)
+        r = search(ctx, scen.initial_state(por=True), bound=5, max_states=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,9 +3,7 @@
 import pytest
 
 from plcreach.kmachine import (
-    AssertTime,
     Branch,
-    DelaySet,
     Done,
     Failed,
     Instance,
@@ -21,6 +19,7 @@ from plcreach.kmachine import (
     step,
 )
 from plcreach.st import PouTable, parse_file
+from plcreach.st.ast import AssertTimeAnn, DelayAnn
 from plcreach.values import Cmp, Poly, RCV_ERROR
 
 TANK_SRC = """
@@ -79,7 +78,7 @@ def run_cycle(table, cfg, comm=None, max_steps=500):
             value = comm[r.name](r.argvalues)
             cfg = resume_comm(cfg, r.site, value)
             labels.append(r.name)
-        elif isinstance(r, AssertTime):
+        elif isinstance(r, AssertTimeAnn):
             cfg = pop_head(cfg)
             labels.append("assert")
         else:
@@ -407,7 +406,7 @@ class TestAnnotations:
         r = step(table, cfg)
         cfg = r.cfg
         r = step(table, cfg)
-        assert isinstance(r, AssertTime)
+        assert isinstance(r, AssertTimeAnn)
         assert (r.lo, r.hi) == (2, 7)
         cfg = pop_head(cfg)
         r = step(table, cfg)
@@ -424,7 +423,7 @@ class TestAnnotations:
         table, cfg = make(src)
         cfg = load_programs(table, cfg)
         r = step(table, cfg)
-        assert isinstance(r, DelaySet)
+        assert isinstance(r, DelayAnn)
         assert (r.a, r.b, r.lo, r.hi) == ("P1", "P2", 3, 9)
 
 

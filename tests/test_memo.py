@@ -22,12 +22,14 @@ import pytest
 from plcreach import bench, comm
 from plcreach.explorer import PropertyError, compile_property, random_walk, search, simulate
 from plcreach.kmachine import KConfig
-from plcreach.model import canonicalize
+from plcreach.model import InputSpec, Options, canonicalize
 from plcreach.por import successors
 from plcreach.scenario import scenario_from_dict
-from plcreach.st import PouTable, parse_file
+from plcreach.st import Lit, PouTable, parse_file
 from plcreach.timed import tick_concrete
 from plcreach.values import copy_with, is_numeric
+
+from test_system import ctx_for, env_value, make_machine, make_system, table_for
 
 # (bundled model, search bound used to warm the context)
 WALKS = [("ptpc", 5), ("rvc", 5), ("therc", 5), ("commdemo", 10)]
@@ -43,7 +45,7 @@ def test_warm_context_enumerates_like_a_fresh_one(name, bound):
     s0 = scen.initial_state()
     warm = scen.context()
     for por in (False, True):
-        search(warm, s0, bound=bound, por=por)
+        search(warm, scen.initial_state(por=por), bound=bound)
     assert warm.steps and warm.runs
     # a model with change laws has flowed its plant on every tick
     assert bool(warm.flows) == any(m.flow for m in s0.machines)
@@ -89,7 +91,7 @@ def test_search_steps_each_configuration_about_once(monkeypatch):
 
     monkeypatch.setattr(comm, "step", counted)
     scen = bench.load("ptpc")
-    r = search(scen.context(), scen.initial_state(por=False), bound=10, por=False)
+    r = search(scen.context(), scen.initial_state(por=False), bound=10)
     assert (r.states_explored, r.transitions_fired) == (6601, 15504)
     # Without the memo this search made 100,994 calls on these 1,182
     # configurations.  `machine_moves` steps a configuration at most once,
@@ -186,6 +188,33 @@ def test_memoised_flow_is_exact(first):
         # the value the program wrote rides along through time unchanged
         (_, after), = got
         assert repr(after.machines[0].state_value("sw")) == repr(s.machines[0].state_value("sw"))
+
+
+def test_true_is_not_the_literal_one():
+    assert Lit(1) != Lit(True) and Lit(True) != Lit(1)
+    assert Lit(1) == Lit(1) and Lit(True) == Lit(True)
+
+
+BRANCH_SRC = """
+PROGRAM P
+VAR_INPUT lvl : REAL; END_VAR
+VAR_OUTPUT sw : BOOL; END_VAR
+IF lvl > 5 THEN sw := 1; ELSE sw := TRUE; END_IF;
+END_PROGRAM
+"""
+
+
+def test_arms_that_differ_only_in_a_literal_class_stay_apart():
+    # The arms' configurations differ only in `1` against `TRUE`; were they
+    # equal, the step memo would give the second arm the first arm's run.
+    table = table_for(BRANCH_SRC)
+    ctx = ctx_for(table)
+    m = make_machine(table, "m1", ("P",), cycle_time=10,
+                     inputs=(InputSpec("P", "lvl", "free", lo=Fraction(0), hi=Fraction(10)),))
+    (_, s), = successors(ctx, make_system([m], options=Options(mode="symbolic")), por=False)
+    arms = {t.key[0][0]: repr(env_value(st.machine("m1"), "P", "sw"))
+            for t, st in successors(ctx, s, por=False) if t.label == "seq"}
+    assert arms == {"if-true": "1", "if-false": "True"}
 
 
 # -- hashes cached on the instance -------------------------------------------

@@ -39,10 +39,10 @@ CASES = [
 def _outcome(name, bound, prop, por):
     scen = bench.load(name)
     s0 = scen.initial_state(por=por)
-    full = search(scen.context(), s0, bound=bound, por=por)
+    full = search(scen.context(), s0, bound=bound)
     if prop is None:
         return full.verdict, full.endpoints
-    found = search(scen.context(), s0, prop, bound=bound, por=por)
+    found = search(scen.context(), s0, prop, bound=bound)
     return found.verdict, full.endpoints
 
 
@@ -89,7 +89,7 @@ def test_por_keeps_the_verdict_of_a_request_after_a_disconnect():
     scen = scenario_from_dict(RELINK_DOC, PouTable.from_units(parse_file(RELINK_SRC)))
     assert not scen.context().comm_ample
     verdicts = [
-        search(scen.context(), scen.initial_state(por=por), "z = 1", bound=10, por=por).verdict
+        search(scen.context(), scen.initial_state(por=por), "z = 1", bound=10).verdict
         for por in (False, True)
     ]
     assert verdicts == ["SolutionFound", "SolutionFound"]

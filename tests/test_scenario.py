@@ -114,7 +114,7 @@ class TestBuild:
         scen = scenario_from_dict(doc, table_for())
         assert scen.analysis == Analysis()
         assert scen.analysis.bound == F(100)
-        assert scen.analysis.mode == "concrete"
+        assert scen.options.mode == "concrete"
 
     def test_preload_marks_first_cycle_started(self):
         doc = tank_doc()
@@ -313,8 +313,8 @@ class TestValidation:
         doc = tank_doc(rcvNoOnPending=True, reliableConnect=False)
         doc["analysis"].update(por=True, clockSep=False)
         scen = scenario_from_dict(doc, table_for())
-        assert (scen.rcv_no_on_pending, scen.reliable_connect) == (True, False)
-        assert (scen.analysis.por, scen.analysis.clock_sep) == (True, False)
+        assert (scen.options.rcv_no_on_pending, scen.options.reliable_connect) == (True, False)
+        assert (scen.options.por, scen.options.clock_sep) == (True, False)
 
     @pytest.mark.parametrize("bound", [True, False])
     def test_bound_is_not_a_boolean(self, bound):
@@ -455,7 +455,7 @@ class TestModes:
     def test_unknown_override_rejected(self):
         scen = scenario_from_dict(tank_doc(), table_for())
         with pytest.raises(ScenarioError, match="unknown option"):
-            scen.options(depth=3)
+            scen.initial_state(depth=3)
 
     @pytest.mark.parametrize(
         "key, value, expected",
@@ -475,10 +475,10 @@ class TestModes:
 
     def test_override_flags_flow_into_options(self):
         scen = scenario_from_dict(tank_doc(), table_for())
-        opts = scen.options(por=True, clock_sep=True)
+        opts = scen.initial_state(por=True, clock_sep=True).options
         assert opts.por and opts.clock_sep
         # None means "keep the file's setting"
-        assert not scen.options(por=None).por
+        assert not scen.initial_state(por=None).options.por
 
 
 class TestDisk:
@@ -594,7 +594,7 @@ def test_free_input_over_finite_values(prop, verdict, states):
     doc["analysis"]["mode"] = "symbolic"
     scen = scenario_from_dict(doc, table)
     s0 = scen.initial_state(por=True)
-    r = search(scen.context(), s0, prop, bound=10, por=True)
+    r = search(scen.context(), s0, prop, bound=10)
     assert (r.verdict, r.states_explored) == (verdict, states)
     if r.found:
         (w,) = r.witnesses

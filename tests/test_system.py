@@ -25,6 +25,7 @@ from plcreach.st import PouTable, parse_file
 from plcreach.st.builtins import COMM_INTRINSICS, INTRINSIC_ARITY
 from plcreach.timed import (
     RuleCtx,
+    due_machines,
     env_tick,
     start_scans,
     start_variants,
@@ -33,7 +34,7 @@ from plcreach.timed import (
     tick_menu,
     tick_symbolic,
 )
-from plcreach.values import RCV_ERROR, Poly, cmp_le, vmul, vsub
+from plcreach.values import RCV_ERROR, Poly, bor, cmp_eq, cmp_le, vmul, vsub
 
 F = Fraction
 
@@ -228,8 +229,8 @@ class TestSingleTankCycle:
     def test_start_senses_and_injects(self):
         variants = start_variants(self.ctx, self.s0)
         assert len(variants) == 1
-        choice, s = variants[0]
-        assert choice == ()
+        tid, s = variants[0]
+        assert tid.key == ()
         m = s.machine("plc1")
         assert m.timer == 10
         assert m.cycle_index == 1
@@ -249,7 +250,7 @@ class TestSingleTankCycle:
         assert m.state_value("pumpSwitch") == 0
 
         jumps = tick_concrete(self.ctx, s)
-        assert [d for d, _ in jumps] == [F(10)]
+        assert [t.key for t, _ in jumps] == [(F(10),)]
         s = jumps[0][1]
         m = s.machine("plc1")
         assert m.timer == 0
@@ -628,8 +629,8 @@ class TestTimePassage:
         )
         # scans still pending, so both machines can execute; time may pass too
         assert tick_menu(s) == [F(2), F(4)]
-        d, s2 = tick_concrete(ctx_for(table), s)[-1]
-        assert d == 4
+        t, s2 = tick_concrete(ctx_for(table), s)[-1]
+        assert t.key == (4,)
         buf = s2.conn("A", "B").buffer
         assert (buf[0].min_timer, buf[0].max_timer) == (F(0), F(2))  # clamped
         assert (buf[1].min_timer, buf[1].max_timer) == (F(0), F(8))
@@ -678,15 +679,13 @@ class TestTimePassage:
         )
         m = replace(m, env_timer=F(6))
         s = make_system([m], options=Options(clock_sep=True))
-        d, s2 = tick_concrete(ctx_for(table), s)[-1]
-        assert d == 6
+        t, s2 = tick_concrete(ctx_for(table), s)[-1]
+        assert t.key == (6,)
         assert s2.machine("m1").timer == 0
         assert s2.machine("m1").state_value("level") == 8  # physics untouched
         assert s2.clock == 0
-        r = env_tick(ctx_for(table), s2)
-        assert r is not None
-        d2, s3 = r
-        assert d2 == 6
+        (t2, s3), = env_tick(ctx_for(table), s2)
+        assert t2.key == (6,)
         assert s3.machine("m1").state_value("level") == 2
         assert s3.clock == 6
         assert s3.machine("m1").env_timer == 0
@@ -696,17 +695,15 @@ class TestTimePassage:
         ctx = ctx_for(table)
         m = make_machine(table, "m1", ("IDLE",), cycle_time=9, preload=True)
         s = make_system([m], options=Options(mode="symbolic"))
-        r = tick_symbolic(ctx, s)
-        assert r is not None
-        dvar, s2 = r
+        (tid, s2), = tick_symbolic(ctx, s)
         assert s2.ticked is True
-        assert tick_symbolic(ctx, s2) is None  # fold: no tick chains
+        assert tick_symbolic(ctx, s2) == []  # fold: no tick chains
         s3 = take(ctx, s2, "m1", "assign")
         assert s3.ticked is False
         # timer is now symbolic: 9 - d
         timer = s3.machine("m1").timer
         assert isinstance(timer, Poly)
-        assert timer.substitute({sorted(dvar.variables())[0]: Poly.const(4)}) == Poly.const(5)
+        assert timer.substitute({tid.key[0]: Poly.const(4)}) == Poly.const(5)
 
 
 # -- start variants ----------------------------------------------------------
@@ -738,12 +735,12 @@ class TestStartVariants:
         s = make_system([m])
         variants = start_variants(ctx, s)
         assert len(variants) == 2
-        choices = [c for c, _ in variants]
+        choices = [t.key for t, _ in variants]
         assert (("m1", "P1", "sig", F(0)),) in choices
         assert (("m1", "P1", "sig", F(1)),) in choices
-        for choice, st in variants:
+        for tid, st in variants:
             got = env_value(st.machine("m1"), "P1", "sig")
-            assert got == choice[0][3]
+            assert got == tid.key[0][3]
 
     def test_joint_start_is_cartesian(self):
         table = table_for(CHOICE_SRC.format(n=1), CHOICE_SRC.format(n=2))
@@ -758,7 +755,7 @@ class TestStartVariants:
         s = make_system([mk("m1", "P1"), mk("m2", "P2")])
         variants = start_variants(ctx, s)
         assert len(variants) == 4
-        assert len({c for c, _ in variants}) == 4
+        assert len({t.key for t, _ in variants}) == 4
 
     def test_free_input_constrains_fresh_variable(self):
         table = table_for(CHOICE_SRC.format(n=1))
@@ -771,10 +768,29 @@ class TestStartVariants:
             inputs=(InputSpec("P1", "sig", "free", lo=F(0), hi=F(10)),),
         )
         s = make_system([m], options=Options(mode="symbolic"))
-        (choice, st), = start_variants(ctx, s)
+        (_, st), = start_variants(ctx, s)
         v = env_value(st.machine("m1"), "P1", "sig")
         assert isinstance(v, Poly) and not v.is_const()
         assert len(st.constraints) == 2  # both interval bounds
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "when the due machines cannot start jointly, due_machines lets the "
+        "first go alone under its own pin, and the worlds where only a later "
+        "machine is due get no start"))
+    def test_a_failed_joint_start_covers_every_world(self):
+        table = table_for(STEP2_SRC.format(n=1), STEP2_SRC.format(n=2))
+        ctx = ctx_for(table)
+        d = Poly.var("_d0")
+        m1 = replace(make_machine(table, "m1", ("Q1",)), timer=d)
+        m2 = replace(make_machine(table, "m2", ("Q2",)), timer=vsub(F(1), d))
+        s = make_system([m1, m2], options=Options(mode="symbolic"))
+        s = replace(s, fresh_counter=1).add_constraints(bor(cmp_eq(d, 0), cmp_eq(d, 1)))
+        due, pinned = due_machines(ctx, s)
+        assert [m.mid for m in due] == ["m1"]
+        assert cmp_eq(d, 0) in pinned.constraints
+        # In the world _d0 = 1 only m2 is due, so some start must begin its scan.
+        starts = [st for t, st in successors(ctx, s, por=False) if t.cls == "start"]
+        assert any(st.machine("m2").cycle_index == 1 for st in starts)
 
 
 # -- symbolic branching ------------------------------------------------------

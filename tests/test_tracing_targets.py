@@ -42,7 +42,7 @@ def test_traced_search_runs_and_restores_the_names():
     tracer = tracing.Tracer()
     tracer.trace_checker(ctx.checker)
     with tracer.installed():
-        r = explorer.search(ctx, s0, "plc1.pumpSwitch < 0", bound=5, por=True)
+        r = explorer.search(ctx, s0, "plc1.pumpSwitch < 0", bound=5)
     assert r.verdict == explorer.NO_SOLUTION
     assert tracer.aggs["por.successors"].calls == r.states_explored
     assert tracer.aggs["model.canonicalize"].calls > r.states_explored
@@ -52,7 +52,7 @@ def test_traced_search_runs_and_restores_the_names():
 
     box = [0]
     with tracing.counting_starts(box):
-        explorer.search(scen.context(), s0, bound=5, por=True)
+        explorer.search(scen.context(), s0, bound=5)
     assert box[0] > 0
 
 
@@ -93,7 +93,7 @@ def test_every_rebound_name_stays_on_the_call_path():
 
         scen = bench.load("commdemo")
         s0 = scen.initial_state(mode="symbolic", por=True)
-        explorer.search(scen.context(), s0, "plc1.pumpSwitch < 0", bound=5, por=True)
+        explorer.search(scen.context(), s0, "plc1.pumpSwitch < 0", bound=5)
 
         scen = bench.load("ptpc")
         s0 = scen.initial_state(mode="concrete")
