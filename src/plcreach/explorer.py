@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .kmachine import Literals, eval_expr
 from .model import ModelError, SystemState, canonicalize
@@ -30,7 +29,9 @@ from .values import (
     copy_with,
     evaluate,
     is_boolish,
+    rat,
     variables,
+    vsub,
 )
 
 SOLUTION_FOUND = "SolutionFound"
@@ -121,7 +122,7 @@ class Witness:
 class SearchResult:
     verdict: str
     witnesses: list
-    bound: Fraction
+    bound: object  # rational
     states_explored: int = 0
     transitions_fired: int = 0
     smt_queries: int = 0
@@ -174,7 +175,7 @@ def search(
     and whether the reduction runs.  `max_states`, a positive int, caps
     the stored states; the verdict is then BoundExhausted.
     """
-    bound = Fraction(bound)
+    bound = rat(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if max_states is not None and (
@@ -339,7 +340,7 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
     `replay` takes it by its duration.  Returns [(tid, state), ...] with
     the initial state first under a None tid.
     """
-    until = Fraction(until)
+    until = rat(until)
     if until < s0.clock:
         raise ValueError(f"until must not lie before the initial clock {s0.clock}, got {until}")
     s = s0
@@ -372,7 +373,7 @@ def _sim_pick(ctx: RuleCtx, succ, s: SystemState, until):
         return None
     tid, t = timed[0]
     clocked = "env" if s.options.clock_sep else "tick"
-    left = until - s.clock
+    left = vsub(until, s.clock)
     if tid.cls != clocked or tid.key[0] <= left:
         return tid, t
     clipped = copy_with(tid, key=(left,))

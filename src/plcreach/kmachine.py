@@ -58,6 +58,7 @@ from .values import (
     RcvError,
     cmp_eq,
     copy_with,
+    rat,
     rename,
     vadd,
     vand,
@@ -360,7 +361,10 @@ _BIN = {
 def eval_expr(e: ast.Expr, names):
     """The value of `e`, with its names resolved by `names` (see above)."""
     if isinstance(e, ast.Lit):
-        return e.value
+        # A REAL literal keeps the Fraction it was written as; the engine
+        # gets the number in the form `rat` gives.
+        v = e.value
+        return rat(v) if v.__class__ is Fraction else v
     if isinstance(e, ast.VarRef):
         return names.var(e.name)
     if isinstance(e, ast.FieldRef):

@@ -51,8 +51,8 @@ class InputSpec:
     var: str
     kind: str  # "script" | "enumerate" | "free"
     values: tuple = ()  # script: per-cycle; enumerate: domain
-    lo: Optional[Fraction] = None  # free: interval bounds (else finite domain)
-    hi: Optional[Fraction] = None
+    lo: object = None  # free: rational interval bounds (else finite domain)
+    hi: object = None
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,17 @@ class TransitionId:
 
     def pretty(self) -> str:
         who = f"({self.mid})" if self.mid else ""
-        extra = "[" + ",".join(str(k) for k in self.key) + "]" if self.key else ""
+        extra = "[" + ",".join(_shown(k, str) for k in self.key) + "]" if self.key else ""
         return f"{self.label}{who}{extra}"
+
+
+def _shown(v, show=repr) -> str:
+    """`v` as a key prints it: a number as `str` does (`0`, `5/2`), a tuple
+    item by item, anything else by `show`."""
+    if isinstance(v, tuple):
+        items = [_shown(x) for x in v]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return str(v) if isinstance(v, Fraction) else show(v)
 
 
 # -- dynamic pieces ---------------------------------------------------------
@@ -93,8 +102,8 @@ class Msg:
     send_fb: str  # block instance that sent
     recv_fb: str  # block instance expected to pick it up
     data: object
-    min_timer: object  # Fraction | Poly: delivery opens at 0
-    max_timer: object  # Fraction | Poly: delivery forced by 0
+    min_timer: object  # rational | Poly: delivery opens at 0
+    max_timer: object  # rational | Poly: delivery forced by 0
     seq: int = field(compare=False, default=0)
 
 
@@ -103,8 +112,8 @@ class Conn:
     pair: tuple  # sorted (prog, prog)
     valid: bool = False
     buffer: tuple = ()  # Msg, in insertion order
-    delay_lo: Fraction = Fraction(10)
-    delay_hi: Fraction = Fraction(20)
+    delay_lo: object = 10  # rational
+    delay_hi: object = 20
 
 
 def conn_pair(a: str, b: str) -> tuple:
@@ -115,11 +124,11 @@ def conn_pair(a: str, b: str) -> tuple:
 class PLCMachine:
     mid: str
     cfg: KConfig
-    timer: object  # Fraction | Poly; time left until the next scan starts
-    env_timer: Fraction  # concrete countdown to the next physical update
+    timer: object  # rational | Poly; time left until the next scan starts
+    env_timer: object  # rational countdown to the next physical update
     state: tuple  # ((name, value), ...) sorted
     flow: tuple  # ((name, Poly), ...) sorted; values at elapsed t
-    cycle_time: Fraction
+    cycle_time: object  # rational
     cycle_index: int = 0
     inputs: tuple = ()  # (InputSpec, ...)
 
@@ -142,7 +151,7 @@ class PLCMachine:
 class SystemState:
     machines: tuple  # (PLCMachine, ...) ordered by mid
     conns: tuple  # (Conn, ...) ordered by pair
-    clock: object  # Fraction | Poly
+    clock: object  # rational | Poly
     # The path condition: satisfiable conjuncts (atoms and Ors), sorted by
     # ckey, deduplicated.  Guards join it through symbolic.feasible.
     constraints: tuple = ()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .kmachine import Literals, eval_expr, idle_config
@@ -42,7 +41,7 @@ from .st import (
     parse_file,
 )
 from .timed import RuleCtx, start_scans
-from .values import EvalError, Poly, as_poly, copy_with, is_numeric
+from .values import EvalError, Poly, as_poly, copy_with, is_numeric, rat
 
 
 class ScenarioError(Exception):
@@ -75,7 +74,7 @@ _OPTION_KEYS = {"mode": "analysis.mode", "por": "analysis.por", "clock_sep": "an
 
 @dataclass
 class Analysis:
-    bound: Fraction = Fraction(100)
+    bound: object = 100  # rational
     property: str = None
     max_states: int = None
 
@@ -103,7 +102,7 @@ class Scenario:
         s = SystemState(
             machines=self.machines,
             conns=self.conns,
-            clock=Fraction(0),
+            clock=0,
             options=opts,
         )
         return start_scans(self.table, s, self.preload, {})
@@ -169,24 +168,25 @@ def _stmts_keep_links(body, types) -> bool:
 
 
 def _num(v, where: str):
+    """A truth value as itself; a number in the form `values.rat` gives."""
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, float):
         # json.loads accepts NaN and Infinity, which no Fraction holds
         if not math.isfinite(v):
             raise ScenarioError(f"{where}: not a finite number: {v!r}")
-        return Fraction(str(v))
+        return rat(v)
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return rat(v)
         except ValueError:
             raise ScenarioError(f"{where}: not a number: {v!r}")
     raise ScenarioError(f"{where}: unsupported value {v!r}")
 
 
-def _number(v, where: str) -> Fraction:
+def _number(v, where: str):
     """A quantity; a JSON boolean is a truth value, not a number."""
     if isinstance(v, bool):
         raise ScenarioError(f"{where} must be a number, got {v!r}")
@@ -371,8 +371,8 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
     return PLCMachine(
         mid=mid,
         cfg=cfg,
-        timer=Fraction(0),
-        env_timer=Fraction(0),
+        timer=0,
+        env_timer=0,
         state=tuple(sorted(state.items())),
         flow=tuple(sorted(flows.items())),
         cycle_time=cycle,

@@ -2,8 +2,9 @@
 
 The decision procedure handles linear rational arithmetic exactly:
 equalities are removed by substitution, inequalities by Fourier-Motzkin
-elimination with Fraction pivoting, and disjunctions by case splitting; a
-disequality p != 0 is split into p < 0 or p > 0.
+elimination with exact rational pivoting, and disjunctions by case
+splitting; a disequality p != 0 is split into p < 0 or p > 0.  Pivots and
+model values are rationals in the form `values.rat` gives.
 Every verdict is definite: sat with a model, or unsat.  A constraint
 outside linear arithmetic raises SolverUnavailable rather than guessing.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import Cmp, Or, band, ckey, conjuncts
+from .values import Cmp, Or, band, ckey, conjuncts, rat
 
 
 class SolverUnavailable(Exception):
@@ -130,20 +131,20 @@ def _solve_conjunction(atoms):
     # model extraction by back substitution; variables that fell out of
     # every constraint are pinned to 0 first so recorded bounds evaluate
     bound_vars = {x for x, _, _ in elim_log} | {v for v, _ in subst_log}
-    model: dict[str, Fraction] = {v: Fraction(0) for v in all_vars - bound_vars}
+    model: dict = {v: 0 for v in all_vars - bound_vars}
     for x, lowers, uppers in reversed(elim_log):
         lo = [(b.evaluate(model), s) for b, s in lowers]
         hi = [(b.evaluate(model), s) for b, s in uppers]
         if lo and hi:
             lmax = max(v for v, _ in lo)
             umin = min(v for v, _ in hi)
-            model[x] = lmax if lmax == umin else (lmax + umin) / 2
+            model[x] = lmax if lmax == umin else rat(Fraction(lmax + umin, 2))
         elif lo:
             model[x] = max(v for v, _ in lo) + 1
         elif hi:
             model[x] = min(v for v, _ in hi) - 1
         else:
-            model[x] = Fraction(0)
+            model[x] = 0
     for var, rest in reversed(subst_log):
         model[var] = rest.evaluate(model)
     return True, model

@@ -146,8 +146,8 @@ class CallStmt(_Node):
 
 @_node
 class AssertTimeAnn(_Node):
-    lo: Fraction
-    hi: Fraction
+    lo: object  # int | Fraction, in the form `values.rat` gives
+    hi: object
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
@@ -155,8 +155,8 @@ class AssertTimeAnn(_Node):
 class DelayAnn(_Node):
     a: str
     b: str
-    lo: Fraction
-    hi: Fraction
+    lo: object  # int | Fraction, in the form `values.rat` gives
+    hi: object
     pos: Pos = field(compare=False, default=_NOPOS)
 
 
@@ -252,7 +252,7 @@ def _stmt_lines(s: Stmt, indent: str) -> list:
     raise TypeError(f"not a statement: {s!r}")
 
 
-def _num(x: Fraction) -> str:
+def _num(x) -> str:
     return str(x) if x.denominator == 1 else str(float(x))
 
 

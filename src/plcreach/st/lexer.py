@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..values import rat
+
 KEYWORDS = {
     "PROGRAM",
     "END_PROGRAM",
@@ -161,8 +163,10 @@ def _parse_ann(m: re.Match, line: int, col: int):
     )
 
 
-def _ann_num(text: str, line: int, col: int) -> Fraction:
+def _ann_num(text: str, line: int, col: int):
+    """An annotation bound, in the form `values.rat` gives: the engine
+    takes it as it is."""
     try:
-        return Fraction(text)
+        return rat(text)
     except ValueError as exc:
         raise LexError(f"bad annotation number {text!r}", line, col) from exc

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .model import SystemState
 from .solver import SmtCheck
-from .values import Poly, band, conjuncts, copy_with, evaluate, variables
+from .values import Poly, band, conjuncts, copy_with, evaluate, rat, variables
 
 
 def fresh_var(s: SystemState, prefix: str):
@@ -49,6 +49,6 @@ def concrete_or_none(v):
 
 def evaluate_path(s: SystemState, assignment: dict) -> bool:
     """Check every collected conjunct under a concrete assignment."""
-    full = {name: Fraction(0) for c in s.constraints for name in variables(c)}
-    full.update({k: Fraction(v) for k, v in assignment.items()})
+    full = {name: 0 for c in s.constraints for name in variables(c)}
+    full.update({k: rat(v) for k, v in assignment.items()})
     return all(evaluate(c, full) for c in s.constraints)

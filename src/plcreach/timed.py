@@ -60,7 +60,9 @@ class RuleCtx:
     hold pure functions of `(table, cfg)`.  `flows` maps a machine's
     change laws, plant state and a time step to the plant state after
     `apply_flow` (filled by `_flowed`): a pure function of that key alone,
-    which also holds the class of every value, because `True == 1`.
+    which also holds the class of every value, because `True == 1`.  A
+    number's class follows from its value (an int exactly when integral,
+    see `values.rat`), so equal plant states share one entry.
     All three therefore stay valid for as long as the context lives.
     `Scenario.context()` makes a new, empty context for each search, so a
     fresh context starts cold, which the benchmark's determinism guard
@@ -94,7 +96,7 @@ def limits(s: SystemState) -> tuple:
     timer, the close of an open `assertTime` window, a message's latest
     delivery.  The opens are where something becomes enabled on the way:
     that window's open, a message's earliest delivery.  Each entry is a
-    Fraction or a Poly; a concrete one may be zero or negative.
+    number or a Poly; a concrete one may be zero or negative.
     """
     caps = []
     opens = []
@@ -234,7 +236,7 @@ def env_mte(s: SystemState):
 def env_tick_apply(ctx: RuleCtx, s: SystemState, d) -> SystemState:
     """Advance the physical side and the global clock by d."""
     machines = tuple(
-        copy_with(m, env_timer=m.env_timer - d, state=_flowed(ctx, m, d)) for m in s.machines
+        copy_with(m, env_timer=vsub(m.env_timer, d), state=_flowed(ctx, m, d)) for m in s.machines
     )
     return copy_with(s, machines=machines, clock=vadd(s.clock, d), ticked=False)
 

@@ -2,18 +2,25 @@
 
 Concrete runtime values are Python bool/int/str and fractions.Fraction.
 Symbolic real values are Poly: a normalized polynomial over named variables
-with Fraction coefficients.  Symbolic booleans are BoolExpr trees of And and
+with rational coefficients.  Symbolic booleans are BoolExpr trees of And and
 Or whose atoms are polynomial comparisons against zero: `p <= 0`, `p < 0`,
 `p == 0` and `p != 0`.  There is no negation node; `bnot` pushes a
 negation down to the atoms and flips each one.  Every structure here is
 immutable and hashable so machine states can be shared and canonicalized.
 
+Every rational number, concrete or a coefficient, is kept in the one form
+`rat` gives: an int when it is integral, else a Fraction with denominator
+> 1; never a float, and never a bool where a number is meant.  Every
+arithmetic result here goes through `rat`.  Python's ints are native, so
+the common integral case never runs `fractions.py`, and an int equals and
+hashes like the Fraction it stands for.
+
 A Poly's `terms` are canonical: monomials strictly increasing, every
-coefficient a nonzero Fraction.  Sums merge two such tuples (`_merged`)
-into a Poly built by `_raw`, which checks nothing.  A Poly hashes itself
-once, when built; a boolean expression computes its hash and `ckey` on
-first use and keeps them.  Neither can go stale, because no value here
-changes after it is built.
+coefficient a nonzero rational in that form.  Sums merge two such tuples
+(`_merged`) into a Poly built by `_raw`, which checks nothing.  A Poly
+hashes itself once, when built; a boolean expression computes its hash and
+`ckey` on first use and keeps them.  Neither can go stale, because no
+value here changes after it is built.
 
 Which values are symbolic, and how to list, rename, substitute or evaluate
 their variables, is decided here alone, by `variables`, `rename`,
@@ -29,7 +36,7 @@ Renamed values are therefore shared between many canonical keys and must
 never be mutated.
 
 All time arithmetic in the package goes through `vadd`, `vsub` and `monus`
-(truncated subtraction), over Fraction or Poly; floats never enter the
+(truncated subtraction), over rationals or Poly; floats never enter the
 value domain.
 
 Every frozen record of the package (states, machines, links, messages,
@@ -48,20 +55,30 @@ from typing import Iterable, Mapping, Union
 Monomial = tuple
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction exactly."""
-    if isinstance(x, Fraction):
+def rat(x):
+    """The engine's form of the rational `x`: an int when it is integral,
+    else a Fraction with denominator > 1.
+
+    Accepts ints, Fractions, strings like '3/4', and floats (read through
+    their decimal repr); a bool counts as 0 or 1.  Every number the engine
+    loads or computes passes through here, so no value is a float, no
+    integral value a Fraction, and equal numbers have one class.  An int
+    equals, and hashes like, the Fraction it stands for, so keys built
+    from either form compare alike.
+    """
+    cls = x.__class__
+    if cls is int:
         return x
-    if isinstance(x, bool):
-        return Fraction(1 if x else 0)
-    if isinstance(x, int):
-        return Fraction(x)
+    if cls is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return rat(Fraction(x))
     if isinstance(x, float):
         # floats only appear via JSON configs; convert through repr so that
         # "0.5" means one half, not the binary float neighborhood
-        return Fraction(str(x))
+        return rat(Fraction(str(x)))
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -72,17 +89,18 @@ class Poly:
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict = {}
         for mono, c in items:
             c = rat(c)
             if c:
-                acc[mono] = acc.get(mono, Fraction(0)) + c
-        self.terms = tuple(sorted((m, c) for m, c in acc.items() if c))
+                acc[mono] = acc.get(mono, 0) + c
+        self.terms = tuple(sorted((m, rat(c)) for m, c in acc.items() if c))
         self._hash = hash(self.terms)
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Poly":
-        # terms must already be canonical: sorted, nonzero Fraction coeffs
+        # terms must already be canonical: sorted, nonzero coefficients in
+        # the form `rat` gives
         p = cls.__new__(cls)
         p.terms = terms
         p._hash = hash(terms)
@@ -95,7 +113,7 @@ class Poly:
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly._raw(((((name, 1),), Fraction(1)),))
+        return Poly._raw(((((name, 1),), 1),))
 
     def __hash__(self):
         return self._hash
@@ -109,9 +127,9 @@ class Poly:
     def is_const(self) -> bool:
         return all(m == () for m, _ in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if self.is_const():
             return self.terms[0][1]
         raise ValueError(f"{self} is not constant")
@@ -125,9 +143,9 @@ class Poly:
     def is_linear(self) -> bool:
         return self.degree() <= 1
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str):
         """Coefficient of the degree-1 term in name (linear use only)."""
-        return dict(self.terms).get(((name, 1),), Fraction(0))
+        return dict(self.terms).get(((name, 1),), 0)
 
     def drop(self, name: str) -> "Poly":
         return Poly._raw(
@@ -151,11 +169,11 @@ class Poly:
 
     def __mul__(self, other):
         other = as_poly(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
         return Poly(acc)
 
     __rmul__ = __mul__
@@ -164,7 +182,7 @@ class Poly:
         k = rat(k)
         if not k:
             return Poly._raw(())
-        return Poly._raw(tuple((m, c * k) for m, c in self.terms))
+        return Poly._raw(tuple((m, rat(c * k)) for m, c in self.terms))
 
     def rename(self, names: Mapping[str, str], pool: dict) -> "Poly":
         """Injective variable renaming; much cheaper than substitute.
@@ -176,7 +194,7 @@ class Poly:
         return _interned_poly(_renamed_terms(self, names, pool), pool)
 
     def substitute(self, mapping: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict = {}
         for m, c in self.terms:
             # c times the variables of m left alone, times each Poly factor;
             # a rational replacement folds into c without building a Poly
@@ -192,7 +210,7 @@ class Poly:
                     c *= rat(rep) ** p
             part = {tuple(kept): c}
             for f in factors:
-                nxt: dict[Monomial, Fraction] = {}
+                nxt: dict = {}
                 for m1, c1 in part.items():
                     for m2, c2 in f.terms:
                         mm = _mono_mul(m1, m2) if m1 else m2
@@ -202,14 +220,14 @@ class Poly:
                 acc[mm] = acc.get(mm, 0) + cc
         return Poly(acc)
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, assignment: Mapping):
+        total = 0
         for m, c in self.terms:
             val = c
             for v, p in m:
                 val *= rat(assignment[v]) ** p
             total += val
-        return total
+        return rat(total)
 
     def __repr__(self):
         if not self.terms:
@@ -242,7 +260,7 @@ def _merged(a: tuple, b: tuple) -> tuple:
             out.append(b[j])
             j += 1
         else:
-            c = ca + cb
+            c = rat(ca + cb)
             if c:
                 out.append((ma, c))
             i += 1
@@ -352,7 +370,7 @@ BoolExpr = Union[Cmp, And, Or]
 _HOLDS = {"<=": operator.le, "<": operator.lt, "==": operator.eq, "!=": operator.ne}
 
 
-def _holds(op: str, x: Fraction) -> bool:
+def _holds(op: str, x) -> bool:
     """Does the atom `x op 0` hold for a concrete x?"""
     return _HOLDS[op](x, 0)
 
@@ -361,12 +379,11 @@ def _norm_cmp(op: str, lhs: Poly):
     """Fold constant comparisons and scale the polynomial canonically."""
     if lhs.is_const():
         return _holds(op, lhs.const_value())
+    # == and != are sign-free: pin the leading coefficient to 1; the
+    # others scale by a positive factor, which keeps their direction
     lead = lhs.terms[0][1]
-    if op in ("==", "!="):
-        # sign-free: pin the leading coefficient to 1
-        return Cmp(op, lhs.scale(1 / lead))
-    # direction-preserving positive scaling
-    return Cmp(op, lhs.scale(1 / abs(lead)))
+    k = lead if op in ("==", "!=") else abs(lead)
+    return Cmp(op, lhs if k == 1 else lhs.scale(Fraction(1) / k))
 
 
 def cmp_le(a, b):
@@ -486,9 +503,9 @@ def rename(v, names: Mapping[str, str], pool: dict):
         terms = _renamed_terms(v.lhs, names, pool)
         # renaming can reorder terms, so re-pin the leading coefficient
         lead = terms[0][1]
-        k = 1 / lead if v.op in ("==", "!=") else 1 / abs(lead)
+        k = lead if v.op in ("==", "!=") else abs(lead)
         if k != 1:
-            terms = [(m, c * k) for m, c in terms]
+            terms = [(m, rat(Fraction(c, k))) for m, c in terms]
         atom = Cmp(v.op, _interned_poly(terms, pool))
         return pool.setdefault(atom, atom)
     if isinstance(v, And):
@@ -501,7 +518,7 @@ def rename(v, names: Mapping[str, str], pool: dict):
 def substitute(v, mapping: Mapping):
     """Replace variables by Polys or rationals.
 
-    A polynomial that becomes constant comes back as its Fraction, and a
+    A polynomial that becomes constant comes back as its number, and a
     comparison that becomes constant as its bool.  A polynomial whose every
     variable maps to an int or Fraction is evaluated without building one.
     """
@@ -574,26 +591,26 @@ def vadd(a, b):
     a, b = _num(a), _num(b)
     if isinstance(a, Poly) or isinstance(b, Poly):
         return as_poly(a) + as_poly(b)
-    return a + b
+    return rat(a + b)
 
 
 def vsub(a, b):
     a, b = _num(a), _num(b)
     if isinstance(a, Poly) or isinstance(b, Poly):
         return as_poly(a) - as_poly(b)
-    return a - b
+    return rat(a - b)
 
 
 def vmul(a, b):
     a, b = _num(a), _num(b)
     if isinstance(a, Poly) or isinstance(b, Poly):
         return as_poly(a) * as_poly(b)
-    return a * b
+    return rat(a * b)
 
 
 def vneg(a):
     a = _num(a)
-    return -a
+    return -a if isinstance(a, Poly) else rat(-a)
 
 
 def vdiv(a, b):
@@ -605,11 +622,8 @@ def vdiv(a, b):
     if b == 0:
         raise EvalError("division by zero")
     if isinstance(a, Poly):
-        return a.scale(Fraction(1) / rat(b))
-    q = Fraction(a) / Fraction(b)
-    if isinstance(a, int) and isinstance(b, int) and q.denominator == 1:
-        return int(q)
-    return q
+        return a.scale(Fraction(1) / b)
+    return rat(Fraction(a) / b)
 
 
 def vcmp(op: str, a, b):
@@ -666,7 +680,7 @@ def vnot(a):
 
 
 # ---------------------------------------------------------------------------
-# time arithmetic: Fraction when concrete, Poly once symbolic
+# time arithmetic: a number when concrete, Poly once symbolic
 
 INF = float("inf")  # only as an mte result, never stored in a state
 
@@ -675,7 +689,7 @@ def monus(t, d):
     """Truncated subtraction max(t - d, 0) for concrete times; symbolic
     times subtract plainly and rely on constraints for bounds."""
     r = vsub(t, d)
-    return r if isinstance(r, Poly) or r > 0 else Fraction(0)
+    return r if isinstance(r, Poly) or r > 0 else 0
 
 
 # ---------------------------------------------------------------------------

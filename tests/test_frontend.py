@@ -117,6 +117,11 @@ class TestLexer:
         (ann,) = [t for t in tokenize("//delay(T1, T2, 0, 5)") if t.kind == "ann"]
         assert ann.value == ("delay", "T1", "T2", Fraction(0), Fraction(5))
 
+    def test_annotation_numbers_are_ints_when_integral(self):
+        (ann,) = [t for t in tokenize("//delay(T1, T2, 4.0, 2.5)") if t.kind == "ann"]
+        lo, hi = ann.value[3:]
+        assert (type(lo), lo) == (int, 4) and (type(hi), hi) == (Fraction, Fraction(5, 2))
+
     def test_ordinary_comments_skipped(self):
         toks = tokenize("x := 1; // free-form note\n(* block\n comment *) y := 2;")
         assert [t.text for t in toks if t.kind == "id"] == ["x", "y"]

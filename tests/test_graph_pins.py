@@ -8,10 +8,16 @@ scan-cycle endpoints, so that any such change shows in the tier-1 run.
 A change that alters them on purpose updates the figures here and says why.
 """
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from plcreach import bench
+from plcreach import bench, explorer
 from plcreach.explorer import NO_SOLUTION, SOLUTION_FOUND, search
+from plcreach.values import Poly
+
+from test_values import in_rat_form
 
 # (model, mode, POR, bound, property,
 #  (verdict, states, transitions, solver queries, endpoints))
@@ -26,8 +32,7 @@ PINS = [
 ]
 
 PUMP1_WITNESS = [
-    "start[('tank1', 'TANK1', 'input', Fraction(1, 1)),"
-    "('tank2', 'TANK2', 'input', Fraction(0, 1))]",
+    "start[('tank1', 'TANK1', 'input', 1),('tank2', 'TANK2', 'input', 0)]",
     "seq(tank1)[('call', ()),('if-true', ())]",
     "seq(tank2)[('call', ()),('if-true', ())]",
     "conSucc(tank1)[('TANK1', 'TANK2')]",
@@ -48,7 +53,7 @@ PUMP1_WITNESS = [
     "seq(tank1)[('assign', ()),('if-false', ()),('assign', ()),('assign', ()),"
     "('assign', ()),('assign', ()),('assign', ())]",
     "tick[_d0]",
-    "start[('tank1', 'TANK1', 'input', Fraction(0, 1))]",
+    "start[('tank1', 'TANK1', 'input', 0)]",
 ]
 
 # m1 runs its whole scan and starts the next one alone, while m2's scan
@@ -73,3 +78,44 @@ def test_search_graph_is_pinned(name, mode, por, bound, prop, expected):
         (w,) = r.witnesses
         assert [t.pretty() for t in w.path] == WITNESSES[prop]
         assert w.model == {}
+
+
+def _numbers(v, seen: dict):
+    """Every number inside a canonical key: tuples, records and polynomials
+    are walked, each object once (`seen` keeps them alive, so no id is
+    reused while the walk lasts)."""
+    if isinstance(v, (bool, str)) or v is None:
+        return
+    if isinstance(v, (int, float, Fraction)):
+        yield v
+        return
+    if id(v) in seen:
+        return
+    seen[id(v)] = v
+    if isinstance(v, Poly):
+        v = v.terms
+    elif dataclasses.is_dataclass(v):
+        v = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+    for item in v:
+        yield from _numbers(item, seen)
+
+
+def test_concrete_keys_hold_no_integral_fraction(monkeypatch):
+    """Every number in every canonical key of the concrete `ptpc` search is
+    an int, or a Fraction that is not integral; none is a float."""
+    found, seen = [], {}
+    canonicalize = explorer.canonicalize
+
+    def walked(s, pool=None):
+        key = canonicalize(s, pool)
+        found.extend(_numbers(key, seen))
+        return key
+
+    monkeypatch.setattr(explorer, "canonicalize", walked)
+    name, mode, por, bound, _, expected = PINS[0]
+    scen = bench.load(name)
+    r = search(scen.context(), scen.initial_state(mode=mode, por=por), bound=bound)
+    got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints))
+    assert got == expected
+    assert len(found) > 1000
+    assert [v for v in found if not in_rat_form(v)] == []

@@ -1,5 +1,7 @@
 """Execution-engine tests: scan cycles, block state, suspension."""
 
+from fractions import Fraction
+
 import pytest
 
 from plcreach.kmachine import (
@@ -12,13 +14,14 @@ from plcreach.kmachine import (
     NeedsComm,
     config_key,
     config_vars,
+    const_eval,
     idle_config,
     load_programs,
     pop_head,
     resume_comm,
     step,
 )
-from plcreach.st import PouTable, parse_file
+from plcreach.st import Lit, PouTable, expr_to_st, parse_expression, parse_file
 from plcreach.st.ast import AssertTimeAnn, DelayAnn
 from plcreach.values import Cmp, Poly, RCV_ERROR
 
@@ -486,3 +489,12 @@ class TestCanonicalForm:
         assert names == ("_u1",)
         assert hash(conc) == hash(cfg.write(loc, 3))
         assert config_key(conc) == config_key(cfg.write(loc, 3))
+
+
+def test_a_real_literal_is_kept_as_written_and_evaluates_to_an_int_when_integral():
+    e = parse_expression("2.0 + 2.5")
+    assert e.lhs == Lit(Fraction(2)) != Lit(2)
+    assert expr_to_st(e) == "2 + 2.5"
+    for text, want in (("2.0", 2), ("2.5", Fraction(5, 2)), ("2.0 + 2.5", Fraction(9, 2)), ("2.5 * 2", 5)):
+        got = const_eval(parse_expression(text))
+        assert got == want and type(got) is type(want)

@@ -754,6 +754,23 @@ END_PROGRAM
 """
 
 
+def test_numbers_from_outside_are_ints_when_integral():
+    """The file's numbers, the search bound and the simulation horizon reach
+    the engine as ints when integral, as Fractions otherwise, never as floats."""
+    doc = tank_doc(analysis={"mode": "concrete", "bound": "40/2"})
+    doc["machines"][0].update(cycleTime=10.0, state={"waterLevel": 2.5})
+    scen = scenario_from_dict(doc, table_for())
+    (m,) = scen.machines
+    s0 = scen.initial_state()
+    (conn,) = linked(delay=(10.0, "40/2")).conns
+    got = [m.cycle_time, dict(m.state)["waterLevel"], m.timer, m.env_timer, s0.clock,
+           scen.analysis.bound, conn.delay_lo, conn.delay_hi]
+    assert got == [10, F(5, 2), 0, 0, 0, 20, 10, 20]
+    assert [type(v) for v in got] == [int, F, int, int, int, int, int, int]
+    assert type(search(scen.context(), s0, bound=F(20, 2)).bound) is int
+    assert type(simulate(scen.context(), s0, F(40, 2))[-1][1].clock) is int
+
+
 def linked(stmt="", delay=(10, 20)):
     doc = {
         "machines": [

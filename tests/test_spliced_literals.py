@@ -27,6 +27,7 @@ from plcreach.values import Poly, cmp_eq, cmp_le
 
 from test_kmachine import make
 from test_system import make_machine, make_system
+from test_values import in_rat_form
 
 F = Fraction
 
@@ -118,3 +119,14 @@ def test_propagate_pins_still_substitutes_unanchored_variables():
     out = propagate_pins(s)
     assert out.constraints == ()
     assert out.machines[0].state == (("x", F(7)),)
+
+
+@pytest.mark.parametrize("rhs, want", [(7, F(7, 2)), (8, 4)])
+def test_propagate_pins_substitutes_numbers_in_the_rational_form(rhs, want):
+    u0, u1 = Poly.var("_u0"), Poly.var("_u1")
+    pin = cmp_eq(u1.scale(2), rhs)
+    s = state_with_literal(cmp_le(u0, 3), [pin], state={"x": u1, "y": u1 + F(1, 2)})
+    out = propagate_pins(replace(s, fresh_counter=2))
+    values = dict(out.machines[0].state)
+    assert values == {"x": want, "y": want + F(1, 2)}
+    assert all(in_rat_form(v) for v in values.values())

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcreach.solver import solve_linear
 from plcreach.values import (
     Cmp,
     EvalError,
@@ -26,6 +27,7 @@ from plcreach.values import (
     vcmp,
     vdiv,
     vmul,
+    vneg,
     vsub,
     variables,
 )
@@ -78,11 +80,17 @@ def reference(*signed):
     return Poly(acc)
 
 
+def in_rat_form(v) -> bool:
+    """The engine's one form of a rational: an int exactly when it is
+    integral, else a Fraction with denominator > 1; never a float or bool."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def assert_canonical(got, want):
     assert got.terms == want.terms
     monos = [m for m, _ in got.terms]
     assert all(a < b for a, b in zip(monos, monos[1:]))
-    assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+    assert all(in_rat_form(c) and c != 0 for _, c in got.terms)
     assert hash(got) == hash(want)
     assert ckey(got) == ckey(want)
 
@@ -111,7 +119,7 @@ all_names = ["x", "y", "z", "w"]
 @given(polys, st.fixed_dictionaries({n: rational_values for n in all_names}))
 def test_rational_substitution_evaluates(p, mapping):
     got = substitute(p, mapping)
-    assert type(got) is Fraction
+    assert in_rat_form(got)
     assert got == p.substitute(mapping).const_value()
 
 
@@ -132,6 +140,89 @@ def test_rat_coercions():
     assert rat("3/4") == Fraction(3, 4)
     assert rat(0.5) == Fraction(1, 2)
     assert rat(Fraction(7, 2)) == Fraction(7, 2)
+    cases = ((Fraction(6, 2), 3), ("4/2", 2), (2.0, 2), (True, 1), (False, 0), (0.1, Fraction(1, 10)))
+    for x, want in cases:
+        got = rat(x)
+        assert got == want and type(got) is type(want)
+    with pytest.raises(TypeError):
+        rat(None)
+
+
+# Integral Fractions among the inputs: the kernel brings them to int too.
+numbers = st.one_of(st.integers(-20, 20), rationals)
+
+
+@given(numbers, numbers)
+def test_kernel_ops_keep_the_rational_form(a, b):
+    outs = [rat(a), vadd(a, b), vsub(a, b), vmul(a, b), vneg(a), monus(a, b)]
+    if b:
+        outs.append(vdiv(a, b))
+    assert all(in_rat_form(v) for v in outs)
+    assert outs[1] == a + b and outs[2] == a - b and outs[3] == a * b
+
+
+def test_division_of_ints_is_exact():
+    cases = ((7, 2, Fraction(7, 2)), (8, 2, 4), (Fraction(1, 2), Fraction(1, 4), 2), (-3, 6, Fraction(-1, 2)))
+    for a, b, want in cases:
+        got = vdiv(a, b)
+        assert got == want and in_rat_form(got)
+
+
+@settings(max_examples=50)
+@given(poly_pairs(), numbers, st.fixed_dictionaries({n: numbers for n in all_names}), var_names)
+def test_poly_ops_keep_the_rational_form(pq, k, env, name):
+    p, q = pq
+
+    def ok(poly):
+        return all(in_rat_form(c) and c != 0 for _, c in poly.terms)
+
+    polys_out = [p + q, p - q, -p, p * q, p.scale(k), Poly.const(k), Poly.var(name),
+                 Poly([((), k), ((), k)]), p.substitute({name: k}), p.substitute({name: q})]
+    assert all(ok(r) for r in polys_out)
+    numbers_out = [p.evaluate(env), substitute(p, env), Poly.const(k).const_value(),
+                   (p - p).const_value(), p.coeff(name)]
+    assert all(in_rat_form(v) for v in numbers_out)
+    for op in (cmp_le, cmp_lt, cmp_eq):
+        c = op(p, q)
+        if isinstance(c, bool):
+            continue
+        assert ok(c.lhs)
+        for atom in (c, bnot(c)):
+            # an injective renaming that reorders terms re-pins the lead
+            assert ok(rename(atom, {"x": "y", "y": "x"}, {}).lhs)
+
+
+linear_atoms = st.builds(
+    lambda cx, cy, c: Poly.var("x").scale(cx) + Poly.var("y").scale(cy) + Poly.const(c),
+    numbers,
+    numbers,
+    numbers,
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(linear_atoms, min_size=1, max_size=5), numbers, numbers, st.booleans())
+def test_solver_models_keep_the_rational_form(atoms, vx, vy, strict):
+    # constraints that hold at (vx, vy) with slack, so some model exists
+    env = {"x": vx, "y": vy}
+    guards = []
+    for p in atoms:
+        val = p.evaluate(env)
+        guards.append((cmp_lt if strict else cmp_le)(p, val + 1))
+    phi = band(*guards)
+    v = solve_linear(phi)
+    assert v.is_sat
+    assert all(in_rat_form(m) for m in v.model.values())
+
+
+def test_solver_midpoint_keeps_the_rational_form():
+    x = Poly.var("x")
+    cases = ((1, 3, 2), (0, 1, Fraction(1, 2)), (Fraction(1, 2), Fraction(7, 2), 2),
+             (Fraction(1, 2), Fraction(5, 2), Fraction(3, 2)))
+    for lo, hi, want in cases:
+        v = solve_linear(band(cmp_lt(Poly.const(lo), x), cmp_lt(x, hi)))
+        got = v.model["x"]
+        assert got == want and in_rat_form(got)
 
 
 def test_poly_basic_algebra():
