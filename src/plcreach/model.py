@@ -25,7 +25,7 @@ from .values import (
     Or,
     Poly,
     band,
-    ckey,
+    ckey_of,
     conjuncts,
     copy_with,
     rename,
@@ -341,16 +341,31 @@ _FACTS_MEMO = "canon-facts"
 _RENAMED_MEMO = "canon-renamed"
 
 
+def _names_of(v) -> tuple:
+    """The sorted variable names of a runtime value; a Poly keeps them."""
+    cls = v.__class__
+    if cls is Poly:
+        return v.names()
+    if cls is Cmp:
+        return v.lhs.names()
+    if cls is And or cls is Or:
+        return tuple(sorted(variables(v)))
+    return ()
+
+
 def _constraint_facts(c, memo: dict) -> tuple:
-    """(sort key, sorted variable names) of one constraint, memoised."""
-    facts = memo.get(c)
+    """(sort key, sorted variable names) of one constraint, memoised by
+    its `ckey`, so that equal atoms built apart hit in C."""
+    key = c._ckey
+    facts = memo.get(key)
     if facts is None:
-        facts = memo[c] = ((repr(_masked(c)), ckey(c)), tuple(sorted(variables(c))))
+        facts = memo[key] = ((repr(_masked(c)), key), _names_of(c))
     return facts
 
 
 def _canon_order(s: SystemState, memo: dict = None):
-    """First-use order of fresh variables, plus the live constraint slice."""
+    """First-use order of fresh variables, plus the live constraint slice
+    as (constraint, facts) pairs in canonical order."""
     memo = {} if memo is None else memo
     order: list = []
     seen: set = set()
@@ -362,40 +377,53 @@ def _canon_order(s: SystemState, memo: dict = None):
                 order.append(n)
 
     for m in s.machines:
-        note(sorted(variables(m.timer)))
+        note(_names_of(m.timer))
         for _, v in m.state:
-            note(sorted(variables(v)))
+            note(_names_of(v))
         note(config_vars(m.cfg))
     for c in s.conns:
         for msg in c.buffer:
-            for v in (msg.data, msg.min_timer, msg.max_timer):
-                note(sorted(variables(v)))
-    note(sorted(variables(s.clock)))
+            note(_names_of(msg.data))
+            note(_names_of(msg.min_timer))
+            note(_names_of(msg.max_timer))
+    note(_names_of(s.clock))
     live = set(order)
 
     # Keep only constraints transitively linked to live variables; the rest
     # restrict variables nothing refers to any more, and each stored state
     # already has a satisfiable path condition.
-    remaining = list(s.constraints)
+    remaining = [(c, _constraint_facts(c, memo)) for c in s.constraints]
     kept: list = []
     changed = True
     while changed:
         changed = False
         still = []
-        for c in remaining:
-            cv = _constraint_facts(c, memo)[1]
+        for cf in remaining:
+            cv = cf[1][1]
             if not live.isdisjoint(cv):
-                kept.append(c)
+                kept.append(cf)
                 live.update(cv)
                 changed = True
             else:
-                still.append(c)
+                still.append(cf)
         remaining = still
 
-    kept.sort(key=lambda c: _constraint_facts(c, memo)[0])
-    for c in kept:
-        note(_constraint_facts(c, memo)[1])
+    kept.sort(key=lambda cf: cf[1][0])
+    for _, facts in kept:
+        note(facts[1])
     return order, kept
+
+
+def _renamed(v, vs: tuple, names: dict, pool: dict, memo: dict):
+    """`rename(v, names, pool)` for a value whose sorted variables are
+    `vs`, memoised by `v` and the new names of those variables."""
+    if not vs:
+        return v
+    key = (v, tuple([names.get(n) for n in vs]))
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = rename(v, names, pool)
+    return got
 
 
 def canonicalize(s: SystemState, pool: dict = None) -> tuple:
@@ -404,10 +432,13 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
 
     `pool` interns what the renaming builds (the `v{i}` names, monomials,
     terms, polynomials and comparisons), so that equal pieces of different
-    keys are one object.  It also memoises each constraint's sort key and
-    variables, and its renaming under each naming of those variables.  A
-    search passes one pool for its whole life and drops it with its state
-    store; without one, a throwaway pool is used.
+    keys are one object.  It also holds two memos.  One maps each
+    constraint's `ckey` to its sort key and sorted variables.  The other
+    maps a value (a constraint, a timer, a plant value, a message field or
+    the clock) and the new names of its variables to its renaming, so a
+    value shared by many states is renamed once per naming.  A search
+    passes one pool for its whole life and drops it with its state store;
+    without one, a throwaway pool is used.
     """
     if pool is None:
         pool = {}
@@ -420,14 +451,19 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     for i, n in enumerate(order):
         name = f"v{i}"
         names[n] = intern(name, name)
+    renamed = pool.setdefault(_RENAMED_MEMO, {})
+
+    def ren(v):
+        return _renamed(v, _names_of(v), names, pool, renamed)
+
     # Each value is renamed only when there is something to rename.
     machines_key = tuple(
         (
             m.mid,
             config_key(m.cfg, names, pool),
-            rename(m.timer, names, pool) if names else m.timer,
+            ren(m.timer) if names else m.timer,
             m.env_timer,
-            tuple((nm, rename(v, names, pool)) for nm, v in m.state) if names else m.state,
+            tuple((nm, ren(v)) for nm, v in m.state) if names else m.state,
             m.cycle_time,
             m.cycle_index,
         )
@@ -449,9 +485,9 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
                             msg.receiver,
                             msg.send_fb,
                             msg.recv_fb,
-                            rename(msg.data, names, pool) if names else msg.data,
-                            rename(msg.min_timer, names, pool) if names else msg.min_timer,
-                            rename(msg.max_timer, names, pool) if names else msg.max_timer,
+                            ren(msg.data) if names else msg.data,
+                            ren(msg.min_timer) if names else msg.min_timer,
+                            ren(msg.max_timer) if names else msg.max_timer,
                         )
                         for msg in c.buffer
                     ),
@@ -461,15 +497,8 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
         )
         for c in s.conns
     )
-    renamed = pool.setdefault(_RENAMED_MEMO, {})
-    atoms = []
-    for c in kept:
-        at = (c, tuple(names.get(n) for n in _constraint_facts(c, facts)[1]))
-        atom = renamed.get(at)
-        if atom is None:
-            atom = renamed[at] = rename(c, names, pool)
-        atoms.append(atom)
-    constraints_key = tuple(sorted(atoms, key=ckey))
-    clock_key = rename(s.clock, names, pool) if names else s.clock
+    atoms = [_renamed(c, cvars, names, pool, renamed) for c, (_, cvars) in kept]
+    constraints_key = tuple(sorted(atoms, key=ckey_of))
+    clock_key = ren(s.clock) if names else s.clock
     # Only a symbolic tick sets the fold flag, so concrete keys never split on it.
     return (machines_key, conns_key, clock_key, constraints_key, s.ticked)

@@ -2,9 +2,14 @@
 
 The decision procedure handles linear rational arithmetic exactly:
 equalities are removed by substitution, inequalities by Fourier-Motzkin
-elimination with exact rational pivoting, and disjunctions by case
-splitting; a disequality p != 0 is split into p < 0 or p > 0.  Pivots and
-model values are rationals in the form `values.rat` gives.
+elimination, and disjunctions by case splitting; a disequality p != 0 is
+split into p < 0 or p > 0.  Elimination is fraction-free: every row is
+kept with int coefficients of gcd 1, and eliminating x from two rows adds
+them times positive ints that cancel x, then divides by the content again.
+That is the same constraint as dividing by the pivot, times a positive
+number.  Rationals appear only in models: the log keeps each row with its
+pivot coefficient, and extraction divides by it.  Model values are in the
+form `values.rat` gives.
 Every verdict is definite: sat with a model, or unsat.  A constraint
 outside linear arithmetic raises SolverUnavailable rather than guessing.
 """
@@ -66,6 +71,17 @@ def _split_candidates(items):
     return atoms, splits
 
 
+def _cancel(q, a: int, p, c: int):
+    """A positive multiple of `q - (a/c)*p`: the row `q`, whose coefficient
+    of some variable is `a`, with that variable cancelled by the row `p`,
+    whose coefficient of it is `c != 0`."""
+    if not a:
+        return q
+    if c < 0:
+        a, c = -a, -c
+    return (q.scale(c) + p.scale(-a)).primitive()
+
+
 def _solve_conjunction(atoms):
     """Exact sat check of a conjunction of linear atoms.
 
@@ -76,9 +92,9 @@ def _solve_conjunction(atoms):
     for a in atoms:
         op, p = _as_ineq(a)
         all_vars |= p.variables()
-        (eqs if op == "==" else ineqs).append((op, p))
+        (eqs if op == "==" else ineqs).append((op, p.primitive()))
 
-    subst_log = []  # (var, poly) in substitution order
+    subst_log = []  # (var, row, coefficient of var), in substitution order
     # Gaussian phase: substitute equalities away
     while eqs:
         op, p = eqs.pop()
@@ -86,15 +102,14 @@ def _solve_conjunction(atoms):
             if p.const_value() != 0:
                 return False, None
             continue
-        var = next(iter(sorted(p.variables())))
+        var = p.names()[0]
         c = p.coeff(var)
-        rest = p.drop(var).scale(Fraction(-1) / c)
-        subst_log.append((var, rest))
-        eqs = [(o, q.substitute({var: rest})) for o, q in eqs]
-        ineqs = [(o, q.substitute({var: rest})) for o, q in ineqs]
+        subst_log.append((var, p, c))
+        eqs = [(o, _cancel(q, q.coeff(var), p, c)) for o, q in eqs]
+        ineqs = [(o, _cancel(q, q.coeff(var), p, c)) for o, q in ineqs]
 
     # Fourier-Motzkin phase
-    elim_log = []  # (var, lowers, uppers); bounds are (poly, strict)
+    elim_log = []  # (var, lowers, uppers); rows are (poly, coefficient, strict)
     while True:
         vars_left = sorted({v for _, p in ineqs for v in p.variables()})
         if not vars_left:
@@ -103,21 +118,19 @@ def _solve_conjunction(atoms):
         lowers, uppers, rest = [], [], []
         for op, p in ineqs:
             c = p.coeff(x)
-            strict = op == "<"
             if c == 0:
                 rest.append((op, p))
-                continue
-            # c*x + r op 0  ->  x <= -r/c (c>0) or x >= -r/c (c<0)
-            bound = p.drop(x).scale(Fraction(-1) / c)
-            if c > 0:
-                uppers.append((bound, strict))
-            else:
-                lowers.append((bound, strict))
+            elif c > 0:  # x <= -(p - c*x)/c
+                uppers.append((p, c, op == "<"))
+            else:  # x >= -(p - c*x)/c
+                lowers.append((p, c, op == "<"))
         combined = list(rest)
-        for lb, ls in lowers:
-            for ub, us in uppers:
+        for pl, cl, ls in lowers:
+            for pu, cu, us in uppers:
+                # cu > 0 and -cl > 0, so this is the lower bound minus the
+                # upper bound times cu*(-cl)
                 op = "<" if (ls or us) else "<="
-                combined.append((op, lb - ub))
+                combined.append((op, (pl.scale(cu) + pu.scale(-cl)).primitive()))
         elim_log.append((x, lowers, uppers))
         ineqs = combined
 
@@ -129,24 +142,30 @@ def _solve_conjunction(atoms):
             return False, None
 
     # model extraction by back substitution; variables that fell out of
-    # every constraint are pinned to 0 first so recorded bounds evaluate
-    bound_vars = {x for x, _, _ in elim_log} | {v for v, _ in subst_log}
+    # every constraint are pinned to 0 first so recorded bounds evaluate.
+    # A row p with coefficient c of x bounds x by -(p at x = 0)/c.
+    bound_vars = {x for x, _, _ in elim_log} | {v for v, _, _ in subst_log}
     model: dict = {v: 0 for v in all_vars - bound_vars}
+
+    def solved(x, p, c):
+        model[x] = 0
+        return rat(Fraction(-p.evaluate(model), c))
+
     for x, lowers, uppers in reversed(elim_log):
-        lo = [(b.evaluate(model), s) for b, s in lowers]
-        hi = [(b.evaluate(model), s) for b, s in uppers]
+        lo = [solved(x, p, c) for p, c, _ in lowers]
+        hi = [solved(x, p, c) for p, c, _ in uppers]
         if lo and hi:
-            lmax = max(v for v, _ in lo)
-            umin = min(v for v, _ in hi)
+            lmax = max(lo)
+            umin = min(hi)
             model[x] = lmax if lmax == umin else rat(Fraction(lmax + umin, 2))
         elif lo:
-            model[x] = max(v for v, _ in lo) + 1
+            model[x] = max(lo) + 1
         elif hi:
-            model[x] = min(v for v, _ in hi) - 1
+            model[x] = min(hi) - 1
         else:
             model[x] = 0
-    for var, rest in reversed(subst_log):
-        model[var] = rest.evaluate(model)
+    for var, p, c in reversed(subst_log):
+        model[var] = solved(var, p, c)
     return True, model
 
 

@@ -245,15 +245,13 @@ def _stmt_lines(s: Stmt, indent: str) -> list:
             txt = expr_to_st(a.expr)
             parts.append(f"{a.name} := {txt}" if a.name else txt)
         return [f"{indent}{s.name}(%s);" % ", ".join(parts)]
+    # An annotation bound prints as `str` gives it (`3`, `1/3`), which the
+    # lexer reads back exactly.
     if isinstance(s, AssertTimeAnn):
-        return [f"{indent}//assertTime({_num(s.lo)}, {_num(s.hi)})"]
+        return [f"{indent}//assertTime({s.lo}, {s.hi})"]
     if isinstance(s, DelayAnn):
-        return [f"{indent}//delay({s.a}, {s.b}, {_num(s.lo)}, {_num(s.hi)})"]
+        return [f"{indent}//delay({s.a}, {s.b}, {s.lo}, {s.hi})"]
     raise TypeError(f"not a statement: {s!r}")
-
-
-def _num(x) -> str:
-    return str(x) if x.denominator == 1 else str(float(x))
 
 
 def _decl_lines(section: str, decls: tuple, indent: str) -> list:

@@ -262,21 +262,28 @@ def due_machines(ctx: RuleCtx, s: SystemState):
     """
     due = []
     eqs = []
+    first = None  # `s` pinned by the first due machine's own check
     for m in s.machines:
         if not m.cfg.is_cycle_complete():
             continue
         if s.options.clock_sep and m.env_timer != 0:
             continue
         eq = cmp_eq(m.timer, 0)
-        if feasible(ctx.checker, s, eq, cls="start") is not False:
+        alone = feasible(ctx.checker, s, eq, cls="start")
+        if alone is not False:
             due.append(m)
             eqs.append(eq)
+            if first is None:
+                first = alone
     if not due:
         return [], s
+    if len(due) == 1:
+        # its own check already pinned it; a joint check would repeat it
+        return due, first
     pinned = feasible(ctx.checker, s, *eqs, cls="start")
     if pinned is False:
         # Joint start impossible; let the first machine go alone.
-        return due[:1], feasible(ctx.checker, s, eqs[0], cls="start")
+        return due[:1], first
     return due, pinned
 
 

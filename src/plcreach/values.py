@@ -8,6 +8,15 @@ Or whose atoms are polynomial comparisons against zero: `p <= 0`, `p < 0`,
 negation down to the atoms and flips each one.  Every structure here is
 immutable and hashable so machine states can be shared and canonicalized.
 
+An atom's polynomial is primitive: its coefficients are ints with gcd 1.
+`_norm_cmp` gets there by multiplying by the lcm of the denominators and
+dividing by the gcd of the numerators, a positive factor for `<=` and `<`;
+for `==` and `!=` the sign is fixed too, so that the first term's
+coefficient is positive.  So `x - 10 <= 0` stays as written, `x/2 <= 3`
+becomes `x - 6 <= 0`, and equal constraints built apart are one atom.
+Negating an atom or renaming its variables keeps the coefficients
+primitive; only the sign of an `==`/`!=` atom may need flipping again.
+
 Every rational number, concrete or a coefficient, is kept in the one form
 `rat` gives: an int when it is integral, else a Fraction with denominator
 > 1; never a float, and never a bool where a number is meant.  Every
@@ -49,6 +58,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 # monomial: ((var, power), ...) sorted by var name; () is the constant term
@@ -85,7 +95,7 @@ def rat(x):
 class Poly:
     """Polynomial over real variables, kept in a canonical sorted form."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_names")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -137,6 +147,14 @@ class Poly:
     def variables(self) -> set:
         return {v for m, _ in self.terms for v, _ in m}
 
+    def names(self) -> tuple:
+        """The variable names, sorted; computed on first use and kept."""
+        try:
+            return self._names
+        except AttributeError:
+            self._names = tuple(sorted(self.variables()))
+            return self._names
+
     def degree(self) -> int:
         return max((sum(p for _, p in m) for m, _ in self.terms), default=0)
 
@@ -183,6 +201,27 @@ class Poly:
         if not k:
             return Poly._raw(())
         return Poly._raw(tuple((m, rat(c * k)) for m, c in self.terms))
+
+    def primitive(self, pin_sign: bool = False) -> "Poly":
+        """This polynomial times the rational that makes every coefficient
+        an int and their gcd 1: a positive one, which with `pin_sign` also
+        makes the first coefficient positive.  `self` when that is 1."""
+        terms = self.terms
+        if not terms:
+            return self
+        den = 1
+        for _, c in terms:
+            if c.__class__ is not int:
+                den = lcm(den, c.denominator)
+        nums = [c for _, c in terms] if den == 1 else [
+            c.numerator * (den // c.denominator) for _, c in terms
+        ]
+        g = gcd(*nums)
+        if pin_sign and nums[0] < 0:
+            g = -g
+        if g == 1 and den == 1:
+            return self
+        return Poly._raw(tuple((m, n // g) for (m, _), n in zip(terms, nums)))
 
     def rename(self, names: Mapping[str, str], pool: dict) -> "Poly":
         """Injective variable renaming; much cheaper than substitute.
@@ -376,14 +415,17 @@ def _holds(op: str, x) -> bool:
 
 
 def _norm_cmp(op: str, lhs: Poly):
-    """Fold constant comparisons and scale the polynomial canonically."""
+    """The atom `lhs op 0` in primitive form, or its bool when `lhs` is
+    constant.
+
+    The polynomial is scaled to int coefficients with gcd 1, by a positive
+    factor for `<=` and `<` (which keeps their direction); `==` and `!=`
+    are sign-free, so their factor also makes the first coefficient
+    positive.  Atoms that differ only by such a factor are then equal.
+    """
     if lhs.is_const():
         return _holds(op, lhs.const_value())
-    # == and != are sign-free: pin the leading coefficient to 1; the
-    # others scale by a positive factor, which keeps their direction
-    lead = lhs.terms[0][1]
-    k = lead if op in ("==", "!=") else abs(lead)
-    return Cmp(op, lhs if k == 1 else lhs.scale(Fraction(1) / k))
+    return Cmp(op, lhs.primitive(op == "==" or op == "!="))
 
 
 def cmp_le(a, b):
@@ -408,11 +450,12 @@ def bnot(e):
     if isinstance(e, bool):
         return not e
     if isinstance(e, Cmp):
-        # not(p <= 0) is -p < 0, not(p < 0) is -p <= 0
+        # not(p <= 0) is -p < 0, not(p < 0) is -p <= 0; -p is primitive
+        # when p is, and the sign of an ==/!= atom carries over
         if e.op == "<=":
-            return _norm_cmp("<", -e.lhs)
+            return Cmp("<", -e.lhs)
         if e.op == "<":
-            return _norm_cmp("<=", -e.lhs)
+            return Cmp("<=", -e.lhs)
         return Cmp("!=" if e.op == "==" else "==", e.lhs)
     if isinstance(e, And):
         return bor(*(bnot(a) for a in e.args))
@@ -432,7 +475,7 @@ def band(*es):
             flat.extend(e.args)
         else:
             flat.append(e)
-    uniq = sorted(set(flat), key=ckey)
+    uniq = sorted(set(flat), key=ckey_of)
     if not uniq:
         return True
     if len(uniq) == 1:
@@ -451,7 +494,7 @@ def bor(*es):
             flat.extend(e.args)
         else:
             flat.append(e)
-    uniq = sorted(set(flat), key=ckey)
+    uniq = sorted(set(flat), key=ckey_of)
     if not uniq:
         return False
     if len(uniq) == 1:
@@ -501,11 +544,11 @@ def rename(v, names: Mapping[str, str], pool: dict):
         return v.rename(names, pool)
     if isinstance(v, Cmp):
         terms = _renamed_terms(v.lhs, names, pool)
-        # renaming can reorder terms, so re-pin the leading coefficient
-        lead = terms[0][1]
-        k = lead if v.op in ("==", "!=") else abs(lead)
-        if k != 1:
-            terms = [(m, rat(Fraction(c, k))) for m, c in terms]
+        # renaming keeps the coefficients primitive but can reorder the
+        # terms, so an ==/!= atom may need its first coefficient made
+        # positive again
+        if terms[0][1] < 0 and (v.op == "==" or v.op == "!="):
+            terms = [(m, -c) for m, c in terms]
         atom = Cmp(v.op, _interned_poly(terms, pool))
         return pool.setdefault(atom, atom)
     if isinstance(v, And):
@@ -694,6 +737,11 @@ def monus(t, d):
 
 # ---------------------------------------------------------------------------
 # canonical ordering key for hashing and deterministic iteration
+
+
+# The key of a Cmp, And or Or, read in C: the sort key of `band`, `bor`
+# and the canonical form, whose items are only boolean expressions.
+ckey_of = operator.attrgetter("_ckey")
 
 
 def ckey(v):

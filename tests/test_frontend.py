@@ -320,6 +320,22 @@ class TestRoundTrip:
             (again,) = parse_file(pou_to_st(pou))
             assert again == pou
 
+    @pytest.mark.parametrize(
+        "ann, want",
+        [
+            ("//assertTime(1/3, 1)", AssertTimeAnn(Fraction(1, 3), 1)),
+            ("//assertTime(0, 22/7)", AssertTimeAnn(0, Fraction(22, 7))),
+            ("//delay(a, b, 2/3, 5/3)", DelayAnn("a", "b", Fraction(2, 3), Fraction(5, 3))),
+        ],
+    )
+    def test_annotation_bounds_round_trip(self, ann, want):
+        # bounds that are no finite decimal print and parse back exactly
+        src = f"PROGRAM P\n    VAR x : INT; END_VAR\n    {ann}\n    x := 1;\nEND_PROGRAM\n"
+        (pou,) = parse_file(src)
+        assert pou.body[0] == want
+        (again,) = parse_file(pou_to_st(pou))
+        assert again == pou
+
 
 # Random expression round-trip: print then re-parse reproduces the tree.
 _leaf = hst.one_of(

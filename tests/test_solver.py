@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,10 @@ from plcreach.values import (
     cmp_eq,
     cmp_le,
     cmp_lt,
+    _norm_cmp,
+    evaluate,
     rename,
+    variables,
 )
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
@@ -204,3 +208,81 @@ def test_model_respects_strict_bounds():
     v = solve_linear(band(cmp_lt(Poly.const(0), x), cmp_lt(x, Fraction(1, 1000))))
     assert v.is_sat
     assert 0 < v.model["x"] < Fraction(1, 1000)
+
+
+# The elimination the solver used before it became fraction-free: each
+# equality solved for its first variable and substituted, each variable's
+# bounds divided by its coefficient.  It decides a conjunction of
+# (op, polynomial) rows, op one of <=, < and ==.
+
+
+def _rational_fm(rows):
+    eqs = [p for op, p in rows if op == "=="]
+    ineqs = [(op, p) for op, p in rows if op != "=="]
+    while eqs:
+        p = eqs.pop()
+        if p.is_const():
+            if p.const_value() != 0:
+                return False
+            continue
+        var = sorted(p.variables())[0]
+        rest = p.drop(var).scale(Fraction(-1) / p.coeff(var))
+        eqs = [q.substitute({var: rest}) for q in eqs]
+        ineqs = [(o, q.substitute({var: rest})) for o, q in ineqs]
+    while True:
+        left = sorted({v for _, p in ineqs for v in p.variables()})
+        if not left:
+            break
+        x = left[0]
+        lowers, uppers, rest = [], [], []
+        for op, p in ineqs:
+            c = p.coeff(x)
+            if c == 0:
+                rest.append((op, p))
+                continue
+            bound = (p.drop(x).scale(Fraction(-1) / c), op == "<")
+            (uppers if c > 0 else lowers).append(bound)
+        ineqs = rest + [
+            ("<" if ls or us else "<=", lb - ub) for lb, ls in lowers for ub, us in uppers
+        ]
+    return all(
+        p.const_value() < 0 if op == "<" else p.const_value() <= 0 for op, p in ineqs
+    )
+
+
+def _oracle_sat(atoms) -> bool:
+    """Each disequality p != 0 split into p < 0 or -p < 0, every case
+    decided by the rational elimination."""
+    cases = [
+        [("<", a.lhs), ("<", -a.lhs)] if a.op == "!=" else [(a.op, a.lhs)] for a in atoms
+    ]
+    return any(_rational_fm(list(rows)) for rows in itertools.product(*cases))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def linear_systems(draw):
+    names = ["x", "y", "z"][: draw(st.integers(2, 3))]
+    atoms = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = Poly.const(draw(small))
+        for n in names:
+            p = p + Poly.var(n).scale(draw(st.sampled_from([0, 0, 1, -1]) | small))
+        atoms.append(_norm_cmp(draw(st.sampled_from(["<=", "<", "==", "!="])), p))
+    return atoms
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_fraction_free_elimination_agrees_with_rational_elimination(atoms):
+    phi = band(*atoms)
+    v = solve_linear(phi)
+    if isinstance(phi, bool):
+        assert v.is_sat == phi
+        return
+    assert v.is_sat == _oracle_sat([a for a in atoms if a is not True])
+    if v.is_sat:
+        assert variables(phi) <= v.model.keys()
+        assert all(evaluate(a, v.model) for a in atoms)

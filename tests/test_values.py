@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plcreach.solver import solve_linear
 from plcreach.values import (
+    _norm_cmp,
     Cmp,
     EvalError,
     Poly,
@@ -284,6 +286,53 @@ def test_cmp_scaling_is_canonical():
     x, y = Poly.var("x"), Poly.var("y")
     assert cmp_le(x.scale(2), y.scale(2)) == cmp_le(x, y)
     assert cmp_eq(x.scale(-3), y.scale(-3)) == cmp_eq(x, y)
+
+
+NORM_OPS = ("<=", "<", "==", "!=")
+
+
+def is_primitive(atom) -> bool:
+    """Int coefficients with gcd 1; for ==/!= the first one positive."""
+    cs = [c for _, c in atom.lhs.terms]
+    return (
+        all(type(c) is int for c in cs)
+        and gcd(*cs) == 1
+        and (atom.op in ("<=", "<") or cs[0] > 0)
+    )
+
+
+@given(
+    linear_polys(),
+    st.sampled_from(NORM_OPS),
+    rationals,
+    st.fixed_dictionaries({n: rationals for n in ("x", "y", "z", "w")}),
+)
+def test_atom_normal_form_ignores_admissible_scaling(p, op, k, env):
+    # `<=` and `<` may scale by a positive factor only; `==` and `!=`
+    # by any nonzero one
+    if op in ("<=", "<"):
+        k = abs(k)
+    assume(k != 0)
+    a = _norm_cmp(op, p)
+    assert _norm_cmp(op, p.scale(k)) == a
+    if isinstance(a, bool):
+        assert p.is_const()
+    else:
+        assert is_primitive(a)
+        assert evaluate(a, env) == evaluate(Cmp(op, p), env)
+
+
+@given(linear_polys(), st.sampled_from(NORM_OPS), st.permutations(["x", "y", "z", "w"]))
+def test_renaming_and_negation_keep_the_normal_form(p, op, perm):
+    a = _norm_cmp(op, p)
+    assume(not isinstance(a, bool))
+    names = dict(zip(["x", "y", "z", "w"], perm))
+    renamed = rename(a, names, {})
+    assert renamed == _norm_cmp(op, p.rename(names, {}))
+    assert is_primitive(renamed)
+    neg = bnot(a)
+    assert is_primitive(neg) and neg == _norm_cmp(neg.op, neg.lhs)
+    assert bnot(neg) == a
 
 
 def test_connective_normalization():
