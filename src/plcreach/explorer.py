@@ -335,11 +335,21 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
 
     Policy: fire due scan starts first, then the lowest-numbered
     machine's moves preferring success branches, and only then let time
-    pass to the nearest boundary.  The step that moves the global clock
-    (tick, or envTick with clock separation) is cut short at the horizon;
-    `replay` takes it by its duration.  Returns [(tid, state), ...] with
-    the initial state first under a None tid.
+    pass to the nearest boundary.  Each step builds only the group of
+    moves it picks from (`successors(..., first=True)`).  The step that
+    moves the global clock (tick, or envTick with clock separation) is
+    cut short at the horizon; `replay` takes it by its duration.  Returns
+    [(tid, state), ...] with the initial state first under a None tid.
+
+    `s0` must be a concrete-mode state: a symbolic tick has no duration
+    to run by.  `max_steps`, a positive int, caps the steps; a run that
+    has neither reached the horizon nor stopped by then raises
+    ModelError.
     """
+    if s0.options.symbolic:
+        raise ValueError(f"simulate runs concrete states only, got mode {s0.options.mode!r}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     until = rat(until)
     if until < s0.clock:
         raise ValueError(f"until must not lie before the initial clock {s0.clock}, got {until}")
@@ -348,30 +358,28 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
     for _ in range(max_steps):
         if s.clock >= until:
             break
-        pick = _sim_pick(ctx, successors(ctx, s, por=False), s, until)
+        pick = _sim_pick(ctx, successors(ctx, s, first=True), s, until)
         if pick is None:
             break
         out.append(pick)
         s = pick[1]
     else:
-        raise ModelError(f"simulation did not settle within {max_steps} steps")
+        if s.clock < until:
+            raise ModelError(f"simulation did not settle within {max_steps} steps")
     return out
 
 
-def _sim_pick(ctx: RuleCtx, succ, s: SystemState, until):
-    starts = [p for p in succ if p[0].cls == "start"]
-    if starts:
-        return starts[0]
-    machine = [p for p in succ if p[0].cls in ("internal", "comm")]
-    if machine:
-        first = machine[0][0].mid
-        mine = [p for p in machine if p[0].mid == first]
-        return min(mine, key=lambda p: _SIM_COST.get(p[0].label, 0))
-    # Ticks come before envTicks in `succ`.
-    timed = [p for p in succ if p[0].cls in ("tick", "env")]
-    if not timed:
+def _sim_pick(ctx: RuleCtx, group: list, s: SystemState, until):
+    """The step `simulate` takes from one group of `successors(...,
+    first=True)`, or None when there is none."""
+    if not group:
         return None
-    tid, t = timed[0]
+    tid, t = group[0]
+    if tid.cls == "start":
+        return group[0]
+    if tid.cls in ("internal", "comm"):
+        return min(group, key=lambda p: _SIM_COST.get(p[0].label, 0))
+    # A time step: ticks come before envTicks.
     clocked = "env" if s.options.clock_sep else "tick"
     left = vsub(until, s.clock)
     if tid.cls != clocked or tid.key[0] <= left:

@@ -110,22 +110,27 @@ def _chain_internal(ctx: RuleCtx, v):
     return (TransitionId("internal", v.mid, "seq", tuple(chain)), st)
 
 
-def successors(ctx: RuleCtx, s: SystemState, por: bool = None) -> list:
+def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = False) -> list:
     """Enabled transitions from `s` as (TransitionId, state) pairs, as the
     rules make them, with machine moves chained across private runs.
 
     `por=None` follows the state's own options; passing True/False
-    forces the reduced or the full enumeration.
+    forces the reduced or the full enumeration.  With `first`, only the
+    first non-empty group of the full enumeration is built, in its
+    order: the start variants; else the chained moves of the
+    lowest-numbered machine that has moves; else the time steps (ticks,
+    then envTicks).  `por` is moot then: the reduction never splits a
+    group.
     """
     if por is None:
         por = s.options.por
     starts = start_variants(ctx, s)
-    if por and starts:
+    if starts and (por or first):
         return starts
     per = []
     for m in s.machines:
         moves = machine_moves(ctx, s, m.mid)
-        if por and moves and all(v.private for v in moves):
+        if moves and (first or (por and all(v.private for v in moves))):
             return [_chain_internal(ctx, v) for v in moves]
         per.append(moves)
     out = list(starts)

@@ -105,7 +105,7 @@ class Scenario:
             clock=0,
             options=opts,
         )
-        return start_scans(self.table, s, self.preload, {})
+        return start_scans(self.context(), s, self.preload, {})
 
     def context(self) -> RuleCtx:
         return RuleCtx(

@@ -12,7 +12,8 @@ Time advances in three ways:
   * start: every due controller publishes its outputs, refreshes its
     inputs, and reloads its program list for the next scan.  The same
     rule, `start_scans`, makes the first scan of a machine the scenario
-    marks `preload`, at the initial state.
+    marks `preload`, at the initial state.  It runs from a plan of the
+    machine's static layout (`start_plan`), compiled once per context.
 
 Without clock separation, tick also carries the physical side (change laws
 and global clock).  With it, tick leaves them to envTick, which keeps
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .kmachine import load_programs
+from .kmachine import KConfig, load_programs
 from .model import InputSpec, PLCMachine, SystemState, TransitionId, apply_flow, propagate_pins
 from .solver import SmtCheck
 from .st.ast import AssertTimeAnn
@@ -35,6 +37,7 @@ from .st.elaborate import PouTable
 from .symbolic import concrete_or_none, feasible, fresh_var
 from .values import (
     INF,
+    EvalError,
     Poly,
     as_poly,
     bor,
@@ -62,8 +65,11 @@ class RuleCtx:
     `apply_flow` (filled by `_flowed`): a pure function of that key alone,
     which also holds the class of every value, because `True == 1`.  A
     number's class follows from its value (an int exactly when integral,
-    see `values.rat`), so equal plant states share one entry.
-    All three therefore stay valid for as long as the context lives.
+    see `values.rat`), so equal plant states share one entry.  `plans`
+    maps a machine's programs, their environments, its plant names and
+    its input specs to its `StartPlan` (filled by `start_plan`): a pure
+    function of that key and the table.
+    All four therefore stay valid for as long as the context lives.
     `Scenario.context()` makes a new, empty context for each search, so a
     fresh context starts cold, which the benchmark's determinism guard
     relies on: it checks that the number of `step` calls repeats exactly
@@ -79,6 +85,7 @@ class RuleCtx:
     steps: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
     flows: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
 
 
 # -- time limits ------------------------------------------------------------
@@ -307,30 +314,90 @@ def start_variants(ctx: RuleCtx, s: SystemState) -> list:
         chosen = dict(zip(axes, combo))
         tid = TransitionId("start", "", "start", tuple(sorted(
             (mid, spec.prog, spec.var, v) for (mid, spec), v in chosen.items())))
-        variants.append((tid, start_scans(ctx.table, pinned, due_ids, chosen)))
+        variants.append((tid, start_scans(ctx, pinned, due_ids, chosen)))
     return variants
 
 
-def start_scans(table: PouTable, s: SystemState, mids, chosen) -> SystemState:
+class StartPlan(NamedTuple):
+    """A machine's scan start worked out once (see `start_plan`).
+
+    Store positions index `KConfig.store`; plant slots index the
+    machine's `state`.
+    """
+
+    publish: tuple  # ((plant slot, store position), ...): published outputs
+    sense: tuple  # ((store position, loc, plant slot), ...): sensed inputs
+    feeds: tuple  # ((store position, loc, InputSpec), ...)
+    k: tuple  # the loaded program bodies, as `load_programs` leaves them
+    env: tuple
+    current_prog: str
+
+
+def start_plan(ctx: RuleCtx, m: PLCMachine) -> StartPlan:
+    """`m`'s start plan, memoised in `ctx.plans` by what it depends on:
+    the machine's programs and their environments, its plant names and
+    its input specs (the table is the context's own)."""
+    cfg = m.cfg
+    key = (cfg.programs, cfg.prog_envs, tuple([nm for nm, _ in m.state]), m.inputs)
+    plan = ctx.plans.get(key)
+    if plan is None:
+        plan = ctx.plans[key] = _compile_start(ctx.table, cfg, key[2], m.inputs)
+    return plan
+
+
+def _compile_start(table: PouTable, cfg: KConfig, names: tuple, inputs: tuple) -> StartPlan:
+    """Each program's declared outputs publish into the same-named plant
+    variables, the last program winning; its declared inputs sense them
+    after that; every input spec feeds its variable.  A store's layout is
+    fixed when `idle_config` allocates it, so positions found in `cfg`
+    hold for every configuration with the same programs."""
+    pos = {loc: i for i, (loc, _) in enumerate(cfg.store)}
+    slot = {nm: i for i, nm in enumerate(names)}
+    envs = {p: (table.get(p), dict(cfg.prog_env(p))) for p in cfg.programs}
+    published = {slot[d.name]: env[d.name]
+                 for pou, env in envs.values() for d in pou.outputs if d.name in slot}
+    sensed = [(env[d.name], slot[d.name])
+              for pou, env in envs.values() for d in pou.inputs if d.name in slot]
+    fed = [(envs[spec.prog][1][spec.var], spec) for spec in inputs]
+    missing = {loc for loc in [*published.values(), *(loc for loc, _ in sensed + fed)]
+               if loc not in pos}
+    if missing:
+        raise EvalError(f"unallocated locations {sorted(missing)}")
+    loaded = load_programs(table, cfg)
+    return StartPlan(
+        publish=tuple((i, pos[loc]) for i, loc in published.items()),
+        sense=tuple((pos[loc], loc, i) for loc, i in sensed),
+        feeds=tuple((pos[loc], loc, spec) for loc, spec in fed),
+        k=loaded.k,
+        env=loaded.env,
+        current_prog=loaded.current_prog,
+    )
+
+
+def start_scans(ctx: RuleCtx, s: SystemState, mids, chosen) -> SystemState:
     """Begin the next scan of each machine in `mids`: the one start rule.
 
-    Each program's declared outputs are published into the same-named
-    plant variables, its declared inputs sense them, and every input
-    spec feeds its value: the script's, the one `chosen` maps `(mid,
+    Runs each machine's `start_plan`: the published outputs go into the
+    plant, the sensed inputs and every input spec's value into the store,
+    where a spec feeds the script's value, the one `chosen` maps `(mid,
     spec)` to, or a fresh variable over a free input's domain.  Then the
     program bodies are queued and the timers reset.
     """
     for mid in mids:
         m = s.machine(mid)
         cfg = m.cfg
-        envs = {p: (table.get(p), dict(cfg.prog_env(p))) for p in cfg.programs}
-        plant = dict(m.state)
-        outputs = {d.name: cfg.read(env[d.name])
-                   for pou, env in envs.values() for d in pou.outputs if d.name in plant}
-        plant.update(outputs)
-        writes = [(env[d.name], plant[d.name])
-                  for pou, env in envs.values() for d in pou.inputs if d.name in plant]
-        for spec in m.inputs:
+        publish, sense, feeds, k, env, current_prog = start_plan(ctx, m)
+        old = cfg.store
+        state = m.state
+        if publish:
+            state = list(state)
+            for i, p in publish:
+                state[i] = (state[i][0], old[p][1])
+            state = tuple(state)
+        store = list(old)
+        for p, loc, i in sense:
+            store[p] = (loc, state[i][1])
+        for p, loc, spec in feeds:
             if spec.kind == "script":
                 value = spec.values[min(m.cycle_index, len(spec.values) - 1)]
             elif spec.kind == "enumerate":
@@ -338,10 +405,11 @@ def start_scans(table: PouTable, s: SystemState, mids, chosen) -> SystemState:
             else:  # free: a fresh variable over the input's domain
                 s, value = fresh_var(s, "u")
                 s = s.add_constraints(*_domain_of(spec, value))
-            writes.append((envs[spec.prog][1][spec.var], value))
+            store[p] = (loc, value)
         m = copy_with(
-            m.with_state(outputs) if outputs else m,
-            cfg=load_programs(table, cfg.write_many(writes) if writes else cfg),
+            m,
+            cfg=copy_with(cfg, k=k, env=env, current_prog=current_prog, store=tuple(store)),
+            state=state,
             timer=m.cycle_time,
             env_timer=m.cycle_time if s.options.clock_sep else m.env_timer,
             cycle_index=m.cycle_index + 1,

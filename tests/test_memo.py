@@ -1,8 +1,9 @@
 """The memo tables of the successor path must not change the graph.
 
 `RuleCtx.steps` and `RuleCtx.runs` hold step outcomes and whole private
-runs per configuration, and `RuleCtx.flows` the plant state after a time
-step; a property keeps one result per distinct tuple of plant states.  A
+runs per configuration, `RuleCtx.flows` the plant state after a time
+step, and `RuleCtx.plans` each machine's scan-start plan; a property
+keeps one result per distinct tuple of plant states.  A
 context warmed by a search or a simulation must enumerate the same
 transitions, to the same states, as a fresh one; and a search must not
 step the same configuration over and over.  The keys must be type-exact:
@@ -46,7 +47,7 @@ def test_warm_context_enumerates_like_a_fresh_one(name, bound):
     warm = scen.context()
     for por in (False, True):
         search(warm, scen.initial_state(por=por), bound=bound)
-    assert warm.steps and warm.runs
+    assert warm.steps and warm.runs and warm.plans
     # a model with change laws has flowed its plant on every tick
     assert bool(warm.flows) == any(m.flow for m in s0.machines)
     walk = random_walk(scen.context(), s0, 40, random.Random(3))

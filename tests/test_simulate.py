@@ -1,14 +1,16 @@
 """Deterministic simulation of the consolidated models up to a horizon."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from plcreach import bench
-from plcreach.explorer import replay, simulate
-from plcreach.model import canonicalize
+from plcreach.explorer import random_walk, replay, simulate
+from plcreach.model import ModelError, canonicalize
 from plcreach.por import successors
-from plcreach.timed import diagnose_stuck
+from plcreach.timed import diagnose_stuck, env_tick_apply, tick_apply
+from plcreach.values import copy_with
 
 MODELS = ("ptp", "rv", "ther", "swat1")
 
@@ -81,3 +83,112 @@ def test_time_lock_is_diagnosed(name, a, b):
         f"message {a}->{b} expired undelivered",
         f"message {b}->{a} expired undelivered",
     ]
+
+
+# -- the step cap --------------------------------------------------------------
+
+
+def test_a_run_that_reaches_the_horizon_at_the_cap_settles():
+    scen = bench.load("ptp")
+    ctx = scen.context()
+    s0 = scen.initial_state()
+    out = simulate(ctx, s0, 30, max_steps=10)
+    assert len(out) == 10 and out[-1][1].clock == 30  # nine steps
+    assert simulate(ctx, s0, 30, max_steps=9) == out
+    with pytest.raises(ModelError, match="did not settle within 8 steps"):
+        simulate(ctx, s0, 30, max_steps=8)
+
+
+@pytest.mark.parametrize("max_steps", [True, False, 0, -1, 2.5, "3", None])
+def test_step_cap_must_be_a_positive_int(max_steps):
+    scen = bench.load("ptp")
+    s0 = scen.initial_state()
+    with pytest.raises(ValueError, match="max_steps must be a positive integer"):
+        simulate(scen.context(), s0, s0.clock, max_steps=max_steps)
+
+
+def test_a_symbolic_state_is_rejected():
+    scen = bench.load("ptp")
+    with pytest.raises(ValueError, match="concrete states only, got mode 'symbolic'"):
+        simulate(scen.context(), scen.initial_state(mode="symbolic"), 35)
+
+
+# -- the policy, against a run that builds every successor -------------------
+
+# Failure branches rank below their success twins.
+_COST = {"conFail": 1, "sendDataFail": 1, "rcvNo": 1, "rcvFail": 2}
+
+
+def _reference_pick(ctx, succ, s, until):
+    """The simulation policy over the full unreduced successor list."""
+    starts = [p for p in succ if p[0].cls == "start"]
+    if starts:
+        return starts[0]
+    machine = [p for p in succ if p[0].cls in ("internal", "comm")]
+    if machine:
+        first = machine[0][0].mid
+        mine = [p for p in machine if p[0].mid == first]
+        return min(mine, key=lambda p: _COST.get(p[0].label, 0))
+    timed = [p for p in succ if p[0].cls in ("tick", "env")]
+    if not timed:
+        return None
+    tid, t = timed[0]
+    clocked = "env" if s.options.clock_sep else "tick"
+    left = until - s.clock
+    if tid.cls != clocked or tid.key[0] <= left:
+        return tid, t
+    clipped = copy_with(tid, key=(left,))
+    return clipped, (env_tick_apply if clocked == "env" else tick_apply)(ctx, s, left)
+
+
+def _reference_simulate(ctx, s0, until):
+    s = s0
+    out = [(None, s0)]
+    while s.clock < until:
+        pick = _reference_pick(ctx, successors(ctx, s, por=False), s, until)
+        if pick is None:
+            break
+        out.append(pick)
+        s = pick[1]
+        assert len(out) < 10_000
+    return out
+
+
+def _canonical(run):
+    return [(tid, canonicalize(s)) for tid, s in run]
+
+
+@pytest.mark.parametrize("name", bench.all_names())
+def test_simulation_builds_the_step_the_full_enumeration_picks(name):
+    # 95 ends on a whole tick and 97 clips one; the networked models
+    # stop earlier, at the time-lock.  A connect that may fail puts a
+    # failure branch beside its success twin.
+    scen = bench.load(name)
+    for clock_sep, reliable in ((False, None), (True, None), (False, False)):
+        s0 = scen.initial_state(mode="concrete", clock_sep=clock_sep, reliable_connect=reliable)
+        for until in (95, 97):
+            got = simulate(scen.context(), s0, until)
+            assert _canonical(got) == _canonical(_reference_simulate(scen.context(), s0, until))
+
+
+def _group(tid):
+    if tid.cls in ("internal", "comm"):
+        return tid.mid
+    return "time" if tid.cls in ("tick", "env") else tid.cls
+
+
+@pytest.mark.parametrize("name", bench.all_names())
+def test_first_is_the_first_group_of_the_full_enumeration(name):
+    scen = bench.load(name)
+    ctx = scen.context()
+    for mode in ("concrete", "symbolic"):
+        s0 = scen.initial_state(mode=mode)
+        for _, s in [(None, s0)] + random_walk(scen.context(), s0, 20, random.Random(name)):
+            full = successors(ctx, s, por=False)
+            want = [p for p in full if _group(p[0]) == _group(full[0][0])] if full else []
+            # the first group is a prefix of the full list
+            assert full[:len(want)] == want
+            for por in (False, True):
+                got = successors(ctx, s, por=por, first=True)
+                assert type(got) is list
+                assert _canonical(got) == _canonical(want)

@@ -151,7 +151,7 @@ def make_machine(
         inputs=tuple(inputs),
     )
     if preload:
-        m = start_scans(table, make_system([m]), [mid], {}).machine(mid)
+        m = start_scans(ctx_for(table), make_system([m]), [mid], {}).machine(mid)
     return m
 
 
