@@ -265,13 +265,11 @@ def _solution_at(ctx, s, key, parents, prop, bound):
     cond = band(*s.constraints, cmp_le(s.clock, bound), got)
     if cond is False:
         return None
-    model = {}
-    if cond is not True:
-        verdict = ctx.checker.check(cond, cls="property")
-        if not verdict.is_sat:
-            return None
-        model = dict(verdict.model or {})
-    return Witness(s, _path_to(parents, key), model, _valuations(s, model))
+    model = {} if cond is True else ctx.checker.check(cond, cls="property")
+    if model is None:
+        return None
+    # the checker's model is its cache entry, so the witness gets a copy
+    return Witness(s, _path_to(parents, key), dict(model), _valuations(s, model))
 
 
 def _path_to(parents, key) -> tuple:

@@ -7,11 +7,16 @@ split into p < 0 or p > 0.  Elimination is fraction-free: every row is
 kept with int coefficients of gcd 1, and eliminating x from two rows adds
 them times positive ints that cancel x, then divides by the content again.
 That is the same constraint as dividing by the pivot, times a positive
-number.  Rationals appear only in models: the log keeps each row with its
-pivot coefficient, and extraction divides by it.  Model values are in the
-form `values.rat` gives.
-Every verdict is definite: sat with a model, or unsat.  A constraint
-outside linear arithmetic raises SolverUnavailable rather than guessing.
+number.  The inequalities are kept in a table with one row per linear
+form: of the rows whose non-constant terms are equal, only the tightest
+is kept, and a row without variables is decided as soon as it is made.
+Rationals appear only in models: the log keeps each row with its pivot
+coefficient, and extraction divides by it.  Model values are in the form
+`values.rat` gives.
+Every answer is definite: a model (a dict from variable names to
+rationals) when the constraint is satisfiable, None when it is not.  A
+constraint outside linear arithmetic raises SolverUnavailable rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -20,40 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import Cmp, Or, band, ckey, conjuncts, rat
+from .values import Cmp, Or, Poly, band, ckey, conjuncts, rat
 
 
 class SolverUnavailable(Exception):
     """A constraint lies outside linear rational arithmetic."""
-
-
-@dataclass(frozen=True)
-class SmtVerdict:
-    status: str  # "sat" | "unsat"
-    model: Optional[dict] = None
-
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
-    @property
-    def is_unsat(self) -> bool:
-        return self.status == "unsat"
-
-
-SAT = "sat"
-UNSAT = "unsat"
-
-
-def _as_ineq(atom):
-    """Map an atom to ("<=" | "<" | "==", poly) or raise SolverUnavailable."""
-    if isinstance(atom, Cmp):
-        if not atom.lhs.is_linear():
-            raise SolverUnavailable(
-                f"nonlinear constraint {atom}: only linear arithmetic is supported"
-            )
-        return atom.op, atom.lhs
-    raise TypeError(f"not an atomic constraint: {atom!r}")
 
 
 def _split_candidates(items):
@@ -82,17 +58,36 @@ def _cancel(q, a: int, p, c: int):
     return (q.scale(c) + p.scale(-a)).primitive()
 
 
-def _solve_conjunction(atoms):
-    """Exact sat check of a conjunction of linear atoms.
+def _add_row(rows: dict, p, strict: bool) -> bool:
+    """Add the row `p < 0` (strict) or `p <= 0` to `rows`, which maps a
+    row's non-constant terms to the tightest (constant, strict) pair seen
+    for them: a larger constant is tighter, and at an equal constant a
+    strict row is.  A row without variables is decided instead of added:
+    the result is False exactly when it fails."""
+    terms = p.terms
+    if terms and terms[0][0] == ():  # the constant term sorts first
+        k, form = terms[0][1], terms[1:]
+    else:
+        k, form = 0, terms
+    if not form:
+        return k < 0 or (k == 0 and not strict)
+    old = rows.get(form)
+    if old is None or old < (k, strict):
+        rows[form] = (k, strict)
+    return True
 
-    Returns (True, model) or (False, None).
-    """
+
+def _solve_conjunction(atoms) -> Optional[dict]:
+    """Exact sat check of a conjunction of atoms: a model, or None."""
     eqs, ineqs = [], []
     all_vars: set = set()
     for a in atoms:
-        op, p = _as_ineq(a)
-        all_vars |= p.variables()
-        (eqs if op == "==" else ineqs).append((op, p.primitive()))
+        if not a.lhs.is_linear():
+            raise SolverUnavailable(
+                f"nonlinear constraint {a}: only linear arithmetic is supported"
+            )
+        all_vars |= a.lhs.variables()
+        (eqs if a.op == "==" else ineqs).append((a.op, a.lhs.primitive()))
 
     subst_log = []  # (var, row, coefficient of var), in substitution order
     # Gaussian phase: substitute equalities away
@@ -100,7 +95,7 @@ def _solve_conjunction(atoms):
         op, p = eqs.pop()
         if p.is_const():
             if p.const_value() != 0:
-                return False, None
+                return None
             continue
         var = p.names()[0]
         c = p.coeff(var)
@@ -108,38 +103,36 @@ def _solve_conjunction(atoms):
         eqs = [(o, _cancel(q, q.coeff(var), p, c)) for o, q in eqs]
         ineqs = [(o, _cancel(q, q.coeff(var), p, c)) for o, q in ineqs]
 
-    # Fourier-Motzkin phase
+    # Fourier-Motzkin phase.  A row dropped for a tighter one over the
+    # same terms bounds each variable less tightly, at every value of the
+    # others, so the extreme bounds below, and the model, are the ones the
+    # full set of rows gives.
+    rows: dict = {}
+    for op, p in ineqs:
+        if not _add_row(rows, p, op == "<"):
+            return None
     elim_log = []  # (var, lowers, uppers); rows are (poly, coefficient, strict)
-    while True:
-        vars_left = sorted({v for _, p in ineqs for v in p.variables()})
-        if not vars_left:
-            break
-        x = vars_left[0]
-        lowers, uppers, rest = [], [], []
-        for op, p in ineqs:
+    while rows:
+        x = min(v for form in rows for m, _ in form for v, _ in m)
+        lowers, uppers, kept = [], [], {}
+        for form, (k, strict) in rows.items():
+            # canonical terms: the constant's monomial () sorts first
+            p = Poly._raw((((), k),) + form if k else form)
             c = p.coeff(x)
             if c == 0:
-                rest.append((op, p))
+                kept[form] = (k, strict)
             elif c > 0:  # x <= -(p - c*x)/c
-                uppers.append((p, c, op == "<"))
+                uppers.append((p, c, strict))
             else:  # x >= -(p - c*x)/c
-                lowers.append((p, c, op == "<"))
-        combined = list(rest)
+                lowers.append((p, c, strict))
         for pl, cl, ls in lowers:
             for pu, cu, us in uppers:
                 # cu > 0 and -cl > 0, so this is the lower bound minus the
                 # upper bound times cu*(-cl)
-                op = "<" if (ls or us) else "<="
-                combined.append((op, (pl.scale(cu) + pu.scale(-cl)).primitive()))
+                if not _add_row(kept, (pl.scale(cu) + pu.scale(-cl)).primitive(), ls or us):
+                    return None
         elim_log.append((x, lowers, uppers))
-        ineqs = combined
-
-    for op, p in ineqs:
-        c = p.const_value()
-        if op == "<=" and not c <= 0:
-            return False, None
-        if op == "<" and not c < 0:
-            return False, None
+        rows = kept
 
     # model extraction by back substitution; variables that fell out of
     # every constraint are pinned to 0 first so recorded bounds evaluate.
@@ -166,29 +159,28 @@ def _solve_conjunction(atoms):
             model[x] = 0
     for var, p, c in reversed(subst_log):
         model[var] = solved(var, p, c)
-    return True, model
+    return model
 
 
-def solve_linear(expr) -> SmtVerdict:
-    """Decide a (possibly disjunctive) linear constraint exactly."""
+def solve_linear(expr) -> Optional[dict]:
+    """Decide a (possibly disjunctive) linear constraint exactly: a model,
+    or None when it is unsatisfiable."""
     if expr is True:
-        return SmtVerdict(SAT, model={})
+        return {}
     if expr is False:
-        return SmtVerdict(UNSAT)
+        return None
     atoms, splits = _split_candidates(conjuncts(expr))
     if not splits:
-        ok, model = _solve_conjunction(atoms)
-        return SmtVerdict(SAT, model=model) if ok else SmtVerdict(UNSAT)
+        return _solve_conjunction(atoms)
     # split on the smallest disjunction first
     splits.sort(key=len)
     first, others = splits[0], splits[1:]
     base = list(atoms)
     for alt in first:
-        sub = band(alt, *base, *(Or(o) for o in others))
-        v = solve_linear(sub)
-        if not v.is_unsat:
-            return v
-    return SmtVerdict(UNSAT)
+        model = solve_linear(band(alt, *base, *(Or(o) for o in others)))
+        if model is not None:
+            return model
+    return None
 
 
 @dataclass
@@ -198,29 +190,34 @@ class SolverStats:
     cache_hits: int = 0
 
 
+_MISS = object()
+
+
 class SmtCheck:
     """Memoizing, instrumented front door to `solve_linear`.
 
-    Results are cached per constraint, keyed by its `ckey` (True and False
-    key themselves): normalized constraints are equal exactly when their
-    `ckey`s are.  Each atom keeps its `ckey`, and a hit compares ints and
-    strings in C rather than Fractions in Python.  Every fresh solve is
-    counted under the class the caller supplies ("internal" for control
-    constraints, "env" for property and environment checks).
+    `check` answers as `solve_linear` does: a model, or None when the
+    constraint is unsatisfiable.  The model is the cached dict itself, so
+    a caller that keeps or changes it copies it first.  Results are cached
+    per constraint, keyed by its `ckey` (True and False key themselves):
+    normalized constraints are equal exactly when their `ckey`s are.  Each
+    atom keeps its `ckey`, and a hit compares ints and strings in C rather
+    than Fractions in Python.  Every fresh solve is counted under the class
+    the caller supplies ("internal" for control constraints, "env" for
+    property and environment checks).
     """
 
     def __init__(self):
         self.stats = SolverStats()
         self._cache: dict = {}
 
-    def check(self, expr, cls: str = "internal") -> SmtVerdict:
+    def check(self, expr, cls: str = "internal") -> Optional[dict]:
         key = expr if isinstance(expr, bool) else ckey(expr)
-        hit = self._cache.get(key)
-        if hit is not None:
+        model = self._cache.get(key, _MISS)
+        if model is not _MISS:
             self.stats.cache_hits += 1
-            return hit
+            return model
         self.stats.queries += 1
         self.stats.by_class[cls] = self.stats.by_class.get(cls, 0) + 1
-        verdict = solve_linear(expr)
-        self._cache[key] = verdict
-        return verdict
+        model = self._cache[key] = solve_linear(expr)
+        return model

@@ -23,7 +23,7 @@ def fresh_var(s: SystemState, prefix: str):
 
 def feasible(checker: SmtCheck, s: SystemState, *guards, cls: str = "internal"):
     """`s` with `guards` conjoined to its path condition, or False when
-    the result is unsatisfiable.
+    the result is unsatisfiable, which is when the checker finds no model.
 
     A decided guard (a bool) costs no solver call: every stored state's
     path condition is satisfiable, so adding only True keeps it so, and
@@ -33,7 +33,7 @@ def feasible(checker: SmtCheck, s: SystemState, *guards, cls: str = "internal"):
     if not parts:
         return s
     cond = band(*s.constraints, *parts)
-    if cond is False or not checker.check(cond, cls).is_sat:
+    if cond is False or checker.check(cond, cls) is None:
         return False
     return copy_with(s, constraints=conjuncts(cond))
 

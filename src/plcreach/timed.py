@@ -380,7 +380,8 @@ def start_scans(ctx: RuleCtx, s: SystemState, mids, chosen) -> SystemState:
     Runs each machine's `start_plan`: the published outputs go into the
     plant, the sensed inputs and every input spec's value into the store,
     where a spec feeds the script's value, the one `chosen` maps `(mid,
-    spec)` to, or a fresh variable over a free input's domain.  Then the
+    spec)` to, or a fresh variable over a free input's domain (over truth
+    values, the atom that the 0/1 variable is 1).  Then the
     program bodies are queued and the timers reset.
     """
     for mid in mids:
@@ -405,6 +406,10 @@ def start_scans(ctx: RuleCtx, s: SystemState, mids, chosen) -> SystemState:
             else:  # free: a fresh variable over the input's domain
                 s, value = fresh_var(s, "u")
                 s = s.add_constraints(*_domain_of(spec, value))
+                if spec.values and all(isinstance(v, bool) for v in spec.values):
+                    # a truth value: the variable is 0 or 1, and the
+                    # input is the atom that it is 1
+                    value = cmp_eq(value, 1)
             store[p] = (loc, value)
         m = copy_with(
             m,

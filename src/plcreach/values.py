@@ -27,9 +27,9 @@ hashes like the Fraction it stands for.
 A Poly's `terms` are canonical: monomials strictly increasing, every
 coefficient a nonzero rational in that form.  Sums merge two such tuples
 (`_merged`) into a Poly built by `_raw`, which checks nothing.  A Poly
-hashes itself once, when built; a boolean expression computes its hash and
-`ckey` on first use and keeps them.  Neither can go stale, because no
-value here changes after it is built.
+hashes itself when it is built, and a boolean expression builds its
+`ckey` and hash with itself, from its parts' keys.  Neither can go stale,
+because no value here changes after it is built.
 
 Which values are symbolic, and how to list, rename, substitute or evaluate
 their variables, is decided here alone, by `variables`, `rename`,
@@ -57,7 +57,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -349,9 +348,11 @@ def as_poly(x) -> Poly:
 
 
 class _Keyed:
-    """A boolean expression keeps its `ckey` once computed.  Two are equal
-    exactly when their keys are: comparing or hashing keys goes through
-    ints and strings in C, never through a Fraction."""
+    """A boolean expression builds its `ckey` and hash with itself.  Two
+    are equal exactly when their keys are: comparing or hashing keys goes
+    through ints and strings in C, never through a Fraction."""
+
+    __slots__ = ("_ckey", "_hash")
 
     def __hash__(self):
         return self._hash
@@ -359,45 +360,41 @@ class _Keyed:
     def __eq__(self, other):
         return self is other or (type(other) is type(self) and self._ckey == other._ckey)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._ckey)
 
-
-@dataclass(frozen=True, eq=False)
 class Cmp(_Keyed):
     """Atomic constraint: lhs op 0, with op one of <=, <, ==, !=."""
 
-    op: str
-    lhs: Poly
+    __slots__ = ("op", "lhs")
 
-    @cached_property
-    def _ckey(self) -> tuple:
-        return (1, self.op, ckey(self.lhs))
+    def __init__(self, op: str, lhs: Poly):
+        self.op = op
+        self.lhs = lhs
+        self._ckey = (1, op, ckey(lhs))
+        self._hash = hash(self._ckey)
 
     def __repr__(self):
         return f"({self.lhs} {self.op} 0)"
 
 
-@dataclass(frozen=True, eq=False)
 class And(_Keyed):
-    args: tuple
+    __slots__ = ("args",)
 
-    @cached_property
-    def _ckey(self) -> tuple:
-        return (2, tuple(a._ckey for a in self.args))
+    def __init__(self, args: tuple):
+        self.args = args
+        self._ckey = (2, tuple([a._ckey for a in args]))
+        self._hash = hash(self._ckey)
 
     def __repr__(self):
         return "(" + " and ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True, eq=False)
 class Or(_Keyed):
-    args: tuple
+    __slots__ = ("args",)
 
-    @cached_property
-    def _ckey(self) -> tuple:
-        return (3, tuple(a._ckey for a in self.args))
+    def __init__(self, args: tuple):
+        self.args = args
+        self._ckey = (3, tuple([a._ckey for a in args]))
+        self._hash = hash(self._ckey)
 
     def __repr__(self):
         return "(" + " or ".join(map(repr, self.args)) + ")"

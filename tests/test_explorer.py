@@ -19,6 +19,7 @@ from plcreach.explorer import (
 )
 from plcreach.model import InputSpec, Options, canonicalize
 from plcreach.solver import SmtCheck
+from plcreach.symbolic import evaluate_path
 from plcreach.st import PouTable, parse_file
 from plcreach.timed import RuleCtx
 from plcreach.values import copy_with
@@ -152,6 +153,14 @@ class TestSymbolicSearch:
         w = r.witnesses[0]
         assert ("m1", "o", F(7)) in w.valuations
         assert F(7) in {Fraction(v) for v in w.model.values()}
+
+    def test_witness_model_satisfies_its_path(self):
+        ctx, s0 = symb_system()
+        (w,) = search(ctx, s0, "o = 7", bound=10).witnesses
+        assert w.state.constraints and w.model
+        assert evaluate_path(w.state, w.model)
+        # every free input lies in [0, 10]
+        assert not evaluate_path(w.state, {name: 11 for name in w.model})
 
     def test_out_of_domain_unsat(self):
         ctx, s0 = symb_system()

@@ -601,6 +601,46 @@ def test_free_input_over_finite_values(prop, verdict, states):
         assert w.model["_u0"] == 1
 
 
+BOOL_INPUT_SRC = """\
+PROGRAM P
+VAR_INPUT
+  b : BOOL;
+END_VAR
+VAR_OUTPUT
+  x : INT;
+  y : INT;
+  z : INT;
+  w : INT;
+END_VAR
+x := 0; y := 0; z := 0; w := 0;
+IF b THEN x := 1; END_IF;
+IF NOT b THEN y := 1; END_IF;
+IF b AND x = 1 THEN z := 1; END_IF;
+IF b = TRUE THEN w := 1; END_IF;
+END_PROGRAM
+"""
+
+
+@pytest.mark.parametrize("prop, b", [
+    ("x = 1 AND y = 0 AND z = 1 AND w = 1", 1),
+    ("x = 0 AND y = 1 AND z = 0 AND w = 0", 0),
+    ("x = 1 AND y = 1", None),
+])
+def test_free_truth_valued_input_is_a_boolean(prop, b):
+    # A free input over {TRUE, FALSE} is the atom `_u0 = 1` over a 0/1
+    # variable, so IF, NOT, AND and = all take it as a truth value.
+    doc = {"machines": [{"id": "plc1", "programs": ["P"], "cycleTime": 10, "state": {},
+                         "inputs": {"b": {"kind": "free", "values": [True, False]}}}],
+           "analysis": {"mode": "symbolic"}}
+    scen = scenario_from_dict(doc, table_for(BOOL_INPUT_SRC))
+    r = search(scen.context(), scen.initial_state(), prop, bound=10)
+    if b is None:
+        assert r.verdict == "NoSolution"
+    else:
+        (w,) = r.witnesses
+        assert w.model["_u0"] == b
+
+
 def _set(*path_and_value):
     """An edit of a document: set the value at a path of keys and indices."""
     *path, key, value = path_and_value

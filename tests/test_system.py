@@ -25,6 +25,7 @@ from plcreach.st import PouTable, parse_file
 from plcreach.st.builtins import COMM_INTRINSICS, INTRINSIC_ARITY
 from plcreach.timed import (
     RuleCtx,
+    diagnose_stuck,
     due_machines,
     env_tick,
     start_scans,
@@ -663,6 +664,18 @@ class TestTimePassage:
         assert tick_menu(at5) == []  # deadline edge: time waits for the pop
         popped = take(ctx, at5, "m1", "assertTime")
         assert tick_menu(popped) == [F(5)]  # scan boundary usable again
+
+    @pytest.mark.parametrize("timer, notes", [
+        (9, ["m1: waiting for time window (3,5)"]),  # 1 into the scan
+        (4, ["m1: time window (3,5) missed"]),  # 6 into the scan
+        (0, ["m1: scan overran its cycle time", "m1: time window (3,5) missed"]),
+    ])
+    def test_stuck_scan_is_diagnosed(self, timer, notes):
+        # a scan still at its //assertTime(3, 5) head
+        table = table_for(WINDOW_SRC)
+        m = make_machine(table, "m1", ("W",), cycle_time=10, preload=True)
+        s = make_system([replace(m, timer=F(timer))])
+        assert diagnose_stuck(s) == notes
 
     def test_clock_separation_splits_physics_from_timers(self):
         from dataclasses import replace

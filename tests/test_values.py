@@ -213,8 +213,8 @@ def test_solver_models_keep_the_rational_form(atoms, vx, vy, strict):
         guards.append((cmp_lt if strict else cmp_le)(p, val + 1))
     phi = band(*guards)
     v = solve_linear(phi)
-    assert v.is_sat
-    assert all(in_rat_form(m) for m in v.model.values())
+    assert v is not None
+    assert all(in_rat_form(m) for m in v.values())
 
 
 def test_solver_midpoint_keeps_the_rational_form():
@@ -223,7 +223,7 @@ def test_solver_midpoint_keeps_the_rational_form():
              (Fraction(1, 2), Fraction(5, 2), Fraction(3, 2)))
     for lo, hi, want in cases:
         v = solve_linear(band(cmp_lt(Poly.const(lo), x), cmp_lt(x, hi)))
-        got = v.model["x"]
+        got = v["x"]
         assert got == want and in_rat_form(got)
 
 
