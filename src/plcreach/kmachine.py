@@ -24,8 +24,13 @@ evaluation order.  `step` evaluates the head again from the start and
 takes the i-th answer at its i-th communication call, suspending at the
 first call without one; whatever consumes the head clears them.  An
 answer may be symbolic, like a store value: the store and the answers
-hold all of a configuration's variables, which `config_vars` lists and
-`config_key` renames.
+hold all of a configuration's variables, which `config_vars` lists (store
+values, then answers, each value's names in the sorted order of
+`values.variables`) and `config_key` renames.
+
+A branch condition (`IF`, `WHILE`) is a truth value or a boolean
+expression, as an operand of `NOT`, `AND` and `OR` is; a number is not
+one.
 
 `eval_expr(e, names)` is the one evaluator of `st.ast` expressions, so
 programs, properties, change laws and initializers give a text one
@@ -53,11 +58,9 @@ from .st.builtins import COMM_INTRINSICS
 from .st.elaborate import ElabError, PouTable
 from .values import (
     EvalError,
-    Poly,
     RCV_ERROR,
-    RcvError,
-    cmp_eq,
     copy_with,
+    is_boolish,
     rat,
     rename,
     vadd,
@@ -428,16 +431,11 @@ def pop_head(cfg: KConfig) -> KConfig:
 
 
 def _as_condition(v):
-    """Interpret a value as a branch condition; 0/1 encodes symbolic BOOL."""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, Poly):
-        return cmp_eq(v, 1)
-    if isinstance(v, (int, Fraction)):
-        return v != 0
-    if isinstance(v, (str, RcvError, Instance)):
+    """A branch condition: a truth value or a boolean expression, as
+    `NOT`, `AND` and `OR` take."""
+    if not is_boolish(v):
         raise EvalError(f"not a condition: {v!r}")
-    return v  # already a boolean expression
+    return v
 
 
 def step(table: PouTable, cfg: KConfig):
@@ -566,6 +564,6 @@ def config_vars(cfg: KConfig) -> tuple:
 def _config_vars(cfg: KConfig) -> tuple:
     found: dict = {}  # insertion-ordered set
     for v in [v for _, v in cfg.store] + list(cfg.answers):
-        for n in sorted(variables(v)):
+        for n in variables(v):
             found.setdefault(n)
     return tuple(found)

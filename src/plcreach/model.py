@@ -341,58 +341,22 @@ _FACTS_MEMO = "canon-facts"
 _RENAMED_MEMO = "canon-renamed"
 
 
-def _names_of(v) -> tuple:
-    """The sorted variable names of a runtime value; a Poly keeps them."""
-    cls = v.__class__
-    if cls is Poly:
-        return v.names()
-    if cls is Cmp:
-        return v.lhs.names()
-    if cls is And or cls is Or:
-        return tuple(sorted(variables(v)))
-    return ()
-
-
 def _constraint_facts(c, memo: dict) -> tuple:
     """(sort key, sorted variable names) of one constraint, memoised by
     its `ckey`, so that equal atoms built apart hit in C."""
     key = c._ckey
     facts = memo.get(key)
     if facts is None:
-        facts = memo[key] = ((repr(_masked(c)), key), _names_of(c))
+        facts = memo[key] = ((repr(_masked(c)), key), variables(c))
     return facts
 
 
-def _canon_order(s: SystemState, memo: dict = None):
-    """First-use order of fresh variables, plus the live constraint slice
-    as (constraint, facts) pairs in canonical order."""
-    memo = {} if memo is None else memo
-    order: list = []
-    seen: set = set()
-
-    def note(names):
-        for n in names:
-            if n not in seen and _is_fresh(n):
-                seen.add(n)
-                order.append(n)
-
-    for m in s.machines:
-        note(_names_of(m.timer))
-        for _, v in m.state:
-            note(_names_of(v))
-        note(config_vars(m.cfg))
-    for c in s.conns:
-        for msg in c.buffer:
-            note(_names_of(msg.data))
-            note(_names_of(msg.min_timer))
-            note(_names_of(msg.max_timer))
-    note(_names_of(s.clock))
-    live = set(order)
-
-    # Keep only constraints transitively linked to live variables; the rest
-    # restrict variables nothing refers to any more, and each stored state
-    # already has a satisfiable path condition.
-    remaining = [(c, _constraint_facts(c, memo)) for c in s.constraints]
+def _live_slice(constraints: tuple, live: set, memo: dict) -> list:
+    """The constraints transitively linked to the names in `live` (which
+    grows), as (constraint, facts) pairs in canonical order.  The rest
+    restrict variables nothing refers to any more, and each stored state
+    already has a satisfiable path condition."""
+    remaining = [(c, _constraint_facts(c, memo)) for c in constraints]
     kept: list = []
     changed = True
     while changed:
@@ -407,28 +371,73 @@ def _canon_order(s: SystemState, memo: dict = None):
             else:
                 still.append(cf)
         remaining = still
-
     kept.sort(key=lambda cf: cf[1][0])
-    for _, facts in kept:
-        note(facts[1])
-    return order, kept
+    return kept
 
 
-def _renamed(v, vs: tuple, names: dict, pool: dict, memo: dict):
-    """`rename(v, names, pool)` for a value whose sorted variables are
-    `vs`, memoised by `v` and the new names of those variables."""
-    if not vs:
-        return v
-    key = (v, tuple([names.get(n) for n in vs]))
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = rename(v, names, pool)
-    return got
+def _renaming(names: dict, pool: dict):
+    """The renamers of one canonicalization: `value(v, vs=None)`, for a
+    value whose sorted variables are `vs`, and `config(cfg)`.  Before
+    renaming, each gives the fresh variables that `names` lacks the next
+    `v{i}` names, in sorted order (a configuration's in `config_vars`
+    order), so a walk that visits values in a fixed order names them by
+    first use.  A value's renaming is memoised by the value and the new
+    names of its variables."""
+    intern = pool.setdefault
+    memo = intern(_RENAMED_MEMO, {})
+
+    def name(vs):
+        for n in vs:
+            if n not in names and _is_fresh(n):
+                new = f"v{len(names)}"
+                names[n] = intern(new, new)
+
+    def value(v, vs=None):
+        if vs is None:
+            vs = variables(v)
+        if not vs:
+            return v
+        name(vs)
+        key = (v, tuple([names.get(n) for n in vs]))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = rename(v, names, pool)
+        return got
+
+    def config(cfg):
+        name(config_vars(cfg))
+        return config_key(cfg, names, pool)
+
+    return value, config
+
+
+def _same(v, vs=None):
+    """The renamer of a state without fresh variables."""
+    return v
+
+
+def _renamed_state(state: tuple, ren) -> tuple:
+    """A plant state with its values renamed in order; the state's own
+    tuple while no value changes, so that keys share it."""
+    for i, (nm, v) in enumerate(state):
+        r = ren(v)
+        if r is not v:
+            return state[:i] + ((nm, r),) + tuple([(n, ren(x)) for n, x in state[i + 1:]])
+    return state
 
 
 def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     """Hashable key: fresh variables renamed by first use, dead constraints
     dropped, message identities ignored.
+
+    One walk renames each value as it visits it, in first-use order: each
+    machine's timer, plant values and configuration; each link's messages
+    in buffer order (data, then the two timers); the clock; then the
+    constraints linked to the variables met so far, in the order of their
+    masked form.  A value's variables not yet met get the next `v{i}`
+    names, in sorted order, just before it is renamed.  Every fresh name
+    comes from `symbolic.fresh_var`, which counts it, so a state whose
+    counter is zero walks with the identity renaming.
 
     `pool` interns what the renaming builds (the `v{i}` names, monomials,
     terms, polynomials and comparisons), so that equal pieces of different
@@ -442,33 +451,16 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     """
     if pool is None:
         pool = {}
-    facts = pool.setdefault(_FACTS_MEMO, {})
-    # Every fresh name comes from symbolic.fresh_var, which counts it: with
-    # the counter at zero there is nothing to rename and no live slice.
-    order, kept = _canon_order(s, facts) if s.fresh_counter else ((), ())
-    intern = pool.setdefault
-    names = {}
-    for i, n in enumerate(order):
-        name = f"v{i}"
-        names[n] = intern(name, name)
-    renamed = pool.setdefault(_RENAMED_MEMO, {})
-
-    def ren(v):
-        return _renamed(v, _names_of(v), names, pool, renamed)
-
-    # Each value is renamed only when there is something to rename.
-    machines_key = tuple(
-        (
-            m.mid,
-            config_key(m.cfg, names, pool),
-            ren(m.timer) if names else m.timer,
-            m.env_timer,
-            tuple((nm, ren(v)) for nm, v in m.state) if names else m.state,
-            m.cycle_time,
-            m.cycle_index,
+    names: dict = {}  # fresh variable -> its `v{i}`, in first-use order
+    ren, ren_config = _renaming(names, pool) if s.fresh_counter else (_same, _same)
+    machines_key = []
+    for m in s.machines:
+        # the configuration is met after the timer and the plant values
+        timer = ren(m.timer)
+        state = _renamed_state(m.state, ren)
+        machines_key.append(
+            (m.mid, ren_config(m.cfg), timer, m.env_timer, state, m.cycle_time, m.cycle_index)
         )
-        for m in s.machines
-    )
     conns_key = tuple(
         (
             c.pair,
@@ -479,26 +471,26 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
             # buffer is a multiset: sort to merge send-order interleavings
             tuple(
                 sorted(
-                    (
+                    [
                         (
                             msg.sender,
                             msg.receiver,
                             msg.send_fb,
                             msg.recv_fb,
-                            ren(msg.data) if names else msg.data,
-                            ren(msg.min_timer) if names else msg.min_timer,
-                            ren(msg.max_timer) if names else msg.max_timer,
+                            ren(msg.data),
+                            ren(msg.min_timer),
+                            ren(msg.max_timer),
                         )
                         for msg in c.buffer
-                    ),
+                    ],
                     key=repr,
                 )
             ),
         )
         for c in s.conns
     )
-    atoms = [_renamed(c, cvars, names, pool, renamed) for c, (_, cvars) in kept]
-    constraints_key = tuple(sorted(atoms, key=ckey_of))
-    clock_key = ren(s.clock) if names else s.clock
+    clock_key = ren(s.clock)
+    kept = _live_slice(s.constraints, set(names), pool.setdefault(_FACTS_MEMO, {})) if names else ()
+    constraints_key = tuple(sorted([ren(c, vs) for c, (_, vs) in kept], key=ckey_of))
     # Only a symbolic tick sets the fold flag, so concrete keys never split on it.
-    return (machines_key, conns_key, clock_key, constraints_key, s.ticked)
+    return (tuple(machines_key), conns_key, clock_key, constraints_key, s.ticked)

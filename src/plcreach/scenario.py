@@ -194,10 +194,10 @@ def _number(v, where: str):
 
 
 def _state_value(v, types, where: str):
-    """A plant value from the file.  It must have the type every program
-    declares for it (`types`): a JSON boolean for BOOL, a string for
-    STRING, a number otherwise.  A STRING keeps its text; any other value
-    is read as a number or a truth value."""
+    """A plant or input value from the file.  It must have the type every
+    program declares for it (`types`): a JSON boolean for BOOL, a string
+    for STRING, a number otherwise.  A STRING keeps its text; any other
+    value is read as a number or a truth value."""
     for type_name in sorted(types):
         if type_name == "BOOL":
             ok = isinstance(v, bool)
@@ -240,7 +240,10 @@ def _flow_poly(text: str, where: str) -> Poly:
 # -- machine construction ----------------------------------------------------
 
 
-def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
+def _input_specs(table: PouTable, doc: dict, programs: tuple, mid: str) -> tuple:
+    """The machine's input feeds.  Each value must have the type its
+    program declares for the variable, by the rule of plant values
+    (`_state_value`); an `ANY` variable reads a number or a truth value."""
     out = []
     for var, spec in doc.items():
         where = f"machine {mid!r} input {var!r}"
@@ -254,18 +257,28 @@ def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
             prog = programs[0]
         elif prog not in programs:
             raise ScenarioError(f"{where}: {prog!r} not on this machine")
+        pou = table.get(prog)
+        decl = next((d for d in pou.inputs + pou.outputs + pou.locals if d.name == var), None)
+        if decl is None:
+            raise ScenarioError(f"machine {mid!r}: program {prog!r} has no variable {var!r}")
+        types = () if decl.type_name == "ANY" else (decl.type_name,)
         kind = spec.get("kind")
         if kind not in {"script", "enumerate", "free"}:
             raise ScenarioError(f"{where}: kind must be script, enumerate or free")
         values = spec.get("values", [])
         if not isinstance(values, list):
             raise ScenarioError(f"{where}: 'values' must be a list")
-        values = tuple(_num(v, where) for v in values)
+        values = tuple(_state_value(v, types, where) for v in values)
         lo = hi = None
         if kind == "free":
+            if "STRING" in types:
+                raise ScenarioError(f"{where}: a STRING input cannot be free")
             if "values" in spec:
                 if not values:
                     raise ScenarioError(f"{where}: empty domain")
+            elif "BOOL" in types:
+                raise ScenarioError(f"{where}: a free BOOL input needs a values "
+                                    f"list, not min/max")
             else:
                 if "min" not in spec or "max" not in spec:
                     raise ScenarioError(f"{where}: free inputs need min/max "
@@ -278,17 +291,6 @@ def _input_specs(doc: dict, programs: tuple, mid: str) -> tuple:
             raise ScenarioError(f"{where}: 'values' must be non-empty")
         out.append(InputSpec(prog, var, kind, values, lo, hi))
     return tuple(sorted(out, key=lambda i: (i.prog, i.var)))
-
-
-def _check_vars_exist(table: PouTable, specs, mid: str):
-    for spec in specs:
-        pou = table.get(spec.prog)
-        names = {d.name for d in pou.inputs + pou.outputs + pou.locals}
-        if spec.var not in names:
-            raise ScenarioError(
-                f"machine {mid!r}: program {spec.prog!r} has no variable "
-                f"{spec.var!r}"
-            )
 
 
 def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
@@ -348,22 +350,22 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
             raise ScenarioError(f"{where}: {e}")
         # Only state names are substituted when time passes; any other name
         # would stay in the state as a symbol no fresh-variable count covers.
-        stray = flows[name].variables() - set(state) - {FLOW_TIME}
+        law_vars = set(flows[name].variables())
+        stray = law_vars - set(state) - {FLOW_TIME}
         if stray:
             raise ScenarioError(
                 f"machine {mid!r}: flow for {name!r} names {sorted(stray)}, "
                 f"which are neither state variables nor {FLOW_TIME!r}"
             )
         # A law is a polynomial: a truth value or a text in it has no meaning.
-        bad = sorted(flows[name].variables() & non_numeric)
+        bad = sorted(law_vars & non_numeric)
         if bad:
             raise ScenarioError(
                 f"{where}: law {law!r} names {bad[0]!r}, which is not a "
                 f"numeric state variable"
             )
 
-    specs = _input_specs(_object(doc, "inputs", mid), programs, mid)
-    _check_vars_exist(table, specs, mid)
+    specs = _input_specs(table, _object(doc, "inputs", mid), programs, mid)
 
     preload = _flag(doc.get("preload", False), f"machine {mid!r} preload")
     if preload and any(spec.kind != "script" for spec in specs):

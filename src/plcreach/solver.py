@@ -86,7 +86,7 @@ def _solve_conjunction(atoms) -> Optional[dict]:
             raise SolverUnavailable(
                 f"nonlinear constraint {a}: only linear arithmetic is supported"
             )
-        all_vars |= a.lhs.variables()
+        all_vars.update(a.lhs.variables())
         (eqs if a.op == "==" else ineqs).append((a.op, a.lhs.primitive()))
 
     subst_log = []  # (var, row, coefficient of var), in substitution order
@@ -97,7 +97,7 @@ def _solve_conjunction(atoms) -> Optional[dict]:
             if p.const_value() != 0:
                 return None
             continue
-        var = p.names()[0]
+        var = p.variables()[0]
         c = p.coeff(var)
         subst_log.append((var, p, c))
         eqs = [(o, _cancel(q, q.coeff(var), p, c)) for o, q in eqs]

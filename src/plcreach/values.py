@@ -143,15 +143,12 @@ class Poly:
             return self.terms[0][1]
         raise ValueError(f"{self} is not constant")
 
-    def variables(self) -> set:
-        return {v for m, _ in self.terms for v, _ in m}
-
-    def names(self) -> tuple:
+    def variables(self) -> tuple:
         """The variable names, sorted; computed on first use and kept."""
         try:
             return self._names
         except AttributeError:
-            self._names = tuple(sorted(self.variables()))
+            self._names = tuple(sorted({v for m, _ in self.terms for v, _ in m}))
             return self._names
 
     def degree(self) -> int:
@@ -515,21 +512,21 @@ def conjuncts(e) -> tuple:
 # other runtime value (bool, int, Fraction, str, rcvError, a block
 # instance) is concrete: it has no variables and comes back unchanged.
 
-_NO_VARS = frozenset()
 
+def variables(v) -> tuple:
+    """The names of the symbolic variables in `v`, sorted.
 
-def variables(v):
-    """The names of the symbolic variables in `v`, as a set not to mutate."""
-    if isinstance(v, Poly):
+    The one form of a variable list: a Poly keeps its own, and a caller
+    that needs a set builds it.
+    """
+    cls = v.__class__
+    if cls is Poly:
         return v.variables()
-    if isinstance(v, Cmp):
+    if cls is Cmp:
         return v.lhs.variables()
-    if isinstance(v, (And, Or)):
-        out = set()
-        for a in v.args:
-            out |= variables(a)
-        return out
-    return _NO_VARS
+    if cls is And or cls is Or:
+        return tuple(sorted({n for a in v.args for n in variables(a)}))
+    return ()
 
 
 def rename(v, names: Mapping[str, str], pool: dict):

@@ -445,6 +445,15 @@ class TestFailures:
         r = step(table, cfg)
         assert isinstance(r, Failed)
 
+    @pytest.mark.parametrize("value", [0, 1, Fraction(1, 2), Poly.var("_u0")])
+    def test_a_number_is_not_a_branch_condition(self, value):
+        # A branch takes a truth value or a boolean expression, as NOT does.
+        src = "PROGRAM P VAR n : INT; y : INT; END_VAR IF n THEN y := 1; END_IF; END_PROGRAM"
+        table, cfg = make(src)
+        cfg = load_programs(table, cfg.write(prog_loc(cfg, "P", "n"), value))
+        r = step(table, cfg)
+        assert r == Failed(f"not a condition: {value!r}")
+
 
 class TestCanonicalForm:
     def test_config_key_roundtrip_equality(self):

@@ -368,7 +368,7 @@ class TestValidation:
         # With min above max no input value exists, so every path after the
         # first scan start would be infeasible and any verdict vacuous.
         doc = tank_doc(analysis={"mode": "symbolic"})
-        doc["machines"][0]["inputs"]["input"] = {"kind": "free", "min": 5, "max": 1}
+        doc["machines"][0]["inputs"]["waterLevel"] = {"kind": "free", "min": 5, "max": 1}
         with pytest.raises(ScenarioError, match="min 5 is above max 1"):
             scenario_from_dict(doc, table_for())
 
@@ -379,7 +379,7 @@ class TestValidation:
         if field == "cycleTime":
             machine["cycleTime"] = True
         elif field in ("min", "max"):
-            machine["inputs"]["input"] = {"kind": "free", "min": 0, "max": 1, field: True}
+            machine["inputs"]["waterLevel"] = {"kind": "free", "min": 0, "max": 1, field: True}
         else:
             machine["programs"] = ["TANK", "AUX"]
             machine["inputs"] = {}
@@ -639,6 +639,59 @@ def test_free_truth_valued_input_is_a_boolean(prop, b):
     else:
         (w,) = r.witnesses
         assert w.model["_u0"] == b
+
+
+TYPED_INPUT_SRC = """\
+PROGRAM P
+VAR_INPUT
+  b : BOOL;
+  n : INT;
+  txt : STRING;
+END_VAR
+VAR_OUTPUT
+  y : INT;
+END_VAR
+IF NOT b THEN y := 1; END_IF;
+IF txt = 'on' THEN y := n; END_IF;
+END_PROGRAM
+"""
+
+
+def typed_input_doc(var, spec):
+    inputs = {
+        "b": {"kind": "script", "values": [False]},
+        "n": {"kind": "script", "values": [2]},
+        "txt": {"kind": "script", "values": ["on"]},
+    }
+    inputs[var] = spec
+    return {"machines": [{"id": "plc1", "programs": ["P"], "cycleTime": 10, "state": {},
+                          "inputs": inputs}],
+            "analysis": {"mode": "symbolic"}}
+
+
+@pytest.mark.parametrize("var, spec, match", [
+    ("b", {"kind": "enumerate", "values": [1, 0]}, "1 does not match its declared type BOOL"),
+    ("b", {"kind": "free", "values": [1, 0]}, "1 does not match its declared type BOOL"),
+    ("b", {"kind": "script", "values": ["on"]}, "'on' does not match its declared type BOOL"),
+    ("b", {"kind": "free", "min": 0, "max": 1}, "a free BOOL input needs a values list"),
+    ("n", {"kind": "enumerate", "values": [True, 0]}, "True does not match its declared type INT"),
+    ("txt", {"kind": "script", "values": [1]}, "1 does not match its declared type STRING"),
+    ("txt", {"kind": "free", "values": ["on", "off"]}, "a STRING input cannot be free"),
+    ("txt", {"kind": "free", "min": 0, "max": 1}, "a STRING input cannot be free"),
+], ids=["bool-enumerate-numbers", "bool-free-numbers", "bool-text", "bool-free-interval",
+        "int-truth-value", "string-number", "string-free-values", "string-free-interval"])
+def test_input_values_have_the_declared_type(var, spec, match):
+    with pytest.raises(ScenarioError, match=f"input '{var}': {match}"):
+        scenario_from_dict(typed_input_doc(var, spec), table_for(TYPED_INPUT_SRC))
+
+
+def test_a_string_input_reads_its_text():
+    doc = typed_input_doc("txt", {"kind": "enumerate", "values": ["on", "off"]})
+    scen = scenario_from_dict(doc, table_for(TYPED_INPUT_SRC))
+    (spec,) = [i for i in scen.machines[0].inputs if i.var == "txt"]
+    assert spec.values == ("on", "off")
+    r = search(scen.context(), scen.initial_state(), "y = 2", bound=10)
+    assert r.verdict == "SolutionFound"
 
 
 def _set(*path_and_value):

@@ -298,7 +298,7 @@ def test_fraction_free_elimination_agrees_with_rational_elimination(atoms):
         return
     assert (v is not None) == _oracle_sat([a for a in atoms if a is not True])
     if v is not None:
-        assert variables(phi) <= v.keys()
+        assert set(variables(phi)) <= v.keys()
         assert all(evaluate(a, v) for a in atoms)
 
 
@@ -314,7 +314,7 @@ def _all_rows_solve_conjunction(atoms):
     all_vars: set = set()
     for a in atoms:
         p = a.lhs
-        all_vars |= p.variables()
+        all_vars.update(p.variables())
         (eqs if a.op == "==" else ineqs).append((a.op, p.primitive()))
 
     subst_log = []
@@ -324,7 +324,7 @@ def _all_rows_solve_conjunction(atoms):
             if p.const_value() != 0:
                 return None
             continue
-        var = p.names()[0]
+        var = p.variables()[0]
         c = p.coeff(var)
         subst_log.append((var, p, c))
         eqs = [(o, _cancel(q, q.coeff(var), p, c)) for o, q in eqs]
