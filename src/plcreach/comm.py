@@ -28,7 +28,7 @@ from .kmachine import (
     resume_comm,
     step,
 )
-from .model import Conn, ModelError, Msg, PLCMachine, SystemState, conn_pair
+from .model import Conn, ModelError, Msg, SystemState, conn_pair
 from .st.ast import AssertTimeAnn, DelayAnn
 from .symbolic import concrete_or_none, feasible
 from .timed import RuleCtx, elapsed_in_cycle
@@ -77,12 +77,19 @@ def _name_arg(out: NeedsComm, idx: int, what: str) -> str:
     return v
 
 
-def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
-    """All moves the given machine can take from `s` (may be empty)."""
-    m = s.machine(mid)
-    out = ctx.steps.get(m.cfg)
+def machine_moves(ctx: RuleCtx, s: SystemState, mid: str, cfg: KConfig = None) -> list:
+    """All moves the given machine can take from `s` (may be empty).
+
+    `cfg`, when given, is the machine's configuration in place of the one
+    `s` holds, so that a chain of moves (`por._chain_internal`) walks the
+    shared state and the configuration apart, building no system state.
+    No rule reads the machine's configuration from `s`.
+    """
+    if cfg is None:
+        cfg = s.machine(mid).cfg
+    out = ctx.steps.get(cfg)
     if out is None:
-        out = ctx.steps[m.cfg] = step(ctx.table, m.cfg)
+        out = ctx.steps[cfg] = step(ctx.table, cfg)
     if isinstance(out, Done):
         return []
     if isinstance(out, Failed):
@@ -91,19 +98,29 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str) -> list:
         # Private unless it is a loop step (see chainable).
         return [Move(out.label, "internal", (), mid, s, out.cfg, chainable(out))]
     if isinstance(out, Branch):
-        return _branch_moves(ctx, s, m, out)
+        return _branch_moves(ctx, s, mid, out)
     if isinstance(out, AssertTimeAnn):
-        return _assert_moves(ctx, s, m, out)
+        return _assert_moves(ctx, s, mid, cfg, out)
     if isinstance(out, DelayAnn):
-        return _delay_moves(s, m, out)
+        return _delay_moves(s, mid, cfg, out)
     if isinstance(out, NeedsComm):
         partner = _name_arg(out, 0, "partner")
-        pair = conn_pair(m.cfg.current_prog, partner)
-        return _COMM_RULES[out.name](ctx, s, m, out, partner, pair, s.conn(*pair))
+        pair = conn_pair(cfg.current_prog, partner)
+        return _COMM_RULES[out.name](ctx, s, mid, cfg, out, partner, pair, s.conn(*pair))
     raise ModelError(f"machine {mid}: unexpected step outcome {out!r}")
 
 
-def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> list:
+def _answer(ctx: RuleCtx, cfg: KConfig, out: NeedsComm, value) -> KConfig:
+    """`resume_comm(cfg, out.site, value)`, one object per answer (see
+    `RuleCtx.resumed`).  `out` is the step outcome of `cfg`."""
+    key = (cfg, value.__class__, value)
+    got = ctx.resumed.get(key)
+    if got is None:
+        got = ctx.resumed[key] = resume_comm(cfg, out.site, value)
+    return got
+
+
+def _branch_moves(ctx: RuleCtx, s: SystemState, mid: str, out: Branch) -> list:
     # Undetermined condition: explore both arms under the matching constraint.
     moves = []
     for label, cond, cfg in (
@@ -114,72 +131,73 @@ def _branch_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: Branch) -> l
         if s2 is not False:
             # Private: the arm only narrows the path condition, over values
             # this scan has already fixed.
-            moves.append(Move(label, "internal", (), m.mid, s2, cfg, True))
+            moves.append(Move(label, "internal", (), mid, s2, cfg, True))
     return moves
 
 
-def _assert_moves(ctx: RuleCtx, s: SystemState, m: PLCMachine, out: AssertTimeAnn) -> list:
+def _assert_moves(ctx: RuleCtx, s: SystemState, mid: str, cfg: KConfig, out: AssertTimeAnn) -> list:
     # Before the window time must pass; after it the scan is stuck.
-    e = elapsed_in_cycle(m)
+    e = elapsed_in_cycle(s.machine(mid))
     s2 = feasible(ctx.checker, s, cmp_le(out.lo, e), cmp_le(e, out.hi))
     if s2 is False:
         return []
     # Not private: whether the window is open depends on elapsed time.
-    return [Move("assertTime", "internal", (), m.mid, s2, pop_head(m.cfg), False)]
+    return [Move("assertTime", "internal", (), mid, s2, pop_head(cfg), False)]
 
 
-def _delay_moves(s: SystemState, m: PLCMachine, out: DelayAnn) -> list:
+def _delay_moves(s: SystemState, mid: str, cfg: KConfig, out: DelayAnn) -> list:
     pair = conn_pair(out.a, out.b)
     conn = s.conn(*pair) or Conn(pair=pair)
     s2 = s.with_conn(copy_with(conn, delay_lo=out.lo, delay_hi=out.hi))
     # Not private: later sends on the link read its delays.
-    return [Move("setDelay", "comm", (pair,), m.mid, s2, pop_head(m.cfg), False)]
+    return [Move("setDelay", "comm", (pair,), mid, s2, pop_head(cfg), False)]
 
 
 # -- connection management ---------------------------------------------------
 
 
-# Each rule below takes the machine's pending call `out`, its partner
-# program, the link's pair and the link itself (None if never set up); the
-# call's answer goes into the machine's configuration by `resume_comm`.
+# Each rule below takes the machine, its configuration, its pending call
+# `out`, its partner program, the link's pair and the link itself (None if
+# never set up); the call's answer goes into the configuration by
+# `_answer`.
 # Only the moves marked below are private.  Every other one writes a link,
 # or reads what a move of another machine or time passage can change.
 
 
-def _connect_moves(ctx, s, m, out, partner, pair, conn) -> list:
+def _connect_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
     if conn is None:
-        fail = resume_comm(m.cfg, out.site, False)
-        return [Move("conFail", "comm", (pair,), m.mid, s, fail, False)]
-    ok = resume_comm(m.cfg, out.site, True)
+        fail = _answer(ctx, cfg, out, False)
+        return [Move("conFail", "comm", (pair,), mid, s, fail, False)]
+    ok = _answer(ctx, cfg, out, True)
     if conn.valid:
         # Re-requesting an established connection succeeds without writing
         # shared state.  Private only when the loaded programs never drop a
         # link (`ctx.comm_ample`): after another machine's disconnect, the
         # request would bring the link back up.
-        return [Move("conSucc", "internal", (pair,), m.mid, s, ok, ctx.comm_ample)]
+        return [Move("conSucc", "internal", (pair,), mid, s, ok, ctx.comm_ample)]
     up = s.with_conn(copy_with(conn, valid=True))
-    moves = [Move("conSucc", "comm", (pair,), m.mid, up, ok, False)]
+    moves = [Move("conSucc", "comm", (pair,), mid, up, ok, False)]
     if not s.options.reliable_connect:
-        fail = resume_comm(m.cfg, out.site, False)
-        moves.append(Move("conFail", "comm", (pair,), m.mid, s, fail, False))
+        fail = _answer(ctx, cfg, out, False)
+        moves.append(Move("conFail", "comm", (pair,), mid, s, fail, False))
     return moves
 
 
-def _disconnect_moves(ctx, s, m, out, partner, pair, conn) -> list:
+def _disconnect_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
     was = conn is not None and conn.valid
     # In-flight messages stay deliverable; only the link validity drops.
     s2 = s if conn is None else s.with_conn(copy_with(conn, valid=False))
-    cfg = resume_comm(m.cfg, out.site, was)
-    return [Move("disconnect", "comm", (pair,), m.mid, s2, cfg, False)]
+    after = _answer(ctx, cfg, out, was)
+    return [Move("disconnect", "comm", (pair,), mid, s2, after, False)]
 
 
-def _concheck_moves(ctx, s, m, out, partner, pair, conn) -> list:
+def _concheck_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
     valid = bool(conn is not None and conn.valid)
-    cfg = resume_comm(m.cfg, out.site, valid)
+    after = _answer(ctx, cfg, out, valid)
     # Private when the link is up and the loaded programs never drop a
     # link (`ctx.comm_ample`): nothing writes its validity then.
     private = valid and ctx.comm_ample
-    return [Move("conCheck", "comm", (valid,), m.mid, s, cfg, private)]
+    return [Move("conCheck", "comm", (valid,), mid, s, after, private)]
 
 
 # -- message transfer --------------------------------------------------------
@@ -211,17 +229,17 @@ def _rcv_ample(conn: Conn, matching: list) -> bool:
     return conn.delay_lo > horizon and all(mn > horizon for mn in pending)
 
 
-def _send_moves(ctx, s, m, out, partner, pair, conn) -> list:
+def _send_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
     # Never private: the delivery window starts at the send instant, so
     # reordering a send against a time step is observable.
     send_fb = _name_arg(out, 1, "sending block")
     recv_fb = _name_arg(out, 2, "receiving block")
     data = out.argvalues[3]
     if conn is None or not conn.valid:
-        fail = resume_comm(m.cfg, out.site, False)
-        return [Move("sendDataFail", "comm", (pair,), m.mid, s, fail, False)]
+        fail = _answer(ctx, cfg, out, False)
+        return [Move("sendDataFail", "comm", (pair,), mid, s, fail, False)]
     msg = Msg(
-        sender=m.cfg.current_prog,
+        sender=cfg.current_prog,
         receiver=partner,
         send_fb=send_fb,
         recv_fb=recv_fb,
@@ -232,19 +250,19 @@ def _send_moves(ctx, s, m, out, partner, pair, conn) -> list:
     )
     s2 = s.with_conn(copy_with(conn, buffer=conn.buffer + (msg,)))
     s2 = copy_with(s2, msg_seq=s.msg_seq + 1)
-    cfg = resume_comm(m.cfg, out.site, True)
-    return [Move("sendData", "comm", (msg.seq,), m.mid, s2, cfg, False)]
+    after = _answer(ctx, cfg, out, True)
+    return [Move("sendData", "comm", (msg.seq,), mid, s2, after, False)]
 
 
-def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
-    want = (partner, m.cfg.current_prog, _name_arg(out, 1, "sending block"),
+def _rcv_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
+    want = (partner, cfg.current_prog, _name_arg(out, 1, "sending block"),
             _name_arg(out, 2, "receiving block"))
-    error = resume_comm(m.cfg, out.site, RCV_ERROR)
+    error = _answer(ctx, cfg, out, RCV_ERROR)
     if conn is None or not conn.valid:
-        return [Move("rcvFail", "comm", (pair,), m.mid, s, error, False)]
+        return [Move("rcvFail", "comm", (pair,), mid, s, error, False)]
     matching = [x for x in conn.buffer if (x.sender, x.receiver, x.send_fb, x.recv_fb) == want]
     if not matching:
-        return [Move("rcvNo", "comm", (pair,), m.mid, s, error, False)]
+        return [Move("rcvNo", "comm", (pair,), mid, s, error, False)]
     # Private when the loaded programs never drop a link and no rival
     # delivery can race this one (see _rcv_ample).
     private = ctx.comm_ample and _rcv_ample(conn, matching)
@@ -255,14 +273,14 @@ def _rcv_moves(ctx, s, m, out, partner, pair, conn) -> list:
             continue
         rest = tuple(x for x in conn.buffer if x.seq != msg.seq)
         s2 = s2.with_conn(copy_with(conn, buffer=rest))
-        cfg = resume_comm(m.cfg, out.site, msg.data)
-        moves.append(Move("rcvData", "comm", (msg.seq,), m.mid, s2, cfg, private))
+        got = _answer(ctx, cfg, out, msg.data)
+        moves.append(Move("rcvData", "comm", (msg.seq,), mid, s2, got, private))
     if s.options.rcv_no_on_pending:
         # Giving up is only allowed while every candidate is still in transit.
         pending = [cmp_lt(0, msg.min_timer) for msg in matching]
         s2 = feasible(ctx.checker, s, *pending)
         if s2 is not False:
-            moves.append(Move("rcvNo", "comm", (pair,), m.mid, s2, error, False))
+            moves.append(Move("rcvNo", "comm", (pair,), mid, s2, error, False))
     return moves
 
 

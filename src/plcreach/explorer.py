@@ -175,6 +175,8 @@ def search(
     and whether the reduction runs.  `max_states`, a positive int, caps
     the stored states; the verdict is then BoundExhausted.
     """
+    if isinstance(bound, bool):
+        raise ValueError(f"bound must be a number, got {bound!r}")
     bound = rat(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -348,6 +350,8 @@ def simulate(ctx: RuleCtx, s0: SystemState, until, max_steps: int = 100000) -> l
         raise ValueError(f"simulate runs concrete states only, got mode {s0.options.mode!r}")
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
+    if isinstance(until, bool):
+        raise ValueError(f"until must be a number, got {until!r}")
     until = rat(until)
     if until < s0.clock:
         raise ValueError(f"until must not lie before the initial clock {s0.clock}, got {until}")

@@ -124,23 +124,24 @@ class KConfig:
     # Hashing walks `k` and the store, so it is done once per instance
     # (statement trees hash once themselves).  The caches live in the
     # instance dict: `copy_with` copies only the fields, so a copy starts
-    # without them.
+    # without them.  The hash is kept by hand, not by `cached_property`,
+    # whose first read takes a lock on Python 3.10 and 3.11.
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(
-            (
-                self.k,
-                self.env,
-                self.store,
-                self.prog_envs,
-                self.programs,
-                self.current_prog,
-                self.answers,
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash(
+                (
+                    self.k,
+                    self.env,
+                    self.store,
+                    self.prog_envs,
+                    self.programs,
+                    self.current_prog,
+                    self.answers,
+                )
             )
-        )
+        return h
 
     @cached_property
     def _vars(self) -> tuple:

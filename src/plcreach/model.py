@@ -426,6 +426,46 @@ def _renamed_state(state: tuple, ren) -> tuple:
     return state
 
 
+def _machine_piece(m: PLCMachine, ren=_same, ren_config=_same) -> tuple:
+    # the configuration is met after the timer and the plant values
+    timer = ren(m.timer)
+    state = _renamed_state(m.state, ren)
+    return (m.mid, ren_config(m.cfg), timer, m.env_timer, state, m.cycle_time, m.cycle_index)
+
+
+def _link_piece(c: Conn, ren=_same) -> tuple:
+    msgs = [
+        (
+            msg.sender,
+            msg.receiver,
+            msg.send_fb,
+            msg.recv_fb,
+            ren(msg.data),
+            ren(msg.min_timer),
+            ren(msg.max_timer),
+        )
+        for msg in c.buffer
+    ]
+    # receive matches on headers, never on buffer position, so the buffer
+    # is a multiset: sort to merge send-order interleavings
+    if len(msgs) > 1:
+        msgs.sort(key=repr)
+    return (c.pair, c.valid, c.delay_lo, c.delay_hi, tuple(msgs))
+
+
+# The instance-dict entry where a machine or link keeps its key piece under
+# the identity renaming.  `copy_with` copies only fields, so no copy has it.
+_PIECE = "_key_piece"
+
+
+def _kept(record, piece_of) -> tuple:
+    d = record.__dict__
+    piece = d.get(_PIECE)
+    if piece is None:
+        piece = d[_PIECE] = piece_of(record)
+    return piece
+
+
 def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     """Hashable key: fresh variables renamed by first use, dead constraints
     dropped, message identities ignored.
@@ -435,9 +475,14 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     in buffer order (data, then the two timers); the clock; then the
     constraints linked to the variables met so far, in the order of their
     masked form.  A value's variables not yet met get the next `v{i}`
-    names, in sorted order, just before it is renamed.  Every fresh name
-    comes from `symbolic.fresh_var`, which counts it, so a state whose
-    counter is zero walks with the identity renaming.
+    names, in sorted order, just before it is renamed.
+
+    Every fresh name comes from `symbolic.fresh_var`, which counts it, so
+    a state whose counter is zero has the identity renaming and keeps no
+    constraint.  Such a state's key is made of pieces that each machine
+    and link keeps in its instance dict, built on first use: a successor
+    reuses the pieces of every record it shares with its parent.  The
+    pieces are the ones the walk would build, so both ways give one key.
 
     `pool` interns what the renaming builds (the `v{i}` names, monomials,
     terms, polynomials and comparisons), so that equal pieces of different
@@ -449,48 +494,22 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     passes one pool for its whole life and drops it with its state store;
     without one, a throwaway pool is used.
     """
+    if not s.fresh_counter:
+        return (
+            tuple([_kept(m, _machine_piece) for m in s.machines]),
+            tuple([_kept(c, _link_piece) for c in s.conns]),
+            s.clock,
+            (),
+            s.ticked,
+        )
     if pool is None:
         pool = {}
     names: dict = {}  # fresh variable -> its `v{i}`, in first-use order
-    ren, ren_config = _renaming(names, pool) if s.fresh_counter else (_same, _same)
-    machines_key = []
-    for m in s.machines:
-        # the configuration is met after the timer and the plant values
-        timer = ren(m.timer)
-        state = _renamed_state(m.state, ren)
-        machines_key.append(
-            (m.mid, ren_config(m.cfg), timer, m.env_timer, state, m.cycle_time, m.cycle_index)
-        )
-    conns_key = tuple(
-        (
-            c.pair,
-            c.valid,
-            c.delay_lo,
-            c.delay_hi,
-            # receive matches on headers, never on buffer position, so the
-            # buffer is a multiset: sort to merge send-order interleavings
-            tuple(
-                sorted(
-                    [
-                        (
-                            msg.sender,
-                            msg.receiver,
-                            msg.send_fb,
-                            msg.recv_fb,
-                            ren(msg.data),
-                            ren(msg.min_timer),
-                            ren(msg.max_timer),
-                        )
-                        for msg in c.buffer
-                    ],
-                    key=repr,
-                )
-            ),
-        )
-        for c in s.conns
-    )
+    ren, ren_config = _renaming(names, pool)
+    machines_key = tuple([_machine_piece(m, ren, ren_config) for m in s.machines])
+    conns_key = tuple([_link_piece(c, ren) for c in s.conns])
     clock_key = ren(s.clock)
     kept = _live_slice(s.constraints, set(names), pool.setdefault(_FACTS_MEMO, {})) if names else ()
     constraints_key = tuple(sorted([ren(c, vs) for c, (_, vs) in kept], key=ckey_of))
     # Only a symbolic tick sets the fold flag, so concrete keys never split on it.
-    return (tuple(machines_key), conns_key, clock_key, constraints_key, s.ticked)
+    return (machines_key, conns_key, clock_key, constraints_key, s.ticked)

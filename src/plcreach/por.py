@@ -81,10 +81,10 @@ def _chain_internal(ctx: RuleCtx, v):
     other enabled transition, so the whole run collapses into one edge.
     Stops at branching points, non-private moves, and loop steps, or once
     the chain is longer than `_CHAIN_LIMIT`.  The chain walks the move's
-    two halves, the shared state and the machine's configuration; runs of
-    internal steps are taken whole from `_private_run`.  The system state
-    is built once per step that needs `machine_moves`; the last one built
-    is the chain's end.
+    two halves, the shared state and the machine's configuration: runs of
+    internal steps are taken whole from `_private_run`, and
+    `machine_moves` is asked with the chain's configuration beside the
+    shared state.  One system state is built, at the chain's end.
     """
     if not v.private:
         return (TransitionId(v.cls, v.mid, v.label, v.key), v.state)
@@ -93,18 +93,16 @@ def _chain_internal(ctx: RuleCtx, v):
     while len(chain) <= _CHAIN_LIMIT:
         labels, cfg = _private_run(ctx, cfg)
         chain.extend(labels)
-        st = with_cfg(shared, v.mid, cfg)
         # Done: the scan is over.  Internal: a loop step, which must stay
         # visible, or a run cut at `_CHAIN_LIMIT`.
         if isinstance(ctx.steps[cfg], (Done, Internal)):
             break
-        nxt = machine_moves(ctx, st, v.mid)
+        nxt = machine_moves(ctx, shared, v.mid, cfg)
         if len(nxt) != 1 or not nxt[0].private:
             break
         chain.append((nxt[0].label, nxt[0].key))
         shared, cfg = nxt[0].shared, nxt[0].cfg
-    else:  # cut at `_CHAIN_LIMIT` after a machine-level step
-        st = with_cfg(shared, v.mid, cfg)
+    st = with_cfg(shared, v.mid, cfg)
     if len(chain) == 1:
         return (TransitionId(v.cls, v.mid, v.label, v.key), st)
     return (TransitionId("internal", v.mid, "seq", tuple(chain)), st)

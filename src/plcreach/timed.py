@@ -68,8 +68,14 @@ class RuleCtx:
     see `values.rat`), so equal plant states share one entry.  `plans`
     maps a machine's programs, their environments, its plant names and
     its input specs to its `StartPlan` (filled by `start_plan`): a pure
-    function of that key and the table.
-    All four therefore stay valid for as long as the context lives.
+    function of that key and the table.  `resumed` maps a `KConfig`
+    suspended on a communication call, an answer's class and the answer
+    to the configuration `resume_comm` makes of them (filled by
+    `comm._answer`), so the same answer gives the same object, whose hash
+    is kept: a pure function of that key and the table, since the call
+    site is the configuration's step outcome.  The class is part of the
+    key because `True == 1`.
+    All five therefore stay valid for as long as the context lives.
     `Scenario.context()` makes a new, empty context for each search, so a
     fresh context starts cold, which the benchmark's determinism guard
     relies on: it checks that the number of `step` calls repeats exactly
@@ -86,6 +92,7 @@ class RuleCtx:
     runs: dict = field(default_factory=dict)
     flows: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
+    resumed: dict = field(default_factory=dict)
 
 
 # -- time limits ------------------------------------------------------------

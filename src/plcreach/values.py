@@ -762,8 +762,6 @@ def copy_with(obj, **changes):
     """
     cls = obj.__class__
     names = cls.__dataclass_fields__
-    if not names.keys() >= changes.keys():
-        raise TypeError(f"{cls.__name__} has no field(s) {sorted(changes.keys() - names.keys())}")
     old = obj.__dict__
     new = object.__new__(cls)
     fields = new.__dict__
@@ -773,4 +771,7 @@ def copy_with(obj, **changes):
     else:
         fields.update({n: old[n] for n in names})
     fields.update(changes)
+    # Only a name that is not a field can grow the dict.
+    if len(fields) != len(names):
+        raise TypeError(f"{cls.__name__} has no field(s) {sorted(changes.keys() - names.keys())}")
     return new

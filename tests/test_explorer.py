@@ -99,6 +99,12 @@ class TestConcreteSearch:
             search(scen.context(), scen.initial_state(), bound=scen.analysis.bound,
                    max_states=max_states)
 
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_a_boolean_bound_is_rejected(self, bound):
+        scen = bench.load("tank")
+        with pytest.raises(ValueError, match=f"bound must be a number, got {bound}"):
+            search(scen.context(), scen.initial_state(), bound=bound)
+
     def test_jsonable_shape(self):
         ctx, s0 = tank_system()
         r = search(ctx, s0, "waterLevel < 5", bound=20)

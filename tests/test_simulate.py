@@ -107,6 +107,13 @@ def test_step_cap_must_be_a_positive_int(max_steps):
         simulate(scen.context(), s0, s0.clock, max_steps=max_steps)
 
 
+@pytest.mark.parametrize("until", [True, False])
+def test_a_boolean_horizon_is_rejected(until):
+    scen = bench.load("ptp")
+    with pytest.raises(ValueError, match=f"until must be a number, got {until}"):
+        simulate(scen.context(), scen.initial_state(), until)
+
+
 def test_a_symbolic_state_is_rejected():
     scen = bench.load("ptp")
     with pytest.raises(ValueError, match="concrete states only, got mode 'symbolic'"):
