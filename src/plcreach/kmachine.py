@@ -1,9 +1,14 @@
 """Scan-cycle execution engine for one controller.
 
-A machine configuration holds the remaining control items for the current
-cycle (`k`), the active variable environment, and a store shared by all
-programs on the controller.  Function-block instances live in the store, so
-their outputs and locals persist across calls and cycles.
+A machine configuration holds only what a scan changes: the remaining
+control items for the current cycle (`k`), the active variable environment,
+the running program, the answers of the head's communication calls, and a
+store shared by all programs on the controller.  The store is a tuple of
+values indexed by location; `allocate` numbers the locations from 0 and
+pairs each program with its environment, the machine's static layout,
+which the system layer keeps beside the configuration (`load_programs`
+queues the bodies from it).  Function-block instances live in the store,
+so their outputs and locals persist across calls and cycles.
 
 Execution advances in rule-sized steps: assignments, branch decisions,
 loop unfoldings, block calls, and returns each count as one step.  Program
@@ -115,9 +120,7 @@ def _env_tuple(d: dict) -> tuple:
 class KConfig:
     k: tuple = ()
     env: tuple = ()  # ((name, loc), ...), sorted
-    store: tuple = ()  # ((loc, value), ...), sorted by loc
-    prog_envs: tuple = ()  # ((prog name, env tuple), ...)
-    programs: tuple = ()  # execution order for each cycle
+    store: tuple = ()  # values, indexed by location
     current_prog: str = ""  # program whose body is executing
     answers: tuple = ()  # results of the head's communication calls so far
 
@@ -130,17 +133,7 @@ class KConfig:
         d = self.__dict__
         h = d.get("_hash")
         if h is None:
-            h = d["_hash"] = hash(
-                (
-                    self.k,
-                    self.env,
-                    self.store,
-                    self.prog_envs,
-                    self.programs,
-                    self.current_prog,
-                    self.answers,
-                )
-            )
+            h = d["_hash"] = hash((self.k, self.env, self.store, self.current_prog, self.answers))
         return h
 
     @cached_property
@@ -154,27 +147,21 @@ class KConfig:
         return None
 
     def read(self, loc: int):
-        for lc, val in self.store:
-            if lc == loc:
-                return val
+        store = self.store
+        if 0 <= loc < len(store):
+            return store[loc]
         raise EvalError(f"unallocated location {loc}")
 
     def write(self, loc: int, value) -> "KConfig":
-        store = tuple((lc, value if lc == loc else val) for lc, val in self.store)
-        return copy_with(self, store=store)
+        return self.write_many(((loc, value),))
 
     def write_many(self, pairs) -> "KConfig":
-        updates = dict(pairs)
-        store = tuple((lc, updates.pop(lc, val)) for lc, val in self.store)
-        if updates:
-            raise EvalError(f"unallocated locations {sorted(updates)}")
-        return copy_with(self, store=store)
-
-    def prog_env(self, name: str) -> tuple:
-        for nm, env in self.prog_envs:
-            if nm == name:
-                return env
-        raise EvalError(f"no environment for program {name}")
+        store = list(self.store)
+        for loc, value in pairs:
+            if not 0 <= loc < len(store):
+                raise EvalError(f"unallocated location {loc}")
+            store[loc] = value
+        return copy_with(self, store=tuple(store))
 
     # -- names for eval_expr --
 
@@ -231,14 +218,11 @@ def const_eval(e: ast.Expr):
 class _Builder:
     def __init__(self, table: PouTable):
         self.table = table
-        self.next_loc = 0
-        self.cells: list = []  # (loc, value)
+        self.store: list = []  # the value at each location, from 0
 
     def alloc(self, value) -> int:
-        loc = self.next_loc
-        self.next_loc += 1
-        self.cells.append((loc, value))
-        return loc
+        self.store.append(value)
+        return len(self.store) - 1
 
     def build_env(self, pou: ast.Pou, path: str) -> dict:
         env = {}
@@ -259,29 +243,28 @@ class _Builder:
         return Instance(type_name, path, _env_tuple(env))
 
 
-def idle_config(table: PouTable, program_names) -> KConfig:
-    """Allocate persistent storage for the named programs; k starts empty."""
+def allocate(table: PouTable, program_names) -> tuple:
+    """Lay out persistent storage for the named programs.
+
+    Returns `(programs, cfg)`: `programs` pairs each program, in the order
+    given (its scan order), with its environment, and `cfg` is an idle
+    configuration (empty `k`) holding the store.
+    """
     b = _Builder(table)
-    prog_envs = []
+    programs = []
     for name in program_names:
         pou = table.get(name)
         if pou.kind != "program":
             raise ElabError(f"{name} is not a program")
-        prog_envs.append((name, _env_tuple(b.build_env(pou, ""))))
-    return KConfig(
-        k=(),
-        env=(),
-        store=tuple(b.cells),
-        prog_envs=tuple(prog_envs),
-        programs=tuple(program_names),
-    )
+        programs.append((name, _env_tuple(b.build_env(pou, ""))))
+    return tuple(programs), KConfig(store=tuple(b.store))
 
 
-def load_programs(table: PouTable, cfg: KConfig) -> KConfig:
-    """Queue every program body for one scan cycle."""
+def load_programs(table: PouTable, programs: tuple, cfg: KConfig) -> KConfig:
+    """Queue the bodies of `programs` ((name, env), ...) for one scan cycle."""
     items: list = []
-    for name in cfg.programs:
-        items.append(Frame(cfg.prog_env(name), name))
+    for name, env in programs:
+        items.append(Frame(env, name))
         items.extend(table.get(name).body)
     items.append(Frame((), ""))
     return normalize(copy_with(cfg, k=tuple(items)))
@@ -539,10 +522,10 @@ def config_key(cfg: KConfig, names: dict = None, pool: dict = None):
     """Hashable canonical form; `names` renames symbolic variables.
 
     A renaming that touches none of the configuration's variables changes
-    nothing, and then the configuration is its own key: it compares like
-    the tuple below (its program environments are fixed per machine) and
-    caches its hash.  Renamed values are interned in `pool` (see
-    `model.canonicalize`), or in a throwaway dict when it is None.
+    nothing, and then the configuration is its own key: it holds the
+    fields of the tuple below, in that order, and caches its hash.
+    Renamed values are interned in `pool` (see `model.canonicalize`), or
+    in a throwaway dict when it is None.
     """
     if not names or names.keys().isdisjoint(config_vars(cfg)):
         return cfg
@@ -551,9 +534,9 @@ def config_key(cfg: KConfig, names: dict = None, pool: dict = None):
     return (
         cfg.k,
         cfg.env,
-        tuple((loc, rename(v, names, pool)) for loc, v in cfg.store),
-        tuple(rename(v, names, pool) for v in cfg.answers),
+        tuple(rename(v, names, pool) for v in cfg.store),
         cfg.current_prog,
+        tuple(rename(v, names, pool) for v in cfg.answers),
     )
 
 
@@ -564,7 +547,7 @@ def config_vars(cfg: KConfig) -> tuple:
 
 def _config_vars(cfg: KConfig) -> tuple:
     found: dict = {}  # insertion-ordered set
-    for v in [v for _, v in cfg.store] + list(cfg.answers):
+    for v in cfg.store + cfg.answers:
         for n in variables(v):
             found.setdefault(n)
     return tuple(found)

@@ -129,6 +129,11 @@ class PLCMachine:
     state: tuple  # ((name, value), ...) sorted
     flow: tuple  # ((name, Poly), ...) sorted; values at elapsed t
     cycle_time: object  # rational
+    # Static layout, fixed when the machine is built: each program with its
+    # environment, in scan order (`kmachine.allocate`), and the scan start
+    # that `timed.compile_start` makes of them, the plant names and inputs.
+    programs: tuple  # ((program, env), ...)
+    plan: object = field(compare=False, repr=False)  # timed.StartPlan
     cycle_index: int = 0
     inputs: tuple = ()  # (InputSpec, ...)
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .kmachine import Literals, eval_expr, idle_config
+from .kmachine import Literals, allocate, eval_expr
 from .model import (
     FLOW_TIME,
     Conn,
@@ -40,7 +40,7 @@ from .st import (
     parse_expression,
     parse_file,
 )
-from .timed import RuleCtx, start_scans
+from .timed import RuleCtx, compile_start, start_scans
 from .values import EvalError, Poly, as_poly, copy_with, is_numeric, rat
 
 
@@ -105,7 +105,7 @@ class Scenario:
             clock=0,
             options=opts,
         )
-        return start_scans(self.context(), s, self.preload, {})
+        return start_scans(s, self.preload, {})
 
     def context(self) -> RuleCtx:
         return RuleCtx(
@@ -330,10 +330,10 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
              for k, v in state_doc.items()}
     # every actuated output is part of the physical state it drives, and
     # starts at the program's value unless the file gives one
-    cfg = idle_config(table, programs)
+    layout, cfg = allocate(table, programs)
     non_numeric = {k for k, v in state.items() if isinstance(v, (bool, str))}
-    for p in programs:
-        env = dict(cfg.prog_env(p))
+    for p, env in layout:
+        env = dict(env)
         for d in table.get(p).outputs:
             state.setdefault(d.name, cfg.read(env[d.name]))
             if d.type_name in ("BOOL", "STRING"):
@@ -370,14 +370,17 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
     preload = _flag(doc.get("preload", False), f"machine {mid!r} preload")
     if preload and any(spec.kind != "script" for spec in specs):
         raise ScenarioError(f"machine {mid!r}: preload only works with script inputs")
+    state = tuple(sorted(state.items()))
     return PLCMachine(
         mid=mid,
         cfg=cfg,
         timer=0,
         env_timer=0,
-        state=tuple(sorted(state.items())),
+        state=state,
         flow=tuple(sorted(flows.items())),
         cycle_time=cycle,
+        programs=layout,
+        plan=compile_start(table, layout, state, specs),
         inputs=specs,
     )
 
@@ -398,7 +401,7 @@ def scenario_from_dict(doc: dict, table: PouTable) -> Scenario:
         raise ScenarioError("duplicate machine ids")
     prog_owner = {}
     for m in machines:
-        for p in m.cfg.programs:
+        for p, _ in m.programs:
             if p in prog_owner:
                 raise ScenarioError(f"program {p!r} assigned to two machines")
             prog_owner[p] = m.mid

@@ -188,14 +188,27 @@ class Pou(_Node):
 # -- pretty-printer ---------------------------------------------------------
 
 
+def _decimal(q: Fraction) -> str:
+    """`q` as the exact decimal, with at least one place, that the lexer
+    reads back as `q`.  A REAL literal has one: it was lexed from digits."""
+    for places in range(1, q.denominator.bit_length() + 1):
+        scale = 10**places
+        if scale % q.denominator == 0:
+            digits = str(q.numerator * scale // q.denominator).rjust(places + 1, "0")
+            return f"{digits[:-places]}.{digits[-places:]}"
+    raise ValueError(f"{q} has no finite decimal expansion")
+
+
 def expr_to_st(e: Expr) -> str:
     if isinstance(e, Lit):
         if isinstance(e.value, bool):
             return "TRUE" if e.value else "FALSE"
         if isinstance(e.value, str):
-            return '"%s"' % e.value
-        if isinstance(e.value, Fraction) and e.value.denominator != 1:
-            return str(float(e.value))
+            # in the quote character the text lacks: a lexed string has one
+            quote = "'" if '"' in e.value else '"'
+            return quote + e.value + quote
+        if isinstance(e.value, Fraction):
+            return _decimal(e.value)
         return str(e.value)
     if isinstance(e, VarRef):
         return e.name

@@ -12,8 +12,9 @@ Time advances in three ways:
   * start: every due controller publishes its outputs, refreshes its
     inputs, and reloads its program list for the next scan.  The same
     rule, `start_scans`, makes the first scan of a machine the scenario
-    marks `preload`, at the initial state.  It runs from a plan of the
-    machine's static layout (`start_plan`), compiled once per context.
+    marks `preload`, at the initial state.  It runs from the machine's
+    `StartPlan`, compiled once from its static layout when the machine is
+    built (`compile_start`).
 
 Without clock separation, tick also carries the physical side (change laws
 and global clock).  With it, tick leaves them to envTick, which keeps
@@ -37,7 +38,6 @@ from .st.elaborate import PouTable
 from .symbolic import concrete_or_none, feasible, fresh_var
 from .values import (
     INF,
-    EvalError,
     Poly,
     as_poly,
     bor,
@@ -54,7 +54,9 @@ from .values import (
 @dataclass
 class RuleCtx:
     """Shared per-search context: the program table, the solver and the
-    memo tables of the successor path.
+    memo tables of the successor path.  What never changes for a machine
+    (its programs, their environments, its `StartPlan`) is not here: it is
+    static layout on the `PLCMachine`.
 
     `steps` maps a `KConfig` to its `kmachine.step` outcome (filled by
     `comm.machine_moves` and `por._private_run`).  `runs` maps the first
@@ -65,21 +67,17 @@ class RuleCtx:
     `apply_flow` (filled by `_flowed`): a pure function of that key alone,
     which also holds the class of every value, because `True == 1`.  A
     number's class follows from its value (an int exactly when integral,
-    see `values.rat`), so equal plant states share one entry.  `plans`
-    maps a machine's programs, their environments, its plant names and
-    its input specs to its `StartPlan` (filled by `start_plan`): a pure
-    function of that key and the table.  `resumed` maps a `KConfig`
-    suspended on a communication call, an answer's class and the answer
-    to the configuration `resume_comm` makes of them (filled by
-    `comm._answer`), so the same answer gives the same object, whose hash
-    is kept: a pure function of that key and the table, since the call
-    site is the configuration's step outcome.  The class is part of the
-    key because `True == 1`.
-    All five therefore stay valid for as long as the context lives.
-    `Scenario.context()` makes a new, empty context for each search, so a
-    fresh context starts cold, which the benchmark's determinism guard
-    relies on: it checks that the number of `step` calls repeats exactly
-    from one run of a query to the next.
+    see `values.rat`), so equal plant states share one entry.  `resumed`
+    maps a `KConfig` suspended on a communication call, an answer's class
+    and the answer to the configuration `resume_comm` makes of them
+    (filled by `comm._answer`), so the same answer gives the same object,
+    whose hash is kept: a pure function of that key and the table, since
+    the call site is the configuration's step outcome.  The class is part
+    of the key because `True == 1`.  All four therefore stay valid for as
+    long as the context lives.  `Scenario.context()` makes a new, empty
+    context for each search, so a fresh context starts cold, which the
+    benchmark's determinism guard relies on: it checks that the number of
+    `step` calls repeats exactly from one run of a query to the next.
     """
 
     table: PouTable
@@ -91,7 +89,6 @@ class RuleCtx:
     steps: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
     flows: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict)
     resumed: dict = field(default_factory=dict)
 
 
@@ -321,91 +318,67 @@ def start_variants(ctx: RuleCtx, s: SystemState) -> list:
         chosen = dict(zip(axes, combo))
         tid = TransitionId("start", "", "start", tuple(sorted(
             (mid, spec.prog, spec.var, v) for (mid, spec), v in chosen.items())))
-        variants.append((tid, start_scans(ctx, pinned, due_ids, chosen)))
+        variants.append((tid, start_scans(pinned, due_ids, chosen)))
     return variants
 
 
 class StartPlan(NamedTuple):
-    """A machine's scan start worked out once (see `start_plan`).
+    """A machine's scan start worked out once, from its static layout (see
+    `compile_start`).  Locations index `KConfig.store`; plant slots index
+    the machine's `state`."""
 
-    Store positions index `KConfig.store`; plant slots index the
-    machine's `state`.
-    """
-
-    publish: tuple  # ((plant slot, store position), ...): published outputs
-    sense: tuple  # ((store position, loc, plant slot), ...): sensed inputs
-    feeds: tuple  # ((store position, loc, InputSpec), ...)
+    publish: tuple  # ((plant slot, loc), ...): published outputs
+    sense: tuple  # ((loc, plant slot), ...): sensed inputs
+    feeds: tuple  # ((loc, InputSpec), ...)
     k: tuple  # the loaded program bodies, as `load_programs` leaves them
     env: tuple
     current_prog: str
 
 
-def start_plan(ctx: RuleCtx, m: PLCMachine) -> StartPlan:
-    """`m`'s start plan, memoised in `ctx.plans` by what it depends on:
-    the machine's programs and their environments, its plant names and
-    its input specs (the table is the context's own)."""
-    cfg = m.cfg
-    key = (cfg.programs, cfg.prog_envs, tuple([nm for nm, _ in m.state]), m.inputs)
-    plan = ctx.plans.get(key)
-    if plan is None:
-        plan = ctx.plans[key] = _compile_start(ctx.table, cfg, key[2], m.inputs)
-    return plan
-
-
-def _compile_start(table: PouTable, cfg: KConfig, names: tuple, inputs: tuple) -> StartPlan:
-    """Each program's declared outputs publish into the same-named plant
-    variables, the last program winning; its declared inputs sense them
-    after that; every input spec feeds its variable.  A store's layout is
-    fixed when `idle_config` allocates it, so positions found in `cfg`
-    hold for every configuration with the same programs."""
-    pos = {loc: i for i, (loc, _) in enumerate(cfg.store)}
-    slot = {nm: i for i, nm in enumerate(names)}
-    envs = {p: (table.get(p), dict(cfg.prog_env(p))) for p in cfg.programs}
+def compile_start(table: PouTable, programs: tuple, state: tuple, inputs: tuple) -> StartPlan:
+    """The start plan of a machine with `programs` ((name, env), ...), the
+    plant variables of `state`, in slot order, and the input specs
+    `inputs`.  Each program's declared outputs publish into the same-named
+    plant variables, the last program winning; its declared inputs sense
+    them after that; every input spec feeds its variable."""
+    slot = {nm: i for i, (nm, _) in enumerate(state)}
+    envs = {p: (table.get(p), dict(env)) for p, env in programs}
     published = {slot[d.name]: env[d.name]
                  for pou, env in envs.values() for d in pou.outputs if d.name in slot}
-    sensed = [(env[d.name], slot[d.name])
-              for pou, env in envs.values() for d in pou.inputs if d.name in slot]
-    fed = [(envs[spec.prog][1][spec.var], spec) for spec in inputs]
-    missing = {loc for loc in [*published.values(), *(loc for loc, _ in sensed + fed)]
-               if loc not in pos}
-    if missing:
-        raise EvalError(f"unallocated locations {sorted(missing)}")
-    loaded = load_programs(table, cfg)
+    loaded = load_programs(table, programs, KConfig())
     return StartPlan(
-        publish=tuple((i, pos[loc]) for i, loc in published.items()),
-        sense=tuple((pos[loc], loc, i) for loc, i in sensed),
-        feeds=tuple((pos[loc], loc, spec) for loc, spec in fed),
+        publish=tuple(published.items()),
+        sense=tuple((env[d.name], slot[d.name])
+                    for pou, env in envs.values() for d in pou.inputs if d.name in slot),
+        feeds=tuple((envs[spec.prog][1][spec.var], spec) for spec in inputs),
         k=loaded.k,
         env=loaded.env,
         current_prog=loaded.current_prog,
     )
 
 
-def start_scans(ctx: RuleCtx, s: SystemState, mids, chosen) -> SystemState:
+def start_scans(s: SystemState, mids, chosen) -> SystemState:
     """Begin the next scan of each machine in `mids`: the one start rule.
 
-    Runs each machine's `start_plan`: the published outputs go into the
-    plant, the sensed inputs and every input spec's value into the store,
-    where a spec feeds the script's value, the one `chosen` maps `(mid,
-    spec)` to, or a fresh variable over a free input's domain (over truth
-    values, the atom that the 0/1 variable is 1).  Then the
-    program bodies are queued and the timers reset.
+    Runs each machine's `plan`: the published outputs go into the plant,
+    the sensed inputs and every input spec's value into the store, where a
+    spec feeds the script's value, the one `chosen` maps `(mid, spec)` to,
+    or a fresh variable over a free input's domain (over truth values, the
+    atom that the 0/1 variable is 1).  Then the program bodies are queued
+    and the timers reset.
     """
     for mid in mids:
         m = s.machine(mid)
         cfg = m.cfg
-        publish, sense, feeds, k, env, current_prog = start_plan(ctx, m)
-        old = cfg.store
+        plan = m.plan
         state = m.state
-        if publish:
+        if plan.publish:
             state = list(state)
-            for i, p in publish:
-                state[i] = (state[i][0], old[p][1])
+            for i, loc in plan.publish:
+                state[i] = (state[i][0], cfg.read(loc))
             state = tuple(state)
-        store = list(old)
-        for p, loc, i in sense:
-            store[p] = (loc, state[i][1])
-        for p, loc, spec in feeds:
+        writes = [(loc, state[i][1]) for loc, i in plan.sense]
+        for loc, spec in plan.feeds:
             if spec.kind == "script":
                 value = spec.values[min(m.cycle_index, len(spec.values) - 1)]
             elif spec.kind == "enumerate":
@@ -417,10 +390,11 @@ def start_scans(ctx: RuleCtx, s: SystemState, mids, chosen) -> SystemState:
                     # a truth value: the variable is 0 or 1, and the
                     # input is the atom that it is 1
                     value = cmp_eq(value, 1)
-            store[p] = (loc, value)
+            writes.append((loc, value))
         m = copy_with(
             m,
-            cfg=copy_with(cfg, k=k, env=env, current_prog=current_prog, store=tuple(store)),
+            cfg=copy_with(cfg.write_many(writes), k=plan.k, env=plan.env,
+                          current_prog=plan.current_prog),
             state=state,
             timer=m.cycle_time,
             env_timer=m.cycle_time if s.options.clock_sep else m.env_timer,

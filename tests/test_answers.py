@@ -41,8 +41,8 @@ def loaded(body: str):
     src = BLOCK_SRC + (
         "PROGRAM P\nVAR\n  b : BOOL;\n  fb : FB;\nEND_VAR\n" + body + "\nEND_PROGRAM\n"
     )
-    table, cfg = make(src, ["P"])
-    return table, load_programs(table, cfg)
+    table, layout, cfg = make(src, ["P"])
+    return table, layout, load_programs(table, layout, cfg)
 
 
 def answer_all(table, cfg, replies):
@@ -66,40 +66,40 @@ def answer_all(table, cfg, replies):
 
 class TestOrder:
     def test_two_calls_in_one_statement(self):
-        table, cfg = loaded("b := isConnected('T2') AND NOT isConnected('T3');")
+        table, layout, cfg = loaded("b := isConnected('T2') AND NOT isConnected('T3');")
         calls, held, out = answer_all(table, cfg, [True, False])
         assert calls == [("isConnected", ("T2",)), ("isConnected", ("T3",))]
         assert held == [(), (True,), (True, False)]
         assert isinstance(out, Internal) and out.label == "assign"
-        assert read_var(out.cfg, "P", "b") is True
+        assert read_var(layout, out.cfg, "P", "b") is True
 
     def test_nested_call_sees_the_inner_answer(self):
-        table, cfg = loaded("b := isConnected(isConnected('T2'));")
+        table, layout, cfg = loaded("b := isConnected(isConnected('T2'));")
         calls, held, out = answer_all(table, cfg, [True, False])
         assert calls == [("isConnected", ("T2",)), ("isConnected", (True,))]
         assert held == [(), (True,), (True, False)]
         assert isinstance(out, Internal)
-        assert read_var(out.cfg, "P", "b") is False
+        assert read_var(layout, out.cfg, "P", "b") is False
 
     def test_symbolic_answers_keep_their_order(self):
-        table, cfg = loaded("b := isConnected('T2') AND NOT isConnected('T3');")
+        table, layout, cfg = loaded("b := isConnected('T2') AND NOT isConnected('T3');")
         first = cmp_le(Poly.var("_u0"), 3)
         second = cmp_le(Poly.var("_u1"), 5)
         _, held, out = answer_all(table, cfg, [first, second])
         assert held[-1] == (first, second)
-        assert read_var(out.cfg, "P", "b") == vand(first, vnot(second))
+        assert read_var(layout, out.cfg, "P", "b") == vand(first, vnot(second))
 
 
 class TestConsumingTheHeadClearsAnswers:
     def test_assignment(self):
-        table, cfg = loaded("b := isConnected('T2');")
+        table, layout, cfg = loaded("b := isConnected('T2');")
         _, held, out = answer_all(table, cfg, [True])
         assert held[-1] == (True,)
         assert isinstance(out, Internal) and out.cfg.answers == ()
 
     @pytest.mark.parametrize("answer", [True, False])
     def test_if_arm(self, answer):
-        table, cfg = loaded("IF isConnected('T2') THEN b := TRUE; END_IF;")
+        table, layout, cfg = loaded("IF isConnected('T2') THEN b := TRUE; END_IF;")
         _, held, out = answer_all(table, cfg, [answer])
         assert held[-1] == (answer,)
         assert isinstance(out, Internal)
@@ -107,20 +107,20 @@ class TestConsumingTheHeadClearsAnswers:
         assert out.cfg.answers == ()
 
     def test_both_arms_of_a_symbolic_branch(self):
-        table, cfg = loaded("IF isConnected('T2') THEN b := TRUE; END_IF;")
+        table, layout, cfg = loaded("IF isConnected('T2') THEN b := TRUE; END_IF;")
         _, _, out = answer_all(table, cfg, [cmp_le(Poly.var("_u0"), 3)])
         assert isinstance(out, Branch)
         assert out.then_cfg.answers == () and out.else_cfg.answers == ()
 
     def test_block_call(self):
-        table, cfg = loaded("fb(isConnected('T2'));")
+        table, layout, cfg = loaded("fb(isConnected('T2'));")
         _, held, out = answer_all(table, cfg, [True])
         assert held[-1] == (True,)
         assert isinstance(out, Internal) and out.label == "call"
         assert out.cfg.answers == ()
 
     def test_intrinsic_in_statement_position(self):
-        table, cfg = loaded("connectRequest(isConnected('T2'));")
+        table, layout, cfg = loaded("connectRequest(isConnected('T2'));")
         calls, held, after = answer_all(table, cfg, [True, True])
         assert calls == [("isConnected", ("T2",)), ("connectRequest", (True,))]
         assert held == [(), (True,)]

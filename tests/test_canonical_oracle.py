@@ -147,7 +147,7 @@ def _dealt_again(s, rng):
     """
     values = []
     for m in s.machines:
-        values += [m.timer, *(v for _, v in m.state), *(v for _, v in m.cfg.store)]
+        values += [m.timer, *(v for _, v in m.state), *m.cfg.store]
     values += [v for c in s.conns for msg in c.buffer for v in (msg.data, msg.min_timer, msg.max_timer)]
     values.append(s.clock)
     rng.shuffle(values)
@@ -157,7 +157,7 @@ def _dealt_again(s, rng):
             m,
             timer=next(it),
             state=tuple((nm, next(it)) for nm, _ in m.state),
-            cfg=copy_with(m.cfg, store=tuple((loc, next(it)) for loc, _ in m.cfg.store)),
+            cfg=copy_with(m.cfg, store=tuple(next(it) for _ in m.cfg.store)),
         )
         for m in s.machines
     )

@@ -15,9 +15,10 @@ from plcreach.explorer import (
     random_walk,
     replay,
     search,
+    simulate,
     trace_lines,
 )
-from plcreach.model import InputSpec, Options, canonicalize
+from plcreach.model import InputSpec, ModelError, Options, canonicalize
 from plcreach.solver import SmtCheck
 from plcreach.symbolic import evaluate_path
 from plcreach.st import PouTable, parse_file
@@ -248,3 +249,39 @@ class TestWalksAndTraces:
         assert "initial" in lines[0]
         assert any("start" in ln for ln in lines)
         assert any("tick" in ln for ln in lines)
+
+
+# The interpreter does not type-check: `NOT` of an INT fails only when the
+# scan reaches it, after an assignment that a chain of private steps takes.
+NOT_INT_SRC = """
+PROGRAM P
+VAR_OUTPUT
+  y : INT;
+END_VAR
+y := 1;
+y := NOT y;
+END_PROGRAM
+"""
+
+
+class TestRuntimeFailure:
+    """A scan that fails at run time ends the run, naming the machine."""
+
+    FAILURE = "machine plc1: runtime failure: NOT expects a boolean, got 1"
+
+    def _system(self, **options):
+        table = table_for(NOT_INT_SRC)
+        m = make_machine(table, "plc1", ("P",), state={"y": 0})
+        return ctx_for(table), make_system([m], options=Options(**options))
+
+    @pytest.mark.parametrize("mode", ["concrete", "symbolic"])
+    @pytest.mark.parametrize("por", [False, True], ids=["full", "por"])
+    def test_search_raises(self, mode, por):
+        ctx, s0 = self._system(mode=mode, por=por)
+        with pytest.raises(ModelError, match=self.FAILURE):
+            search(ctx, s0, bound=20)
+
+    def test_simulate_raises(self):
+        ctx, s0 = self._system()
+        with pytest.raises(ModelError, match=self.FAILURE):
+            simulate(ctx, s0, 20)

@@ -336,10 +336,31 @@ class TestRoundTrip:
         (again,) = parse_file(pou_to_st(pou))
         assert again == pou
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x + 1.00000000000000001",
+            "x * 0.12345678901234567891",  # a 20-digit decimal
+            "x - 2.0",  # a REAL stays a REAL
+            "y = 'a\"b'",
+            "y = \"it's\"",
+        ],
+    )
+    def test_literals_print_as_written(self, text):
+        e = parse_expression(text)
+        assert expr_to_st(e) == text
+        assert parse_expression(expr_to_st(e)) == e
+
 
 # Random expression round-trip: print then re-parse reproduces the tree.
 _leaf = hst.one_of(
     hst.integers(min_value=0, max_value=9).map(Lit),
+    # REAL literals, up to 21 digits before the point and 20 after it
+    hst.tuples(hst.integers(min_value=0, max_value=10**41), hst.integers(min_value=0, max_value=20))
+    .map(lambda t: Lit(Fraction(t[0], 10 ** t[1]))),
+    # strings, in either quote character
+    hst.text(alphabet="ab '", max_size=4).map(Lit),
+    hst.text(alphabet='ab "', max_size=4).map(Lit),
     hst.booleans().map(Lit),
     hst.sampled_from(["x", "y", "z"]).map(VarRef),
     hst.sampled_from([("b", "OUT"), ("c", "VALID")]).map(lambda t: FieldRef(*t)),

@@ -8,14 +8,13 @@ from plcreach.kmachine import (
     Branch,
     Done,
     Failed,
-    Instance,
     Internal,
     KConfig,
     NeedsComm,
+    allocate,
     config_key,
     config_vars,
     const_eval,
-    idle_config,
     load_programs,
     pop_head,
     resume_comm,
@@ -46,29 +45,24 @@ END_PROGRAM
 
 
 def make(src, programs=None):
+    """`(table, layout, idle cfg)`: `layout` pairs each program with its env."""
     units = parse_file(src)
     table = PouTable.from_units(units)
     names = programs or [u.name for u in units if u.kind == "program"]
-    return table, idle_config(table, names)
+    return (table, *allocate(table, names))
 
 
-def prog_loc(cfg: KConfig, prog: str, name: str) -> int:
-    env = dict(cfg.prog_env(prog))
+def prog_loc(layout: tuple, prog: str, name: str) -> int:
+    env = dict(dict(layout)[prog])
     return env[name]
 
 
-def read_var(cfg: KConfig, prog: str, name: str):
-    return cfg.read(prog_loc(cfg, prog, name))
+def read_var(layout: tuple, cfg: KConfig, prog: str, name: str):
+    return cfg.read(prog_loc(layout, prog, name))
 
 
-def field_loc(cfg: KConfig, prog: str, inst_name: str, field: str) -> int:
-    inst = cfg.read(prog_loc(cfg, prog, inst_name))
-    assert isinstance(inst, Instance)
-    return inst.loc(field)
-
-
-def run_cycle(table, cfg, comm=None, max_steps=500):
-    cfg = load_programs(table, cfg)
+def run_cycle(table, layout, cfg, comm=None, max_steps=500):
+    cfg = load_programs(table, layout, cfg)
     labels = []
     for _ in range(max_steps):
         r = step(table, cfg)
@@ -91,19 +85,19 @@ def run_cycle(table, cfg, comm=None, max_steps=500):
 
 class TestScanCycle:
     def test_tank_both_branches(self):
-        table, cfg = make(TANK_SRC)
+        table, layout, cfg = make(TANK_SRC)
         assert cfg.is_cycle_complete()
-        cfg, labels = run_cycle(table, cfg)
+        cfg, labels = run_cycle(table, layout, cfg)
         assert labels == ["if-false", "assign"]
-        assert read_var(cfg, "T1", "pumpSwitch") == 0
-        cfg = cfg.write(prog_loc(cfg, "T1", "input"), True)
-        cfg, labels = run_cycle(table, cfg)
+        assert read_var(layout, cfg, "T1", "pumpSwitch") == 0
+        cfg = cfg.write(prog_loc(layout, "T1", "input"), True)
+        cfg, labels = run_cycle(table, layout, cfg)
         assert labels == ["if-true", "assign"]
-        assert read_var(cfg, "T1", "pumpSwitch") == 1
+        assert read_var(layout, cfg, "T1", "pumpSwitch") == 1
 
     def test_single_assignment_is_one_step(self):
-        table, cfg = make("PROGRAM P VAR x : INT; END_VAR x := 1; END_PROGRAM")
-        cfg = load_programs(table, cfg)
+        table, layout, cfg = make("PROGRAM P VAR x : INT; END_VAR x := 1; END_PROGRAM")
+        cfg = load_programs(table, layout, cfg)
         r = step(table, cfg)
         assert isinstance(r, Internal) and r.label == "assign"
         assert r.cfg.is_cycle_complete()
@@ -117,9 +111,9 @@ class TestScanCycle:
             END_WHILE
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg, labels = run_cycle(table, cfg)
-        assert read_var(cfg, "P", "i") == 3
+        table, layout, cfg = make(src)
+        cfg, labels = run_cycle(table, layout, cfg)
+        assert read_var(layout, cfg, "P", "i") == 3
         assert labels.count("while") == 4
         assert labels.count("if-true") == 3
         assert labels.count("if-false") == 1
@@ -129,11 +123,11 @@ class TestScanCycle:
         PROGRAM A VAR_OUTPUT x : INT; END_VAR x := 1; END_PROGRAM
         PROGRAM B VAR_OUTPUT y : INT; END_VAR y := 2; END_PROGRAM
         """
-        table, cfg = make(src, programs=["A", "B"])
-        cfg, labels = run_cycle(table, cfg)
+        table, layout, cfg = make(src, programs=["A", "B"])
+        cfg, labels = run_cycle(table, layout, cfg)
         assert labels == ["assign", "assign"]
-        assert read_var(cfg, "A", "x") == 1
-        assert read_var(cfg, "B", "y") == 2
+        assert read_var(layout, cfg, "A", "x") == 1
+        assert read_var(layout, cfg, "B", "y") == 2
 
     def test_exact_division_and_arithmetic(self):
         from fractions import Fraction
@@ -145,10 +139,10 @@ class TestScanCycle:
             b := a * 3;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg, _ = run_cycle(table, cfg)
-        assert read_var(cfg, "P", "a") == Fraction(1, 3)
-        assert read_var(cfg, "P", "b") == 1
+        table, layout, cfg = make(src)
+        cfg, _ = run_cycle(table, layout, cfg)
+        assert read_var(layout, cfg, "P", "a") == Fraction(1, 3)
+        assert read_var(layout, cfg, "P", "b") == 1
 
 
 class TestReturn:
@@ -161,21 +155,21 @@ class TestReturn:
             x := 2;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg, labels = run_cycle(table, cfg)
+        table, layout, cfg = make(src)
+        cfg, labels = run_cycle(table, layout, cfg)
         assert labels == ["assign", "return"]
-        assert read_var(cfg, "P", "x") == 1
+        assert read_var(layout, cfg, "P", "x") == 1
 
     def test_return_only_ends_current_program(self):
         src = """
         PROGRAM A VAR x : INT; END_VAR RETURN; x := 9; END_PROGRAM
         PROGRAM B VAR_OUTPUT y : INT; END_VAR y := 2; END_PROGRAM
         """
-        table, cfg = make(src, programs=["A", "B"])
-        cfg, labels = run_cycle(table, cfg)
+        table, layout, cfg = make(src, programs=["A", "B"])
+        cfg, labels = run_cycle(table, layout, cfg)
         assert labels == ["return", "assign"]
-        assert read_var(cfg, "A", "x") == 0
-        assert read_var(cfg, "B", "y") == 2
+        assert read_var(layout, cfg, "A", "x") == 0
+        assert read_var(layout, cfg, "B", "y") == 2
 
     def test_return_from_block_resumes_caller(self):
         src = """
@@ -191,10 +185,10 @@ class TestReturn:
             x := f.n;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg, labels = run_cycle(table, cfg)
+        table, layout, cfg = make(src)
+        cfg, labels = run_cycle(table, layout, cfg)
         assert labels == ["call", "assign", "return", "assign"]
-        assert read_var(cfg, "P", "x") == 1
+        assert read_var(layout, cfg, "P", "x") == 1
 
 
 class TestBlocks:
@@ -213,11 +207,11 @@ class TestBlocks:
     """
 
     def test_state_persists_across_calls_and_cycles(self):
-        table, cfg = make(self.COUNTER)
-        cfg, _ = run_cycle(table, cfg)
-        assert read_var(cfg, "P", "seen") == 7
-        cfg, _ = run_cycle(table, cfg)
-        assert read_var(cfg, "P", "seen") == 14
+        table, layout, cfg = make(self.COUNTER)
+        cfg, _ = run_cycle(table, layout, cfg)
+        assert read_var(layout, cfg, "P", "seen") == 7
+        cfg, _ = run_cycle(table, layout, cfg)
+        assert read_var(layout, cfg, "P", "seen") == 14
 
     def test_unbound_inputs_keep_previous_value(self):
         src = """
@@ -234,10 +228,10 @@ class TestBlocks:
             y := f.sum;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg, _ = run_cycle(table, cfg)
-        assert read_var(cfg, "P", "x") == 7
-        assert read_var(cfg, "P", "y") == 14
+        table, layout, cfg = make(src)
+        cfg, _ = run_cycle(table, layout, cfg)
+        assert read_var(layout, cfg, "P", "x") == 7
+        assert read_var(layout, cfg, "P", "y") == 14
 
     def test_nested_blocks_and_paths(self):
         src = """
@@ -257,9 +251,9 @@ class TestBlocks:
             got := o.name;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg, _ = run_cycle(table, cfg)
-        assert read_var(cfg, "P", "got") == "o.i"
+        table, layout, cfg = make(src)
+        cfg, _ = run_cycle(table, layout, cfg)
+        assert read_var(layout, cfg, "P", "got") == "o.i"
 
 
 class TestSuspension:
@@ -272,7 +266,7 @@ class TestSuspension:
     """
 
     def test_usend_body_suspends_in_order(self):
-        table, cfg = make(self.SENDER)
+        table, layout, cfg = make(self.SENDER)
         seen = []
 
         def is_connected(args):
@@ -284,22 +278,22 @@ class TestSuspension:
             return True
 
         comm = {"isConnected": is_connected, "sendData": send_data}
-        cfg, labels = run_cycle(table, cfg, comm)
+        cfg, labels = run_cycle(table, layout, cfg, comm)
         assert seen == [
             ("isConnected", ("T2",)),
             ("sendData", ("T2", "send", "rcv", 42)),
         ]
-        assert read_var(cfg, "P", "sig") == 42
-        inst = cfg.read(prog_loc(cfg, "P", "send"))
+        assert read_var(layout, cfg, "P", "sig") == 42
+        inst = cfg.read(prog_loc(layout, "P", "send"))
         env = dict(inst.env)
         assert cfg.read(env["DONE"]) is True
         assert cfg.read(env["STATUS"]) == 0
 
     def test_send_failure_path(self):
-        table, cfg = make(self.SENDER)
+        table, layout, cfg = make(self.SENDER)
         comm = {"isConnected": lambda a: True, "sendData": lambda a: False}
-        cfg, _ = run_cycle(table, cfg, comm)
-        inst = cfg.read(prog_loc(cfg, "P", "send"))
+        cfg, _ = run_cycle(table, layout, cfg, comm)
+        inst = cfg.read(prog_loc(layout, "P", "send"))
         env = dict(inst.env)
         assert cfg.read(env["DONE"]) is False
 
@@ -311,20 +305,20 @@ class TestSuspension:
             got := rcv.DATA;
         END_PROGRAM
         """
-        table, cfg = make(src)
+        table, layout, cfg = make(src)
         inbox = [7]
         comm = {
             "isConnected": lambda a: True,
             "rcvData": lambda a: inbox.pop() if inbox else RCV_ERROR,
         }
-        cfg, _ = run_cycle(table, cfg, comm)
-        assert read_var(cfg, "P", "got") == 7
-        env = dict(cfg.read(prog_loc(cfg, "P", "rcv")).env)
+        cfg, _ = run_cycle(table, layout, cfg, comm)
+        assert read_var(layout, cfg, "P", "got") == 7
+        env = dict(cfg.read(prog_loc(layout, "P", "rcv")).env)
         assert cfg.read(env["NDR"]) is True
         # Next cycle only acknowledges: NDR resets and the body returns early.
-        cfg, labels = run_cycle(table, cfg, comm)
-        assert read_var(cfg, "P", "got") == 7
-        env = dict(cfg.read(prog_loc(cfg, "P", "rcv")).env)
+        cfg, labels = run_cycle(table, layout, cfg, comm)
+        assert read_var(layout, cfg, "P", "got") == 7
+        env = dict(cfg.read(prog_loc(layout, "P", "rcv")).env)
         assert cfg.read(env["NDR"]) is False
         assert "rcvData" not in labels
 
@@ -336,7 +330,7 @@ class TestSuspension:
             ok := c.VALID;
         END_PROGRAM
         """
-        table, cfg = make(src)
+        table, layout, cfg = make(src)
         requests = []
         connected = {"state": False}
 
@@ -349,9 +343,9 @@ class TestSuspension:
             "connectRequest": connect_request,
             "isConnected": lambda a: connected["state"],
         }
-        cfg, _ = run_cycle(table, cfg, comm)
+        cfg, _ = run_cycle(table, layout, cfg, comm)
         assert requests == [("T2",)]
-        assert read_var(cfg, "P", "ok") is True
+        assert read_var(layout, cfg, "P", "ok") is True
 
 
 class TestSymbolic:
@@ -367,9 +361,9 @@ class TestSymbolic:
             END_IF;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg = cfg.write(prog_loc(cfg, "P", "level"), Poly.var("_u0"))
-        cfg = load_programs(table, cfg)
+        table, layout, cfg = make(src)
+        cfg = cfg.write(prog_loc(layout, "P", "level"), Poly.var("_u0"))
+        cfg = load_programs(table, layout, cfg)
         r = step(table, cfg)
         assert isinstance(r, Branch)
         assert isinstance(r.cond, Cmp) and r.cond.op == "<"
@@ -387,10 +381,10 @@ class TestSymbolic:
             b := 2 * a + 1;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg = cfg.write(prog_loc(cfg, "P", "a"), Poly.var("_u3"))
-        cfg, _ = run_cycle(table, cfg)
-        got = read_var(cfg, "P", "b")
+        table, layout, cfg = make(src)
+        cfg = cfg.write(prog_loc(layout, "P", "a"), Poly.var("_u3"))
+        cfg, _ = run_cycle(table, layout, cfg)
+        got = read_var(layout, cfg, "P", "b")
         assert got == Poly.var("_u3").scale(2) + Poly.const(1)
 
 
@@ -404,8 +398,8 @@ class TestAnnotations:
             x := 2;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg = load_programs(table, cfg)
+        table, layout, cfg = make(src)
+        cfg = load_programs(table, layout, cfg)
         r = step(table, cfg)
         cfg = r.cfg
         r = step(table, cfg)
@@ -423,8 +417,8 @@ class TestAnnotations:
             x := 1;
         END_PROGRAM
         """
-        table, cfg = make(src)
-        cfg = load_programs(table, cfg)
+        table, layout, cfg = make(src)
+        cfg = load_programs(table, layout, cfg)
         r = step(table, cfg)
         assert isinstance(r, DelayAnn)
         assert (r.a, r.b, r.lo, r.hi) == ("P1", "P2", 3, 9)
@@ -433,15 +427,15 @@ class TestAnnotations:
 class TestFailures:
     def test_division_by_zero_is_failure(self):
         src = "PROGRAM P VAR x : INT; y : INT; END_VAR x := 1 / y; END_PROGRAM"
-        table, cfg = make(src)
-        cfg = load_programs(table, cfg)
+        table, layout, cfg = make(src)
+        cfg = load_programs(table, layout, cfg)
         r = step(table, cfg)
         assert isinstance(r, Failed)
 
     def test_string_comparison_limited_to_equality(self):
         src = 'PROGRAM P VAR s : STRING; b : BOOL; END_VAR b := s < "x"; END_PROGRAM'
-        table, cfg = make(src)
-        cfg = load_programs(table, cfg)
+        table, layout, cfg = make(src)
+        cfg = load_programs(table, layout, cfg)
         r = step(table, cfg)
         assert isinstance(r, Failed)
 
@@ -449,34 +443,33 @@ class TestFailures:
     def test_a_number_is_not_a_branch_condition(self, value):
         # A branch takes a truth value or a boolean expression, as NOT does.
         src = "PROGRAM P VAR n : INT; y : INT; END_VAR IF n THEN y := 1; END_IF; END_PROGRAM"
-        table, cfg = make(src)
-        cfg = load_programs(table, cfg.write(prog_loc(cfg, "P", "n"), value))
+        table, layout, cfg = make(src)
+        cfg = load_programs(table, layout, cfg.write(prog_loc(layout, "P", "n"), value))
         r = step(table, cfg)
         assert r == Failed(f"not a condition: {value!r}")
 
 
 class TestCanonicalForm:
     def test_config_key_roundtrip_equality(self):
-        table, cfg = make(TANK_SRC)
-        cfg1, _ = run_cycle(table, cfg)
-        table2, cfg_b = make(TANK_SRC)
-        cfg2, _ = run_cycle(table2, cfg_b)
+        table, layout, cfg = make(TANK_SRC)
+        cfg1, _ = run_cycle(table, layout, cfg)
+        table2, layout2, cfg_b = make(TANK_SRC)
+        cfg2, _ = run_cycle(table2, layout2, cfg_b)
         assert config_key(cfg1) == config_key(cfg2)
 
     def test_rename_makes_alpha_variants_equal(self):
-        table, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
-        base = idle_config(table, ["P"])
-        loc = prog_loc(base, "P", "a")
-        left = base.write(loc, Poly.var("_u1"))
-        right = base.write(loc, Poly.var("_u9"))
+        table, layout, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
+        loc = prog_loc(layout, "P", "a")
+        left = cfg.write(loc, Poly.var("_u1"))
+        right = cfg.write(loc, Poly.var("_u9"))
         assert config_key(left) != config_key(right)
         assert config_key(left, {"_u1": "v0"}) == config_key(right, {"_u9": "v0"})
 
     def test_equal_configs_share_cached_hash_key_and_vars(self):
         def build():
-            table, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
-            cfg = cfg.write(prog_loc(cfg, "P", "a"), Poly.var("_u1"))
-            return load_programs(table, cfg)
+            table, layout, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
+            cfg = cfg.write(prog_loc(layout, "P", "a"), Poly.var("_u1"))
+            return load_programs(table, layout, cfg)
 
         one, two = build(), build()
         assert one is not two
@@ -487,8 +480,8 @@ class TestCanonicalForm:
         assert hash(one) == hash(one) and config_vars(one) is config_vars(one)
 
     def test_replace_starts_without_stale_caches(self):
-        table, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
-        loc = prog_loc(cfg, "P", "a")
+        table, layout, cfg = make("PROGRAM P VAR_INPUT a : REAL; END_VAR a := a; END_PROGRAM")
+        loc = prog_loc(layout, "P", "a")
         sym = cfg.write(loc, Poly.var("_u1"))
         key, names = config_key(sym), config_vars(sym)
         hash(sym)
@@ -503,7 +496,7 @@ class TestCanonicalForm:
 def test_a_real_literal_is_kept_as_written_and_evaluates_to_an_int_when_integral():
     e = parse_expression("2.0 + 2.5")
     assert e.lhs == Lit(Fraction(2)) != Lit(2)
-    assert expr_to_st(e) == "2 + 2.5"
+    assert expr_to_st(e) == "2.0 + 2.5"
     for text, want in (("2.0", 2), ("2.5", Fraction(5, 2)), ("2.0 + 2.5", Fraction(9, 2)), ("2.5 * 2", 5)):
         got = const_eval(parse_expression(text))
         assert got == want and type(got) is type(want)

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from plcreach.explorer import PropertyError, compile_property
-from plcreach.kmachine import Failed, Internal, idle_config, load_programs, step
+from plcreach.kmachine import Failed, Internal, allocate, load_programs, step
 from plcreach.model import PLCMachine, SystemState
 from plcreach.st import ElabError, PouTable, parse_file
 from plcreach.values import Poly, cmp_lt
@@ -88,6 +88,8 @@ def _state(values) -> SystemState:
             state=tuple(sorted((n, values[n]) for n in names)),
             flow=(),
             cycle_time=F(10),
+            programs=(),
+            plan=None,
         )
 
     return SystemState(
@@ -97,8 +99,9 @@ def _state(values) -> SystemState:
 
 def _program_step(text, values):
     table = PouTable.from_units(parse_file(PROGRAM.format(text=text)))
-    cfg = load_programs(table, idle_config(table, ("P",)))
-    env = dict(cfg.prog_env("P"))
+    layout, cfg = allocate(table, ("P",))
+    cfg = load_programs(table, layout, cfg)
+    env = dict(dict(layout)["P"])
     writes = [(env[n], v) for n, v in values.items()]
     for inst in ("m1", "m2"):
         fields = cfg.read(env[inst])
@@ -143,8 +146,8 @@ END_PROGRAM
 
 def _init_value(decl):
     table = PouTable.from_units(parse_file(INIT_PROGRAM.format(decl=decl)))
-    cfg = idle_config(table, ("Q",))
-    return cfg.read(dict(cfg.prog_env("Q"))["x"])
+    layout, cfg = allocate(table, ("Q",))
+    return cfg.read(dict(dict(layout)["Q"])["x"])
 
 
 def test_initializers_fold_literals_and_name_nothing():

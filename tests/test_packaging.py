@@ -1,8 +1,12 @@
 """Packaging metadata: every installed entry point must resolve."""
 
 import importlib
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the same parser, as a package
+    import tomli as tomllib
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 

@@ -757,9 +757,9 @@ def check_initial_state(scen, s0, doc):
     for m in s0.machines:
         plant = dict(m.state)
         preloaded = m.mid in scen.preload
-        for p in m.cfg.programs:
+        for p, env in m.programs:
             pou = scen.table.get(p)
-            env = dict(m.cfg.prog_env(p))
+            env = dict(env)
             for d in pou.outputs:
                 if d.name in plant and (preloaded or d.name not in given[m.mid]):
                     assert plant[d.name] == m.cfg.read(env[d.name]), (m.mid, d.name)
@@ -792,7 +792,7 @@ def test_preloaded_tank_senses_the_plant():
     doc["machines"][0]["preload"] = True
     scen = scenario_from_dict(doc, table)
     (m,) = scen.initial_state().machines
-    assert m.cfg.read(dict(m.cfg.prog_env("TANK"))["waterLevel"]) == 10
+    assert m.cfg.read(dict(dict(m.programs)["TANK"])["waterLevel"]) == 10
 
 
 def test_clock_separated_preload_takes_its_first_scan():

@@ -104,7 +104,7 @@ def test_a_chain_configuration_beside_the_shared_state(name, mode):
 
 
 def _suspended(body: str):
-    table, cfg = loaded(body)
+    table, _, cfg = loaded(body)
     out = step(table, cfg)
     assert isinstance(out, NeedsComm) and out.site is not None
     return RuleCtx(table, SmtCheck()), cfg, out

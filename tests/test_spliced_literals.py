@@ -64,8 +64,8 @@ def spliced(shape: str, value):
         + SHAPES[shape]
         + "\nEND_PROGRAM\n"
     )
-    table, cfg = make(src, ["P"])
-    cfg = load_programs(table, cfg)
+    table, layout, cfg = make(src, ["P"])
+    cfg = load_programs(table, layout, cfg)
     out = step(table, cfg)
     assert isinstance(out, NeedsComm) and out.site is not None
     return table, resume_comm(cfg, out.site, value)

@@ -1,15 +1,17 @@
-"""The start rule runs from a plan compiled once per machine layout.
+"""The start rule runs from a plan compiled once, when the machine is built.
 
-`timed.start_scans` looks up what a machine's scan start publishes,
-senses and feeds in `timed.start_plan`, memoised in `RuleCtx.plans`.  It
-must give the states the rule gave when it worked all of that out again
-at every start, kept below as `_reference_start_scans`: for every start
-variant on random walks of every bundled model, in both modes, for free
-inputs, and for the initial state of a preloaded scenario.
+`timed.start_scans` reads what a machine's scan start publishes, senses
+and feeds from the machine's `plan`, which `timed.compile_start` makes
+from its static layout.  It must give the states the rule gave when it
+worked all of that out again at every start, kept below as
+`_reference_start_scans`: for every start variant on random walks of
+every bundled model, in both modes, for free inputs, and for the initial
+state of a preloaded scenario.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,14 +26,13 @@ from plcreach.values import EvalError, copy_with
 from test_system import ctx_for, make_machine, make_system, table_for
 
 
-def _reference_start_scans(ctx, s, mids, chosen):
+def _reference_start_scans(table, s, mids, chosen):
     """Begin the next scan of each machine in `mids`, working out every
     machine's publish, sense and feed locations anew."""
-    table = ctx.table
     for mid in mids:
         m = s.machine(mid)
         cfg = m.cfg
-        envs = {p: (table.get(p), dict(cfg.prog_env(p))) for p in cfg.programs}
+        envs = {p: (table.get(p), dict(env)) for p, env in m.programs}
         plant = dict(m.state)
         outputs = {d.name: cfg.read(env[d.name])
                    for pou, env in envs.values() for d in pou.outputs if d.name in plant}
@@ -49,7 +50,7 @@ def _reference_start_scans(ctx, s, mids, chosen):
             writes.append((envs[spec.prog][1][spec.var], value))
         m = copy_with(
             m.with_state(outputs) if outputs else m,
-            cfg=load_programs(table, cfg.write_many(writes) if writes else cfg),
+            cfg=load_programs(table, m.programs, cfg.write_many(writes) if writes else cfg),
             timer=m.cycle_time,
             env_timer=m.cycle_time if s.options.clock_sep else m.env_timer,
             cycle_index=m.cycle_index + 1,
@@ -62,7 +63,7 @@ def _both_ways(monkeypatch, ctx, s):
     """`start_variants` at `s` with the compiled start, then with the reference."""
     got = start_variants(ctx, s)
     with monkeypatch.context() as mp:
-        mp.setattr(timed, "start_scans", _reference_start_scans)
+        mp.setattr(timed, "start_scans", partial(_reference_start_scans, ctx.table))
         want = start_variants(ctx, s)
     return got, want
 
@@ -78,7 +79,6 @@ def test_every_start_on_a_walk_matches_the_reference(monkeypatch, name):
             got, want = _both_ways(monkeypatch, ctx, s)
             assert got == want
             starts += len(got)
-        assert ctx.plans
     assert starts
 
 
@@ -88,7 +88,7 @@ def test_a_preloaded_initial_state_matches_the_reference():
     for mode in ("concrete", "symbolic"):
         s = SystemState(machines=scen.machines, conns=scen.conns, clock=0,
                         options=copy_with(scen.options, mode=mode))
-        want = _reference_start_scans(scen.context(), s, scen.preload, {})
+        want = _reference_start_scans(scen.table, s, scen.preload, {})
         assert scen.initial_state(mode=mode) == want
 
 
@@ -155,21 +155,22 @@ END_PROGRAM
 
 def test_the_last_program_that_publishes_a_variable_wins():
     table = table_for(TWO_SRC)
-    ctx = ctx_for(table)
     m = make_machine(table, "m1", ("A", "B", "C"), state={"x": 0})
     s = make_system([m])
-    got = start_scans(ctx, s, ["m1"], {})
-    assert got == _reference_start_scans(ctx, s, ["m1"], {})
+    got = start_scans(s, ["m1"], {})
+    assert got == _reference_start_scans(table, s, ["m1"], {})
     m1 = got.machine("m1")
     assert m1.state_value("x") == 2
     # C senses the published value, not the plant's old one.
-    assert m1.cfg.read(dict(m1.cfg.prog_env("C"))["x"]) == 2
+    assert m1.cfg.read(dict(dict(m1.programs)["C"])["x"]) == 2
 
 
 def test_a_plan_with_an_unallocated_location_is_refused():
     table = table_for(TWO_SRC)
-    m = make_machine(table, "m1", ("A",), state={"x": 0})
-    cfg = m.cfg
-    m = copy_with(m, cfg=copy_with(cfg, store=tuple(p for p in cfg.store if p[0] != 0)))
-    with pytest.raises(EvalError, match=r"unallocated locations \[0\]"):
-        start_scans(ctx_for(table), make_system([m]), ["m1"], {})
+    # A publishes its x and C senses its x, each at location 0, which an
+    # empty store lacks.
+    for program in ("A", "C"):
+        m = make_machine(table, "m1", (program,), state={"x": 0})
+        m = copy_with(m, cfg=copy_with(m.cfg, store=()))
+        with pytest.raises(EvalError, match="unallocated location 0"):
+            start_scans(make_system([m]), ["m1"], {})

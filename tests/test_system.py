@@ -7,7 +7,7 @@ import pytest
 
 from plcreach import comm
 from plcreach.comm import machine_moves
-from plcreach.kmachine import idle_config
+from plcreach.kmachine import allocate
 from plcreach.model import (
     Conn,
     InputSpec,
@@ -25,6 +25,7 @@ from plcreach.st import PouTable, parse_file
 from plcreach.st.builtins import COMM_INTRINSICS, INTRINSIC_ARITY
 from plcreach.timed import (
     RuleCtx,
+    compile_start,
     diagnose_stuck,
     due_machines,
     env_tick,
@@ -136,11 +137,12 @@ def make_machine(
     timer=0,
     preload=False,
 ):
-    cfg = idle_config(table, tuple(programs))
+    layout, cfg = allocate(table, tuple(programs))
     state_t = tuple(sorted((state or {}).items()))
     flow_t = tuple(sorted((flows or {}).items()))
     for nm, law in flow_t:
         validate_flow(nm, law)
+    inputs = tuple(inputs)
     m = PLCMachine(
         mid=mid,
         cfg=cfg,
@@ -149,10 +151,12 @@ def make_machine(
         state=state_t,
         flow=flow_t,
         cycle_time=F(cycle_time),
-        inputs=tuple(inputs),
+        programs=layout,
+        plan=compile_start(table, layout, state_t, inputs),
+        inputs=inputs,
     )
     if preload:
-        m = start_scans(ctx_for(table), make_system([m]), [mid], {}).machine(mid)
+        m = start_scans(make_system([m]), [mid], {}).machine(mid)
     return m
 
 
@@ -170,7 +174,7 @@ def ctx_for(table):
 
 
 def env_value(m, prog, name):
-    env = dict(m.cfg.prog_env(prog))
+    env = dict(dict(m.programs)[prog])
     return m.cfg.read(env[name])
 
 
@@ -841,6 +845,12 @@ END_PROGRAM
             s = s.add_constraints(extra)
         return ctx, s
 
+    def test_the_two_arms_disable_each_other(self):
+        ctx, s = self._start()
+        arms = [t for t, _ in successors(ctx, s, por=False) if t.mid == "m1"]
+        assert sorted(t.key[0][0] for t in arms) == ["if-false", "if-true"]
+        assert check_independence(ctx, s, *arms) is False
+
     def test_both_arms_when_undetermined(self):
         ctx, s = self._start()
         moves = machine_moves(ctx, s, "m1")
@@ -935,6 +945,26 @@ class TestReduction:
 
 
 class TestIndependence:
+    def test_a_transition_with_itself_is_vacuous(self):
+        ctx, s = diamond_system()
+        t = TransitionId("internal", "m1", "assign", ())
+        assert check_independence(ctx, s, t, t) is None
+
+    def test_a_pair_not_co_enabled_is_vacuous(self):
+        ctx, s = diamond_system()
+        # both machines are mid-scan, so no start is enabled
+        start = TransitionId("start", "", "start", ())
+        t = TransitionId("internal", "m1", "assign", ())
+        assert check_independence(ctx, s, start, t) is None
+        assert check_independence(ctx, s, t, start) is None
+
+    def test_connect_success_and_failure_disable_each_other(self):
+        _, ctx, s = comm_fixture(CONNECT_REQ_SRC, conns=[Conn(pair=conn_pair("S1", "S2"))])
+        s, _ = run_until(ctx, s, "m1", {"conSucc"})
+        outcomes = [t for t, _ in successors(ctx, s, por=False) if t.mid == "m1"]
+        assert sorted(t.label for t in outcomes) == ["conFail", "conSucc"]
+        assert check_independence(ctx, s, *outcomes) is False
+
     def test_internal_vs_internal(self):
         ctx, s = diamond_system()
         t1 = TransitionId("internal", "m1", "assign", ())
