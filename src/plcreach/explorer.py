@@ -188,9 +188,9 @@ def search(
     queries0, by_class0 = stats.queries, dict(stats.by_class)
     prop = compile_property(s0, property_text) if property_text else None
 
-    # Interns the pieces of canonical keys; lives as long as `parents`.
-    pool: dict = {}
-    key0 = canonicalize(s0, pool)
+    # The canonical form's memo; lives as long as `parents`.
+    memo: dict = {}
+    key0 = canonicalize(s0, memo)
     parents = {key0: None}
     queue = deque([(s0, key0)])
     witnesses = []
@@ -217,7 +217,7 @@ def search(
             st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
             if st is False:
                 continue
-            k2 = canonicalize(st, pool)
+            k2 = canonicalize(st, memo)
             # One lookup hashes the key once; a known key keeps its entry.
             n = len(parents)
             parents.setdefault(k2, (key, tid))

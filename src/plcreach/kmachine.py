@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .st import ast
@@ -125,20 +124,17 @@ class KConfig:
     answers: tuple = ()  # results of the head's communication calls so far
 
     # Hashing walks `k` and the store, so it is done once per instance
-    # (statement trees hash once themselves).  The caches live in the
-    # instance dict: `copy_with` copies only the fields, so a copy starts
-    # without them.  The hash is kept by hand, not by `cached_property`,
-    # whose first read takes a lock on Python 3.10 and 3.11.
+    # (statement trees hash once themselves).  The hash and `config_vars`
+    # are kept in the instance dict: `copy_with` copies only the fields,
+    # so a copy starts without them.  They are kept by hand, not by
+    # `cached_property`, whose first read takes a lock on Python 3.10 and
+    # 3.11.
     def __hash__(self):
         d = self.__dict__
         h = d.get("_hash")
         if h is None:
             h = d["_hash"] = hash((self.k, self.env, self.store, self.current_prog, self.answers))
         return h
-
-    @cached_property
-    def _vars(self) -> tuple:
-        return _config_vars(self)
 
     def lookup_loc(self, name: str) -> Optional[int]:
         for nm, loc in self.env:
@@ -518,36 +514,32 @@ def resume_comm(cfg: KConfig, site: Optional[ast.CallExpr], value) -> KConfig:
 # -- canonical form ---------------------------------------------------------
 
 
-def config_key(cfg: KConfig, names: dict = None, pool: dict = None):
+def config_key(cfg: KConfig, names: dict = None):
     """Hashable canonical form; `names` renames symbolic variables.
 
     A renaming that touches none of the configuration's variables changes
     nothing, and then the configuration is its own key: it holds the
     fields of the tuple below, in that order, and caches its hash.
-    Renamed values are interned in `pool` (see `model.canonicalize`), or
-    in a throwaway dict when it is None.
     """
     if not names or names.keys().isdisjoint(config_vars(cfg)):
         return cfg
-    if pool is None:
-        pool = {}
     return (
         cfg.k,
         cfg.env,
-        tuple(rename(v, names, pool) for v in cfg.store),
+        tuple(rename(v, names) for v in cfg.store),
         cfg.current_prog,
-        tuple(rename(v, names, pool) for v in cfg.answers),
+        tuple(rename(v, names) for v in cfg.answers),
     )
 
 
 def config_vars(cfg: KConfig) -> tuple:
     """Symbolic variable names, in store order then answer order."""
-    return cfg._vars
-
-
-def _config_vars(cfg: KConfig) -> tuple:
-    found: dict = {}  # insertion-ordered set
-    for v in cfg.store + cfg.answers:
-        for n in variables(v):
-            found.setdefault(n)
-    return tuple(found)
+    d = cfg.__dict__
+    got = d.get("_vars")
+    if got is None:
+        found: dict = {}  # insertion-ordered set
+        for v in cfg.store + cfg.answers:
+            for n in variables(v):
+                found.setdefault(n)
+        got = d["_vars"] = tuple(found)
+    return got

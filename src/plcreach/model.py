@@ -340,19 +340,12 @@ def _masked(v) -> object:
     return ("l", v)
 
 
-# Keys of the two per-search memos in a canonicalization pool; the pool's
-# other keys are `v{i}` names, tuples and values, so these never collide.
-_FACTS_MEMO = "canon-facts"
-_RENAMED_MEMO = "canon-renamed"
-
-
 def _constraint_facts(c, memo: dict) -> tuple:
     """(sort key, sorted variable names) of one constraint, memoised by
-    its `ckey`, so that equal atoms built apart hit in C."""
-    key = c._ckey
-    facts = memo.get(key)
+    the constraint, so that equal atoms built apart hit in C."""
+    facts = memo.get(c)
     if facts is None:
-        facts = memo[key] = ((repr(_masked(c)), key), variables(c))
+        facts = memo[c] = ((repr(_masked(c)), c._ckey), variables(c))
     return facts
 
 
@@ -380,22 +373,19 @@ def _live_slice(constraints: tuple, live: set, memo: dict) -> list:
     return kept
 
 
-def _renaming(names: dict, pool: dict):
+def _renaming(names: dict, memo: dict):
     """The renamers of one canonicalization: `value(v, vs=None)`, for a
     value whose sorted variables are `vs`, and `config(cfg)`.  Before
     renaming, each gives the fresh variables that `names` lacks the next
     `v{i}` names, in sorted order (a configuration's in `config_vars`
     order), so a walk that visits values in a fixed order names them by
-    first use.  A value's renaming is memoised by the value and the new
-    names of its variables."""
-    intern = pool.setdefault
-    memo = intern(_RENAMED_MEMO, {})
+    first use.  A value's renaming is memoised in `memo` by the value and
+    the new names of its variables."""
 
     def name(vs):
         for n in vs:
             if n not in names and _is_fresh(n):
-                new = f"v{len(names)}"
-                names[n] = intern(new, new)
+                names[n] = f"v{len(names)}"
 
     def value(v, vs=None):
         if vs is None:
@@ -406,12 +396,12 @@ def _renaming(names: dict, pool: dict):
         key = (v, tuple([names.get(n) for n in vs]))
         got = memo.get(key)
         if got is None:
-            got = memo[key] = rename(v, names, pool)
+            got = memo[key] = rename(v, names)
         return got
 
     def config(cfg):
         name(config_vars(cfg))
-        return config_key(cfg, names, pool)
+        return config_key(cfg, names)
 
     return value, config
 
@@ -471,7 +461,7 @@ def _kept(record, piece_of) -> tuple:
     return piece
 
 
-def canonicalize(s: SystemState, pool: dict = None) -> tuple:
+def canonicalize(s: SystemState, memo: dict = None) -> tuple:
     """Hashable key: fresh variables renamed by first use, dead constraints
     dropped, message identities ignored.
 
@@ -489,15 +479,15 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
     reuses the pieces of every record it shares with its parent.  The
     pieces are the ones the walk would build, so both ways give one key.
 
-    `pool` interns what the renaming builds (the `v{i}` names, monomials,
-    terms, polynomials and comparisons), so that equal pieces of different
-    keys are one object.  It also holds two memos.  One maps each
-    constraint's `ckey` to its sort key and sorted variables.  The other
-    maps a value (a constraint, a timer, a plant value, a message field or
-    the clock) and the new names of its variables to its renaming, so a
-    value shared by many states is renamed once per naming.  A search
-    passes one pool for its whole life and drops it with its state store;
-    without one, a throwaway pool is used.
+    `memo` holds two maps in one dict.  One maps each constraint to its
+    sort key and sorted variables.  The other maps a pair of a value (a
+    constraint, a timer, a plant value, a message field or the clock) and
+    the new names of its variables to its renaming, so a value shared by
+    many states is renamed once per naming, and every key that holds it
+    shares the one renamed object.  A constraint is never a pair, so the
+    two maps cannot collide.  A search passes one memo for its whole life
+    and drops it with its state store; without one, a throwaway memo is
+    used.
     """
     if not s.fresh_counter:
         return (
@@ -507,14 +497,14 @@ def canonicalize(s: SystemState, pool: dict = None) -> tuple:
             (),
             s.ticked,
         )
-    if pool is None:
-        pool = {}
+    if memo is None:
+        memo = {}
     names: dict = {}  # fresh variable -> its `v{i}`, in first-use order
-    ren, ren_config = _renaming(names, pool)
+    ren, ren_config = _renaming(names, memo)
     machines_key = tuple([_machine_piece(m, ren, ren_config) for m in s.machines])
     conns_key = tuple([_link_piece(c, ren) for c in s.conns])
     clock_key = ren(s.clock)
-    kept = _live_slice(s.constraints, set(names), pool.setdefault(_FACTS_MEMO, {})) if names else ()
+    kept = _live_slice(s.constraints, set(names), memo) if names else ()
     constraints_key = tuple(sorted([ren(c, vs) for c, (_, vs) in kept], key=ckey_of))
     # Only a symbolic tick sets the fold flag, so concrete keys never split on it.
     return (machines_key, conns_key, clock_key, constraints_key, s.ticked)

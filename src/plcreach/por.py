@@ -34,6 +34,7 @@ from .timed import (
     tick_concrete,
     tick_symbolic,
 )
+from .values import copy_with
 
 
 class ReplayError(Exception):
@@ -167,7 +168,9 @@ def _elapse(ctx: RuleCtx, s: SystemState, cls: str, d):
 
 def _apply_if_enabled(ctx: RuleCtx, s: SystemState, tid: TransitionId):
     if tid.cls == "tick" and isinstance(tid.key[0], str):
-        return None  # a fresh duration is named anew in every state
+        # A fresh duration is named anew in every state, so a symbolic tick
+        # stands for the state's own one; there is at most one.
+        return next((st for _, st in tick_symbolic(ctx, s)), None)
     try:
         return apply(ctx, s, tid)
     except ReplayError:
@@ -179,9 +182,12 @@ def check_independence(ctx: RuleCtx, s: SystemState, t1: TransitionId, t2: Trans
 
     Returns None when the pair is not co-enabled (vacuous), False when
     one order disables the other or the two orders land in different
-    states, True when both orders exist and converge.  Time steps are
-    compared at a fixed duration: the recorded jump must stay available
-    after the other transition.
+    states, True when both orders exist and converge.  Concrete time
+    steps are compared at a fixed duration: the recorded jump must stay
+    available after the other transition.  A symbolic tick is each
+    state's own tick by a fresh duration.  The two orders are compared
+    with the tick-fold flag cleared: it only bars a second tick in a row,
+    so it ends set after move-then-tick and clear after tick-then-move.
     """
     if t1 == t2:
         return None
@@ -193,4 +199,4 @@ def check_independence(ctx: RuleCtx, s: SystemState, t1: TransitionId, t2: Trans
     ba = _apply_if_enabled(ctx, b, t1)
     if ab is None or ba is None:
         return False
-    return canonicalize(ab) == canonicalize(ba)
+    return canonicalize(copy_with(ab, ticked=False)) == canonicalize(copy_with(ba, ticked=False))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Union
 
 
@@ -27,12 +26,14 @@ _NOPOS = Pos()
 class _Node:
     """Base of every node: the field hash, computed once and kept."""
 
+    # Kept by hand, not by `cached_property`, whose first read takes a
+    # lock on Python 3.10 and 3.11.
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return self._fields_hash()
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = self._fields_hash()
+        return h
 
 
 def _node(cls):

@@ -38,11 +38,10 @@ a comparison is decided: `cmp_le`, `cmp_lt` and `cmp_eq` return a bool when
 neither operand is a Poly (or when the difference folds to a constant), and
 a comparison atom only when a variable remains.
 
-Renaming (`Poly.rename`, `rename`) interns what it builds in a pool
-owned by the caller: a renamed monomial, term, polynomial or comparison is
-the very object the pool already holds when an equal one was built before.
-Renamed values are therefore shared between many canonical keys and must
-never be mutated.
+Renaming (`Poly.rename`, `rename`) builds a new value on every call.  A
+search renames each value once per naming of its variables, through the
+memo that `model.canonicalize` keeps, so one renamed value is shared by
+every canonical key that holds it and must never be mutated.
 
 All time arithmetic in the package goes through `vadd`, `vsub` and `monus`
 (truncated subtraction), over rationals or Poly; floats never enter the
@@ -219,14 +218,11 @@ class Poly:
             return self
         return Poly._raw(tuple((m, n // g) for (m, _), n in zip(terms, nums)))
 
-    def rename(self, names: Mapping[str, str], pool: dict) -> "Poly":
-        """Injective variable renaming; much cheaper than substitute.
-
-        The result and its monomials and terms are interned in `pool`.
-        """
+    def rename(self, names: Mapping[str, str]) -> "Poly":
+        """Injective variable renaming; much cheaper than substitute."""
         if not names:
             return self
-        return _interned_poly(_renamed_terms(self, names, pool), pool)
+        return Poly._raw(tuple(_renamed_terms(self, names)))
 
     def substitute(self, mapping: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
         acc: dict = {}
@@ -312,26 +308,11 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
-def _renamed_terms(p: Poly, names: Mapping[str, str], pool: dict) -> list:
-    """The terms of `p` renamed and sorted; each monomial interned."""
-    intern = pool.setdefault
-    out = []
-    for m, c in p.terms:
-        mono = tuple(sorted((names.get(v, v), e) for v, e in m))
-        out.append((intern(mono, mono), c))
+def _renamed_terms(p: Poly, names: Mapping[str, str]) -> list:
+    """The terms of `p` renamed and sorted."""
+    out = [(tuple(sorted([(names.get(v, v), e) for v, e in m])), c) for m, c in p.terms]
     out.sort()
     return out
-
-
-def _interned_poly(terms: list, pool: dict) -> Poly:
-    """The pool's Poly over canonical `terms`; a new one gets interned terms."""
-    got = pool.get(Poly._raw(tuple(terms)))
-    if got is None:
-        # The term tuple needs no entry of its own: only this Poly holds it.
-        intern = pool.setdefault
-        got = Poly._raw(tuple(intern(t, t) for t in terms))
-        pool[got] = got
-    return got
 
 
 def as_poly(x) -> Poly:
@@ -529,26 +510,22 @@ def variables(v) -> tuple:
     return ()
 
 
-def rename(v, names: Mapping[str, str], pool: dict):
-    """Injective variable renaming; keeps atoms atoms, so no solver folding.
-
-    Renamed polynomials and atoms are interned in `pool`.
-    """
+def rename(v, names: Mapping[str, str]):
+    """Injective variable renaming; keeps atoms atoms, so no solver folding."""
     if isinstance(v, Poly):
-        return v.rename(names, pool)
+        return v.rename(names)
     if isinstance(v, Cmp):
-        terms = _renamed_terms(v.lhs, names, pool)
+        terms = _renamed_terms(v.lhs, names)
         # renaming keeps the coefficients primitive but can reorder the
         # terms, so an ==/!= atom may need its first coefficient made
         # positive again
         if terms[0][1] < 0 and (v.op == "==" or v.op == "!="):
             terms = [(m, -c) for m, c in terms]
-        atom = Cmp(v.op, _interned_poly(terms, pool))
-        return pool.setdefault(atom, atom)
+        return Cmp(v.op, Poly._raw(tuple(terms)))
     if isinstance(v, And):
-        return band(*(rename(a, names, pool) for a in v.args))
+        return band(*(rename(a, names) for a in v.args))
     if isinstance(v, Or):
-        return bor(*(rename(a, names, pool) for a in v.args))
+        return bor(*(rename(a, names) for a in v.args))
     return v
 
 

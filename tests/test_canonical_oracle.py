@@ -5,7 +5,7 @@ it and renames every value as it visits it.  The reference below is the
 earlier form: one walk fixes the first-use order of the fresh variables
 and the live constraint slice, and a second walk renames every field.
 The two must give equal keys for every state, with a search's shared
-pool and without one.
+memo and without one.
 """
 
 import random
@@ -70,17 +70,16 @@ def _reference_order(s, memo):
 
 
 def reference_canonicalize(s):
-    pool = {}
     order, kept = _reference_order(s, {}) if s.fresh_counter else ((), ())
     names = {n: f"v{i}" for i, n in enumerate(order)}
 
     def ren(v):
-        return rename(v, names, pool) if names and variables(v) else v
+        return rename(v, names) if names and variables(v) else v
 
     machines_key = tuple(
         (
             m.mid,
-            config_key(m.cfg, names, pool),
+            config_key(m.cfg, names),
             ren(m.timer),
             m.env_timer,
             tuple((nm, ren(v)) for nm, v in m.state),
@@ -175,14 +174,14 @@ def _dealt_again(s, rng):
 
 
 def test_random_walk_keys_match_the_two_walk_form():
-    pool = {}
+    memo = {}
     rng = random.Random(0)
     checked = fresh = 0
     for s in _walked_states():
         variants = [s, _dealt_again(s, rng)] if s.fresh_counter else [s]
         for v in variants:
             want = reference_canonicalize(v)
-            assert canonicalize(v, pool) == want
+            assert canonicalize(v, memo) == want
             assert canonicalize(v) == want
         checked += 1
         fresh += s.fresh_counter > 0
@@ -191,13 +190,13 @@ def test_random_walk_keys_match_the_two_walk_form():
 
 @pytest.mark.parametrize("name, bound", [("query1", 5), ("commdemo", 20)])
 def test_search_keys_match_the_two_walk_form(monkeypatch, name, bound):
-    # Every key a symbolic POR search builds, with its own pool, equals
+    # Every key a symbolic POR search builds, with its own memo, equals
     # the reference key of the same state.
     checked = []
     one_walk = explorer.canonicalize
 
-    def compared(s, pool=None):
-        key = one_walk(s, pool)
+    def compared(s, memo=None):
+        key = one_walk(s, memo)
         assert key == reference_canonicalize(s)
         checked.append(s.fresh_counter)
         return key

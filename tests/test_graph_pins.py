@@ -106,8 +106,8 @@ def test_concrete_keys_hold_no_integral_fraction(monkeypatch):
     found, seen = [], {}
     canonicalize = explorer.canonicalize
 
-    def walked(s, pool=None):
-        key = canonicalize(s, pool)
+    def walked(s, memo=None):
+        key = canonicalize(s, memo)
         found.extend(_numbers(key, seen))
         return key
 

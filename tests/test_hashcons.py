@@ -1,10 +1,12 @@
-"""Interning the pieces of canonical keys must not change the keys.
+"""Sharing the renamed values of canonical keys must not change the keys.
 
-`canonicalize(s, pool)` shares renamed names, monomials, terms,
-polynomials and comparisons through a pool that lives as long as one
-search.  Keys built with a warm pool must equal keys built with a fresh
-one; equal renamed values must be one object; and a symbolic search must
-keep its memory peak well under what it was before sharing.
+`canonicalize(s, memo)` renames each value once per naming of its
+variables, through a memo that lives as long as one search, so every key
+that holds a value under one naming holds one renamed object.  Keys built
+with a warm memo must equal keys built with a fresh one; the memo must
+give one object per value and naming; a state without fresh variables
+must skip the renaming; and a symbolic search must keep its memory peak
+well under what it was before sharing.
 """
 
 import dataclasses
@@ -17,14 +19,15 @@ from plcreach import bench, model
 from plcreach.explorer import random_walk, search
 from plcreach.model import canonicalize
 from plcreach.scenario import ScenarioError
-from plcreach.values import Cmp, Poly, bool_variables, copy_with
+from plcreach.values import Cmp, Poly, bool_variables, copy_with, rename, variables
 
 # (bundled model, walk length); all walked in symbolic mode
 WALKS = [("query1", 40), ("ptpc", 40), ("therc", 30)]
 
 
 def _renamed_parts(key):
-    """Every Poly and Cmp with variables inside a canonical key.
+    """Every Poly and Cmp with variables inside a canonical key, in a
+    fixed order.
 
     All variables left in a key are renamed fresh variables, so these are
     exactly the values the renaming built.
@@ -46,21 +49,33 @@ def _renamed_parts(key):
 
 
 @pytest.mark.parametrize("name, steps", WALKS, ids=[w[0] for w in WALKS])
-def test_shared_pool_builds_the_same_keys_and_shares_equal_parts(name, steps):
+def test_search_memo_builds_the_same_keys_and_renames_each_value_once(name, steps):
     scen = bench.load(name)
     s0 = scen.initial_state(mode="symbolic")
     walk = random_walk(scen.context(), s0, steps, random.Random(5))
     assert len(walk) == steps
-    pool = {}
-    first_owner = {}  # renamed value -> (interned object, index of its key)
-    shared_across_keys = 0
-    for i, (_, s) in enumerate(walk):
-        key = canonicalize(s, pool)
+    memo = {}
+    keys = []
+    for _, s in walk:
+        key = canonicalize(s, memo)
         assert key == canonicalize(s)
-        for part in _renamed_parts(key):
-            obj, owner = first_owner.setdefault(part, (part, i))
-            assert part is obj
-            shared_across_keys += owner != i
+        keys.append(key)
+    # Each renaming the memo holds is the value under those new names.
+    renamings = [(k, got) for k, got in memo.items() if isinstance(k, tuple)]
+    assert renamings
+    for (v, new), got in renamings:
+        assert got == rename(v, {n: m for n, m in zip(variables(v), new) if m is not None})
+    # Built again with the warm memo, every key gives back the very
+    # renamed objects it holds, and some are held by more than one key.
+    first_owner = {}  # id of a renamed value -> index of the first key holding it
+    shared_across_keys = 0
+    for i, ((_, s), key) in enumerate(zip(walk, keys)):
+        again = canonicalize(s, memo)
+        assert again == key
+        parts = list(_renamed_parts(key))
+        assert all(a is b for a, b in zip(_renamed_parts(again), parts, strict=True))
+        for part in parts:
+            shared_across_keys += first_owner.setdefault(id(part), i) != i
     assert shared_across_keys > 0
 
 

@@ -902,3 +902,147 @@ def test_link_stability_gate_is_open_on_the_networked_models(name):
     scen = bench.load(name)
     assert scen.conns
     assert scen.context().comm_ample
+
+
+FB_SRC = TANK_SRC + """
+FUNCTION_BLOCK LATCH
+VAR_OUTPUT
+  q : BOOL;
+END_VAR
+q := TRUE;
+END_FUNCTION_BLOCK
+"""
+
+
+def _machine_edit(**fields):
+    """A document edit setting the machine's `fields`; None drops one."""
+
+    def edit(doc):
+        m = doc["machines"][0]
+        for k, v in fields.items():
+            if v is None:
+                del m[k]
+            else:
+                m[k] = v
+
+    return edit
+
+
+def _two_programs(**top):
+    """A document edit loading TANK and AUX on the machine, with `top`."""
+
+    def edit(doc):
+        _machine_edit(programs=["TANK", "AUX"], inputs={})(doc)
+        doc.update(top)
+
+    return edit
+
+
+def _rejected_document(edit, src=TANK_SRC, mode="concrete"):
+    def load():
+        doc = tank_doc(analysis={"mode": mode})
+        edit(doc)
+        scenario_from_dict(doc, table_for(src))
+
+    return load
+
+
+def _rejected_property():
+    scen = bench.load("ptpc")
+    search(scen.context(), scen.initial_state(), "tank1.nosuch < 2", bound=1)
+
+
+@pytest.mark.parametrize(
+    "load, error, message",
+    [
+        pytest.param(
+            _rejected_document(_machine_edit(cycleTime="ten")), ScenarioError,
+            "machine 'plc1' cycleTime: not a number: 'ten'", id="cycle-time-text",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(cycleTime=[10])), ScenarioError,
+            r"machine 'plc1' cycleTime: unsupported value \[10\]", id="cycle-time-list",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(cycleTime=None)), ScenarioError,
+            "machine 'plc1': 'cycleTime' is required", id="cycle-time-missing",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(id=None)), ScenarioError,
+            r"machine entry: 'id' \(string\) is required", id="id-missing",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(flow={"waterLevel": "waterLevel - * t"})),
+            ScenarioError, "machine 'plc1' flow 'waterLevel': 1:14: expected an expression",
+            id="flow-unparsable",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(inputs={"input": 5})), ScenarioError,
+            "machine 'plc1' input 'input': expected an object", id="input-not-an-object",
+        ),
+        pytest.param(
+            _rejected_document(
+                _machine_edit(inputs={"y": {"program": "AUX", "kind": "script", "values": [1]}}),
+                TWO_PROG_SRC,
+            ),
+            ScenarioError, "machine 'plc1' input 'y': 'AUX' not on this machine",
+            id="input-program-elsewhere",
+        ),
+        pytest.param(
+            _rejected_document(
+                _machine_edit(inputs={"waterLevel": {"kind": "free", "values": []}}),
+                mode="symbolic",
+            ),
+            ScenarioError, "machine 'plc1' input 'waterLevel': empty domain",
+            id="free-input-empty-values",
+        ),
+        pytest.param(
+            _rejected_document(
+                _machine_edit(inputs={"waterLevel": {"kind": "free"}}), mode="symbolic"
+            ),
+            ScenarioError, "machine 'plc1' input 'waterLevel': free inputs need min/max",
+            id="free-input-unbounded",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(programs=["LATCH"], inputs={}), FB_SRC),
+            ScenarioError, "machine 'plc1': 'LATCH' is not a program", id="block-as-program",
+        ),
+        pytest.param(
+            _rejected_document(lambda doc: doc.update(machines=[])), ScenarioError,
+            "'machines' must be a non-empty list", id="no-machines",
+        ),
+        pytest.param(
+            _rejected_document(
+                _two_programs(connections=[{"a": "TANK", "b": "AUX", "latency": 5}]),
+                TWO_PROG_SRC,
+            ),
+            ScenarioError, r"connection entry: unknown keys \['latency'\]",
+            id="connection-unknown-key",
+        ),
+        pytest.param(
+            _rejected_document(lambda doc: doc["analysis"].update(bound=-1)), ScenarioError,
+            "analysis.bound must be >= 0", id="bound-negative",
+        ),
+        pytest.param(
+            _rejected_document(
+                _two_programs(connections=[{"a": "TANK", "b": "AUX", "delay": [5]}]),
+                TWO_PROG_SRC,
+            ),
+            ScenarioError, r"connection delay must be \[min, max\]", id="delay-one-element",
+        ),
+        pytest.param(
+            _rejected_document(
+                _two_programs(connections=[{"a": "TANK", "b": "AUX"}, {"a": "AUX", "b": "TANK"}]),
+                TWO_PROG_SRC,
+            ),
+            ScenarioError, "duplicate connection", id="connection-twice",
+        ),
+        pytest.param(
+            _rejected_property, PropertyError, "tank1 has no state variable nosuch",
+            id="property-unknown-variable",
+        ),
+    ],
+)
+def test_rejections_are_clean_errors(load, error, message):
+    with pytest.raises(error, match=message):
+        load()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcreach
+from plcreach.model import _renaming
 from plcreach.solver import SmtCheck, SolverUnavailable, _cancel, _solve_conjunction, solve_linear
 from plcreach.values import (
     And,
@@ -202,12 +203,19 @@ def test_cached_keys_of_equal_expressions_agree():
     assert le != conj and conj != disj and le != le.lhs
 
 
-def test_atom_interned_by_rename_has_a_fresh_key():
-    pool = {}
+def test_atom_renamed_once_per_naming_has_a_fresh_key():
+    # A search renames a value once per naming of its variables, through
+    # the memo of `model._renaming`: an equal atom built apart gets the
+    # same renamed object, another naming a new one.
     names = {"x": "v1", "y": "v0"}
-    first = rename(cmp_le(x.scale(3) + y, 1), names, pool)
-    again = rename(cmp_le(x.scale(3) + y, 1), names, pool)
+    memo = {}
+    renamed, _ = _renaming(dict(names), memo)
+    first = renamed(cmp_le(x.scale(3) + y, 1))
+    again = renamed(cmp_le(x.scale(3) + y, 1))
     assert again is first
+    assert rename(cmp_le(x.scale(3) + y, 1), names) == first
+    swapped, _ = _renaming({"x": "v0", "y": "v1"}, memo)
+    assert swapped(cmp_le(x.scale(3) + y, 1)) != first
     want = cmp_le(Poly.var("v1").scale(3) + Poly.var("v0"), 1)
     assert ckey(first) == ckey(want) == _fresh_ckey(first)
 

@@ -882,11 +882,11 @@ END_PROGRAM
 """
 
 
-def diamond_system():
+def diamond_system(options=None):
     table = table_for(STEP2_SRC.format(n=1), STEP2_SRC.format(n=2))
     ctx = ctx_for(table)
     mk = lambda mid, prog: make_machine(table, mid, (prog,), cycle_time=3, preload=True)
-    s = make_system([mk("m1", "Q1"), mk("m2", "Q2")])
+    s = make_system([mk("m1", "Q1"), mk("m2", "Q2")], options=options)
     return ctx, s
 
 
@@ -1011,6 +1011,33 @@ class TestIndependence:
         assert check_independence(ctx, s, tick, send) is False
         sel = successors(ctx, s, por=True)
         assert sorted(t.cls for t, _ in sel) == ["comm", "tick"]  # full set
+
+    @pytest.mark.parametrize("mode", ["concrete", "symbolic"])
+    def test_tick_vs_either_internal_in_both_orders(self, mode):
+        # A symbolic tick is each state's own tick by a fresh duration, so
+        # it is compared as the concrete tick is, in both modes alike.
+        ctx, s = diamond_system(Options(mode=mode))
+        (tick,) = [t for t, _ in successors(ctx, s, por=False) if t.cls == "tick"]
+        assert isinstance(tick.key[0], str) == (mode == "symbolic")
+        for mid in ("m1", "m2"):
+            move = TransitionId("internal", mid, "assign", ())
+            assert check_independence(ctx, s, tick, move) is True
+            assert check_independence(ctx, s, move, tick) is True
+
+    def test_symbolic_tick_vs_send_is_dependent(self):
+        # As in concrete mode above: the send's window starts when it is sent.
+        _, ctx, s = comm_fixture(
+            SEND_SRC,
+            conns=[Conn(pair=conn_pair("S1", "S2"), valid=True)],
+            options=Options(mode="symbolic"),
+            cycle=10,
+        )
+        s, label = run_until(ctx, s, "m1", {"sendData"})
+        assert label == "sendData"
+        send = TransitionId("comm", "m1", "sendData", (s.msg_seq,))
+        (tick,) = [t for t, _ in successors(ctx, s, por=False) if t.cls == "tick"]
+        assert tick.key == ("_d0",)
+        assert check_independence(ctx, s, tick, send) is False
 
 
 # -- which moves are private -------------------------------------------------
