@@ -153,10 +153,8 @@ def _solve_conjunction(atoms) -> Optional[dict]:
             model[x] = lmax if lmax == umin else rat(Fraction(lmax + umin, 2))
         elif lo:
             model[x] = max(lo) + 1
-        elif hi:
+        else:  # x comes from a row, so it has a bound
             model[x] = min(hi) - 1
-        else:
-            model[x] = 0
     for var, p, c in reversed(subst_log):
         model[var] = solved(var, p, c)
     return model

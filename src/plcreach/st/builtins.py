@@ -3,7 +3,8 @@
 The bodies call runtime intrinsics (connectRequest, disconnect, isConnected,
 sendData, rcvData, thisBlock, rcvError) that only make sense inside the
 system-level semantics; user code gets these blocks by instantiating
-CONNECT, USEND, and URCV like any other block.
+CONNECT, USEND, and URCV like any other block.  The blocks are parsed
+once per process, when this module is imported.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ END_FUNCTION_BLOCK
 """
 
 
+# Parsed once per process: the trees are immutable, so every table shares them.
+_POUS = {pou.name: pou for src in (CONNECT_SRC, USEND_SRC, URCV_SRC) for pou in parse_file(src)}
+
+
 def builtin_pous() -> dict:
-    """Parse the built-in blocks once per call; name -> Pou."""
-    out = {}
-    for src in (CONNECT_SRC, USEND_SRC, URCV_SRC):
-        (pou,) = parse_file(src)
-        out[pou.name] = pou
-    return out
+    """name -> Pou of the built-in blocks, in a fresh dict."""
+    return dict(_POUS)

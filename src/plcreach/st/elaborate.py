@@ -140,7 +140,9 @@ class _BodyChecker:
                 self.check_stmt(t)
         elif isinstance(s, ast.CallStmt):
             if s.name in INTRINSIC_ARITY:
-                self._check_intrinsic_args(s.name, s.args, s.pos)
+                self._check_arity(s.name, s.args, s.pos)
+                if any(a.name is not None for a in s.args):
+                    raise ElabError(f"{self.pou.name}: {s.name} takes positional arguments", s.pos)
                 for a in s.args:
                     self.check_expr(a.expr)
                 return
@@ -166,14 +168,10 @@ class _BodyChecker:
         else:
             raise ElabError(f"unsupported statement {s!r}")
 
-    def _check_intrinsic_args(self, name: str, args: tuple, pos: ast.Pos):
+    def _check_arity(self, name: str, args: tuple, pos: ast.Pos):
         want = INTRINSIC_ARITY[name]
         if len(args) != want:
-            raise ElabError(
-                f"{self.pou.name}: {name} expects {want} argument(s)", pos
-            )
-        if any(a.name is not None for a in args):
-            raise ElabError(f"{self.pou.name}: {name} takes positional arguments", pos)
+            raise ElabError(f"{self.pou.name}: {name} expects {want} argument(s)", pos)
 
     def _check_field(self, f: ast.FieldRef):
         callee = self._instance_pou(f.base, f.pos)
@@ -206,11 +204,7 @@ class _BodyChecker:
                     f"{self.pou.name}: {e.name} is not callable in an expression",
                     e.pos,
                 )
-            want = INTRINSIC_ARITY[e.name]
-            if len(e.args) != want:
-                raise ElabError(
-                    f"{self.pou.name}: {e.name} expects {want} argument(s)", e.pos
-                )
+            self._check_arity(e.name, e.args, e.pos)
             for a in e.args:
                 self.check_expr(a)
             return

@@ -1,10 +1,11 @@
 """Tokenizer for the Structured Text subset.
 
-Produces a flat token stream with 1-based line/column positions.  Reserved
-words are matched case-insensitively (their canonical spelling is stored
-upper-case); identifiers keep their case.  Line comments of the shape
-//assertTime(a, b) and //delay(p, q, a, b) are semantic and come out as
-single "ann" tokens; every other comment is skipped.
+One compiled pattern states every token shape, one named alternative
+each, tried in order; the comment beside each says what becomes of it.
+Reserved words are matched in any case and stored upper-case;
+identifiers keep their case.  A line comment of the shape
+//assertTime(a, b) or //delay(p, q, a, b) is an "ann" token.  Positions
+are 1-based: a token's line and column are those of its first character.
 """
 
 from __future__ import annotations
@@ -39,11 +40,23 @@ KEYWORDS = {
     "NOT",
 }
 
-_OPS = (":=", "<=", ">=", "<>", "=", "<", ">", "+", "-", "*", "/", "(", ")", ";", ",", ".", ":")
+_TOKEN_RE = re.compile(
+    r"""(?P<blank>[ \t\r\n]+)                   # skipped
+      | (?P<comment>//[^\n]*)                  # skipped, unless an annotation
+      | (?P<block>\(\*.*?\*\))                 # skipped
+      | (?P<string>"[^"]*"|'[^']*')            # no escapes; the value is inside
+      | (?P<unclosed>\(\*|["'])                # a string or comment never closed
+      | (?P<real>\d+\.\d+)                     # a Fraction
+      | (?P<int>\d+)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)         # a "kw" token if reserved
+      | (?P<op>:=|<=|>=|<>|[=<>+\-*/();,.:])
+      | (?P<other>.)                           # an error""",
+    re.VERBOSE | re.DOTALL,
+)
+_VALUE = {"string": lambda text: text[1:-1], "real": Fraction, "int": int}
 
 _ANN_RE = re.compile(r"^\s*(assertTime|delay)\s*\(([^)]*)\)\s*$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?")
 
 
 class LexError(Exception):
@@ -64,81 +77,33 @@ class Token:
 
 def tokenize(src: str) -> list:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if src.startswith("//", i):
-            end = src.find("\n", i)
-            end = n if end < 0 else end
-            body = src[i + 2 : end]
-            m = _ANN_RE.match(body)
-            if m:
-                toks.append(
-                    Token("ann", src[i:end], line, col, value=_parse_ann(m, line, col))
-                )
-            advance(src[i:end])
-            i = end
-            continue
-        if src.startswith("(*", i):
-            end = src.find("*)", i + 2)
-            if end < 0:
-                raise LexError("unterminated block comment", line, col)
-            advance(src[i : end + 2])
-            i = end + 2
-            continue
-        if ch in "\"'":
-            end = src.find(ch, i + 1)
-            if end < 0:
-                raise LexError("unterminated string literal", line, col)
-            text = src[i : end + 1]
-            toks.append(Token("string", text, line, col, value=src[i + 1 : end]))
-            advance(text)
-            i = end + 1
-            continue
-        m = _NUM_RE.match(src, i)
-        if m:
-            text = m.group(0)
-            if "." in text:
-                toks.append(Token("real", text, line, col, value=Fraction(text)))
-            else:
-                toks.append(Token("int", text, line, col, value=int(text)))
-            advance(text)
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            text = m.group(0)
-            if text.upper() in KEYWORDS:
-                toks.append(Token("kw", text.upper(), line, col))
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "id":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                toks.append(Token("kw", upper, line, col))
             else:
                 toks.append(Token("id", text, line, col))
-            advance(text)
-            i = m.end()
-            continue
-        for op in _OPS:
-            if src.startswith(op, i):
-                toks.append(Token("op", op, line, col))
-                advance(op)
-                i += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        elif kind == "op":
+            toks.append(Token("op", text, line, col))
+        elif kind in _VALUE:
+            toks.append(Token(kind, text, line, col, value=_VALUE[kind](text)))
+        elif kind == "comment":
+            ann = _ANN_RE.match(text[2:])
+            if ann:
+                toks.append(Token("ann", text, line, col, value=_parse_ann(ann, line, col)))
+        elif kind == "unclosed":
+            what = "block comment" if text == "(*" else "string literal"
+            raise LexError(f"unterminated {what}", line, col)
+        elif kind == "other":
+            raise LexError(f"unexpected character {text!r}", line, col)
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = m.start() + text.rindex("\n") + 1
+    toks.append(Token("eof", "", line, len(src) - line_start + 1))
     return toks
 
 

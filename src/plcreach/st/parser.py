@@ -1,8 +1,13 @@
-"""Recursive-descent parser for the Structured Text subset.
+"""Parser for the Structured Text subset.
 
-Binding strength, loosest first: OR, AND, NOT, comparisons, additive,
-multiplicative, unary minus.  Call syntax in statement position covers both
-function-block invocations and intrinsics; elaboration tells them apart.
+Program units, declarations and statements are parsed by recursive
+descent; expressions by precedence climbing over one binding table.  Call
+syntax in statement position covers both function-block invocations and
+intrinsics; elaboration tells them apart.
+
+No tree is deeper than MAX_DEPTH levels, a parenthesised group counting as
+one: the engine hashes and walks trees recursively, so deeper nesting is a
+ParseError at the token that reaches past the limit.
 """
 
 from __future__ import annotations
@@ -10,9 +15,17 @@ from __future__ import annotations
 from . import ast
 from .lexer import Token, tokenize
 
-_CMP_OPS = {"=", "<>", "<", "<=", ">", ">="}
-_ADD_OPS = {"+", "-"}
-_MUL_OPS = {"*", "/"}
+# The binding table: an operator binds tighter the higher its power, and
+# an infix one associates to the left.  A prefix operator's operand holds
+# only operators at least as tight as itself: `NOT a = b` is `NOT (a = b)`,
+# `NOT a AND b` is `(NOT a) AND b`, and NOT cannot follow a comparison or
+# an arithmetic operator.  Keyed by token text, which only an operator or
+# a reserved word has.
+_INFIX = {"OR": 1, "AND": 2, "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+          "+": 5, "-": 5, "*": 6, "/": 6}
+_PREFIX = {"NOT": 3, "-": 7}
+
+MAX_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -25,12 +38,12 @@ class _Parser:
     def __init__(self, toks: list):
         self.toks = toks
         self.i = 0
+        self.depth = 0  # levels open above the construct being parsed
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        j = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self) -> Token:
+        return self.toks[self.i]  # `next` stops at the closing eof token
 
     def next(self) -> Token:
         tok = self.peek()
@@ -111,10 +124,13 @@ class _Parser:
 
     def parse_body(self, stop: set) -> tuple:
         stmts = []
+        self.depth += 1
         while True:
             tok = self.peek()
             if tok.kind == "eof" or (tok.kind == "kw" and tok.text in stop):
+                self.depth -= 1
                 return tuple(stmts)
+            self.check_depth(0, tok)
             stmts.append(self.parse_stmt())
 
     def parse_stmt(self) -> ast.Stmt:
@@ -170,7 +186,7 @@ class _Parser:
             return ()
         while True:
             pos = self.pos()
-            if self.at("id") and self.peek(1).kind == "op" and self.peek(1).text == ":=":
+            if self.at("id") and self.toks[self.i + 1].text == ":=":
                 name = self.next().text
                 self.next()
                 args.append(ast.ArgBind(name, self.parse_expr(), pos))
@@ -181,98 +197,70 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
+    def parse_lone_expr(self) -> ast.Expr:
+        """An expression that ends the input."""
+        expr = self.parse_expr()
+        if not self.at("eof"):
+            raise ParseError("trailing input after expression", self.peek())
+        return expr
+
     def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
+        return self.climb(1)[0]
 
-    def parse_or(self) -> ast.Expr:
-        lhs = self.parse_and()
-        while self.at("kw", "OR"):
-            pos = self.pos()
-            self.next()
-            lhs = ast.BinOp("OR", lhs, self.parse_and(), pos)
-        return lhs
-
-    def parse_and(self) -> ast.Expr:
-        lhs = self.parse_not()
-        while self.at("kw", "AND"):
-            pos = self.pos()
-            self.next()
-            lhs = ast.BinOp("AND", lhs, self.parse_not(), pos)
-        return lhs
-
-    def parse_not(self) -> ast.Expr:
-        if self.at("kw", "NOT"):
-            pos = self.pos()
-            self.next()
-            return ast.UnOp("NOT", self.parse_not(), pos)
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> ast.Expr:
-        lhs = self.parse_add()
-        while self.at("op") and self.peek().text in _CMP_OPS:
-            pos = self.pos()
-            op = self.next().text
-            lhs = ast.BinOp(op, lhs, self.parse_add(), pos)
-        return lhs
-
-    def parse_add(self) -> ast.Expr:
-        lhs = self.parse_mul()
-        while self.at("op") and self.peek().text in _ADD_OPS:
-            pos = self.pos()
-            op = self.next().text
-            lhs = ast.BinOp(op, lhs, self.parse_mul(), pos)
-        return lhs
-
-    def parse_mul(self) -> ast.Expr:
-        lhs = self.parse_unary()
-        while self.at("op") and self.peek().text in _MUL_OPS:
-            pos = self.pos()
-            op = self.next().text
-            lhs = ast.BinOp(op, lhs, self.parse_unary(), pos)
-        return lhs
-
-    def parse_unary(self) -> ast.Expr:
-        if self.at("op", "-"):
-            pos = self.pos()
-            self.next()
-            return ast.UnOp("-", self.parse_unary(), pos)
-        return self.parse_primary()
-
-    def parse_primary(self) -> ast.Expr:
+    def climb(self, min_bp: int) -> tuple:
+        """The expression at the next token, stopping at the first infix
+        operator that binds looser than `min_bp`, and its height (0 for a
+        leaf).  Each call nests one level deeper."""
+        self.depth += 1
         tok = self.peek()
-        pos = self.pos()
-        if self.accept("op", "("):
-            inner = self.parse_expr()
+        self.check_depth(0, tok)
+        bp = _PREFIX.get(tok.text, 0)
+        if bp >= min_bp:
+            self.next()
+            operand, height = self.climb(bp)
+            lhs, height = ast.UnOp(tok.text, operand, ast.Pos(tok.line, tok.col)), height + 1
+        else:
+            lhs, height = self.parse_primary()
+        while _INFIX.get(self.peek().text, 0) >= min_bp:
+            tok = self.next()
+            rhs, rhs_height = self.climb(_INFIX[tok.text] + 1)
+            height = max(height, rhs_height) + 1
+            self.check_depth(height, tok)
+            lhs = ast.BinOp(tok.text, lhs, rhs, ast.Pos(tok.line, tok.col))
+        self.depth -= 1
+        return lhs, height
+
+    def check_depth(self, height: int, tok: Token):
+        """Refuse, at `tok`, a tree that would reach deeper than MAX_DEPTH:
+        `self.depth` levels are open above a subtree `height` levels high."""
+        if self.depth + height > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok)
+
+    def parse_primary(self) -> tuple:
+        """A literal, name, field, call or parenthesised expression, with
+        its height."""
+        tok = self.next()
+        pos = ast.Pos(tok.line, tok.col)
+        if tok.kind in ("int", "real", "string"):
+            return ast.Lit(tok.value, pos), 0
+        if tok.text in ("TRUE", "FALSE"):  # only a "kw" token has this text
+            return ast.Lit(tok.text == "TRUE", pos), 0
+        if tok.text == "(":
+            inner = self.climb(1)
             self.expect("op", ")")
             return inner
-        if tok.kind == "int":
-            self.next()
-            return ast.Lit(tok.value, pos)
-        if tok.kind == "real":
-            self.next()
-            return ast.Lit(tok.value, pos)
-        if tok.kind == "string":
-            self.next()
-            return ast.Lit(tok.value, pos)
-        if self.accept("kw", "TRUE"):
-            return ast.Lit(True, pos)
-        if self.accept("kw", "FALSE"):
-            return ast.Lit(False, pos)
-        if tok.kind == "id":
-            name = self.next().text
-            if self.accept("op", "("):
-                args = []
-                if not self.at("op", ")"):
-                    args.append(self.parse_expr())
-                    while self.accept("op", ","):
-                        args.append(self.parse_expr())
-                self.expect("op", ")")
-                return ast.CallExpr(name, tuple(args), pos)
-            if self.accept("op", "."):
-                fld = self.expect("id").text
-                return ast.FieldRef(name, fld, pos)
-            return ast.VarRef(name, pos)
-        raise ParseError(f"expected an expression, got {tok.text or tok.kind!r}", tok)
+        if tok.kind != "id":
+            raise ParseError(f"expected an expression, got {tok.text or tok.kind!r}", tok)
+        if self.accept("op", "("):
+            args = [] if self.at("op", ")") else [self.climb(1)]
+            while args and self.accept("op", ","):
+                args.append(self.climb(1))
+            self.expect("op", ")")
+            height = max((h for _, h in args), default=-1) + 1
+            return ast.CallExpr(tok.text, tuple(a for a, _ in args), pos), height
+        if self.accept("op", "."):
+            return ast.FieldRef(tok.text, self.expect("id").text, pos), 0
+        return ast.VarRef(tok.text, pos), 0
 
 
 def parse_file(src: str) -> list:
@@ -282,8 +270,4 @@ def parse_file(src: str) -> list:
 
 def parse_expression(src: str) -> ast.Expr:
     """Parse a standalone expression (reachability predicates, flow terms)."""
-    p = _Parser(tokenize(src))
-    expr = p.parse_expr()
-    if not p.at("eof"):
-        raise ParseError("trailing input after expression", p.peek())
-    return expr
+    return _Parser(tokenize(src)).parse_lone_expr()

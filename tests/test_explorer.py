@@ -66,6 +66,17 @@ class TestConcreteSearch:
         end = replay(ctx, s0, w.path)
         assert canonicalize(end) == canonicalize(w.state)
 
+    def test_a_start_state_past_the_bound_has_no_solution(self):
+        # the property holds at a state the run reached at clock 20, but a
+        # witness must lie inside the bound
+        ctx, s0 = tank_system()
+        _, late = simulate(ctx, s0, 20)[-1]
+        assert late.clock == 20 and dict(late.machines[0].state)["waterLevel"] == 0
+        r = search(ctx, late, "waterLevel < 5", bound=19)
+        assert (r.verdict, r.states_explored, r.witnesses) == (NO_SOLUTION, 1, [])
+        r = search(ctx, late, "waterLevel < 5", bound=20)
+        assert r.verdict == SOLUTION_FOUND and r.witnesses[0].path == ()
+
     @pytest.mark.parametrize("bound", [-5, F(-1, 2)])
     def test_negative_bound_rejected(self, bound):
         ctx, s0 = tank_system()

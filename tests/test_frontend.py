@@ -1,11 +1,15 @@
 """Lexer, parser, built-in blocks, and static-check tests."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from plcreach import bench
+from plcreach.explorer import search
+from plcreach.scenario import ScenarioError, load_scenario, scenario_from_dict
 from plcreach.st import (
     Assign,
     AssertTimeAnn,
@@ -32,6 +36,7 @@ from plcreach.st import (
     pou_to_st,
     tokenize,
 )
+from plcreach.st.parser import MAX_DEPTH
 
 TANK_SRC = """
 PROGRAM T1
@@ -320,6 +325,21 @@ class TestRoundTrip:
             (again,) = parse_file(pou_to_st(pou))
             assert again == pou
 
+    def test_while_round_trip(self):
+        src = """
+        PROGRAM P
+            VAR i : INT; END_VAR
+            WHILE i < 10 DO
+                i := i + 1;
+            END_WHILE
+        END_PROGRAM
+        """
+        (pou,) = parse_file(src)
+        text = pou_to_st(pou)
+        assert "    WHILE i < 10 DO\n        i := i + 1;\n    END_WHILE;\n" in text
+        (again,) = parse_file(text)
+        assert again == pou
+
     @pytest.mark.parametrize(
         "ann, want",
         [
@@ -468,6 +488,19 @@ class TestElaborate:
         with pytest.raises(ElabError):
             PouTable.from_units(parse_file(src))
 
+    @pytest.mark.parametrize(
+        "stmt, message",
+        [
+            ("isConnected();", "P: isConnected expects 1 argument(s)"),
+            ("b := isConnected('T1', 'T2');", "P: isConnected expects 1 argument(s)"),
+            ("disconnect(partner := 'T1');", "P: disconnect takes positional arguments"),
+        ],
+    )
+    def test_an_intrinsic_takes_its_arity_in_positional_arguments(self, stmt, message):
+        src = f"PROGRAM P VAR b : BOOL; END_VAR {stmt} END_PROGRAM"
+        with pytest.raises(ElabError, match=re.escape(message)):
+            PouTable.from_units(parse_file(src))
+
     def test_call_on_scalar_rejected(self):
         src = "PROGRAM P VAR x : INT; END_VAR x(1); END_PROGRAM"
         with pytest.raises(ElabError, match="not a block instance"):
@@ -475,3 +508,85 @@ class TestElaborate:
 
     def test_builtins_alone_pass_checks(self):
         PouTable.from_units([])
+
+
+# -- nesting depth ------------------------------------------------------------
+
+DEEP = 2000
+SHAPES = ("not chain", "parentheses", "sum")
+# (line, column) of the token refused in `_nested(shape, DEEP)`: the 101st
+# "(" (a group counts as a level), the operator that makes a left-deep sum
+# 101 levels deep, and the 101st NOT
+REFUSED_AT = {
+    "parentheses": (1, MAX_DEPTH + 1),
+    "sum": (1, 4 * MAX_DEPTH - 1),
+    "not chain": (1, 4 * MAX_DEPTH + 1),
+}
+
+
+def _nested(shape: str, n: int) -> str:
+    return {
+        "parentheses": "(" * n + "b" + ")" * n,
+        "sum": " + ".join(["x"] * n),
+        "not chain": "NOT " * n + "b",
+    }[shape]
+
+
+def _program(body: str) -> str:
+    return f"PROGRAM TANK\nVAR_OUTPUT x : INT; END_VAR\nVAR b : BOOL; END_VAR\n{body}\nEND_PROGRAM\n"
+
+
+def _deep_program(shape: str) -> str:
+    if shape == "nested IFs":
+        return _program("IF b THEN\n" * DEEP + "x := 1;\n" + "END_IF;\n" * DEEP)
+    return _program(f"{'x' if shape == 'sum' else 'b'} := {_nested(shape, DEEP)};")
+
+
+class TestNestingDepth:
+    """No tree is deeper than MAX_DEPTH levels: deeper input is a
+    ParseError at the token that reaches past it, never a RecursionError
+    in the parser or, later, in the engine that hashes and walks trees."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_deep_property_is_refused_at_its_token(self, shape):
+        text = _nested(shape, DEEP)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as info:
+            parse_expression(text)
+        assert (info.value.token.line, info.value.token.col) == REFUSED_AT[shape]
+        scen = bench.load("tank")
+        with pytest.raises(ParseError, match="nested deeper"):
+            search(scen.context(), scen.initial_state(), text, bound=5)
+
+    @pytest.mark.parametrize("shape", SHAPES + ("nested IFs",))
+    def test_a_deep_program_is_refused_at_load(self, shape, tmp_path):
+        src = _deep_program(shape)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_file(src)
+        doc = tmp_path / "deep.json"
+        doc.write_text('{"machines": [{"id": "m", "programs": ["TANK"], "cycleTime": 10}]}')
+        with pytest.raises(ScenarioError, match=f"deep.st: .*nested deeper than {MAX_DEPTH}"):
+            load_scenario(doc, extra_sources=((src, "deep.st"),))
+
+    def test_trees_up_to_the_limit_are_searched(self):
+        # a statement is one level below its unit, and its expression one more
+        body = (
+            "x := " + " + ".join(["1"] * (MAX_DEPTH - 1)) + ";\n"
+            + "IF b THEN\n" * (MAX_DEPTH - 2) + "x := 0;\n" + "END_IF;\n" * (MAX_DEPTH - 2)
+        )
+        (pou,) = parse_file(_program(body))
+        doc = {"machines": [{"id": "m", "programs": ["TANK"], "cycleTime": 10}]}
+        for mode in ("concrete", "symbolic"):
+            scen = scenario_from_dict(doc, PouTable.from_units([pou]))
+            s0 = scen.initial_state(mode=mode)
+            r = search(scen.context(), s0, " + ".join(["m.x"] * (MAX_DEPTH - 1)) + " > 0", bound=20)
+            assert r.verdict == "SolutionFound"
+
+    @given(hst.sampled_from(SHAPES), hst.integers(min_value=1, max_value=3 * MAX_DEPTH))
+    @settings(max_examples=60, deadline=None)
+    def test_depth_decides_between_a_tree_and_a_parse_error(self, shape, n):
+        levels = n if shape == "sum" else n + 1
+        if levels <= MAX_DEPTH:
+            parse_expression(_nested(shape, n))
+        else:
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_expression(_nested(shape, n))

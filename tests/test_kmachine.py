@@ -255,6 +255,28 @@ class TestBlocks:
         cfg, _ = run_cycle(table, layout, cfg)
         assert read_var(layout, cfg, "P", "got") == "o.i"
 
+    def test_field_assignment_and_the_call_form_of_this_block(self):
+        src = """
+        FUNCTION_BLOCK FB
+            VAR_INPUT i : INT; END_VAR
+            VAR_OUTPUT twice : INT; who : STRING; END_VAR
+            twice := i * 2;
+            who := thisBlock();
+        END_FUNCTION_BLOCK
+        PROGRAM P
+            VAR fb : FB; got : INT; name : STRING; END_VAR
+            fb.i := 7;
+            fb();
+            got := fb.twice;
+            name := fb.who;
+        END_PROGRAM
+        """
+        table, layout, cfg = make(src)
+        cfg, labels = run_cycle(table, layout, cfg)
+        assert labels[:2] == ["assign", "call"]
+        assert read_var(layout, cfg, "P", "got") == 14
+        assert read_var(layout, cfg, "P", "name") == "fb"
+
 
 class TestSuspension:
     SENDER = """

@@ -439,3 +439,31 @@ def test_monus():
     assert monus(Fraction(3), Fraction(5)) == Fraction(0)
     t = Poly.var("T")
     assert monus(Fraction(10), t) == Poly.const(10) - t
+
+
+def test_booleans_compare_for_equality_only():
+    assert vcmp("<>", True, False) is True
+    assert vcmp("<>", False, False) is False
+    x = cmp_le(Poly.var("x"), 1)
+    differ = vcmp("<>", x, True)
+    assert bool_evaluate(differ, {"x": 2}) and not bool_evaluate(differ, {"x": 1})
+
+
+def test_connectives_under_negation_renaming_and_substitution():
+    x, y = Poly.var("x"), Poly.var("y")
+    a, b = cmp_le(x, 1), cmp_lt(y, 0)
+    # De Morgan for OR: not (a or b) is (not a) and (not b)
+    assert bnot(bor(a, b)) == band(bnot(a), bnot(b))
+    both = band(a, b)
+    assert rename(both, {"x": "u", "y": "v"}) == band(
+        cmp_le(Poly.var("u"), 1), cmp_lt(Poly.var("v"), 0)
+    )
+    assert substitute(both, {"x": 0}) == b
+    assert substitute(both, {"x": 2}) is False
+
+
+def test_division_by_a_symbolic_value_is_an_eval_error():
+    with pytest.raises(EvalError, match="division by a symbolic value"):
+        vdiv(1, Poly.var("x"))
+    # a constant Poly divides as its number
+    assert vdiv(Poly.var("x"), Poly.const(2)) == Poly.var("x").scale(Fraction(1, 2))
