@@ -81,14 +81,10 @@ def tokenize(src: str) -> list:
     for m in _TOKEN_RE.finditer(src):
         kind, text = m.lastgroup, m.group()
         col = m.start() - line_start + 1
-        if kind == "id":
-            upper = text.upper()
-            if upper in KEYWORDS:
-                toks.append(Token("kw", upper, line, col))
-            else:
-                toks.append(Token("id", text, line, col))
-        elif kind == "op":
-            toks.append(Token("op", text, line, col))
+        if kind == "id" and text.upper() in KEYWORDS:
+            toks.append(Token("kw", text.upper(), line, col))
+        elif kind == "id" or kind == "op":
+            toks.append(Token(kind, text, line, col))
         elif kind in _VALUE:
             toks.append(Token(kind, text, line, col, value=_VALUE[kind](text)))
         elif kind == "comment":
