@@ -285,7 +285,7 @@ def generated(rng: random.Random, count: int):
     """`count` (kind, text) inputs, kind "expr" or "file"; about a third
     malformed."""
     for _ in range(count):
-        kind = "file" if rng.random() < 0.04 else "expr"
+        kind = "file" if rng.random() < 0.02 else "expr"
         pieces = _program_pieces(rng) if kind == "file" else _expr_pieces(rng, rng.choice((2, 3)))
         if rng.random() < 0.35:
             pieces = _malform(rng, pieces)
