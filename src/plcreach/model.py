@@ -28,6 +28,7 @@ from .values import (
     ckey_of,
     conjuncts,
     copy_with,
+    irredundant,
     rename,
     substitute,
     variables,
@@ -158,7 +159,10 @@ class SystemState:
     conns: tuple  # (Conn, ...) ordered by pair
     clock: object  # rational | Poly
     # The path condition: satisfiable conjuncts (atoms and Ors), sorted by
-    # ckey, deduplicated.  Guards join it through symbolic.feasible.
+    # ckey, deduplicated, and irredundant: no inequality atom in it is
+    # implied by one other inequality atom in it and its sign atoms
+    # (`values.irredundant`).  Guards join it through symbolic.feasible;
+    # `add_constraints` and `propagate_pins` keep the same form.
     constraints: tuple = ()
     fresh_counter: int = 0
     msg_seq: int = 0
@@ -193,7 +197,7 @@ class SystemState:
     def add_constraints(self, *extra) -> "SystemState":
         if all(c is True for c in extra):
             return self
-        merged = band(*self.constraints, *extra)
+        merged = irredundant(band(*self.constraints, *extra))
         if merged is True:
             return copy_with(self, constraints=())
         if merged is False:
@@ -251,7 +255,7 @@ def _solve_eq(c, anchored):
     return None
 
 
-def propagate_pins(s: SystemState) -> SystemState:
+def propagate_pins(s: SystemState, memo: dict = None) -> SystemState:
     """Eliminate fresh variables the path condition determines.
 
     Each linear equality conjunct is solved for one variable and the
@@ -261,6 +265,10 @@ def propagate_pins(s: SystemState) -> SystemState:
     durations concrete instead of forking.  A variable still referenced
     from inside a controller configuration is left alone; its equality
     then stays in the path condition, which keeps the pin observable.
+
+    A substitution can make one inequality imply another, so the path
+    condition is pruned again (`values.irredundant`, through `memo`, the
+    search's memo on its checker) and stays irredundant.
     """
     if not s.constraints:
         return s
@@ -273,11 +281,11 @@ def propagate_pins(s: SystemState) -> SystemState:
                 break
         if not sol:
             return s
-        s = _substitute_state(s, {sol[0]: sol[1]})
+        s = _substitute_state(s, {sol[0]: sol[1]}, memo)
     return s
 
 
-def _substitute_state(s: SystemState, mapping) -> SystemState:
+def _substitute_state(s: SystemState, mapping, memo: dict = None) -> SystemState:
     machines = tuple(
         copy_with(
             m,
@@ -301,7 +309,7 @@ def _substitute_state(s: SystemState, mapping) -> SystemState:
         )
         for c in s.conns
     )
-    merged = band(*(substitute(c, mapping) for c in s.constraints))
+    merged = irredundant(band(*(substitute(c, mapping) for c in s.constraints)), memo)
     if merged is False:
         raise ModelError("pinned substitution contradicts the path condition")
     constraints = () if merged is True else conjuncts(merged)
@@ -444,8 +452,31 @@ def _link_piece(c: Conn, ren=_same) -> tuple:
     # receive matches on headers, never on buffer position, so the buffer
     # is a multiset: sort to merge send-order interleavings
     if len(msgs) > 1:
-        msgs.sort(key=repr)
+        msgs.sort(key=_msg_order)
     return (c.pair, c.valid, c.delay_lo, c.delay_hi, tuple(msgs))
+
+
+def _msg_order(msg: tuple) -> tuple:
+    """A message tuple's sort key: the four names, then each value's key."""
+    return msg[:4] + (_value_order(msg[4]), _value_order(msg[5]), _value_order(msg[6]))
+
+
+def _value_order(v) -> tuple:
+    """A key that orders any two runtime values: first by kind, so that `1`
+    and `True` stay apart, then by the value itself, a polynomial by its
+    terms and a constraint by its `ckey`."""
+    cls = v.__class__
+    if cls is int or cls is Fraction:
+        return (0, v)
+    if cls is Poly:
+        return (1, v.terms)
+    if cls is bool:
+        return (2, v)
+    if cls is str:
+        return (3, v)
+    if cls is Cmp or cls is And or cls is Or:
+        return (4, v._ckey)
+    return (5, repr(v))  # rcvError, a block instance
 
 
 # The instance-dict entry where a machine or link keeps its key piece under
@@ -478,6 +509,10 @@ def canonicalize(s: SystemState, memo: dict = None) -> tuple:
     and link keeps in its instance dict, built on first use: a successor
     reuses the pieces of every record it shares with its parent.  The
     pieces are the ones the walk would build, so both ways give one key.
+
+    The path condition comes irredundant (`SystemState.constraints`), so
+    two states whose conditions differ only by implied inequalities get
+    one key.
 
     `memo` holds two maps in one dict.  One maps each constraint to its
     sort key and sorted variables.  The other maps a pair of a value (a

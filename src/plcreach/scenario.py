@@ -33,6 +33,7 @@ from .st import (
     DelayAnn,
     ElabError,
     IfStmt,
+    LexError,
     Lit,
     ParseError,
     PouTable,
@@ -229,7 +230,7 @@ class _LawNames(Literals):
 def _flow_poly(text: str, where: str) -> Poly:
     try:
         law = eval_expr(parse_expression(text), _LawNames())
-    except (ParseError, EvalError) as e:
+    except (LexError, ParseError, EvalError) as e:
         raise ScenarioError(f"{where}: {e}")
     if not is_numeric(law):
         raise ScenarioError(f"{where}: flow laws are polynomial expressions over "
@@ -538,5 +539,5 @@ def load_scenario(path, extra_sources=()) -> Scenario:
 def _parse_source(text: str, name):
     try:
         return parse_file(text)
-    except ParseError as e:
+    except (LexError, ParseError) as e:
         raise ScenarioError(f"{name}: {e}")

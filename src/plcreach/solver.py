@@ -203,11 +203,18 @@ class SmtCheck:
     than Fractions in Python.  Every fresh solve is counted under the class
     the caller supplies ("internal" for control constraints, "env" for
     property and environment checks).
+
+    A path condition reaches the checker irredundant (see
+    `values.irredundant`): no inequality atom in it is implied by one
+    other and the sign atoms.  The checker keeps the search's memo of that
+    pruning, `pruned`, beside its own cache; both live as long as the
+    search's context.
     """
 
     def __init__(self):
         self.stats = SolverStats()
         self._cache: dict = {}
+        self.pruned: dict = {}  # each conjunction to its irredundant form
 
     def check(self, expr, cls: str = "internal") -> Optional[dict]:
         key = expr if isinstance(expr, bool) else ckey(expr)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .model import SystemState
 from .solver import SmtCheck
-from .values import Poly, band, conjuncts, copy_with, evaluate, rat, variables
+from .values import Poly, band, conjuncts, copy_with, evaluate, irredundant, rat, variables
 
 
 def fresh_var(s: SystemState, prefix: str):
@@ -28,12 +28,20 @@ def feasible(checker: SmtCheck, s: SystemState, *guards, cls: str = "internal"):
     A decided guard (a bool) costs no solver call: every stored state's
     path condition is satisfiable, so adding only True keeps it so, and
     then `s` itself comes back.
+
+    The conjunction is made irredundant before the checker sees it
+    (`values.irredundant`, memoised on the checker): no inequality atom
+    stays that one other and the sign atoms imply.  So the solver decides,
+    and the state keeps, the shorter condition.
     """
     parts = [g for g in guards if g is not True]
     if not parts:
         return s
     cond = band(*s.constraints, *parts)
-    if cond is False or checker.check(cond, cls) is None:
+    if cond is False:
+        return False
+    cond = irredundant(cond, checker.pruned)
+    if checker.check(cond, cls) is None:
         return False
     return copy_with(s, constraints=conjuncts(cond))
 

@@ -310,7 +310,7 @@ def start_variants(ctx: RuleCtx, s: SystemState) -> list:
     if pinned is not s:
         # Pinning the jump length here keeps the sensed values concrete,
         # so guards over them branch on real numbers instead of forking.
-        pinned = propagate_pins(pinned)
+        pinned = propagate_pins(pinned, ctx.checker.pruned)
     due_ids = [m.mid for m in due]
     axes = [(m.mid, spec) for m in due for spec in m.inputs if spec.kind == "enumerate"]
     variants = []

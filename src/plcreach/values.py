@@ -486,6 +486,89 @@ def conjuncts(e) -> tuple:
     return (e,)
 
 
+def irredundant(cond, memo: dict = None):
+    """`cond`, a conjunction as `band` builds it, without the inequality
+    atoms that one other kept inequality atom and the sign atoms imply.
+
+    A sign atom is strict over one variable with coefficient 1 or -1:
+    `-x < 0` (x is positive) or `x < 0`.  The atom `a` falls to the atom
+    `b` when `a.lhs - b.lhs` is a constant `k <= 0` plus terms `c*x` that
+    are each `<= 0` by a kept sign atom of `x` other than `a` itself; a
+    strict `a` also needs a strict `b`, `k < 0` or some such term, which
+    a strict sign atom makes negative.  So `-x <= 0` falls to `-x < 0`,
+    `v - 20 <= 0` to `v - 10 <= 0`, and `_d0 - 5 <= 0` to
+    `_d0 + _d1 - 5 <= 0` beside `-_d1 < 0`.  The atoms are tried in the
+    conjunction's order, each against the atoms not dropped before it, so
+    the kept atoms imply every dropped one, and pruning the result again
+    drops nothing.  Equalities, disequalities and disjunctions stay.
+
+    `memo`, one dict per search, maps each conjunction to its result.
+    """
+    if cond.__class__ is not And:
+        return cond
+    if memo is not None:
+        got = memo.get(cond)
+        if got is not None:
+            return got
+    rows = []  # (atom, constant, {monomial: coefficient}, strict)
+    signs = {}  # variable -> (index of its sign atom, its coefficient)
+    for a in cond.args:
+        if a.__class__ is not Cmp or (a.op != "<" and a.op != "<="):
+            continue
+        terms = a.lhs.terms
+        k, form = (terms[0][1], terms[1:]) if terms[0][0] == () else (0, terms)
+        if a.op == "<" and not k and len(form) == 1:
+            ((mono, c),) = form
+            if len(mono) == 1 and mono[0][1] == 1 and (c == 1 or c == -1):
+                signs[mono[0][0]] = (len(rows), c)
+        rows.append((a, k, dict(form), a.op == "<"))
+    dropped: set = set()
+    for i, (_, ka, fa, sa) in enumerate(rows):
+        for j, (_, kb, fb, sb) in enumerate(rows):
+            if j != i and j not in dropped and kb >= ka and _falls(
+                    i, fa, fb, signs, dropped, sa and not sb and kb == ka):
+                dropped.add(i)
+                break
+    if not dropped:
+        out = cond
+    else:
+        gone = {rows[i][0] for i in dropped}
+        kept = tuple([a for a in cond.args if a not in gone])
+        out = kept[0] if len(kept) == 1 else And(kept)
+    if memo is not None:
+        memo[cond] = out
+    return out
+
+
+def _falls(i, fa: dict, fb: dict, signs: dict, dropped: set, needs_term: bool) -> bool:
+    """Are the non-constant terms of row `i` minus those of another row,
+    `fa - fb`, each `<= 0` by a kept sign atom other than row `i`?  With
+    `needs_term`, one such term must be nonzero, which makes it `< 0`."""
+    seen = False
+    for m, c in fa.items():
+        d = c - fb.get(m, 0)
+        if d:
+            if not _signed(i, m, d, signs, dropped):
+                return False
+            seen = True
+    for m, c in fb.items():
+        if m not in fa:
+            if not _signed(i, m, -c, signs, dropped):
+                return False
+            seen = True
+    return seen or not needs_term
+
+
+def _signed(i, m, d, signs: dict, dropped: set) -> bool:
+    """Is `d` times the monomial `m` `<= 0` by a kept sign atom other than
+    row `i`?  The sign atom `c*x < 0` makes `d*x <= 0` when `d` has the
+    sign of `c`."""
+    if len(m) != 1 or m[0][1] != 1:
+        return False
+    got = signs.get(m[0][0])
+    return got is not None and got[0] != i and got[0] not in dropped and (d > 0) == (got[1] > 0)
+
+
 # ---------------------------------------------------------------------------
 # variables of any runtime value
 #

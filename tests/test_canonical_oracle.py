@@ -5,7 +5,8 @@ it and renames every value as it visits it.  The reference below is the
 earlier form: one walk fixes the first-use order of the fresh variables
 and the live constraint slice, and a second walk renames every field.
 The two must give equal keys for every state, with a search's shared
-memo and without one.
+memo and without one.  Both sort a link buffer by the program's message
+order, `model._msg_order`, which the last test here checks on its own.
 """
 
 import random
@@ -15,9 +16,9 @@ import pytest
 from plcreach import bench, explorer
 from plcreach.explorer import random_walk, search
 from plcreach.kmachine import config_key, config_vars
-from plcreach.model import _is_fresh, _masked, canonicalize
+from plcreach.model import Msg, _is_fresh, _masked, _msg_order, _value_order, canonicalize
 from plcreach.scenario import ScenarioError
-from plcreach.values import ckey_of, copy_with, rename, variables
+from plcreach.values import Poly, ckey_of, copy_with, rename, variables
 
 
 def _reference_order(s, memo):
@@ -108,7 +109,7 @@ def reference_canonicalize(s):
                         )
                         for msg in c.buffer
                     ),
-                    key=repr,
+                    key=_msg_order,
                 )
             ),
         )
@@ -205,3 +206,31 @@ def test_search_keys_match_the_two_walk_form(monkeypatch, name, bound):
     scen = bench.load(name)
     search(scen.context(), scen.initial_state(mode="symbolic", por=True), bound=bound)
     assert len(checked) > 1000 and any(checked)
+
+
+def test_a_link_buffer_is_keyed_as_a_multiset():
+    # Every concrete walked state whose link holds two or more messages
+    # keys alike with each buffer reversed, by kept pieces and by the walk.
+    checked = 0
+    for name in ("ptpc", "commdemo", "query1"):
+        scen = bench.load(name)
+        s0 = scen.initial_state(mode="concrete")
+        for seed in range(3):
+            for _, s in random_walk(scen.context(), s0, 40, random.Random(seed)):
+                if all(len(c.buffer) < 2 for c in s.conns):
+                    continue
+                flipped = copy_with(s, conns=tuple(
+                    copy_with(c, buffer=c.buffer[::-1]) for c in s.conns))
+                assert canonicalize(flipped) == canonicalize(s)
+                walked = copy_with(flipped, fresh_counter=1)
+                assert canonicalize(walked) == canonicalize(copy_with(s, fresh_counter=1))
+                checked += 1
+    assert checked > 100
+    # The order tells 1 from True, and a number from a polynomial.
+    one, true = (Msg("a", "b", "s", "r", v, 10, 20) for v in (1, True))
+    assert _value_order(1) != _value_order(True)
+    piece = copy_with(s0, conns=(copy_with(s0.conns[0], buffer=(one, true)),))
+    swapped = copy_with(s0, conns=(copy_with(s0.conns[0], buffer=(true, one)),))
+    assert canonicalize(piece) == canonicalize(swapped)
+    assert sorted([_value_order(Poly.var("x")), _value_order(3)]) == [
+        _value_order(3), _value_order(Poly.var("x"))]

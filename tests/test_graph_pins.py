@@ -26,9 +26,9 @@ PINS = [
     ("rvc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 3)),
     ("diamond", "concrete", False, 3, "x1 = 2 AND x2 = 0", (SOLUTION_FOUND, 11, 15, 0, 1)),
     ("therc", "concrete", True, 20, None, (NO_SOLUTION, 1893, 2478, 0, 4)),
-    ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 1024, 1343, 170, 4)),
-    ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1721, 1928, 234, 1)),
-    ("query1", "symbolic", True, 10, "pump1 = 1", (SOLUTION_FOUND, 529, 588, 20, 1)),
+    ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 986, 1301, 117, 4)),
+    ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1529, 1808, 29, 1)),
+    ("query1", "symbolic", True, 10, "pump1 = 1", (SOLUTION_FOUND, 529, 588, 12, 1)),
 ]
 
 PUMP1_WITNESS = [

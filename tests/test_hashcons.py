@@ -114,10 +114,11 @@ def test_state_without_fresh_variables_skips_the_renaming_pass(monkeypatch):
 def test_symbolic_search_memory_peak():
     # The first 1,000 states of the symbolic POR search of `query1` at
     # bound 5 (the size of one symbolic-por benchmark query, which has
-    # 1,721 states).  Traced peaks: 8.9 MB when every key held its own
-    # renamed copies, 3.3 MB with them interned.  The bound sits between
-    # the two.  The search is capped because tracing allocations makes it
-    # about four times slower: the whole search took 16 s traced.
+    # 1,529 states).  Traced peaks: 8.9 MB when every key held its own
+    # renamed copies, 3.3 MB with them interned, 2.0 MB with path
+    # conditions kept irredundant.  The bound sits between the first two.
+    # The search is capped because tracing allocations makes it about four
+    # times slower: the whole search took 16 s traced.
     scen = bench.load("query1")
     ctx = scen.context()
     tracemalloc.start()
@@ -126,5 +127,5 @@ def test_symbolic_search_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (r.states_explored, r.transitions_fired) == (1000, 1135)
+    assert (r.states_explored, r.transitions_fired) == (1000, 1154)
     assert peak < 5 * 2**20

@@ -201,6 +201,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="polynomial"):
             scenario_from_dict(doc, table_for())
 
+    def test_flow_with_a_character_the_lexer_rejects(self):
+        doc = tank_doc()
+        doc["machines"][0]["flow"] = {"waterLevel": "waterLevel ? t"}
+        with pytest.raises(ScenarioError,
+                           match=r"machine 'plc1' flow 'waterLevel': 1:12: unexpected character '\?'"):
+            scenario_from_dict(doc, table_for())
+
     def test_flow_must_be_numeric(self):
         doc = tank_doc()
         doc["machines"][0]["flow"] = {"waterLevel": "'abc'"}
@@ -531,6 +538,13 @@ class TestDisk:
         p = self.write(tmp_path, doc, src="PROGRAM Broken\nEND_PROGRAM\nwat")
         with pytest.raises(ScenarioError):
             load_scenario(p)
+
+    def test_a_source_the_lexer_rejects_reports_its_name(self, tmp_path):
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(tank_doc()))
+        bad = "PROGRAM P VAR x : INT; END_VAR x := 1 ? 2; END_PROGRAM"
+        with pytest.raises(ScenarioError, match=r"^bad\.st: 1:39: unexpected character '\?'$"):
+            load_scenario(p, extra_sources=((bad, "bad.st"),))
 
     def test_extra_sources_argument(self, tmp_path):
         doc = tank_doc()

@@ -469,4 +469,4 @@ def test_query1_symbolic_walk_solves_within_memory():
     proc = subprocess.run([sys.executable, "-c", QUERY1_WALK], env=env,
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["30", "22"]
+    assert proc.stdout.split() == ["30", "10"]
