@@ -70,10 +70,10 @@ def chainable(out) -> bool:
     return isinstance(out, Internal) and out.label != "while"
 
 
-def _name_arg(out: NeedsComm, idx: int, what: str) -> str:
+def _name_arg(mid: str, out: NeedsComm, idx: int, what: str) -> str:
     v = out.argvalues[idx]
     if not isinstance(v, str):
-        raise ModelError(f"{out.name}: {what} must be a name, got {v!r}")
+        raise ModelError(f"machine {mid}: {out.name}: {what} must be a name, got {v!r}")
     return v
 
 
@@ -104,7 +104,7 @@ def machine_moves(ctx: RuleCtx, s: SystemState, mid: str, cfg: KConfig = None) -
     if isinstance(out, DelayAnn):
         return _delay_moves(s, mid, cfg, out)
     if isinstance(out, NeedsComm):
-        partner = _name_arg(out, 0, "partner")
+        partner = _name_arg(mid, out, 0, "partner")
         pair = conn_pair(cfg.current_prog, partner)
         return _COMM_RULES[out.name](ctx, s, mid, cfg, out, partner, pair, s.conn(*pair))
     raise ModelError(f"machine {mid}: unexpected step outcome {out!r}")
@@ -232,8 +232,8 @@ def _rcv_ample(conn: Conn, matching: list) -> bool:
 def _send_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
     # Never private: the delivery window starts at the send instant, so
     # reordering a send against a time step is observable.
-    send_fb = _name_arg(out, 1, "sending block")
-    recv_fb = _name_arg(out, 2, "receiving block")
+    send_fb = _name_arg(mid, out, 1, "sending block")
+    recv_fb = _name_arg(mid, out, 2, "receiving block")
     data = out.argvalues[3]
     if conn is None or not conn.valid:
         fail = _answer(ctx, cfg, out, False)
@@ -255,8 +255,8 @@ def _send_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
 
 
 def _rcv_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
-    want = (partner, cfg.current_prog, _name_arg(out, 1, "sending block"),
-            _name_arg(out, 2, "receiving block"))
+    want = (partner, cfg.current_prog, _name_arg(mid, out, 1, "sending block"),
+            _name_arg(mid, out, 2, "receiving block"))
     error = _answer(ctx, cfg, out, RCV_ERROR)
     if conn is None or not conn.valid:
         return [Move("rcvFail", "comm", (pair,), mid, s, error, False)]

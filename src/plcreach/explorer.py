@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from .kmachine import Literals, eval_expr
 from .model import ModelError, SystemState, canonicalize
 from .por import apply, successors
-from .st import parse_expression
+from .st import LexError, ParseError, parse_expression
 from .symbolic import feasible
 # perfbench/tracing.py rebinds explorer.due_machines, so the name stays
 # importable from this module.
 from .timed import RuleCtx, due_machines, env_tick_apply, tick_apply  # noqa: F401
 from .values import (
     EvalError,
-    Poly,
     band,
     cmp_le,
     copy_with,
@@ -74,16 +73,20 @@ def compile_property(s0: SystemState, text: str):
 
     It means what the same text means in a program (`kmachine.eval_expr`);
     a bare name must be unique among all machines' state variables, and
-    `machine.var` qualifies explicitly.  The property is evaluated once on
-    `s0`: an unknown name, an ill-typed property, or one that is not a
-    boolean raises PropertyError here.
+    `machine.var` qualifies explicitly.  A text that does not lex or parse
+    raises PropertyError, with the position in the text; the property is
+    then evaluated once on `s0`: an unknown name, an ill-typed property,
+    or one that is not a boolean raises PropertyError here.
 
     The property reads nothing but the machines' plant states, so the
     evaluator keeps one result per distinct tuple of them, with the class
     of every value beside it (`True == 1`, yet only one of them is a
     number).  An evaluation that raises keeps nothing and raises again.
     """
-    expr = parse_expression(text)
+    try:
+        expr = parse_expression(text)
+    except (LexError, ParseError) as exc:
+        raise PropertyError(f"cannot parse {text!r}: {exc}") from exc
     owners: dict = {}
     for m in s0.machines:
         for name, _ in m.state:
@@ -250,14 +253,7 @@ def search(
 
 
 def _endpoint_record(s: SystemState):
-    return tuple(
-        (m.mid, tuple((name, _freeze(v)) for name, v in m.state))
-        for m in s.machines
-    )
-
-
-def _freeze(v):
-    return repr(v) if isinstance(v, Poly) else v
+    return tuple((m.mid, m.state) for m in s.machines)
 
 
 def _solution_at(ctx, s, key, parents, prop, bound):

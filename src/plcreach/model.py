@@ -20,15 +20,15 @@ from typing import Optional
 
 from .kmachine import KConfig, config_key, config_vars
 from .values import (
-    And,
     Cmp,
-    Or,
     Poly,
     band,
     ckey_of,
     conjuncts,
     copy_with,
     irredundant,
+    is_fresh,
+    order_key,
     rename,
     substitute,
     variables,
@@ -159,7 +159,7 @@ class SystemState:
     conns: tuple  # (Conn, ...) ordered by pair
     clock: object  # rational | Poly
     # The path condition: satisfiable conjuncts (atoms and Ors), sorted by
-    # ckey, deduplicated, and irredundant: no inequality atom in it is
+    # `_ckey`, deduplicated, and irredundant: no inequality atom in it is
     # implied by one other inequality atom in it and its sign atoms
     # (`values.irredundant`).  Guards join it through symbolic.feasible;
     # `add_constraints` and `propagate_pins` keep the same form.
@@ -247,7 +247,7 @@ def _solve_eq(c, anchored):
     if not isinstance(c, Cmp) or c.op != "==" or not c.lhs.is_linear():
         return None
     for x in sorted(c.lhs.variables(), key=_fresh_rank, reverse=True):
-        if not _is_fresh(x) or x in anchored:
+        if not is_fresh(x) or x in anchored:
             continue
         a = c.lhs.coeff(x)
         if a:
@@ -272,7 +272,7 @@ def propagate_pins(s: SystemState, memo: dict = None) -> SystemState:
     """
     if not s.constraints:
         return s
-    anchored = {n for m in s.machines for n in config_vars(m.cfg) if _is_fresh(n)}
+    anchored = {n for m in s.machines for n in config_vars(m.cfg) if is_fresh(n)}
     for _ in range(32):
         sol = None
         for c in s.constraints:
@@ -325,35 +325,13 @@ def _substitute_state(s: SystemState, mapping, memo: dict = None) -> SystemState
 # -- canonical form ---------------------------------------------------------
 
 
-def _is_fresh(name: str) -> bool:
-    return name.startswith("_")
-
-
-def _masked(v) -> object:
-    """Structural serialization with fresh names blanked out."""
-    if isinstance(v, Poly):
-        return (
-            "p",
-            tuple(
-                (tuple(("#" if _is_fresh(n) else n, e) for n, e in mono), c)
-                for mono, c in v.terms
-            ),
-        )
-    if isinstance(v, Cmp):
-        return ("c", v.op, _masked(v.lhs))
-    if isinstance(v, And):
-        return ("a", tuple(_masked(a) for a in v.args))
-    if isinstance(v, Or):
-        return ("o", tuple(_masked(a) for a in v.args))
-    return ("l", v)
-
-
 def _constraint_facts(c, memo: dict) -> tuple:
     """(sort key, sorted variable names) of one constraint, memoised by
-    the constraint, so that equal atoms built apart hit in C."""
+    the constraint, so that equal atoms built apart hit in C.  The sort
+    key is the masked order, its ties broken by the constraint's key."""
     facts = memo.get(c)
     if facts is None:
-        facts = memo[c] = ((repr(_masked(c)), c._ckey), variables(c))
+        facts = memo[c] = ((order_key(c, True), c._ckey), variables(c))
     return facts
 
 
@@ -392,7 +370,7 @@ def _renaming(names: dict, memo: dict):
 
     def name(vs):
         for n in vs:
-            if n not in names and _is_fresh(n):
+            if n not in names and is_fresh(n):
                 names[n] = f"v{len(names)}"
 
     def value(v, vs=None):
@@ -452,31 +430,8 @@ def _link_piece(c: Conn, ren=_same) -> tuple:
     # receive matches on headers, never on buffer position, so the buffer
     # is a multiset: sort to merge send-order interleavings
     if len(msgs) > 1:
-        msgs.sort(key=_msg_order)
+        msgs.sort(key=order_key)
     return (c.pair, c.valid, c.delay_lo, c.delay_hi, tuple(msgs))
-
-
-def _msg_order(msg: tuple) -> tuple:
-    """A message tuple's sort key: the four names, then each value's key."""
-    return msg[:4] + (_value_order(msg[4]), _value_order(msg[5]), _value_order(msg[6]))
-
-
-def _value_order(v) -> tuple:
-    """A key that orders any two runtime values: first by kind, so that `1`
-    and `True` stay apart, then by the value itself, a polynomial by its
-    terms and a constraint by its `ckey`."""
-    cls = v.__class__
-    if cls is int or cls is Fraction:
-        return (0, v)
-    if cls is Poly:
-        return (1, v.terms)
-    if cls is bool:
-        return (2, v)
-    if cls is str:
-        return (3, v)
-    if cls is Cmp or cls is And or cls is Or:
-        return (4, v._ckey)
-    return (5, repr(v))  # rcvError, a block instance
 
 
 # The instance-dict entry where a machine or link keeps its key piece under
@@ -499,9 +454,10 @@ def canonicalize(s: SystemState, memo: dict = None) -> tuple:
     One walk renames each value as it visits it, in first-use order: each
     machine's timer, plant values and configuration; each link's messages
     in buffer order (data, then the two timers); the clock; then the
-    constraints linked to the variables met so far, in the order of their
-    masked form.  A value's variables not yet met get the next `v{i}`
-    names, in sorted order, just before it is renamed.
+    constraints linked to the variables met so far, in their masked order
+    (`values.order_key` with `mask`), ties broken by their keys.  A
+    value's variables not yet met get the next `v{i}` names, in sorted
+    order, just before it is renamed.
 
     Every fresh name comes from `symbolic.fresh_var`, which counts it, so
     a state whose counter is zero has the identity renaming and keeps no

@@ -522,13 +522,17 @@ def load_scenario(path, extra_sources=()) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a scenario is a JSON object")
     units = []
-    sources = list(doc.get("sources") or [])
+    sources = doc.get("sources", [])
+    if not isinstance(sources, list):
+        raise ScenarioError(f"{path}: 'sources' must be a list of file names, got {sources!r}")
     if not sources and not extra_sources:
         raise ScenarioError(f"{path}: no 'sources' listed and none supplied")
     for src in sources:
+        if not isinstance(src, str):
+            raise ScenarioError(f"{path}: source {src!r} is not a file name")
         sp = path.parent / src
-        if not sp.exists():
-            raise ScenarioError(f"{path}: source {src!r} not found")
+        if not sp.is_file():
+            raise ScenarioError(f"{path}: source file {src!r} not found")
         units.extend(_parse_source(sp.read_text(), sp))
     for text, name in extra_sources:
         units.extend(_parse_source(text, name))

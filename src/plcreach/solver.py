@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .values import Cmp, Or, Poly, band, ckey, conjuncts, rat
+from .values import Cmp, Or, Poly, band, conjuncts, rat
 
 
 class SolverUnavailable(Exception):
@@ -197,10 +197,10 @@ class SmtCheck:
     `check` answers as `solve_linear` does: a model, or None when the
     constraint is unsatisfiable.  The model is the cached dict itself, so
     a caller that keeps or changes it copies it first.  Results are cached
-    per constraint, keyed by its `ckey` (True and False key themselves):
-    normalized constraints are equal exactly when their `ckey`s are.  Each
-    atom keeps its `ckey`, and a hit compares ints and strings in C rather
-    than Fractions in Python.  Every fresh solve is counted under the class
+    per constraint, keyed by the constraint itself: a boolean expression
+    hashes and compares by the key it builds with itself (`_ckey`), so
+    normalized constraints built apart hit one entry, and a hit compares
+    ints and strings in C rather than Fractions in Python.  Every fresh solve is counted under the class
     the caller supplies ("internal" for control constraints, "env" for
     property and environment checks).
 
@@ -217,12 +217,11 @@ class SmtCheck:
         self.pruned: dict = {}  # each conjunction to its irredundant form
 
     def check(self, expr, cls: str = "internal") -> Optional[dict]:
-        key = expr if isinstance(expr, bool) else ckey(expr)
-        model = self._cache.get(key, _MISS)
+        model = self._cache.get(expr, _MISS)
         if model is not _MISS:
             self.stats.cache_hits += 1
             return model
         self.stats.queries += 1
         self.stats.by_class[cls] = self.stats.by_class.get(cls, 0) + 1
-        model = self._cache[key] = solve_linear(expr)
+        model = self._cache[expr] = solve_linear(expr)
         return model

@@ -27,9 +27,15 @@ hashes like the Fraction it stands for.
 A Poly's `terms` are canonical: monomials strictly increasing, every
 coefficient a nonzero rational in that form.  Sums merge two such tuples
 (`_merged`) into a Poly built by `_raw`, which checks nothing.  A Poly
-hashes itself when it is built, and a boolean expression builds its
-`ckey` and hash with itself, from its parts' keys.  Neither can go stale,
-because no value here changes after it is built.
+hashes itself when it is built, and a boolean expression builds its key
+(`_ckey`) and hash with itself: an atom from its operator and its
+polynomial's terms, an And or Or from its parts' keys.  Neither can go
+stale, because no value here changes after it is built.
+
+Runtime values are ordered one way, by `order_key`: first by kind, so
+that `1` and `True` stay apart, then by value.  Its masked form, which
+reads every fresh name as `#`, is the order that canonical keys name
+fresh variables in; the plain form sorts link buffers.
 
 Which values are symbolic, and how to list, rename, substitute or evaluate
 their variables, is decided here alone, by `variables`, `rename`,
@@ -326,9 +332,10 @@ def as_poly(x) -> Poly:
 
 
 class _Keyed:
-    """A boolean expression builds its `ckey` and hash with itself.  Two
-    are equal exactly when their keys are: comparing or hashing keys goes
-    through ints and strings in C, never through a Fraction."""
+    """A boolean expression builds its key, `_ckey`, and hash with itself.
+    Two are equal exactly when their keys are.  An atom's coefficients are
+    primitive ints, so comparing or hashing keys goes through ints and
+    strings in C, never through a Fraction."""
 
     __slots__ = ("_ckey", "_hash")
 
@@ -347,7 +354,7 @@ class Cmp(_Keyed):
     def __init__(self, op: str, lhs: Poly):
         self.op = op
         self.lhs = lhs
-        self._ckey = (1, op, ckey(lhs))
+        self._ckey = (1, op, lhs.terms)
         self._hash = hash(self._ckey)
 
     def __repr__(self):
@@ -511,7 +518,7 @@ def irredundant(cond, memo: dict = None):
         if got is not None:
             return got
     rows = []  # (atom, constant, {monomial: coefficient}, strict)
-    signs = {}  # variable -> (index of its sign atom, its coefficient)
+    signs = {}  # (variable, coefficient) -> index of that sign atom
     for a in cond.args:
         if a.__class__ is not Cmp or (a.op != "<" and a.op != "<="):
             continue
@@ -520,7 +527,7 @@ def irredundant(cond, memo: dict = None):
         if a.op == "<" and not k and len(form) == 1:
             ((mono, c),) = form
             if len(mono) == 1 and mono[0][1] == 1 and (c == 1 or c == -1):
-                signs[mono[0][0]] = (len(rows), c)
+                signs[mono[0][0], c] = len(rows)
         rows.append((a, k, dict(form), a.op == "<"))
     dropped: set = set()
     for i, (_, ka, fa, sa) in enumerate(rows):
@@ -565,8 +572,8 @@ def _signed(i, m, d, signs: dict, dropped: set) -> bool:
     sign of `c`."""
     if len(m) != 1 or m[0][1] != 1:
         return False
-    got = signs.get(m[0][0])
-    return got is not None and got[0] != i and got[0] not in dropped and (d > 0) == (got[1] > 0)
+    j = signs.get((m[0][0], 1 if d > 0 else -1))
+    return j is not None and j != i and j not in dropped
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +797,7 @@ def monus(t, d):
 
 
 # ---------------------------------------------------------------------------
-# canonical ordering key for hashing and deterministic iteration
+# the one order over runtime values
 
 
 # The key of a Cmp, And or Or, read in C: the sort key of `band`, `bor`
@@ -798,13 +805,48 @@ def monus(t, d):
 ckey_of = operator.attrgetter("_ckey")
 
 
-def ckey(v):
-    """Total ordering key over polynomials and boolean expressions."""
-    if isinstance(v, Poly):
-        return (0, tuple((m, (c.numerator, c.denominator)) for m, c in v.terms))
-    if isinstance(v, (Cmp, And, Or)):
-        return v._ckey
-    raise TypeError(f"no canonical key for {v!r}")
+def is_fresh(name: str) -> bool:
+    """Is `name` a fresh variable (`symbolic.fresh_var`), one that a
+    canonical key may rename?"""
+    return name.startswith("_")
+
+
+def order_key(v, mask: bool = False) -> tuple:
+    """A key that orders any two runtime values.
+
+    The kind comes first, so that `1` and `True` stay apart: a number, a
+    Poly, a bool, a str, a boolean expression, a tuple, and anything else
+    (rcvError, a block instance) by its `repr`.  Then the value: a Poly by
+    its terms, a boolean expression by its `_ckey`, a tuple item by item.
+    With `mask`, every fresh name reads as `#`, so that values which
+    differ only in the names of their fresh variables (and keep them in
+    the same term order) have one key.
+    """
+    cls = v.__class__
+    if cls is int or cls is Fraction:
+        return (0, v)
+    if cls is Poly:
+        return (1, _masked_terms(v.terms) if mask else v.terms)
+    if cls is bool:
+        return (2, v)
+    if cls is str:
+        return (3, v)
+    if cls is Cmp or cls is And or cls is Or:
+        return (4, _masked_ckey(v) if mask else v._ckey)
+    if cls is tuple:
+        return (5, tuple([order_key(x, mask) for x in v]))
+    return (6, repr(v))
+
+
+def _masked_terms(terms: tuple) -> tuple:
+    return tuple([(tuple([("#" if is_fresh(n) else n, e) for n, e in m]), c) for m, c in terms])
+
+
+def _masked_ckey(e) -> tuple:
+    """The `_ckey` of a boolean expression with its fresh names masked."""
+    if e.__class__ is Cmp:
+        return (1, e.op, _masked_terms(e.lhs.terms))
+    return (e._ckey[0], tuple([_masked_ckey(a) for a in e.args]))
 
 
 # ---------------------------------------------------------------------------

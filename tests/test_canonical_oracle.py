@@ -5,8 +5,10 @@ it and renames every value as it visits it.  The reference below is the
 earlier form: one walk fixes the first-use order of the fresh variables
 and the live constraint slice, and a second walk renames every field.
 The two must give equal keys for every state, with a search's shared
-memo and without one.  Both sort a link buffer by the program's message
-order, `model._msg_order`, which the last test here checks on its own.
+memo and without one.  Both use the program's one order over values,
+`values.order_key`: masked for the live constraints, plain for a link
+buffer's messages.  The last test here checks the buffer order on its
+own.
 """
 
 import random
@@ -16,9 +18,9 @@ import pytest
 from plcreach import bench, explorer
 from plcreach.explorer import random_walk, search
 from plcreach.kmachine import config_key, config_vars
-from plcreach.model import Msg, _is_fresh, _masked, _msg_order, _value_order, canonicalize
+from plcreach.model import Msg, canonicalize
 from plcreach.scenario import ScenarioError
-from plcreach.values import Poly, ckey_of, copy_with, rename, variables
+from plcreach.values import Poly, ckey_of, copy_with, is_fresh, order_key, rename, variables
 
 
 def _reference_order(s, memo):
@@ -28,7 +30,7 @@ def _reference_order(s, memo):
 
     def note(names):
         for n in names:
-            if n not in seen and _is_fresh(n):
+            if n not in seen and is_fresh(n):
                 seen.add(n)
                 order.append(n)
 
@@ -47,7 +49,7 @@ def _reference_order(s, memo):
 
     def facts(c):
         if c._ckey not in memo:
-            memo[c._ckey] = ((repr(_masked(c)), c._ckey), variables(c))
+            memo[c._ckey] = ((order_key(c, True), c._ckey), variables(c))
         return memo[c._ckey]
 
     remaining = [(c, facts(c)) for c in s.constraints]
@@ -109,7 +111,7 @@ def reference_canonicalize(s):
                         )
                         for msg in c.buffer
                     ),
-                    key=_msg_order,
+                    key=order_key,
                 )
             ),
         )
@@ -228,9 +230,9 @@ def test_a_link_buffer_is_keyed_as_a_multiset():
     assert checked > 100
     # The order tells 1 from True, and a number from a polynomial.
     one, true = (Msg("a", "b", "s", "r", v, 10, 20) for v in (1, True))
-    assert _value_order(1) != _value_order(True)
+    assert order_key(1) != order_key(True)
     piece = copy_with(s0, conns=(copy_with(s0.conns[0], buffer=(one, true)),))
     swapped = copy_with(s0, conns=(copy_with(s0.conns[0], buffer=(true, one)),))
     assert canonicalize(piece) == canonicalize(swapped)
-    assert sorted([_value_order(Poly.var("x")), _value_order(3)]) == [
-        _value_order(3), _value_order(Poly.var("x"))]
+    assert sorted([order_key(Poly.var("x")), order_key(3)]) == [
+        order_key(3), order_key(Poly.var("x"))]

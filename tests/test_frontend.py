@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from plcreach import bench
-from plcreach.explorer import search
+from plcreach.explorer import PropertyError, search
 from plcreach.scenario import ScenarioError, load_scenario, scenario_from_dict
 from plcreach.st import (
     Assign,
@@ -554,8 +554,9 @@ class TestNestingDepth:
             parse_expression(text)
         assert (info.value.token.line, info.value.token.col) == REFUSED_AT[shape]
         scen = bench.load("tank")
-        with pytest.raises(ParseError, match="nested deeper"):
+        with pytest.raises(PropertyError, match="nested deeper") as info:
             search(scen.context(), scen.initial_state(), text, bound=5)
+        assert isinstance(info.value.__cause__, ParseError)
 
     @pytest.mark.parametrize("shape", SHAPES + ("nested IFs",))
     def test_a_deep_program_is_refused_at_load(self, shape, tmp_path):

@@ -89,6 +89,16 @@ def test_pruning_keeps_what_it_is_not_about():
     assert memo == {cond: pruned}
 
 
+def test_both_sign_atoms_of_one_variable_count():
+    # An unsatisfiable conjunction can hold `-x < 0` and `x < 0`.  When the
+    # later of the two falls, the other must still sign `x`, or the pruned
+    # form would prune further.
+    cond = band(cmp_lt(0, x), cmp_lt(x, 0), cmp_lt(0, y), cmp_lt(y, 0), cmp_le(x, y))
+    kept = irredundant(cond)
+    assert kept == band(cmp_lt(0, x), cmp_lt(y, 0), cmp_le(x, y))
+    assert irredundant(kept) == kept
+
+
 def _atom(coeffs, k, strict):
     lhs = Poly.const(k) + sum((c * v for c, v in zip(coeffs, (x, y, z)) if c), Poly.const(0))
     return cmp_lt(lhs, 0) if strict else cmp_le(lhs, 0)

@@ -1,8 +1,10 @@
 """Scenario loading: JSON documents into ready-to-run system states."""
 
 import json
+import tempfile
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -961,9 +963,25 @@ def _rejected_document(edit, src=TANK_SRC, mode="concrete"):
     return load
 
 
-def _rejected_property():
-    scen = bench.load("ptpc")
-    search(scen.context(), scen.initial_state(), "tank1.nosuch < 2", bound=1)
+def _rejected_property(name, text):
+    def load():
+        scen = bench.load(name)
+        search(scen.context(), scen.initial_state(), text, bound=1)
+
+    return load
+
+
+def _rejected_sources(sources):
+    """A load of a scenario file, next to `tank.st`, that lists `sources`."""
+
+    def load():
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "tank.st").write_text(TANK_SRC)
+            path = Path(d) / "scenario.json"
+            path.write_text(json.dumps(tank_doc(sources=sources)))
+            load_scenario(path)
+
+    return load
 
 
 @pytest.mark.parametrize(
@@ -1052,8 +1070,36 @@ def _rejected_property():
             ScenarioError, "duplicate connection", id="connection-twice",
         ),
         pytest.param(
-            _rejected_property, PropertyError, "tank1 has no state variable nosuch",
-            id="property-unknown-variable",
+            _rejected_property("ptpc", "tank1.nosuch < 2"), PropertyError,
+            "tank1 has no state variable nosuch", id="property-unknown-variable",
+        ),
+        pytest.param(
+            _rejected_property("ptp", "level ? 1"), PropertyError,
+            r"^cannot parse 'level \? 1': 1:7: unexpected character '\?'$", id="property-unlexable",
+        ),
+        pytest.param(
+            _rejected_property("ptp", "level >"), PropertyError,
+            r"^cannot parse 'level >': 1:8: expected an expression", id="property-unparsable",
+        ),
+        pytest.param(
+            _rejected_sources([3]), ScenarioError, "source 3 is not a file name",
+            id="source-a-number",
+        ),
+        pytest.param(
+            _rejected_sources([["tank.st"]]), ScenarioError,
+            r"source \['tank.st'\] is not a file name", id="source-a-list",
+        ),
+        pytest.param(
+            _rejected_sources(["."]), ScenarioError, "source file '.' not found",
+            id="source-a-directory",
+        ),
+        pytest.param(
+            _rejected_sources("tank.st"), ScenarioError,
+            "'sources' must be a list of file names, got 'tank.st'", id="sources-a-string",
+        ),
+        pytest.param(
+            _rejected_sources({"tank.st": 1}), ScenarioError,
+            r"'sources' must be a list of file names, got \{'tank.st': 1\}", id="sources-an-object",
         ),
     ],
 )

@@ -1,6 +1,7 @@
 """Deterministic simulation of the consolidated models up to a horizon."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from plcreach import bench
 from plcreach.explorer import random_walk, replay, simulate
 from plcreach.model import ModelError, canonicalize
 from plcreach.por import successors
+from plcreach.scenario import scenario_from_dict
+from plcreach.st import PouTable, parse_file
 from plcreach.timed import diagnose_stuck, env_tick_apply, tick_apply
 from plcreach.values import copy_with
 
@@ -199,3 +202,20 @@ def test_first_is_the_first_group_of_the_full_enumeration(name):
                 got = successors(ctx, s, por=por, first=True)
                 assert type(got) is list
                 assert _canonical(got) == _canonical(want)
+
+
+@pytest.mark.parametrize(
+    "decl, stmt, message",
+    [
+        ("b : BOOL;", "b := isConnected(5);", "isConnected: partner must be a name, got 5"),
+        ("s : STRING;", "s := thisBlock;", "runtime failure: thisBlock outside a block body"),
+        ("b : BOOL;", "b := 1 OR 2;", "runtime failure: OR expects booleans, got 1, 2"),
+    ],
+    ids=["partner-a-number", "thisBlock-in-a-program", "OR-of-numbers"],
+)
+def test_a_runtime_failure_names_its_machine(decl, stmt, message):
+    src = f"PROGRAM P\nVAR\n  {decl}\nEND_VAR\n{stmt}\nEND_PROGRAM\n"
+    doc = {"machines": [{"id": "m", "programs": ["P"], "cycleTime": 10}]}
+    scen = scenario_from_dict(doc, PouTable.from_units(parse_file(src)))
+    with pytest.raises(ModelError, match=f"^machine m: {re.escape(message)}$"):
+        simulate(scen.context(), scen.initial_state(), 20)

@@ -15,11 +15,11 @@ from plcreach.values import (
     bnot,
     bool_evaluate,
     bor,
-    ckey,
     cmp_eq,
     cmp_le,
     cmp_lt,
     monus,
+    order_key,
     RCV_ERROR,
     evaluate,
     rat,
@@ -94,7 +94,6 @@ def assert_canonical(got, want):
     assert all(a < b for a, b in zip(monos, monos[1:]))
     assert all(in_rat_form(c) and c != 0 for _, c in got.terms)
     assert hash(got) == hash(want)
-    assert ckey(got) == ckey(want)
 
 
 @given(poly_pairs(), st.one_of(rationals, st.integers(-3, 3)))
@@ -467,3 +466,41 @@ def test_division_by_a_symbolic_value_is_an_eval_error():
         vdiv(1, Poly.var("x"))
     # a constant Poly divides as its number
     assert vdiv(Poly.var("x"), Poly.const(2)) == Poly.var("x").scale(Fraction(1, 2))
+
+
+# -- the one order over runtime values --------------------------------------
+
+d0, d1, lvl = Poly.var("_d0"), Poly.var("_d1"), Poly.var("level")
+ATOM = cmp_le(d0 + lvl, 5)
+EITHER = bor(cmp_lt(d1, 0), band(cmp_eq(lvl.scale(2), d0), cmp_lt(lvl, d1)))
+
+
+def test_order_key_keeps_one_and_true_apart():
+    for mask in (False, True):
+        assert order_key(1, mask) != order_key(True, mask)
+        assert order_key(0, mask) != order_key(False, mask)
+        assert order_key(("a", 1), mask) != order_key(("a", True), mask)
+
+
+@pytest.mark.parametrize("mask", [False, True])
+def test_order_key_sorts_every_kind_together(mask):
+    values = [RCV_ERROR, EITHER, ("a", 1), "text", ATOM, True, d0 + lvl, Fraction(1, 2), 3]
+    got = sorted(values, key=lambda v: order_key(v, mask))
+    assert got == [Fraction(1, 2), 3, d0 + lvl, True, "text", ATOM, EITHER, ("a", 1), RCV_ERROR]
+    # atoms and Ors alone, as the live constraints of a canonical key
+    constraints = [EITHER, ATOM, cmp_lt(d1, 0), bor(ATOM, cmp_eq(d1, 2)), cmp_eq(lvl, d1)]
+    assert len(sorted(constraints, key=lambda v: order_key(v, mask))) == 5
+
+
+def _renamed(v, names):
+    return tuple(rename(x, names) for x in v) if isinstance(v, tuple) else rename(v, names)
+
+
+def test_masked_key_reads_every_fresh_name_alike():
+    # `_d0` and `_d1` keep their places beside `level` under this renaming
+    fresh = {"_d0": "_d7", "_d1": "_u9"}
+    for v in (d0 + lvl, ATOM, EITHER, ("a", ATOM, d1)):
+        renamed = _renamed(v, fresh)
+        assert order_key(renamed) != order_key(v)
+        assert order_key(renamed, True) == order_key(v, True)
+        assert order_key(_renamed(v, {"level": "height"}), True) != order_key(v, True)
