@@ -2,9 +2,9 @@
 
 A machine's next step is either internal (assignment, branch, timing
 window) or touches the shared network state (connection management,
-message transfer).  Each candidate move carries the interleaving class
-the reduction heuristics key on: "internal" moves affect only the owning
-machine, "comm" moves may read or write channel state.
+message transfer).  A move's class ("internal": only the owning machine;
+"comm": may read or write channel state) goes into its transition id; the
+reduction keys on the move's `private` flag, set as described below.
 
 No rule builds a successor state.  A `Move` keeps its two halves apart:
 `shared`, the system state with the move's effect on links, `msg_seq` and

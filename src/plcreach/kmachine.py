@@ -208,7 +208,7 @@ def const_eval(e: ast.Expr):
     try:
         return eval_expr(e, Literals())
     except EvalError as exc:
-        raise ElabError(f"initializer is not constant: {exc}") from exc
+        raise ElabError(f"initializer is not constant: {exc}", e.pos) from exc
 
 
 class _Builder:

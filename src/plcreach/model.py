@@ -74,7 +74,7 @@ class TransitionId:
     """Replayable identity of one transition out of a given state."""
 
     cls: str  # "start" | "tick" | "env" | "internal" | "comm"
-    mid: str  # owning machine, "" for system-wide moves
+    mid: str  # owning machine; "" for system-wide moves and a state's only start
     label: str
     key: tuple = ()
 
@@ -161,8 +161,8 @@ class SystemState:
     # The path condition: satisfiable conjuncts (atoms and Ors), sorted by
     # `_ckey`, deduplicated, and irredundant: no inequality atom in it is
     # implied by one other inequality atom in it and its sign atoms
-    # (`values.irredundant`).  Guards join it through symbolic.feasible;
-    # `add_constraints` and `propagate_pins` keep the same form.
+    # (`values.irredundant`).  Guards join it through symbolic.feasible, free
+    # inputs' domains through timed.start_scans; `propagate_pins` keeps it so.
     constraints: tuple = ()
     fresh_counter: int = 0
     msg_seq: int = 0
@@ -193,16 +193,6 @@ class SystemState:
         else:
             conns = tuple(sorted(self.conns + (c,), key=lambda x: x.pair))
         return copy_with(self, conns=conns)
-
-    def add_constraints(self, *extra) -> "SystemState":
-        if all(c is True for c in extra):
-            return self
-        merged = irredundant(band(*self.constraints, *extra))
-        if merged is True:
-            return copy_with(self, constraints=())
-        if merged is False:
-            raise ModelError("constraint set collapsed to false")
-        return copy_with(self, constraints=conjuncts(merged))
 
 
 # -- change laws ------------------------------------------------------------
@@ -312,13 +302,12 @@ def _substitute_state(s: SystemState, mapping, memo: dict = None) -> SystemState
     merged = irredundant(band(*(substitute(c, mapping) for c in s.constraints)), memo)
     if merged is False:
         raise ModelError("pinned substitution contradicts the path condition")
-    constraints = () if merged is True else conjuncts(merged)
     return copy_with(
         s,
         machines=machines,
         conns=conns,
         clock=substitute(s.clock, mapping),
-        constraints=constraints,
+        constraints=conjuncts(merged),
     )
 
 

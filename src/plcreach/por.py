@@ -3,7 +3,9 @@
 The reduction picks, per state, a sound subset of enabled transitions:
 
 1. cycle-start transitions when any machine is due (time cannot advance
-   then, and starts commute with every other enabled move);
+   then, and starts commute with every other enabled move).  Several
+   starts, one per satisfiable set of due machines, hold in disjoint
+   worlds (`timed.due_machines`), so each may be taken alone;
 2. otherwise the moves of the lowest-numbered machine whose moves are all
    `private`, a flag each rule in `comm` sets where it makes the move:
    moves that touch only that machine's control state, plus, when the

@@ -331,7 +331,10 @@ def _build_machine(table: PouTable, doc: dict) -> PLCMachine:
              for k, v in state_doc.items()}
     # every actuated output is part of the physical state it drives, and
     # starts at the program's value unless the file gives one
-    layout, cfg = allocate(table, programs)
+    try:
+        layout, cfg = allocate(table, programs)
+    except ElabError as e:
+        raise ScenarioError(f"machine {mid!r}: {e}") from e
     non_numeric = {k for k, v in state.items() if isinstance(v, (bool, str))}
     for p, env in layout:
         env = dict(env)
@@ -536,7 +539,10 @@ def load_scenario(path, extra_sources=()) -> Scenario:
         units.extend(_parse_source(sp.read_text(), sp))
     for text, name in extra_sources:
         units.extend(_parse_source(text, name))
-    table = PouTable.from_units(units)
+    try:
+        table = PouTable.from_units(units)
+    except ElabError as e:
+        raise ScenarioError(f"{path}: in its sources, {e}") from e
     return scenario_from_dict(doc, table)
 
 

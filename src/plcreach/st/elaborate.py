@@ -122,14 +122,11 @@ class _BodyChecker:
     def check_stmt(self, s: ast.Stmt):
         if isinstance(s, ast.Assign):
             self.check_expr(s.expr)
-            if isinstance(s.target, ast.VarRef):
-                if s.target.name not in self.decls:
-                    raise ElabError(
-                        f"{self.pou.name}: assignment to undeclared {s.target.name}",
-                        s.pos,
-                    )
-            else:
-                self._check_field(s.target)
+            if isinstance(s.target, ast.VarRef) and s.target.name not in self.decls:
+                raise ElabError(
+                    f"{self.pou.name}: assignment to undeclared {s.target.name}", s.pos
+                )
+            self.check_expr(s.target)  # a target names a value, as an operand does
         elif isinstance(s, ast.IfStmt):
             self.check_expr(s.cond)
             for t in s.then_body + s.else_body:
@@ -139,18 +136,17 @@ class _BodyChecker:
             for t in s.body:
                 self.check_stmt(t)
         elif isinstance(s, ast.CallStmt):
+            for a in s.args:
+                self.check_expr(a.expr)
             if s.name in INTRINSIC_ARITY:
                 self._check_arity(s.name, s.args, s.pos)
                 if any(a.name is not None for a in s.args):
                     raise ElabError(f"{self.pou.name}: {s.name} takes positional arguments", s.pos)
-                for a in s.args:
-                    self.check_expr(a.expr)
                 return
             callee = self._instance_pou(s.name, s.pos)
             inputs = [d.name for d in callee.inputs]
             positional = 0
             for a in s.args:
-                self.check_expr(a.expr)
                 if a.name is None:
                     positional += 1
                     if positional > len(inputs):
@@ -161,9 +157,7 @@ class _BodyChecker:
                     raise ElabError(
                         f"{self.pou.name}: {s.name} has no input {a.name}", a.pos
                     )
-        elif isinstance(s, (ast.ReturnStmt, ast.AssertTimeAnn)):
-            pass
-        elif isinstance(s, ast.DelayAnn):
+        elif isinstance(s, (ast.ReturnStmt, ast.AssertTimeAnn, ast.DelayAnn)):
             pass
         else:
             raise ElabError(f"unsupported statement {s!r}")
@@ -175,19 +169,26 @@ class _BodyChecker:
 
     def _check_field(self, f: ast.FieldRef):
         callee = self._instance_pou(f.base, f.pos)
-        fields = {d.name for d in callee.inputs + callee.outputs + callee.locals}
+        fields = {d.name: d for d in callee.inputs + callee.outputs + callee.locals}
         if f.field not in fields:
             raise ElabError(
                 f"{self.pou.name}: {f.base} has no field {f.field}", f.pos
             )
+        self._check_value(fields[f.field], f"{f.base}.{f.field}", f.pos)
+
+    def _check_value(self, decl: ast.VarDecl, name: str, pos: ast.Pos):
+        if decl.type_name in self.table.blocks:  # called, never read or assigned
+            raise ElabError(f"{self.pou.name}: block instance {name} is not a value", pos)
 
     def check_expr(self, e: ast.Expr):
         if isinstance(e, ast.Lit):
             return
         if isinstance(e, ast.VarRef):
-            if e.name in self.decls or e.name in INTRINSIC_NAMES:
-                return
-            raise ElabError(f"{self.pou.name}: unresolved name {e.name}", e.pos)
+            if e.name in self.decls:
+                self._check_value(self.decls[e.name], e.name, e.pos)
+            elif e.name not in INTRINSIC_NAMES:
+                raise ElabError(f"{self.pou.name}: unresolved name {e.name}", e.pos)
+            return
         if isinstance(e, ast.FieldRef):
             self._check_field(e)
             return

@@ -9,8 +9,8 @@ Time advances in three ways:
   * envTick (clock-separated runs only): the physical side jumps by the
     smallest pending environment countdown, evaluating change laws and
     advancing the global clock in concrete steps.
-  * start: every due controller publishes its outputs, refreshes its
-    inputs, and reloads its program list for the next scan.  The same
+  * start: one set of due controllers (`due_machines`) publishes its
+    outputs, refreshes its inputs, and reloads its programs.  The same
     rule, `start_scans`, makes the first scan of a machine the scenario
     marks `preload`, at the initial state.  It runs from the machine's
     `StartPlan`, compiled once from its static layout when the machine is
@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .kmachine import KConfig, load_programs
-from .model import InputSpec, PLCMachine, SystemState, TransitionId, apply_flow, propagate_pins
+from .model import (InputSpec, ModelError, PLCMachine, SystemState, TransitionId, apply_flow,
+                    propagate_pins)
 from .solver import SmtCheck
 from .st.ast import AssertTimeAnn
 from .st.elaborate import PouTable
@@ -40,11 +41,14 @@ from .values import (
     INF,
     Poly,
     as_poly,
+    band,
     bor,
     cmp_eq,
     cmp_le,
     cmp_lt,
+    conjuncts,
     copy_with,
+    irredundant,
     monus,
     vadd,
     vsub,
@@ -263,62 +267,55 @@ def env_tick(ctx: RuleCtx, s: SystemState) -> list:
 # -- scan start -------------------------------------------------------------
 
 
-def due_machines(ctx: RuleCtx, s: SystemState):
-    """Machines ready to begin a scan, and `s` with their timers pinned.
-
-    A machine is due when its scan finished, its timer can be zero now, and
-    (clock-separated runs) the environment countdown hit zero too.  Returns
-    `(due, pinned)`: `pinned` is `s` with `timer == 0` conjoined for each
-    due machine, and `s` itself when every due timer is concretely zero.
+def due_machines(ctx: RuleCtx, s: SystemState) -> list:
+    """One `(due, pinned)` pair per satisfiable set of due machines, larger
+    sets first: the ready machines (scan finished, and the environment
+    countdown at zero in clock-separated runs) whose timers are zero while
+    every other ready timer is positive, and `s` with that conjoined (`s`
+    itself when no ready timer is symbolic).  A concretely zero timer is in
+    every set and a positive one in none; timers with one zero atom (equal
+    timers) are zero in the same worlds, so their machines go together.
     """
-    due = []
-    eqs = []
-    first = None  # `s` pinned by the first due machine's own check
-    for m in s.machines:
-        if not m.cfg.is_cycle_complete():
-            continue
-        if s.options.clock_sep and m.env_timer != 0:
-            continue
-        eq = cmp_eq(m.timer, 0)
-        alone = feasible(ctx.checker, s, eq, cls="start")
-        if alone is not False:
-            due.append(m)
-            eqs.append(eq)
-            if first is None:
-                first = alone
-    if not due:
-        return [], s
-    if len(due) == 1:
-        # its own check already pinned it; a joint check would repeat it
-        return due, first
-    pinned = feasible(ctx.checker, s, *eqs, cls="start")
-    if pinned is False:
-        # Joint start impossible; let the first machine go alone.
-        return due[:1], first
-    return due, pinned
+    # `cmp_eq` decides a concrete timer: True at zero, else False
+    ready = [(m, cmp_eq(m.timer, 0)) for m in s.machines
+             if m.cfg.is_cycle_complete() and not (s.options.clock_sep and m.env_timer != 0)]
+    zero = [m for m, eq in ready if eq is True]
+    timers = {eq: m.timer for m, eq in ready if not isinstance(eq, bool)}
+    if not timers:
+        return [(zero, s)] if zero else []
+    ways = []
+    for n in range(len(timers), -1 if zero else 0, -1):
+        for ins in itertools.combinations(timers, n):
+            pinned = feasible(ctx.checker, s, *ins,
+                              *(cmp_lt(0, t) for eq, t in timers.items() if eq not in ins),
+                              cls="start")
+            if pinned is not False:
+                ways.append(([m for m, eq in ready if eq is True or eq in ins], pinned))
+    return ways
 
 
 def start_variants(ctx: RuleCtx, s: SystemState) -> list:
-    """One start per way the due machines can begin their next scan.
+    """One start per set of due machines and way they can begin their next
+    scan; a state with several sets names each start's machines.
 
     Enumerated inputs branch into one variant per value combination; the
     start's key records each choice as (machine, program, variable, value).
     """
-    due, pinned = due_machines(ctx, s)
-    if not due:
-        return []
-    if pinned is not s:
-        # Pinning the jump length here keeps the sensed values concrete,
-        # so guards over them branch on real numbers instead of forking.
-        pinned = propagate_pins(pinned, ctx.checker.pruned)
-    due_ids = [m.mid for m in due]
-    axes = [(m.mid, spec) for m in due for spec in m.inputs if spec.kind == "enumerate"]
+    ways = due_machines(ctx, s)
     variants = []
-    for combo in itertools.product(*(spec.values for _, spec in axes)):
-        chosen = dict(zip(axes, combo))
-        tid = TransitionId("start", "", "start", tuple(sorted(
-            (mid, spec.prog, spec.var, v) for (mid, spec), v in chosen.items())))
-        variants.append((tid, start_scans(pinned, due_ids, chosen)))
+    for due, pinned in ways:
+        if pinned is not s:
+            # Pinning the jump length here keeps the sensed values concrete,
+            # so guards over them branch on real numbers instead of forking.
+            pinned = propagate_pins(pinned, ctx.checker.pruned)
+        due_ids = [m.mid for m in due]
+        who = ",".join(due_ids) if len(ways) > 1 else ""
+        axes = [(m.mid, spec) for m in due for spec in m.inputs if spec.kind == "enumerate"]
+        for combo in itertools.product(*(spec.values for _, spec in axes)):
+            chosen = dict(zip(axes, combo))
+            tid = TransitionId("start", who, "start", tuple(sorted(
+                (mid, spec.prog, spec.var, v) for (mid, spec), v in chosen.items())))
+            variants.append((tid, start_scans(pinned, due_ids, chosen)))
     return variants
 
 
@@ -385,7 +382,10 @@ def start_scans(s: SystemState, mids, chosen) -> SystemState:
                 value = chosen[(mid, spec)]
             else:  # free: a fresh variable over the input's domain
                 s, value = fresh_var(s, "u")
-                s = s.add_constraints(*_domain_of(spec, value))
+                cond = irredundant(band(*s.constraints, *_domain_of(spec, value)))
+                if cond is False:
+                    raise ModelError("constraint set collapsed to false")
+                s = copy_with(s, constraints=conjuncts(cond))
                 if spec.values and all(isinstance(v, bool) for v in spec.values):
                     # a truth value: the variable is 0 or 1, and the
                     # input is the atom that it is 1

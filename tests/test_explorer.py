@@ -34,6 +34,7 @@ from test_system import (
     level_flow,
     make_machine,
     make_system,
+    successors_replay,
     table_for,
 )
 
@@ -251,6 +252,16 @@ class TestWalksAndTraces:
         path = [tid for tid, _ in walk]
         end = replay(ctx, s0, path)
         assert canonicalize(end) == canonicalize(walk[-1][1])
+
+    @pytest.mark.parametrize("name, mode", [
+        ("commdemo", "symbolic"), ("query1", "symbolic"), ("ptpc", "concrete")])
+    def test_every_successor_on_a_walk_replays_by_its_id(self, name, mode):
+        scen = bench.load(name)
+        s0 = scen.initial_state(mode=mode)
+        ctx = scen.context()
+        for seed in range(3):
+            for _, s in [(None, s0)] + random_walk(ctx, s0, 25, random.Random(seed)):
+                successors_replay(ctx, s)
 
     def test_trace_lines_render(self):
         ctx, s0 = tank_system()

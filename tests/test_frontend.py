@@ -506,6 +506,27 @@ class TestElaborate:
         with pytest.raises(ElabError, match="not a block instance"):
             PouTable.from_units(parse_file(src))
 
+    @pytest.mark.parametrize(
+        "stmt, message",
+        [
+            ("d := c;", "3:6: P: block instance c is not a value"),
+            ("c := 5;", "3:1: P: block instance c is not a value"),
+            ("x := 1 + w.inner;", "3:10: P: block instance w.inner is not a value"),
+            ("w.inner := x;", "3:1: P: block instance w.inner is not a value"),
+            ("d(TRUE, c);", "3:9: P: block instance c is not a value"),
+            ("b := isConnected(w.inner);", "3:18: P: block instance w.inner is not a value"),
+        ],
+    )
+    def test_a_block_instance_is_not_a_value(self, stmt, message):
+        src = (
+            "FUNCTION_BLOCK W VAR_OUTPUT inner : CONNECT; END_VAR inner(TRUE, 'm'); "
+            "END_FUNCTION_BLOCK\n"
+            "PROGRAM P VAR c : CONNECT; d : CONNECT; w : W; x : INT; b : BOOL; END_VAR\n"
+            f"{stmt}\nEND_PROGRAM"
+        )
+        with pytest.raises(ElabError, match=f"^{re.escape(message)}$"):
+            PouTable.from_units(parse_file(src))
+
     def test_builtins_alone_pass_checks(self):
         PouTable.from_units([])
 

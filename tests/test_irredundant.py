@@ -2,8 +2,8 @@
 
 `values.irredundant` drops each inequality atom that one other kept
 inequality atom and the conjunction's sign atoms imply; `symbolic.feasible`,
-`SystemState.add_constraints` and `model._substitute_state` call it on
-every path condition they form.  These tests check that every dropped atom
+`timed.start_scans` and `model._substitute_state` call it on every path
+condition they form.  These tests check that every dropped atom
 follows from the kept ones, that pruning twice prunes nothing more, and
 that a pruned search walks the unpruned graph with its path conditions
 pruned: the same canonical keys, verdicts and endpoints.  The unpruned
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcreach import bench, explorer, model, symbolic
+from plcreach import bench, explorer, model, symbolic, timed
 from plcreach.explorer import random_walk, search
 from plcreach.model import Options, canonicalize
 from plcreach.solver import solve_linear
@@ -40,7 +40,7 @@ x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
 
 def _unpruned(monkeypatch):
     """Every path condition kept as `band` builds it."""
-    for mod in (symbolic, model):
+    for mod in (symbolic, model, timed):
         monkeypatch.setattr(mod, "irredundant", lambda cond, memo=None: cond)
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from plcreach import bench
-from plcreach.explorer import PropertyError, search, simulate
+from plcreach.explorer import PropertyError, replay, search, simulate
+from plcreach.model import TransitionId
+from plcreach.por import ReplayError
 from plcreach.scenario import (
     Analysis,
     ScenarioError,
@@ -17,7 +19,7 @@ from plcreach.scenario import (
     scenario_from_dict,
 )
 from plcreach.solver import SolverUnavailable
-from plcreach.st import PouTable, parse_file
+from plcreach.st import ElabError, PouTable, parse_file
 from plcreach.values import Poly, vmul, vsub
 
 TANK_SRC = """\
@@ -548,6 +550,19 @@ class TestDisk:
         with pytest.raises(ScenarioError, match=r"^bad\.st: 1:39: unexpected character '\?'$"):
             load_scenario(p, extra_sources=((bad, "bad.st"),))
 
+    def test_elaboration_errors_name_where_and_chain_from_the_original(self, tmp_path):
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(tank_doc()))
+        undeclared = "PROGRAM P VAR x : INT; END_VAR y := 1; END_PROGRAM\n" + TANK_SRC
+        not_constant = TANK_SRC.replace("  input : BOOL;\n",
+                                        "  input : BOOL;\n  y : INT;\n  x : INT := y + 1;\n")
+        for src, where in ((undeclared, f"{p}: in its sources, "),
+                           (not_constant, "machine 'plc1': ")):
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(p, extra_sources=((src, "bad.st"),))
+            assert isinstance(info.value.__cause__, ElabError)
+            assert str(info.value) == where + str(info.value.__cause__)
+
     def test_extra_sources_argument(self, tmp_path):
         doc = tank_doc()
         p = tmp_path / "scenario.json"
@@ -984,9 +999,106 @@ def _rejected_sources(sources):
     return load
 
 
+def _rejected_source(text):
+    """A load of a scenario file whose one source, `bad.st`, is `text`."""
+
+    def load():
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "scenario.json"
+            path.write_text(json.dumps(tank_doc()))
+            load_scenario(path, extra_sources=((text, "bad.st"),))
+
+    return load
+
+
+def _rejected_body(stmt):
+    """`_rejected_source` with the TANK program and a program P whose body,
+    on line 3, is `stmt`."""
+    return _rejected_source(
+        f"PROGRAM P\nVAR c : CONNECT; x : INT; END_VAR\n{stmt}\nEND_PROGRAM\n{TANK_SRC}")
+
+
+def _rejected_replay(name, tid):
+    def load():
+        scen = bench.load(name)
+        replay(scen.context(), scen.initial_state(), [tid])
+
+    return load
+
+
 @pytest.mark.parametrize(
     "load, error, message",
     [
+        pytest.param(
+            lambda: bench.load("nope"), KeyError, "unknown benchmark 'nope'; choose from ptp,",
+            id="benchmark-unknown",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(
+                state={"waterLevel": 10, "t": 0},
+                flow={"waterLevel": "waterLevel - pumpSwitch * t", "t": "t + t"})),
+            ScenarioError, "^machine 'plc1' flow 't': 't' cannot be a state variable$",
+            id="flow-of-the-time-variable",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(flow={"waterLevel": "waterLevel + a.b * t"})),
+            ScenarioError, "^machine 'plc1' flow 'waterLevel': cannot name a.b here$",
+            id="flow-names-a-field",
+        ),
+        pytest.param(
+            _rejected_document(_machine_edit(flow={"waterLevel": "waterLevel + f(1) * t"})),
+            ScenarioError, r"^machine 'plc1' flow 'waterLevel': cannot call f here$",
+            id="flow-calls",
+        ),
+        pytest.param(
+            _rejected_property("ptp", "plc9.level1 > 1"), PropertyError,
+            "^cannot evaluate 'plc9.level1 > 1': no machine plc9$",
+            id="property-unknown-machine",
+        ),
+        pytest.param(
+            _rejected_replay("ptp", TransitionId("tick", "", "tick", (1000000,))), ReplayError,
+            r"^transition tick\[1000000\] not enabled$", id="replay-a-tick-too-long",
+        ),
+        pytest.param(
+            _rejected_body("//delay(1, B, 1, 2)"), ScenarioError,
+            "^bad.st: 3:1: delay expects an identifier, got '1'$", id="delay-from-a-number",
+        ),
+        pytest.param(
+            _rejected_body("//assertTime(a, 2)"), ScenarioError,
+            "^bad.st: 3:1: bad annotation number 'a'$", id="assert-time-from-a-name",
+        ),
+        pytest.param(
+            _rejected_source(f"PROGRAM P\nVAR c : CONNECT := 1; END_VAR\nEND_PROGRAM\n{TANK_SRC}"),
+            ScenarioError,
+            r"scenario\.json: in its sources, 2:5: block instance c cannot take an initializer$",
+            id="initializer-on-an-instance",
+        ),
+        pytest.param(
+            _rejected_body("zz(1);"), ScenarioError,
+            r"scenario\.json: in its sources, 3:1: P: unresolved name zz$", id="call-undeclared",
+        ),
+        pytest.param(
+            _rejected_body("y := 1;"), ScenarioError,
+            r"scenario\.json: in its sources, 3:1: P: assignment to undeclared y$",
+            id="assign-undeclared",
+        ),
+        pytest.param(
+            _rejected_body("c(TRUE, 'x', 3);"), ScenarioError,
+            r"scenario\.json: in its sources, 3:1: P: too many arguments to c$",
+            id="call-too-many-arguments",
+        ),
+        pytest.param(
+            _rejected_body("x := foo(1);"), ScenarioError,
+            r"scenario\.json: in its sources, 3:6: P: foo is not callable in an expression$",
+            id="call-in-an-expression",
+        ),
+        pytest.param(
+            _rejected_source(TANK_SRC.replace("  input : BOOL;\n",
+                                              "  input : BOOL;\n  y : INT;\n  x : INT := y + 1;\n")),
+            ScenarioError,
+            "^machine 'plc1': 6:16: initializer is not constant: cannot name y here$",
+            id="initializer-not-constant",
+        ),
         pytest.param(
             _rejected_document(_machine_edit(cycleTime="ten")), ScenarioError,
             "machine 'plc1' cycleTime: not a number: 'ten'", id="cycle-time-text",

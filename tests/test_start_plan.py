@@ -21,7 +21,7 @@ from plcreach.kmachine import load_programs
 from plcreach.model import InputSpec, Options, SystemState
 from plcreach.symbolic import fresh_var
 from plcreach.timed import _domain_of, start_scans, start_variants
-from plcreach.values import EvalError, copy_with
+from plcreach.values import EvalError, band, conjuncts, copy_with, irredundant
 
 from test_system import ctx_for, make_machine, make_system, table_for
 
@@ -46,7 +46,8 @@ def _reference_start_scans(table, s, mids, chosen):
                 value = chosen[(mid, spec)]
             else:
                 s, value = fresh_var(s, "u")
-                s = s.add_constraints(*_domain_of(spec, value))
+                cond = band(*s.constraints, *_domain_of(spec, value))
+                s = copy_with(s, constraints=conjuncts(irredundant(cond)))
             writes.append((envs[spec.prog][1][spec.var], value))
         m = copy_with(
             m.with_state(outputs) if outputs else m,

@@ -1,5 +1,6 @@
 """System-level rules: scan starts, time passage, communication, reduction."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from plcreach.model import (
     conn_pair,
     validate_flow,
 )
-from plcreach.por import TransitionId, check_independence, successors
+from plcreach.por import TransitionId, apply, check_independence, successors
 from plcreach.solver import SmtCheck
 from plcreach.st import PouTable, parse_file
 from plcreach.st.builtins import COMM_INTRINSICS, INTRINSIC_ARITY
+from plcreach.symbolic import evaluate_path, feasible
 from plcreach.timed import (
     RuleCtx,
     compile_start,
@@ -36,7 +38,7 @@ from plcreach.timed import (
     tick_menu,
     tick_symbolic,
 )
-from plcreach.values import RCV_ERROR, Poly, bor, cmp_eq, cmp_le, vmul, vsub
+from plcreach.values import RCV_ERROR, Poly, band, bor, cmp_eq, cmp_le, conjuncts, vmul, vsub
 
 F = Fraction
 
@@ -723,6 +725,16 @@ class TestTimePassage:
         assert timer.substitute({tid.key[0]: Poly.const(4)}) == Poly.const(5)
 
 
+def successors_replay(ctx, s):
+    """The unreduced successors of `s`, after checking that their ids are
+    pairwise distinct and that `por.apply` rebuilds each one by its id."""
+    succ = successors(ctx, s, por=False)
+    assert len({t for t, _ in succ}) == len(succ)
+    for t, st in succ:
+        assert canonicalize(apply(ctx, s, t)) == canonicalize(st)
+    return succ
+
+
 # -- start variants ----------------------------------------------------------
 
 CHOICE_SRC = """
@@ -790,24 +802,60 @@ class TestStartVariants:
         assert isinstance(v, Poly) and not v.is_const()
         assert len(st.constraints) == 2  # both interval bounds
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "when the due machines cannot start jointly, due_machines lets the "
-        "first go alone under its own pin, and the worlds where only a later "
-        "machine is due get no start"))
-    def test_a_failed_joint_start_covers_every_world(self):
+    def _idle_pair(self, t1, t2, *constraints):
+        """Two idle machines with timers `t1` and `t2` under `constraints`."""
         table = table_for(STEP2_SRC.format(n=1), STEP2_SRC.format(n=2))
-        ctx = ctx_for(table)
-        d = Poly.var("_d0")
-        m1 = replace(make_machine(table, "m1", ("Q1",)), timer=d)
-        m2 = replace(make_machine(table, "m2", ("Q2",)), timer=vsub(F(1), d))
+        m1 = replace(make_machine(table, "m1", ("Q1",)), timer=t1)
+        m2 = replace(make_machine(table, "m2", ("Q2",)), timer=t2)
         s = make_system([m1, m2], options=Options(mode="symbolic"))
-        s = replace(s, fresh_counter=1).add_constraints(bor(cmp_eq(d, 0), cmp_eq(d, 1)))
-        due, pinned = due_machines(ctx, s)
-        assert [m.mid for m in due] == ["m1"]
-        assert cmp_eq(d, 0) in pinned.constraints
-        # In the world _d0 = 1 only m2 is due, so some start must begin its scan.
-        starts = [st for t, st in successors(ctx, s, por=False) if t.cls == "start"]
-        assert any(st.machine("m2").cycle_index == 1 for st in starts)
+        s = replace(s, fresh_counter=2, constraints=conjuncts(band(*constraints)))
+        return ctx_for(table), s
+
+    @staticmethod
+    def _worlds(ctx, s, names):
+        """Each due set of `s`, with the 0/1 worlds of `names` it holds in."""
+        worlds = list(itertools.product((0, 1), repeat=len(names)))
+        return {tuple(m.mid for m in due): [w for w in worlds
+                                             if evaluate_path(pinned, dict(zip(names, w)))]
+                for due, pinned in due_machines(ctx, s)}
+
+    @staticmethod
+    def _starts_replay(ctx, s):
+        """The starts of `s`, after checking that every successor replays by its id."""
+        return [(t, st) for t, st in successors_replay(ctx, s) if t.cls == "start"]
+
+    def test_a_failed_joint_start_covers_every_world(self):
+        d = Poly.var("_d0")
+        ctx, s = self._idle_pair(d, vsub(F(1), d), bor(cmp_eq(d, 0), cmp_eq(d, 1)))
+        # m1 is due in the world _d0 = 0, m2 in the world _d0 = 1.
+        assert self._worlds(ctx, s, ["_d0"]) == {("m1",): [(0,)], ("m2",): [(1,)]}
+        starts = self._starts_replay(ctx, s)
+        assert [t.pretty() for t, _ in starts] == ["start(m1)", "start(m2)"]
+        for (_, st), mid, waiting in zip(starts, ["m1", "m2"], ["m2", "m1"]):
+            assert (st.machine(mid).cycle_index, st.machine(waiting).cycle_index) == (1, 0)
+            # the waiting machine's timer is pinned to the start's world
+            assert st.machine(waiting).timer == 1
+
+    def test_each_set_of_zero_timers_starts_on_its_own(self):
+        d0, d1 = Poly.var("_d0"), Poly.var("_d1")
+        ctx, s = self._idle_pair(d0, d1, bor(cmp_eq(d0, 0), cmp_eq(d0, 1)),
+                                 bor(cmp_eq(d1, 0), cmp_eq(d1, 1)))
+        assert self._worlds(ctx, s, ["_d0", "_d1"]) == {
+            ("m1", "m2"): [(0, 0)], ("m1",): [(0, 1)], ("m2",): [(1, 0)]}
+        starts = self._starts_replay(ctx, s)
+        assert [t.pretty() for t, _ in starts] == ["start(m1,m2)", "start(m1)", "start(m2)"]
+        assert len({canonicalize(st) for _, st in starts}) == 3
+
+    def test_equal_timers_start_together_and_a_zero_timer_always(self):
+        d = Poly.var("_d0")
+        ctx, s = self._idle_pair(d, d, bor(cmp_eq(d, 0), cmp_eq(d, 1)))
+        assert self._worlds(ctx, s, ["_d0"]) == {("m1", "m2"): [(0,)]}
+        ctx, s = self._idle_pair(F(0), d, bor(cmp_eq(d, 0), cmp_eq(d, 1)))
+        assert self._worlds(ctx, s, ["_d0"]) == {("m1", "m2"): [(0,)], ("m1",): [(1,)]}
+        ctx, s = self._idle_pair(F(0), F(2))
+        ((due, pinned),) = due_machines(ctx, s)
+        assert [m.mid for m in due] == ["m1"] and pinned is s
+        assert [t.pretty() for t, _ in self._starts_replay(ctx, s)] == ["start"]
 
 
 # -- symbolic branching ------------------------------------------------------
@@ -842,7 +890,7 @@ END_PROGRAM
         s = make_system([m], options=Options(mode="symbolic"))
         (_, s), = start_variants(ctx, s)
         if extra is not None:
-            s = s.add_constraints(extra)
+            s = feasible(ctx.checker, s, extra)
         return ctx, s
 
     def test_the_two_arms_disable_each_other(self):
