@@ -11,6 +11,11 @@ No rule builds a successor state.  A `Move` keeps its two halves apart:
 the path condition, and `cfg`, the machine's configuration after the
 move; `Move.state` joins them through `with_cfg`.  The rule that makes a
 move also decides whether it is `private`, with the reason next to it.
+
+The rules are pure functions of what they read, so `por.successors`
+memoises a machine's moves, chained, in `RuleCtx.moves` for concrete
+states without fresh variables, and calls `machine_moves` only on a
+miss (the key is argued at `RuleCtx`).
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ from .kmachine import Literals, eval_expr
 from .model import ModelError, SystemState, canonicalize
 from .por import apply, successors
 from .st import LexError, ParseError, parse_expression
-from .symbolic import feasible
+from .symbolic import concrete_or_none, feasible
 # perfbench/tracing.py rebinds explorer.due_machines, so the name stays
 # importable from this module.
-from .timed import RuleCtx, due_machines, env_tick_apply, tick_apply  # noqa: F401
+from .timed import RuleCtx, diagnose_stuck, due_machines, env_tick_apply, tick_apply  # noqa: F401
 from .values import (
     EvalError,
     band,
@@ -122,6 +122,32 @@ class Witness:
 
 
 @dataclass
+class Timelocks:
+    """The expanded states of a search where time cannot pass and nothing
+    can move: no successor, and no symbolic tick folded into the one that
+    led there (`SystemState.ticked`), so in symbolic runs a lock that a
+    tick runs into is not counted.  `earliest` is the least concrete
+    clock among them (None when there are none, or every one is
+    symbolic), `reasons` the distinct `timed.diagnose_stuck` notes of all
+    of them, sorted, and `path` the transitions from the initial state to
+    the first one stored at `earliest` (to the first one stored when no
+    clock is concrete)."""
+
+    count: int = 0
+    earliest: object = None
+    reasons: tuple = ()
+    path: tuple = ()
+
+    def to_jsonable(self) -> dict:
+        return {
+            "count": self.count,
+            "earliestClock": None if self.earliest is None else str(self.earliest),
+            "reasons": list(self.reasons),
+            "path": [t.pretty() for t in self.path],
+        }
+
+
+@dataclass
 class SearchResult:
     verdict: str
     witnesses: list
@@ -132,6 +158,7 @@ class SearchResult:
     smt_by_class: dict = field(default_factory=dict)
     wall_time: float = 0.0
     endpoints: set = field(default_factory=set)
+    timelocks: Timelocks = field(default_factory=Timelocks)
 
     @property
     def found(self) -> bool:
@@ -146,6 +173,7 @@ class SearchResult:
             "smtQueries": self.smt_queries,
             "smtByClass": dict(sorted(self.smt_by_class.items())),
             "wallTime": round(self.wall_time, 4),
+            "timelocks": self.timelocks.to_jsonable(),
             "witnesses": [
                 {
                     "path": [t.pretty() for t in w.path],
@@ -199,6 +227,8 @@ def search(
     witnesses = []
     fired = 0
     endpoints = set()
+    stuck = []  # (concrete clock or None, key) of each time-locked state
+    notes = set()  # their `diagnose_stuck` reasons
     capped = False
 
     while queue:
@@ -209,6 +239,10 @@ def search(
                 witnesses.append(w)
                 break
         succ = successors(ctx, s)
+        # No successor and no tick folded away (`ticked`): time is locked.
+        if not succ and not s.ticked:
+            stuck.append((concrete_or_none(s.clock), key))
+            notes.update(diagnose_stuck(s))
         # A state is a cycle endpoint exactly when some machine is due.
         # Every due machine yields a start move, because scenarios reject
         # empty enumerated input domains.
@@ -249,7 +283,17 @@ def search(
         smt_by_class={k: v for k, v in by_class.items() if v},
         wall_time=time.monotonic() - t_start,
         endpoints=endpoints,
+        timelocks=_timelocks(stuck, notes, parents),
     )
+
+
+def _timelocks(stuck: list, notes: set, parents: dict) -> Timelocks:
+    if not stuck:
+        return Timelocks()
+    earliest = min((c for c, _ in stuck if c is not None), default=None)
+    # the first one stored at `earliest`, or the first one
+    key = next(k for c, k in stuck if c == earliest)
+    return Timelocks(len(stuck), earliest, tuple(sorted(notes)), _path_to(parents, key))
 
 
 def _endpoint_record(s: SystemState):

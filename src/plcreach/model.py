@@ -423,17 +423,41 @@ def _link_piece(c: Conn, ren=_same) -> tuple:
     return (c.pair, c.valid, c.delay_lo, c.delay_hi, tuple(msgs))
 
 
-# The instance-dict entry where a machine or link keeps its key piece under
-# the identity renaming.  `copy_with` copies only fields, so no copy has it.
+def _exact_link(c: Conn) -> tuple:
+    # every field, the buffer in order, with each message's `seq` (which
+    # `Msg` equality ignores) and the class of its data (`True == 1`)
+    msgs = tuple([
+        (msg.sender, msg.receiver, msg.send_fb, msg.recv_fb, msg.data.__class__, msg.data,
+         msg.min_timer, msg.max_timer, msg.seq)
+        for msg in c.buffer
+    ])
+    return (c.pair, c.valid, c.delay_lo, c.delay_hi, msgs)
+
+
+# The instance-dict entries where a machine or link keeps its key piece
+# under the identity renaming, and a link its exact piece (`exact_links`).
+# `copy_with` copies only fields, so no copy has them.
 _PIECE = "_key_piece"
+_EXACT = "_exact_piece"
 
 
-def _kept(record, piece_of) -> tuple:
+def _kept(record, piece_of, entry: str = _PIECE) -> tuple:
     d = record.__dict__
-    piece = d.get(_PIECE)
+    piece = d.get(entry)
     if piece is None:
-        piece = d[_PIECE] = piece_of(record)
+        piece = d[entry] = piece_of(record)
     return piece
+
+
+def exact_links(s: SystemState) -> tuple:
+    """The links of `s` as an exact key: equal exactly when the links are
+    equal field by field, in buffer order, with each message's `seq` and
+    the class of its data.  Unlike the canonical key it tells apart
+    buffers in another order and messages of another `seq`, which moves
+    and ticks carry into their successors.  Each link keeps its piece in
+    its instance dict, so a successor reuses the pieces of the links it
+    shares with its parent."""
+    return tuple([_kept(c, _exact_link, _EXACT) for c in s.conns])
 
 
 def canonicalize(s: SystemState, memo: dict = None) -> tuple:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from . import comm
 from .comm import chainable, machine_moves, with_cfg
-from .kmachine import Done, Internal, KConfig
-from .model import SystemState, TransitionId, canonicalize
+from .kmachine import Done, Internal, KConfig, NeedsComm
+from .model import SystemState, TransitionId, canonicalize, exact_links
+from .st.ast import AssertTimeAnn, DelayAnn
 from .timed import (
     RuleCtx,
     env_mte,
@@ -35,6 +36,8 @@ from .timed import (
     tick_apply,
     tick_concrete,
     tick_symbolic,
+    tick_with,
+    window_left,
 )
 from .values import copy_with
 
@@ -87,28 +90,118 @@ def _chain_internal(ctx: RuleCtx, v):
     two halves, the shared state and the machine's configuration: runs of
     internal steps are taken whole from `_private_run`, and
     `machine_moves` is asked with the chain's configuration beside the
-    shared state.  One system state is built, at the chain's end.
+    shared state.  No system state is built: returns `(tid, shared, cfg,
+    reads)`, the chain's id, its two halves at its end, and whether a
+    step after the first is one whose rule reads the shared state
+    (`_READERS`).
     """
     if not v.private:
-        return (TransitionId(v.cls, v.mid, v.label, v.key), v.state)
+        return (TransitionId(v.cls, v.mid, v.label, v.key), v.shared, v.cfg, False)
     chain = [(v.label, v.key)]
     shared, cfg = v.shared, v.cfg
+    reads = False
     while len(chain) <= _CHAIN_LIMIT:
         labels, cfg = _private_run(ctx, cfg)
         chain.extend(labels)
+        out = ctx.steps[cfg]
         # Done: the scan is over.  Internal: a loop step, which must stay
         # visible, or a run cut at `_CHAIN_LIMIT`.
-        if isinstance(ctx.steps[cfg], (Done, Internal)):
+        if isinstance(out, (Done, Internal)):
             break
+        reads = reads or isinstance(out, _READERS)
         nxt = machine_moves(ctx, shared, v.mid, cfg)
         if len(nxt) != 1 or not nxt[0].private:
             break
         chain.append((nxt[0].label, nxt[0].key))
         shared, cfg = nxt[0].shared, nxt[0].cfg
-    st = with_cfg(shared, v.mid, cfg)
     if len(chain) == 1:
-        return (TransitionId(v.cls, v.mid, v.label, v.key), st)
-    return (TransitionId("internal", v.mid, "seq", tuple(chain)), st)
+        return (TransitionId(v.cls, v.mid, v.label, v.key), shared, cfg, reads)
+    return (TransitionId("internal", v.mid, "seq", tuple(chain)), shared, cfg, reads)
+
+
+# Step outcomes whose rules read the shared state: the links and
+# `msg_seq` (communication, `setDelay`) or the machine's timer
+# (`assertTime`).
+_READERS = (NeedsComm, AssertTimeAnn, DelayAnn)
+# The first-level `ctx.moves` entry of a configuration whose chains read
+# the shared state; they are kept under a second-level key.
+_SHARED = "shared"
+
+
+def _group(ctx: RuleCtx, s: SystemState, i: int, links: tuple) -> tuple:
+    """Machine `s.machines[i]`'s chained moves in `s` as `(private,
+    deltas)` (see `RuleCtx.moves`): recalled, or enumerated, chained and
+    remembered.  Each delta is a chain's id and end configuration, and,
+    when a rule on the way read the shared state, the links and
+    `msg_seq` it left (else None twice)."""
+    m = s.machines[i]
+    key = (m.mid, m.cfg, s.options)
+    got = ctx.moves.get(key)
+    if got is _SHARED:
+        got = ctx.moves.get((key, m.timer, m.cycle_time, links, s.msg_seq))
+    if got is not None:
+        return got
+    moves = machine_moves(ctx, s, m.mid)
+    chains = [_chain_internal(ctx, v) for v in moves]
+    private = all(v.private for v in moves)
+    if isinstance(ctx.steps[m.cfg], _READERS) or any(c[3] for c in chains):
+        ctx.moves[key] = _SHARED
+        got = ctx.moves[(key, m.timer, m.cycle_time, links, s.msg_seq)] = (private, tuple([
+            (tid, cfg, shared.conns, shared.msg_seq) for tid, shared, cfg, _ in chains]))
+    else:
+        got = ctx.moves[key] = (private, tuple([(tid, cfg, None, None) for tid, _, cfg, _ in chains]))
+    return got
+
+
+def _rebuilt(s: SystemState, i: int, deltas: tuple) -> list:
+    """Machine `s.machines[i]`'s successors in `s` from its deltas: one
+    copy of the machine and one of the state each."""
+    m = s.machines[i]
+    out = []
+    for tid, cfg, conns, msg_seq in deltas:
+        machines = s.machines[:i] + (copy_with(m, cfg=cfg),) + s.machines[i + 1:]
+        if conns is None:
+            out.append((tid, copy_with(s, machines=machines, ticked=False)))
+        else:
+            out.append((tid, copy_with(s, machines=machines, conns=conns, msg_seq=msg_seq,
+                                       ticked=False)))
+    return out
+
+
+def _ticks(ctx: RuleCtx, s: SystemState, links: tuple) -> list:
+    """The ticks of `s`, recalled from or remembered in `ctx.ticks`."""
+    key = (tuple([(m.timer, window_left(m)) for m in s.machines]), links, s.options)
+    menu = ctx.ticks.get(key)
+    if menu is None:
+        out = tick_concrete(ctx, s)
+        ctx.ticks[key] = tuple([
+            (tid, tuple([x.timer for x in st.machines]), st.conns) for tid, st in out])
+        return out
+    return [(tid, tick_with(ctx, s, tid.key[0], timers, conns)) for tid, timers, conns in menu]
+
+
+def _memoised(ctx: RuleCtx, s: SystemState, por: bool, first: bool, starts: list) -> list:
+    """`successors` of a concrete-mode state without fresh variables,
+    through the memo tables `ctx.moves` and `ctx.ticks`."""
+    links = exact_links(s)
+    per = []
+    for i in range(len(s.machines)):
+        private, deltas = _group(ctx, s, i, links)
+        if deltas and (first or (por and private)):
+            return _rebuilt(s, i, deltas)
+        per.append(deltas)
+    out = list(starts)
+    for i, deltas in enumerate(per):
+        out.extend(_rebuilt(s, i, deltas))
+    out.extend(_ticks(ctx, s, links))
+    out.extend(env_tick(ctx, s))
+    return out
+
+
+def _joined(ctx: RuleCtx, v) -> tuple:
+    """The chain of move `v` as a (TransitionId, state) pair."""
+    tid, shared, cfg, _ = _chain_internal(ctx, v)
+    return tid, with_cfg(shared, v.mid, cfg)
 
 
 def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = False) -> list:
@@ -122,21 +215,28 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     lowest-numbered machine that has moves; else the time steps (ticks,
     then envTicks).  `por` is moot then: the reduction never splits a
     group.
+
+    A concrete-mode state without fresh variables takes the groups from
+    the memo tables `ctx.moves` and `ctx.ticks` (`_memoised`, see
+    `RuleCtx`); any other state is enumerated afresh, without their
+    bookkeeping.
     """
     if por is None:
         por = s.options.por
     starts = start_variants(ctx, s)
     if starts and (por or first):
         return starts
+    if not (s.fresh_counter or s.options.symbolic):
+        return _memoised(ctx, s, por, first, starts)
     per = []
     for m in s.machines:
         moves = machine_moves(ctx, s, m.mid)
         if moves and (first or (por and all(v.private for v in moves))):
-            return [_chain_internal(ctx, v) for v in moves]
+            return [_joined(ctx, v) for v in moves]
         per.append(moves)
     out = list(starts)
     for moves in per:
-        out.extend(_chain_internal(ctx, v) for v in moves)
+        out.extend(_joined(ctx, v) for v in moves)
     out.extend((tick_symbolic if s.options.symbolic else tick_concrete)(ctx, s))
     out.extend(env_tick(ctx, s))
     return out

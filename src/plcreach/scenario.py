@@ -536,13 +536,17 @@ def load_scenario(path, extra_sources=()) -> Scenario:
         sp = path.parent / src
         if not sp.is_file():
             raise ScenarioError(f"{path}: source file {src!r} not found")
-        units.extend(_parse_source(sp.read_text(), sp))
+        units.extend((pou, sp) for pou in _parse_source(sp.read_text(), sp))
     for text, name in extra_sources:
-        units.extend(_parse_source(text, name))
+        units.extend((pou, name) for pou in _parse_source(text, name))
     try:
-        table = PouTable.from_units(units)
+        table = PouTable.from_units([pou for pou, _ in units])
     except ElabError as e:
-        raise ScenarioError(f"{path}: in its sources, {e}") from e
+        # name the source of the unit at fault, when the error is in one
+        where = next((src for pou, src in units if pou is e.pou), None)
+        if where is None:
+            raise ScenarioError(f"{path}: in its sources, {e}") from e
+        raise ScenarioError(f"{where}: {e}") from e
     return scenario_from_dict(doc, table)
 
 

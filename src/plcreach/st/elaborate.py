@@ -14,10 +14,14 @@ BASE_TYPES = {"INT", "DINT", "REAL", "BOOL", "STRING", "ANY"}
 
 
 class ElabError(Exception):
-    def __init__(self, msg: str, pos: ast.Pos = None):
+    """A rejected program text.  `pos` is where in its source file, and
+    `pou` the program unit whose text it is in, when one is."""
+
+    def __init__(self, msg: str, pos: ast.Pos = None, pou: ast.Pou = None):
         where = f"{pos.line}:{pos.col}: " if pos and pos.line else ""
         super().__init__(where + msg)
         self.pos = pos
+        self.pou = pou
 
 
 class PouTable:
@@ -37,7 +41,7 @@ class PouTable:
         pous = builtin_pous()
         for pou in units:
             if pou.name in pous:
-                raise ElabError(f"duplicate definition of {pou.name}", pou.pos)
+                raise ElabError(f"duplicate definition of {pou.name}", pou.pos, pou)
             pous[pou.name] = pou
         return cls(pous)
 
@@ -58,14 +62,14 @@ class PouTable:
                     if decl.init is not None:
                         raise ElabError(
                             f"block instance {decl.name} cannot take an initializer",
-                            decl.pos,
+                            decl.pos, pou,
                         )
                     continue
                 if tn in self.programs:
                     raise ElabError(
-                        f"{decl.name}: programs cannot be instantiated", decl.pos
+                        f"{decl.name}: programs cannot be instantiated", decl.pos, pou
                     )
-                raise ElabError(f"{decl.name}: unknown type {tn}", decl.pos)
+                raise ElabError(f"{decl.name}: unknown type {tn}", decl.pos, pou)
 
     def _check_recursion(self):
         # Instance graph over function blocks; a cycle would mean unbounded state.
@@ -103,11 +107,15 @@ class _BodyChecker:
         self.decls = {d.name: d for d in pou.inputs + pou.outputs + pou.locals}
 
     def run(self):
-        for decl in self.decls.values():
-            if decl.init is not None:
-                self.check_expr(decl.init)
-        for stmt in self.pou.body:
-            self.check_stmt(stmt)
+        try:
+            for decl in self.decls.values():
+                if decl.init is not None:
+                    self.check_expr(decl.init)
+            for stmt in self.pou.body:
+                self.check_stmt(stmt)
+        except ElabError as e:
+            e.pou = self.pou
+            raise
 
     def _instance_pou(self, name: str, pos: ast.Pos) -> ast.Pou:
         decl = self.decls.get(name)

@@ -77,11 +77,51 @@ class RuleCtx:
     (filled by `comm._answer`), so the same answer gives the same object,
     whose hash is kept: a pure function of that key and the table, since
     the call site is the configuration's step outcome.  The class is part
-    of the key because `True == 1`.  All four therefore stay valid for as
-    long as the context lives.  `Scenario.context()` makes a new, empty
-    context for each search, so a fresh context starts cold, which the
-    benchmark's determinism guard relies on: it checks that the number of
-    `step` calls repeats exactly from one run of a query to the next.
+    of the key because `True == 1`.
+
+    Two more tables hold whole successors, as deltas, of concrete-mode
+    states without fresh variables (`fresh_counter == 0`, the test
+    `model.canonicalize` uses for its kept pieces); `por.successors`
+    fills and reads them only for such states, so a symbolic search
+    leaves them empty.  Such a state holds concrete values only, so every
+    guard is decided without the solver and no step branches.
+
+    `moves` holds each machine's chained moves (`comm.machine_moves`
+    across `por._chain_internal`), as `(private, deltas)`: whether every
+    unchained move is private, and per chain its transition id and the
+    machine's end `KConfig`.  The first-level key is `(mid, cfg,
+    options)`.  A chain reads the machine's configuration and, through
+    its rules, the options and `comm_ample`; a chain that reaches a
+    communication, `assertTime` or `setDelay` step reads the shared state
+    too: the links, `msg_seq`, and the machine's timer and cycle time.
+    Every step before such a step is internal and a function of the
+    configuration, so whether a chain reaches one is a function of the
+    configuration alone.  For such a configuration the first level holds
+    a marker, and the deltas, which then hold the links and `msg_seq`
+    the chain left, sit under `(first-level key, timer, cycle time,
+    links, msg_seq)`, the links as `model.exact_links` gives them: in
+    buffer order, with each message's `seq` (which message equality
+    ignores, yet a receive's id and a send's `msg_seq` carry) and the
+    class of its data.  Nothing else of the state is read; the rest of a
+    successor is the state's own, with the fold flag cleared.
+
+    `ticks` maps each machine's timer and the time left until the open
+    and the close of its open `assertTime` window (`window_left`), the
+    exact links and the options to the tick menu: per jump, its
+    transition id, the timers and the links after it.  That is all
+    `limits` and `tick_apply` read apart from the plant and the clock,
+    which each hit still takes through `_flowed` and `vadd`
+    (`tick_with`).
+
+    `moves` keys the configuration by `KConfig` equality, so its
+    `KConfig` part merges `1` and `True` in a store exactly as `steps`
+    does; the links part of both tables keeps them apart.
+
+    All six tables stay valid for as long as the context lives.
+    `Scenario.context()` makes a new, empty context for each search, so a
+    fresh context starts cold, which the benchmark's determinism guard
+    relies on: it checks that the number of `step` calls repeats exactly
+    from one run of a query to the next.
     """
 
     table: PouTable
@@ -94,6 +134,8 @@ class RuleCtx:
     runs: dict = field(default_factory=dict)
     flows: dict = field(default_factory=dict)
     resumed: dict = field(default_factory=dict)
+    moves: dict = field(default_factory=dict)
+    ticks: dict = field(default_factory=dict)
 
 
 # -- time limits ------------------------------------------------------------
@@ -102,6 +144,16 @@ class RuleCtx:
 def elapsed_in_cycle(m: PLCMachine):
     """Time since this machine's scan started."""
     return vsub(m.cycle_time, m.timer)
+
+
+def window_left(m: PLCMachine):
+    """The time left until the open and the close of `m`'s open
+    `assertTime` window, or None when it has none."""
+    head = m.cfg.head
+    if isinstance(head, AssertTimeAnn):
+        e = elapsed_in_cycle(m)
+        return (vsub(head.lo, e), vsub(head.hi, e))
+    return None
 
 
 def limits(s: SystemState) -> tuple:
@@ -117,11 +169,10 @@ def limits(s: SystemState) -> tuple:
     opens = []
     for m in s.machines:
         caps.append(m.timer)
-        head = m.cfg.head
-        if isinstance(head, AssertTimeAnn):
-            e = elapsed_in_cycle(m)
-            opens.append(vsub(head.lo, e))
-            caps.append(vsub(head.hi, e))
+        window = window_left(m)
+        if window is not None:
+            opens.append(window[0])
+            caps.append(window[1])
     for conn in s.conns:
         for msg in conn.buffer:
             opens.append(msg.min_timer)
@@ -166,11 +217,7 @@ def _flowed(ctx: RuleCtx, m: PLCMachine, d) -> tuple:
 
 def tick_apply(ctx: RuleCtx, s: SystemState, d) -> SystemState:
     """Advance scan-side time by d; physical side too unless separated."""
-    sep = s.options.clock_sep
-    machines = tuple(
-        copy_with(m, timer=vsub(m.timer, d), state=m.state if sep else _flowed(ctx, m, d))
-        for m in s.machines
-    )
+    timers = [vsub(m.timer, d) for m in s.machines]
     conns = tuple(
         copy_with(
             c,
@@ -185,6 +232,18 @@ def tick_apply(ctx: RuleCtx, s: SystemState, d) -> SystemState:
         )
         for c in s.conns
     )
+    return tick_with(ctx, s, d, timers, conns)
+
+
+def tick_with(ctx: RuleCtx, s: SystemState, d, timers, conns) -> SystemState:
+    """`s` after a tick by `d` that leaves the machines' timers at `timers`
+    and the links at `conns`: the plant flows too (through `ctx.flows`)
+    and the clock moves, unless the clocks are separated."""
+    sep = s.options.clock_sep
+    machines = tuple([
+        copy_with(m, timer=t, state=m.state if sep else _flowed(ctx, m, d))
+        for m, t in zip(s.machines, timers)
+    ])
     clock = s.clock if sep else vadd(s.clock, d)
     return copy_with(s, machines=machines, conns=conns, clock=clock)
 

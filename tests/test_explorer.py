@@ -11,6 +11,7 @@ from plcreach.explorer import (
     NO_SOLUTION,
     SOLUTION_FOUND,
     PropertyError,
+    Timelocks,
     compile_property,
     random_walk,
     replay,
@@ -19,10 +20,11 @@ from plcreach.explorer import (
     trace_lines,
 )
 from plcreach.model import InputSpec, ModelError, Options, canonicalize
+from plcreach.por import successors
 from plcreach.solver import SmtCheck
 from plcreach.symbolic import evaluate_path
 from plcreach.st import PouTable, parse_file
-from plcreach.timed import RuleCtx
+from plcreach.timed import RuleCtx, diagnose_stuck
 from plcreach.values import copy_with
 
 from test_system import (
@@ -135,6 +137,31 @@ class TestReductionCounts:
         assert full.states_explored == 8
         assert reduced.states_explored == 4
         assert full.verdict == NO_SOLUTION and reduced.verdict == NO_SOLUTION
+
+
+class TestTimelocks:
+    def test_a_networked_graph_reports_its_timelocks(self):
+        scen = bench.load("commdemo")
+        s0 = scen.initial_state(por=True)
+        r = search(scen.context(), s0, bound=30)
+        assert (r.verdict, r.states_explored) == (NO_SOLUTION, 611)
+        tl = r.timelocks
+        assert tl.count == 6
+        assert any(note.endswith("expired undelivered") for note in tl.reasons)
+        # the path replays, in the full graph, to a state that cannot move
+        s = replay(scen.context(), s0, tl.path)
+        assert s.clock == tl.earliest
+        assert successors(scen.context(), s, por=False) == []
+        assert set(diagnose_stuck(s)) <= set(tl.reasons)
+        d = r.to_jsonable()["timelocks"]
+        assert d["count"] == 6 and d["path"] == [t.pretty() for t in tl.path]
+
+    def test_a_graph_without_timelocks_reports_none(self):
+        scen = bench.load("ptpc")
+        r = search(scen.context(), scen.initial_state(por=False), bound=10)
+        assert r.timelocks == Timelocks()
+        assert r.to_jsonable()["timelocks"] == {
+            "count": 0, "earliestClock": None, "reasons": [], "path": []}
 
 
 SYMB_SRC = """

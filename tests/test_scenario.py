@@ -556,12 +556,28 @@ class TestDisk:
         undeclared = "PROGRAM P VAR x : INT; END_VAR y := 1; END_PROGRAM\n" + TANK_SRC
         not_constant = TANK_SRC.replace("  input : BOOL;\n",
                                         "  input : BOOL;\n  y : INT;\n  x : INT := y + 1;\n")
-        for src, where in ((undeclared, f"{p}: in its sources, "),
+        for src, where in ((undeclared, "bad.st: "),
                            (not_constant, "machine 'plc1': ")):
             with pytest.raises(ScenarioError) as info:
                 load_scenario(p, extra_sources=((src, "bad.st"),))
             assert isinstance(info.value.__cause__, ElabError)
             assert str(info.value) == where + str(info.value.__cause__)
+
+    def test_an_elaboration_error_names_the_source_of_its_unit(self, tmp_path):
+        # The faulty unit is in the second of two sources; an error in no
+        # one unit (an instantiation cycle) names the scenario file.
+        (tmp_path / "tank.st").write_text(TANK_SRC)
+        (tmp_path / "bad.st").write_text("PROGRAM P\nVAR x : INT; END_VAR\nzz(1);\nEND_PROGRAM\n")
+        p = self.write(tmp_path, tank_doc(sources=["tank.st", "bad.st"]))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        assert str(info.value) == f"{tmp_path / 'bad.st'}: 3:1: P: unresolved name zz"
+        assert info.value.__cause__.pou.name == "P"
+        (tmp_path / "bad.st").write_text(
+            "FUNCTION_BLOCK A\nVAR b : B; END_VAR\nEND_FUNCTION_BLOCK\n"
+            "FUNCTION_BLOCK B\nVAR a : A; END_VAR\nEND_FUNCTION_BLOCK\n")
+        with pytest.raises(ScenarioError, match=r"scenario\.json: in its sources, recursive"):
+            load_scenario(p)
 
     def test_extra_sources_argument(self, tmp_path):
         doc = tank_doc()
@@ -1070,26 +1086,26 @@ def _rejected_replay(name, tid):
         pytest.param(
             _rejected_source(f"PROGRAM P\nVAR c : CONNECT := 1; END_VAR\nEND_PROGRAM\n{TANK_SRC}"),
             ScenarioError,
-            r"scenario\.json: in its sources, 2:5: block instance c cannot take an initializer$",
+            r"^bad\.st: 2:5: block instance c cannot take an initializer$",
             id="initializer-on-an-instance",
         ),
         pytest.param(
             _rejected_body("zz(1);"), ScenarioError,
-            r"scenario\.json: in its sources, 3:1: P: unresolved name zz$", id="call-undeclared",
+            r"^bad\.st: 3:1: P: unresolved name zz$", id="call-undeclared",
         ),
         pytest.param(
             _rejected_body("y := 1;"), ScenarioError,
-            r"scenario\.json: in its sources, 3:1: P: assignment to undeclared y$",
+            r"^bad\.st: 3:1: P: assignment to undeclared y$",
             id="assign-undeclared",
         ),
         pytest.param(
             _rejected_body("c(TRUE, 'x', 3);"), ScenarioError,
-            r"scenario\.json: in its sources, 3:1: P: too many arguments to c$",
+            r"^bad\.st: 3:1: P: too many arguments to c$",
             id="call-too-many-arguments",
         ),
         pytest.param(
             _rejected_body("x := foo(1);"), ScenarioError,
-            r"scenario\.json: in its sources, 3:6: P: foo is not callable in an expression$",
+            r"^bad\.st: 3:6: P: foo is not callable in an expression$",
             id="call-in-an-expression",
         ),
         pytest.param(
