@@ -15,7 +15,9 @@ move also decides whether it is `private`, with the reason next to it.
 The rules are pure functions of what they read, so `por.successors`
 memoises a machine's moves, chained, in `RuleCtx.moves` for concrete
 states without fresh variables, and calls `machine_moves` only on a
-miss (the key is argued at `RuleCtx`).
+miss.  Its keys hold what the rules read of the shared state, which
+`READ_VALIDITY` and `NEVER_PRIVATE` below say per rule (the key is
+argued at `RuleCtx`).
 """
 
 from __future__ import annotations
@@ -288,6 +290,14 @@ def _rcv_moves(ctx, s, mid, cfg, out, partner, pair, conn) -> list:
             moves.append(Move("rcvNo", "comm", (pair,), mid, s2, error, False))
     return moves
 
+
+# What the rules read of the shared state, for the keys of `RuleCtx.moves`.
+# Each of these reads only whether the pair's link exists and is up when
+# it leaves the links as they are.  connectRequest brings a link up,
+# disconnect takes one down, and a send appends to a link that is up.
+READ_VALIDITY = frozenset({"connectRequest", "disconnect", "isConnected", "sendData"})
+# These two never make a private move, whatever the link holds.
+NEVER_PRIVATE = frozenset({"disconnect", "sendData"})
 
 # One rule per name in `st.builtins.COMM_INTRINSICS`.
 _COMM_RULES = {

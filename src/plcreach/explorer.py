@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .kmachine import Literals, eval_expr
 from .model import ModelError, SystemState, canonicalize
-from .por import apply, successors
+from .por import Delta, apply, successors
 from .st import LexError, ParseError, parse_expression
 from .symbolic import concrete_or_none, feasible
 # perfbench/tracing.py rebinds explorer.due_machines, so the name stays
@@ -94,9 +94,9 @@ def compile_property(s0: SystemState, text: str):
     memo: dict = {}
 
     def prop(s: SystemState):
-        key = tuple(
+        key = tuple([
             (m.mid, m.state, tuple([v.__class__ for _, v in m.state])) for m in s.machines
-        )
+        ])
         got = memo.get(key, memo)
         if got is memo:
             try:
@@ -165,8 +165,11 @@ class SearchResult:
         return self.verdict == SOLUTION_FOUND
 
     def to_jsonable(self) -> dict:
+        # `timelocked` beside the verdict: a NoSolution over a graph where
+        # time stops says less than one over a graph where it runs on.
         return {
             "verdict": self.verdict,
+            "timelocked": self.timelocks.count > 0,
             "bound": str(self.bound),
             "statesExplored": self.states_explored,
             "transitionsFired": self.transitions_fired,
@@ -219,6 +222,9 @@ def search(
     queries0, by_class0 = stats.queries, dict(stats.by_class)
     prop = compile_property(s0, property_text) if property_text else None
 
+    # A search meets each scan start on many interleavings (see RuleCtx).
+    if ctx.started is None:
+        ctx.started = {}
     # The canonical form's memo; lives as long as `parents`.
     memo: dict = {}
     key0 = canonicalize(s0, memo)
@@ -238,7 +244,9 @@ def search(
             if w is not None:
                 witnesses.append(w)
                 break
-        succ = successors(ctx, s)
+        # By keyword: the benchmark's calibration wrapper passes on
+        # keywords only.
+        succ = successors(ctx, s, bound=bound)
         # No successor and no tick folded away (`ticked`): time is locked.
         if not succ and not s.ticked:
             stuck.append((concrete_or_none(s.clock), key))
@@ -250,16 +258,23 @@ def search(
             endpoints.add(_endpoint_record(s))
         for tid, st in succ:
             fired += 1
-            # Absorb states past the bound; pin symbolic clocks inside it.
-            st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
-            if st is False:
+            if st is None:  # past the bound, and never built
                 continue
-            k2 = canonicalize(st, memo)
+            if st.__class__ is Delta:
+                k2 = st.key
+            else:
+                # Absorb states past the bound; pin symbolic clocks inside it.
+                st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
+                if st is False:
+                    continue
+                k2 = canonicalize(st, memo)
             # One lookup hashes the key once; a known key keeps its entry.
             n = len(parents)
             parents.setdefault(k2, (key, tid))
             if len(parents) == n:
                 continue
+            if st.__class__ is Delta:
+                st = st.state()
             queue.append((st, k2))
             if max_states is not None and len(parents) >= max_states:
                 capped = True

@@ -125,10 +125,10 @@ class KConfig:
 
     # Hashing walks `k` and the store, so it is done once per instance
     # (statement trees hash once themselves).  The hash and `config_vars`
-    # are kept in the instance dict: `copy_with` copies only the fields,
-    # so a copy starts without them.  They are kept by hand, not by
-    # `cached_property`, whose first read takes a lock on Python 3.10 and
-    # 3.11.
+    # are kept in the instance dict, and `copy_with` drops them
+    # (`values.CACHES`), so a copy starts without them.  They are kept by
+    # hand, not by `cached_property`, whose first read takes a lock on
+    # Python 3.10 and 3.11.
     def __hash__(self):
         d = self.__dict__
         h = d.get("_hash")

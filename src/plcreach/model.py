@@ -68,6 +68,16 @@ class Options:
     def symbolic(self) -> bool:
         return self.mode == "symbolic"
 
+    # The memo tables of `RuleCtx` hash the options on most lookups, so
+    # the hash is kept in the instance dict, as `KConfig` keeps its own.
+    def __hash__(self):
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.mode, self.por, self.clock_sep, self.rcv_no_on_pending,
+                                   self.reliable_connect))
+        return h
+
 
 @dataclass(frozen=True)
 class TransitionId:
@@ -397,6 +407,8 @@ def _renamed_state(state: tuple, ren) -> tuple:
 
 
 def _machine_piece(m: PLCMachine, ren=_same, ren_config=_same) -> tuple:
+    if ren is _same:
+        return (m.mid, m.cfg, m.timer, m.env_timer, m.state, m.cycle_time, m.cycle_index)
     # the configuration is met after the timer and the plant values
     timer = ren(m.timer)
     state = _renamed_state(m.state, ren)
@@ -436,7 +448,7 @@ def _exact_link(c: Conn) -> tuple:
 
 # The instance-dict entries where a machine or link keeps its key piece
 # under the identity renaming, and a link its exact piece (`exact_links`).
-# `copy_with` copies only fields, so no copy has them.
+# `copy_with` drops them (`values.CACHES`), so no copy has them.
 _PIECE = "_key_piece"
 _EXACT = "_exact_piece"
 
@@ -447,6 +459,50 @@ def _kept(record, piece_of, entry: str = _PIECE) -> tuple:
     if piece is None:
         piece = d[entry] = piece_of(record)
     return piece
+
+
+def kept_pieces(s: SystemState) -> tuple:
+    """The key pieces that the machines and the links of `s` keep, as
+    `(machine pieces, link pieces)`: the first two parts of
+    `canonicalize(s)` when `s` has no fresh variables."""
+    return (tuple([_kept(m, _machine_piece) for m in s.machines]),
+            tuple([_kept(c, _link_piece) for c in s.conns]))
+
+
+def moved_keys(s: SystemState, pieces: tuple, i: int, deltas: tuple) -> list:
+    """`canonicalize` of each successor of `s` by a move of machine `i`,
+    from `pieces = kept_pieces(s)`, without building it.  Each delta is
+    `(tid, cfg, conns, msg_seq)`, as `RuleCtx.moves` holds it: the move
+    leaves the machine's configuration at `cfg` and the links at `conns`
+    (None: unchanged).  `s` has no fresh variables; a machine move
+    clears the fold flag."""
+    machines, links = pieces
+    head, tail = machines[:i], machines[i + 1:]
+    # the configuration comes second in a machine piece (`_machine_piece`)
+    mid, rest = machines[i][0], machines[i][2:]
+    clock = s.clock
+    return [
+        (head + ((mid, cfg) + rest,) + tail,
+         links if conns is None else tuple([_kept(c, _link_piece) for c in conns]),
+         clock, (), False)
+        for _, cfg, conns, _ in deltas
+    ]
+
+
+def moved_state(s: SystemState, i: int, cfg: KConfig, conns: tuple = None, msg_seq: int = None,
+                piece: tuple = None) -> SystemState:
+    """The successor of `s` by a move of machine `i` that leaves its
+    configuration at `cfg` and the links at `conns` (None: unchanged)
+    with `msg_seq`: one copy of the machine and one of the state.  The
+    moved machine keeps `piece` as its key piece, when given (the one
+    `moved_keys` made)."""
+    m = copy_with(s.machines[i], cfg=cfg)
+    if piece is not None:
+        m.__dict__[_PIECE] = piece
+    machines = s.machines[:i] + (m,) + s.machines[i + 1:]
+    if conns is None:
+        return copy_with(s, machines=machines, ticked=False)
+    return copy_with(s, machines=machines, conns=conns, msg_seq=msg_seq, ticked=False)
 
 
 def exact_links(s: SystemState) -> tuple:
@@ -494,13 +550,8 @@ def canonicalize(s: SystemState, memo: dict = None) -> tuple:
     used.
     """
     if not s.fresh_counter:
-        return (
-            tuple([_kept(m, _machine_piece) for m in s.machines]),
-            tuple([_kept(c, _link_piece) for c in s.conns]),
-            s.clock,
-            (),
-            s.ticked,
-        )
+        machines_key, conns_key = kept_pieces(s)
+        return (machines_key, conns_key, s.clock, (), s.ticked)
     if memo is None:
         memo = {}
     names: dict = {}  # fresh variable -> its `v{i}`, in first-use order

@@ -17,14 +17,35 @@ The reduction picks, per state, a sound subset of enabled transitions:
 
 Loop steps are never private, so that every cycle in the reduced graph
 contains a fully expanded state.
+
+A concrete-mode state without fresh variables takes its machine moves
+from `RuleCtx.moves` and its ticks from `RuleCtx.ticks`.  A machine's
+entry in `moves` is keyed first by its configuration and the options,
+then by the widest thing its chains read of the shared state: nothing;
+whether each link is up; the exact links and `msg_seq`; those and the
+timer.  The rules are deterministic in what they read, so an entry
+holds for every state that agrees on what was read (the argument is at
+`RuleCtx`).
+
+Key before build: a search passes its bound, and then each chained
+machine move of such a state comes as a `Delta`, the canonical key of
+the successor, made from the key pieces the parent keeps
+(`model.kept_pieces`) and the moved machine's new piece, beside what
+builds it.  The search builds a state only for a key it has not stored,
+and the moved machine keeps its piece.  A move or tick whose state lies
+past the bound comes as None: it counts as a transition and as a
+successor for the time-lock test, and is never built.  Without a bound
+(`simulate`, `random_walk`, `replay`, `check_independence`), and for
+every other state, successors come built, as the rules make them.
 """
 
 from __future__ import annotations
 
 from . import comm
-from .comm import chainable, machine_moves, with_cfg
+from .comm import NEVER_PRIVATE, READ_VALIDITY, chainable, machine_moves, with_cfg
 from .kmachine import Done, Internal, KConfig, NeedsComm
-from .model import SystemState, TransitionId, canonicalize, exact_links
+from .model import (SystemState, TransitionId, canonicalize, exact_links, kept_pieces,
+                    moved_keys, moved_state)
 from .st.ast import AssertTimeAnn, DelayAnn
 from .timed import (
     RuleCtx,
@@ -80,7 +101,7 @@ def _private_run(ctx: RuleCtx, cfg: KConfig) -> tuple:
     return run
 
 
-def _chain_internal(ctx: RuleCtx, v):
+def _chain_internal(ctx: RuleCtx, v, keyed: bool = False):
     """Extend a machine move across its deterministic private run.
 
     Private moves with a single feasible continuation commute with every
@@ -91,15 +112,16 @@ def _chain_internal(ctx: RuleCtx, v):
     internal steps are taken whole from `_private_run`, and
     `machine_moves` is asked with the chain's configuration beside the
     shared state.  No system state is built: returns `(tid, shared, cfg,
-    reads)`, the chain's id, its two halves at its end, and whether a
-    step after the first is one whose rule reads the shared state
-    (`_READERS`).
+    reads)`, the chain's id and its two halves at its end, and, when
+    `keyed` (for `RuleCtx.moves`), the widest thing the steps after the
+    first read of the shared state (`_reads`; the step it stops before
+    by `_stop_reads`), else `_NOTHING`.
     """
     if not v.private:
-        return (TransitionId(v.cls, v.mid, v.label, v.key), v.shared, v.cfg, False)
+        return (TransitionId(v.cls, v.mid, v.label, v.key), v.shared, v.cfg, _NOTHING)
     chain = [(v.label, v.key)]
     shared, cfg = v.shared, v.cfg
-    reads = False
+    reads = _NOTHING
     while len(chain) <= _CHAIN_LIMIT:
         labels, cfg = _private_run(ctx, cfg)
         chain.extend(labels)
@@ -108,10 +130,13 @@ def _chain_internal(ctx: RuleCtx, v):
         # visible, or a run cut at `_CHAIN_LIMIT`.
         if isinstance(out, (Done, Internal)):
             break
-        reads = reads or isinstance(out, _READERS)
         nxt = machine_moves(ctx, shared, v.mid, cfg)
         if len(nxt) != 1 or not nxt[0].private:
+            if keyed and isinstance(out, _READERS):
+                reads = max(reads, _stop_reads(out, nxt, shared))
             break
+        if keyed and isinstance(out, _READERS):
+            reads = max(reads, _reads(out, nxt, shared))
         chain.append((nxt[0].label, nxt[0].key))
         shared, cfg = nxt[0].shared, nxt[0].cfg
     if len(chain) == 1:
@@ -119,81 +144,180 @@ def _chain_internal(ctx: RuleCtx, v):
     return (TransitionId("internal", v.mid, "seq", tuple(chain)), shared, cfg, reads)
 
 
-# Step outcomes whose rules read the shared state: the links and
-# `msg_seq` (communication, `setDelay`) or the machine's timer
-# (`assertTime`).
+# What a machine's chains read of the shared state, narrowest first (see
+# `RuleCtx.moves`): nothing; whether each link exists and is up; the
+# exact links and `msg_seq`; those and the machine's timer and cycle
+# time.
+_NOTHING, _VALIDITY, _LINKS, _TIMER = range(4)
+# The step outcomes whose rules read the shared state at all.
 _READERS = (NeedsComm, AssertTimeAnn, DelayAnn)
-# The first-level `ctx.moves` entry of a configuration whose chains read
-# the shared state; they are kept under a second-level key.
-_SHARED = "shared"
+
+
+def _reads(out, moves: list, shared: SystemState) -> int:
+    """What the rule of step outcome `out` read of `shared` to make
+    `moves`: their number, ids, privacy and effects."""
+    if isinstance(out, NeedsComm):
+        if out.name in READ_VALIDITY and all(v.shared is shared for v in moves):
+            return _VALIDITY
+        return _LINKS
+    if isinstance(out, AssertTimeAnn):
+        return _TIMER
+    # setDelay reads the link it retunes
+    return _LINKS if isinstance(out, DelayAnn) else _NOTHING
+
+
+def _stop_reads(out, moves: list, shared: SystemState) -> int:
+    """What a chain read to stop before step outcome `out`, whose moves
+    are `moves`: only whether they are one private move, which a rule
+    that never makes one decides without reading anything."""
+    if isinstance(out, (AssertTimeAnn, DelayAnn)) or (
+            isinstance(out, NeedsComm) and out.name in NEVER_PRIVATE):
+        return _NOTHING
+    return _reads(out, moves, shared)
+
+
+class _Reads:
+    """The `ctx.moves` entry of a configuration whose chains read the
+    shared state: the widest `level` any of them read so far, and the
+    groups keyed by what that level reads (`_second`)."""
+
+    __slots__ = ("level", "groups")
+
+    def __init__(self, level: int):
+        self.level = level
+        self.groups = {}
+
+
+def _second(level: int, s: SystemState, m, links: tuple):
+    """The second-level `ctx.moves` key of machine `m` of `s` at `level`;
+    `links` is `_links(ctx, s)`."""
+    if level == _VALIDITY:
+        return links[1]
+    if level == _LINKS:
+        return (links[0], s.msg_seq)
+    return (links[0], s.msg_seq, m.timer, m.cycle_time)
+
+
+def _links(ctx: RuleCtx, s: SystemState) -> tuple:
+    """`(id, validity)` of the links of `s`: one int per distinct
+    `exact_links`, interned in `ctx.links`, and each link's pair and
+    whether it is up."""
+    exact = exact_links(s)
+    got = ctx.links.get(exact)
+    if got is None:
+        got = ctx.links[exact] = (len(ctx.links), tuple([(c.pair, c.valid) for c in s.conns]))
+    return got
 
 
 def _group(ctx: RuleCtx, s: SystemState, i: int, links: tuple) -> tuple:
     """Machine `s.machines[i]`'s chained moves in `s` as `(private,
     deltas)` (see `RuleCtx.moves`): recalled, or enumerated, chained and
     remembered.  Each delta is a chain's id and end configuration, and,
-    when a rule on the way read the shared state, the links and
-    `msg_seq` it left (else None twice)."""
+    when the chain changed the links, the links and `msg_seq` it left
+    (else None twice)."""
     m = s.machines[i]
     key = (m.mid, m.cfg, s.options)
-    got = ctx.moves.get(key)
-    if got is _SHARED:
-        got = ctx.moves.get((key, m.timer, m.cycle_time, links, s.msg_seq))
-    if got is not None:
-        return got
+    entry = ctx.moves.get(key)
+    if entry.__class__ is tuple:
+        return entry
+    if entry is not None:
+        got = entry.groups.get(_second(entry.level, s, m, links))
+        if got is not None:
+            return got
     moves = machine_moves(ctx, s, m.mid)
-    chains = [_chain_internal(ctx, v) for v in moves]
-    private = all(v.private for v in moves)
-    if isinstance(ctx.steps[m.cfg], _READERS) or any(c[3] for c in chains):
-        ctx.moves[key] = _SHARED
-        got = ctx.moves[(key, m.timer, m.cycle_time, links, s.msg_seq)] = (private, tuple([
-            (tid, cfg, shared.conns, shared.msg_seq) for tid, shared, cfg, _ in chains]))
-    else:
-        got = ctx.moves[key] = (private, tuple([(tid, cfg, None, None) for tid, _, cfg, _ in chains]))
+    level = _reads(ctx.steps[m.cfg], moves, s)
+    deltas = []
+    for v in moves:
+        tid, shared, cfg, reads = _chain_internal(ctx, v, keyed=True)
+        if reads > level:
+            level = reads
+        if shared.conns is s.conns and shared.msg_seq == s.msg_seq:
+            deltas.append((tid, cfg, None, None))
+        else:
+            deltas.append((tid, cfg, shared.conns, shared.msg_seq))
+    got = (all(v.private for v in moves), tuple(deltas))
+    if level == _NOTHING:
+        ctx.moves[key] = got
+        return got
+    if entry is None or entry.level < level:
+        # widen: the groups kept so far are keyed too narrowly for this one
+        entry = ctx.moves[key] = _Reads(level)
+    entry.groups[_second(entry.level, s, m, links)] = got
     return got
 
 
-def _rebuilt(s: SystemState, i: int, deltas: tuple) -> list:
-    """Machine `s.machines[i]`'s successors in `s` from its deltas: one
-    copy of the machine and one of the state each."""
-    m = s.machines[i]
-    out = []
-    for tid, cfg, conns, msg_seq in deltas:
-        machines = s.machines[:i] + (copy_with(m, cfg=cfg),) + s.machines[i + 1:]
-        if conns is None:
-            out.append((tid, copy_with(s, machines=machines, ticked=False)))
-        else:
-            out.append((tid, copy_with(s, machines=machines, conns=conns, msg_seq=msg_seq,
-                                       ticked=False)))
-    return out
+class Delta(tuple):
+    """A chained machine move out of a concrete state without fresh
+    variables, keyed before it is built: `(key, parent, i, delta)`, where
+    `key` is the canonical key of the successor (`model.moved_keys`) and
+    `delta` machine `i`'s entry in `RuleCtx.moves`.  `state()` builds the
+    successor, the moved machine keeping its key piece.  `successors`
+    with a bound returns these in place of states, so that a search
+    builds only the successors it has not stored."""
+
+    __slots__ = ()
+
+    @property
+    def key(self) -> tuple:
+        return self[0]
+
+    def state(self) -> SystemState:
+        key, s, i, (_, cfg, conns, msg_seq) = self
+        return moved_state(s, i, cfg, conns, msg_seq, key[0][i])
 
 
-def _ticks(ctx: RuleCtx, s: SystemState, links: tuple) -> list:
-    """The ticks of `s`, recalled from or remembered in `ctx.ticks`."""
-    key = (tuple([(m.timer, window_left(m)) for m in s.machines]), links, s.options)
+def _moved(s: SystemState, i: int, deltas: tuple, bound, pieces: tuple) -> list:
+    """Machine `s.machines[i]`'s successors in `s` from its deltas: built
+    when `bound` is None; else each as a `Delta`, or as None when `s`
+    lies past the bound."""
+    if bound is None:
+        return [(tid, moved_state(s, i, cfg, conns, msg_seq))
+                for tid, cfg, conns, msg_seq in deltas]
+    if s.clock > bound:
+        return [(d[0], None) for d in deltas]
+    keys = moved_keys(s, pieces, i, deltas)
+    return [(d[0], Delta((k, s, i, d))) for d, k in zip(deltas, keys)]
+
+
+def _ticks(ctx: RuleCtx, s: SystemState, links: tuple, bound) -> list:
+    """The ticks of `s`, recalled from or remembered in `ctx.ticks`; with
+    a bound, one that ends past it as None."""
+    key = (tuple([(m.timer, window_left(m)) for m in s.machines]), links[0], s.options)
     menu = ctx.ticks.get(key)
     if menu is None:
         out = tick_concrete(ctx, s)
         ctx.ticks[key] = tuple([
             (tid, tuple([x.timer for x in st.machines]), st.conns) for tid, st in out])
+        if bound is not None:
+            out = [(tid, None if st.clock > bound else st) for tid, st in out]
         return out
-    return [(tid, tick_with(ctx, s, tid.key[0], timers, conns)) for tid, timers, conns in menu]
+    sep = s.options.clock_sep
+    out = []
+    for tid, timers, conns in menu:
+        d = tid.key[0]
+        if bound is not None and (s.clock if sep else s.clock + d) > bound:
+            out.append((tid, None))
+        else:
+            out.append((tid, tick_with(ctx, s, d, timers, conns)))
+    return out
 
 
-def _memoised(ctx: RuleCtx, s: SystemState, por: bool, first: bool, starts: list) -> list:
+def _memoised(ctx: RuleCtx, s: SystemState, por: bool, first: bool, starts: list, bound) -> list:
     """`successors` of a concrete-mode state without fresh variables,
     through the memo tables `ctx.moves` and `ctx.ticks`."""
-    links = exact_links(s)
+    links = _links(ctx, s)
+    pieces = None if bound is None else kept_pieces(s)
     per = []
     for i in range(len(s.machines)):
         private, deltas = _group(ctx, s, i, links)
         if deltas and (first or (por and private)):
-            return _rebuilt(s, i, deltas)
+            return _moved(s, i, deltas, bound, pieces)
         per.append(deltas)
     out = list(starts)
     for i, deltas in enumerate(per):
-        out.extend(_rebuilt(s, i, deltas))
-    out.extend(_ticks(ctx, s, links))
+        if deltas:
+            out.extend(_moved(s, i, deltas, bound, pieces))
+    out.extend(_ticks(ctx, s, links, bound))
     out.extend(env_tick(ctx, s))
     return out
 
@@ -204,7 +328,8 @@ def _joined(ctx: RuleCtx, v) -> tuple:
     return tid, with_cfg(shared, v.mid, cfg)
 
 
-def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = False) -> list:
+def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = False,
+               bound=None) -> list:
     """Enabled transitions from `s` as (TransitionId, state) pairs, as the
     rules make them, with machine moves chained across private runs.
 
@@ -220,6 +345,15 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     the memo tables `ctx.moves` and `ctx.ticks` (`_memoised`, see
     `RuleCtx`); any other state is enumerated afresh, without their
     bookkeeping.
+
+    `bound`, a search's time bound, asks such a state for its
+    successors keyed before they are built: each chained machine move
+    comes as a `Delta`, whose canonical key is made from the key pieces
+    the parent keeps and the moved machine's new piece, so a search
+    builds a state only for a key it has not stored.  A move or tick
+    whose state lies past the bound comes with None in place of a state:
+    it is enabled, but nothing is built.  Starts, ticks inside the bound
+    and the successors of every other state come built.
     """
     if por is None:
         por = s.options.por
@@ -227,7 +361,7 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     if starts and (por or first):
         return starts
     if not (s.fresh_counter or s.options.symbolic):
-        return _memoised(ctx, s, por, first, starts)
+        return _memoised(ctx, s, por, first, starts, bound)
     per = []
     for m in s.machines:
         moves = machine_moves(ctx, s, m.mid)

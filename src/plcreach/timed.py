@@ -79,49 +79,75 @@ class RuleCtx:
     the call site is the configuration's step outcome.  The class is part
     of the key because `True == 1`.
 
-    Two more tables hold whole successors, as deltas, of concrete-mode
-    states without fresh variables (`fresh_counter == 0`, the test
-    `model.canonicalize` uses for its kept pieces); `por.successors`
-    fills and reads them only for such states, so a symbolic search
-    leaves them empty.  Such a state holds concrete values only, so every
-    guard is decided without the solver and no step branches.
+    The other four tables serve concrete-mode states without fresh
+    variables (`fresh_counter == 0`, the test `model.canonicalize` uses
+    for its kept pieces) only; `por.successors` and `start_variants` fill
+    and read them only for such states, so a symbolic search leaves them
+    empty.  Such a state holds concrete values only, so every guard is
+    decided without the solver and no step branches.
 
     `moves` holds each machine's chained moves (`comm.machine_moves`
     across `por._chain_internal`), as `(private, deltas)`: whether every
-    unchained move is private, and per chain its transition id and the
-    machine's end `KConfig`.  The first-level key is `(mid, cfg,
-    options)`.  A chain reads the machine's configuration and, through
-    its rules, the options and `comm_ample`; a chain that reaches a
-    communication, `assertTime` or `setDelay` step reads the shared state
-    too: the links, `msg_seq`, and the machine's timer and cycle time.
-    Every step before such a step is internal and a function of the
-    configuration, so whether a chain reaches one is a function of the
-    configuration alone.  For such a configuration the first level holds
-    a marker, and the deltas, which then hold the links and `msg_seq`
-    the chain left, sit under `(first-level key, timer, cycle time,
-    links, msg_seq)`, the links as `model.exact_links` gives them: in
-    buffer order, with each message's `seq` (which message equality
-    ignores, yet a receive's id and a send's `msg_seq` carry) and the
-    class of its data.  Nothing else of the state is read; the rest of a
-    successor is the state's own, with the fold flag cleared.
+    unchained move is private, and per chain its transition id, the
+    machine's end `KConfig`, and, when the chain changed the links, the
+    links and `msg_seq` it left (else None twice).  The first-level key
+    is `(mid, cfg, options)`: a chain reads the machine's configuration
+    and, through its rules, the options and `comm_ample`.  A chain that
+    reaches a communication, `assertTime` or `setDelay` step may read
+    the shared state too, and the entry then records the widest thing
+    the chains computed so far read (`por._reads`), narrowest first:
+    whether each link exists and is up (`isConnected`; `connectRequest`
+    to a missing link or one that is up; a send to a missing link or one
+    that is down; `disconnect` of a missing link: each leaves the links
+    unchanged); the exact links and `msg_seq`; those and the machine's
+    timer and cycle time, for `assertTime`.  A
+    chain that stops before a step whose rule never makes a private move
+    (a send, a `disconnect`, `assertTime`, `setDelay`) reads nothing of
+    it.  The groups then sit in a second
+    table under that entry, keyed by what its level reads alone (the
+    links as an int of `links`), so the configuration and the options
+    are not hashed again.  The entry widens when a later computation reads more, and its narrower groups
+    are dropped.  The soundness argument: the rules are deterministic in
+    what they read, so two states that agree on what a computation read
+    take the same steps, read the same things and get the same moves;
+    an entry holds for every state that agrees with it on its key.  The
+    exact links (`model.exact_links`) are in buffer order, with each
+    message's `seq` (which message equality ignores, yet a receive's id
+    and a send's `msg_seq` carry) and the class of its data.  The rest of
+    a successor is the state's own, with the fold flag cleared.
 
     `ticks` maps each machine's timer and the time left until the open
     and the close of its open `assertTime` window (`window_left`), the
-    exact links and the options to the tick menu: per jump, its
-    transition id, the timers and the links after it.  That is all
-    `limits` and `tick_apply` read apart from the plant and the clock,
-    which each hit still takes through `_flowed` and `vadd`
-    (`tick_with`).
+    links id and the options to the tick menu: per jump, its transition
+    id, the timers and the links after it.  That is all `limits` and
+    `tick_apply` read apart from the plant and the clock, which each hit
+    still takes through `_flowed` and `vadd` (`tick_with`).
 
-    `moves` keys the configuration by `KConfig` equality, so its
-    `KConfig` part merges `1` and `True` in a store exactly as `steps`
-    does; the links part of both tables keeps them apart.
+    `links` interns the exact links of each state into an int, with each
+    link's pair and validity beside it (`por._links`), so that the links
+    are hashed once per state.  `started` maps a machine's plan (by
+    identity: the entry holds the plan, so its id stays its own),
+    configuration, plant state with the class of every value, cycle
+    index and the class and value of each enumerated input it is fed to
+    the configuration and plant state it begins its next scan with
+    (`start_scans`); a machine with a free input is not kept.  It is
+    None until `explorer.search` runs with the context: a search meets
+    one start again on every interleaving that leads to it, while a
+    simulation meets each start once and would only fill the table.
 
-    All six tables stay valid for as long as the context lives.
+    `moves` and `started` key the configuration by `KConfig` equality,
+    so their `KConfig` part merges `1` and `True` in a store exactly as
+    `steps` does; the links part of `moves` and `ticks` keeps them apart.
+
+    All nine tables stay valid for as long as the context lives.
     `Scenario.context()` makes a new, empty context for each search, so a
     fresh context starts cold, which the benchmark's determinism guard
     relies on: it checks that the number of `step` calls repeats exactly
     from one run of a query to the next.
+
+    `por.successors` given a search's bound keys each machine move before
+    building it (`por.Delta`): the search builds only the states whose
+    keys it has not stored.
     """
 
     table: PouTable
@@ -136,6 +162,8 @@ class RuleCtx:
     resumed: dict = field(default_factory=dict)
     moves: dict = field(default_factory=dict)
     ticks: dict = field(default_factory=dict)
+    links: dict = field(default_factory=dict)
+    started: dict = None
 
 
 # -- time limits ------------------------------------------------------------
@@ -361,6 +389,7 @@ def start_variants(ctx: RuleCtx, s: SystemState) -> list:
     start's key records each choice as (machine, program, variable, value).
     """
     ways = due_machines(ctx, s)
+    memo = None if s.fresh_counter or s.options.symbolic else ctx.started
     variants = []
     for due, pinned in ways:
         if pinned is not s:
@@ -374,7 +403,7 @@ def start_variants(ctx: RuleCtx, s: SystemState) -> list:
             chosen = dict(zip(axes, combo))
             tid = TransitionId("start", who, "start", tuple(sorted(
                 (mid, spec.prog, spec.var, v) for (mid, spec), v in chosen.items())))
-            variants.append((tid, start_scans(pinned, due_ids, chosen)))
+            variants.append((tid, start_scans(pinned, due_ids, chosen, memo)))
     return variants
 
 
@@ -413,7 +442,7 @@ def compile_start(table: PouTable, programs: tuple, state: tuple, inputs: tuple)
     )
 
 
-def start_scans(s: SystemState, mids, chosen) -> SystemState:
+def start_scans(s: SystemState, mids, chosen, memo: dict = None) -> SystemState:
     """Begin the next scan of each machine in `mids`: the one start rule.
 
     Runs each machine's `plan`: the published outputs go into the plant,
@@ -422,45 +451,70 @@ def start_scans(s: SystemState, mids, chosen) -> SystemState:
     or a fresh variable over a free input's domain (over truth values, the
     atom that the 0/1 variable is 1).  Then the program bodies are queued
     and the timers reset.
+
+    `memo` (`RuleCtx.started`) keeps the configuration and plant state
+    that a machine without free inputs begins its scan with (see
+    `RuleCtx`).
     """
+    machines = list(s.machines)
+    order = [x.mid for x in machines]
     for mid in mids:
         m = s.machine(mid)
-        cfg = m.cfg
-        plan = m.plan
-        state = m.state
-        if plan.publish:
-            state = list(state)
-            for i, loc in plan.publish:
-                state[i] = (state[i][0], cfg.read(loc))
-            state = tuple(state)
-        writes = [(loc, state[i][1]) for loc, i in plan.sense]
-        for loc, spec in plan.feeds:
-            if spec.kind == "script":
-                value = spec.values[min(m.cycle_index, len(spec.values) - 1)]
-            elif spec.kind == "enumerate":
-                value = chosen[(mid, spec)]
-            else:  # free: a fresh variable over the input's domain
-                s, value = fresh_var(s, "u")
-                cond = irredundant(band(*s.constraints, *_domain_of(spec, value)))
-                if cond is False:
-                    raise ModelError("constraint set collapsed to false")
-                s = copy_with(s, constraints=conjuncts(cond))
-                if spec.values and all(isinstance(v, bool) for v in spec.values):
-                    # a truth value: the variable is 0 or 1, and the
-                    # input is the atom that it is 1
-                    value = cmp_eq(value, 1)
-            writes.append((loc, value))
-        m = copy_with(
+        key = got = None
+        if memo is not None:
+            fed = [chosen[(mid, spec)] for _, spec in m.plan.feeds if spec.kind == "enumerate"]
+            key = (id(m.plan), m.cfg, m.state, tuple([v.__class__ for _, v in m.state]),
+                   m.cycle_index, tuple([(v.__class__, v) for v in fed]))
+            got = memo.get(key)
+        if got is None:
+            begun, cfg, state = _begun(s, m, chosen)
+            # a free input names a fresh variable, and is not kept
+            if key is not None and begun is s:
+                memo[key] = (m.plan, cfg, state)
+            s = begun
+        else:
+            _, cfg, state = got
+        machines[order.index(mid)] = copy_with(
             m,
-            cfg=copy_with(cfg.write_many(writes), k=plan.k, env=plan.env,
-                          current_prog=plan.current_prog),
+            cfg=cfg,
             state=state,
             timer=m.cycle_time,
             env_timer=m.cycle_time if s.options.clock_sep else m.env_timer,
             cycle_index=m.cycle_index + 1,
         )
-        s = s.with_machine(m)
-    return copy_with(s, ticked=False)
+    return copy_with(s, machines=tuple(machines), ticked=False)
+
+
+def _begun(s: SystemState, m: PLCMachine, chosen) -> tuple:
+    """`(s, cfg, state)`: the configuration and plant state `m` begins its
+    next scan with, and `s` with the fresh variables of its free inputs."""
+    cfg = m.cfg
+    plan = m.plan
+    state = m.state
+    if plan.publish:
+        state = list(state)
+        for i, loc in plan.publish:
+            state[i] = (state[i][0], cfg.read(loc))
+        state = tuple(state)
+    writes = [(loc, state[i][1]) for loc, i in plan.sense]
+    for loc, spec in plan.feeds:
+        if spec.kind == "script":
+            value = spec.values[min(m.cycle_index, len(spec.values) - 1)]
+        elif spec.kind == "enumerate":
+            value = chosen[(m.mid, spec)]
+        else:  # free: a fresh variable over the input's domain
+            s, value = fresh_var(s, "u")
+            cond = irredundant(band(*s.constraints, *_domain_of(spec, value)))
+            if cond is False:
+                raise ModelError("constraint set collapsed to false")
+            s = copy_with(s, constraints=conjuncts(cond))
+            if spec.values and all(isinstance(v, bool) for v in spec.values):
+                # a truth value: the variable is 0 or 1, and the
+                # input is the atom that it is 1
+                value = cmp_eq(value, 1)
+        writes.append((loc, value))
+    cfg = copy_with(cfg.write_many(writes), k=plan.k, env=plan.env, current_prog=plan.current_prog)
+    return s, cfg, state
 
 
 def _domain_of(spec: InputSpec, var: Poly):

@@ -853,27 +853,34 @@ def _masked_ckey(e) -> tuple:
 # copying frozen records
 
 
+# The caches that records keep in their instance dicts: a hash (`KConfig`,
+# `Options`, syntax-tree nodes), a configuration's variables
+# (`kmachine.config_vars`), and the canonical and exact key pieces of
+# machines and links (`model`).  A cache kept under any other name makes
+# `copy_with` raise.
+CACHES = ("_hash", "_vars", "_key_piece", "_exact_piece")
+
+
 def copy_with(obj, **changes):
     """A copy of the dataclass instance `obj` with some fields changed.
 
     `dataclasses.replace` without its walk of `fields()` and its trip
-    through `__init__` on every call.  Exactly the dataclass fields are
-    copied, so a cache kept in the instance dict (a hash, a variable list)
-    never survives into a copy whose fields differ.  An unknown field name
-    raises TypeError, as `replace` does.
+    through `__init__` on every call.  The instance dict is copied and
+    the entries named in `CACHES` dropped, so a cache never survives into
+    a copy whose fields differ.  An unknown field name raises TypeError,
+    as `replace` does.
     """
     cls = obj.__class__
     names = cls.__dataclass_fields__
-    old = obj.__dict__
     new = object.__new__(cls)
     fields = new.__dict__
+    fields.update(obj.__dict__)
     # An instance dict holds every field; anything more is a cache.
-    if len(old) == len(names):
-        fields.update(old)
-    else:
-        fields.update({n: old[n] for n in names})
+    if len(fields) != len(names):
+        for name in CACHES:
+            fields.pop(name, None)
     fields.update(changes)
     # Only a name that is not a field can grow the dict.
     if len(fields) != len(names):
-        raise TypeError(f"{cls.__name__} has no field(s) {sorted(changes.keys() - names.keys())}")
+        raise TypeError(f"{cls.__name__} has no field(s) {sorted(fields.keys() - names.keys())}")
     return new

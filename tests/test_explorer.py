@@ -153,8 +153,11 @@ class TestTimelocks:
         assert s.clock == tl.earliest
         assert successors(scen.context(), s, por=False) == []
         assert set(diagnose_stuck(s)) <= set(tl.reasons)
-        d = r.to_jsonable()["timelocks"]
-        assert d["count"] == 6 and d["path"] == [t.pretty() for t in tl.path]
+        d = r.to_jsonable()
+        assert d["timelocks"]["count"] == 6
+        assert d["timelocks"]["path"] == [t.pretty() for t in tl.path]
+        # the verdict says that its graph holds time-locks
+        assert list(d.items())[:2] == [("verdict", NO_SOLUTION), ("timelocked", True)]
 
     def test_a_graph_without_timelocks_reports_none(self):
         scen = bench.load("ptpc")
@@ -162,6 +165,8 @@ class TestTimelocks:
         assert r.timelocks == Timelocks()
         assert r.to_jsonable()["timelocks"] == {
             "count": 0, "earliestClock": None, "reasons": [], "path": []}
+        assert r.to_jsonable()["timelocked"] is False
+
 
 
 SYMB_SRC = """

@@ -3,9 +3,12 @@
 A refactor of the semantics that keeps every verdict can still change the
 graph a search walks: a state split or merged by the canonical form, a
 guard checked twice or not at all.  These searches pin the verdict, the
-number of states, transitions and fresh solver queries, and the number of
-scan-cycle endpoints, so that any such change shows in the tier-1 run.
-A change that alters them on purpose updates the figures here and says why.
+number of states, transitions and fresh solver queries, the number of
+scan-cycle endpoints and the number of time-locked states, so that any
+such change shows in the tier-1 run.  A tick past the bound is never
+built, yet it is a successor: it must neither hide a time-lock nor
+invent one.  A change that alters them on purpose updates the figures
+here and says why.
 """
 
 import dataclasses
@@ -15,20 +18,21 @@ import pytest
 
 from plcreach import bench, explorer
 from plcreach.explorer import NO_SOLUTION, SOLUTION_FOUND, search
+from plcreach.por import Delta
 from plcreach.values import Poly
 
 from test_values import in_rat_form
 
 # (model, mode, POR, bound, property,
-#  (verdict, states, transitions, solver queries, endpoints))
+#  (verdict, states, transitions, solver queries, endpoints, time-locks))
 PINS = [
-    ("ptpc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 5)),
-    ("rvc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 3)),
-    ("diamond", "concrete", False, 3, "x1 = 2 AND x2 = 0", (SOLUTION_FOUND, 11, 15, 0, 1)),
-    ("therc", "concrete", True, 20, None, (NO_SOLUTION, 1893, 2478, 0, 4)),
-    ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 986, 1301, 117, 4)),
-    ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1529, 1808, 29, 1)),
-    ("query1", "symbolic", True, 10, "pump1 = 1", (SOLUTION_FOUND, 529, 588, 12, 1)),
+    ("ptpc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 5, 0)),
+    ("rvc", "concrete", False, 10, None, (NO_SOLUTION, 6601, 15504, 0, 3, 0)),
+    ("diamond", "concrete", False, 3, "x1 = 2 AND x2 = 0", (SOLUTION_FOUND, 11, 15, 0, 1, 0)),
+    ("therc", "concrete", True, 20, None, (NO_SOLUTION, 1893, 2478, 0, 4, 9)),
+    ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 986, 1301, 117, 4, 1)),
+    ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1529, 1808, 29, 1, 0)),
+    ("query1", "symbolic", True, 10, "pump1 = 1", (SOLUTION_FOUND, 529, 588, 12, 1, 0)),
 ]
 
 PUMP1_WITNESS = [
@@ -72,7 +76,8 @@ def test_search_graph_is_pinned(name, mode, por, bound, prop, expected):
     scen = bench.load(name)
     s0 = scen.initial_state(mode=mode, por=por)
     r = search(scen.context(), s0, prop, bound=bound)
-    got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints))
+    got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints),
+           r.timelocks.count)
     assert got == expected
     if prop is not None:
         (w,) = r.witnesses
@@ -102,20 +107,32 @@ def _numbers(v, seen: dict):
 
 def test_concrete_keys_hold_no_integral_fraction(monkeypatch):
     """Every number in every canonical key of the concrete `ptpc` search is
-    an int, or a Fraction that is not integral; none is a float."""
+    an int, or a Fraction that is not integral; none is a float.  The
+    keys are the ones `canonicalize` makes and the ones the machine moves
+    come keyed by (`por.Delta`)."""
     found, seen = [], {}
     canonicalize = explorer.canonicalize
+    successors = explorer.successors
 
     def walked(s, memo=None):
         key = canonicalize(s, memo)
         found.extend(_numbers(key, seen))
         return key
 
+    def keyed(ctx, s, **kwargs):
+        succ = successors(ctx, s, **kwargs)
+        for _, st in succ:
+            if isinstance(st, Delta):
+                found.extend(_numbers(st.key, seen))
+        return succ
+
     monkeypatch.setattr(explorer, "canonicalize", walked)
+    monkeypatch.setattr(explorer, "successors", keyed)
     name, mode, por, bound, _, expected = PINS[0]
     scen = bench.load(name)
     r = search(scen.context(), scen.initial_state(mode=mode, por=por), bound=bound)
-    got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints))
+    got = (r.verdict, r.states_explored, r.transitions_fired, r.smt_queries, len(r.endpoints),
+           r.timelocks.count)
     assert got == expected
     assert len(found) > 1000
     assert [v for v in found if not in_rat_form(v)] == []

@@ -14,24 +14,28 @@ Cached hashes (of configurations, of syntax-tree nodes) must never outlive
 the fields they were computed from.
 """
 
+import ast
 import random
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from plcreach import bench, comm, por, timed
 from plcreach.explorer import PropertyError, compile_property, random_walk, search, simulate
-from plcreach.kmachine import KConfig
+from plcreach.kmachine import KConfig, config_vars
 from plcreach.model import InputSpec, Options, canonicalize, exact_links
 from plcreach.por import successors
 from plcreach.scenario import scenario_from_dict
 from plcreach.st import Lit, PouTable, parse_file
 from plcreach.timed import tick_concrete
-from plcreach.values import copy_with, is_numeric
+from plcreach.values import CACHES, copy_with, is_numeric
 
 from test_system import ctx_for, env_value, make_machine, make_system, table_for
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "plcreach"
 
 # (bundled model, search bound used to warm the context)
 WALKS = [("ptpc", 5), ("rvc", 5), ("therc", 5), ("commdemo", 10)]
@@ -70,7 +74,7 @@ def test_a_symbolic_search_leaves_the_move_and_tick_memos_empty():
     ctx = scen.context()
     r = search(ctx, scen.initial_state(mode="symbolic", por=True), bound=10)
     assert r.states_explored > 100 and ctx.steps
-    assert not ctx.moves and not ctx.ticks
+    assert not ctx.moves and not ctx.ticks and not ctx.links and not ctx.started
 
 
 def _relinked(s, data=None, reverse_seqs=False):
@@ -163,8 +167,9 @@ def test_search_steps_each_configuration_about_once(monkeypatch):
     r = search(scen.context(), scen.initial_state(por=False), bound=10)
     assert (r.states_explored, r.transitions_fired) == (6601, 15504)
     # Without the move and tick memos (`RuleCtx.moves`, `RuleCtx.ticks`)
-    # this search made 26,498 move enumerations and 3,196 jumps.
-    assert dict(layers) == {"machine_moves": 4754, "tick_apply": 158}
+    # this search made 26,498 move enumerations and 3,196 jumps; with them
+    # keyed by the exact links and timer, 4,754 move enumerations.
+    assert dict(layers) == {"machine_moves": 2614, "tick_apply": 158}
     # Without the memo this search made 100,994 calls on these 1,181
     # configurations.  `machine_moves` steps a configuration at most once,
     # and each private run is walked at most once.  The configurations a
@@ -309,6 +314,54 @@ def test_a_copied_configuration_hashes_as_one_built_from_scratch():
         assert copy.store == fresh.store
 
 
+def _cache_names_in_source() -> set:
+    """The instance-dict entries the package writes, read from its source:
+    every string key that starts with one underscore and is assigned to
+    by subscript (`d["_hash"] = ...`), and every module-level string
+    constant that starts with one underscore (`_PIECE = "_key_piece"`,
+    which is written as `d[entry]`)."""
+    found = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Subscript):
+                        found.add(target.slice)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                found.add(node.value)
+    return {c.value for c in found if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            and c.value.startswith("_") and not c.value.startswith("__")}
+
+
+def _cache_names_in_records() -> set:
+    """The instance-dict entries, other than fields, of every record
+    reachable from the states of a concrete and a symbolic walk, each
+    state canonicalized and its links keyed exactly."""
+    scen = bench.load("ptpc")
+    states = []
+    for mode in ("concrete", "symbolic"):
+        s0 = scen.initial_state(mode=mode)
+        states += [s for _, s in random_walk(scen.context(), s0, 30, random.Random(5))]
+    for s in states:
+        canonicalize(s)
+        exact_links(s)
+    extra, seen, todo = set(), set(), list(states)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, tuple):
+            todo.extend(obj)
+        names = getattr(type(obj), "__dataclass_fields__", None)
+        if names is not None:
+            extra.update(k for k in obj.__dict__ if k not in names)
+            todo.extend(obj.__dict__.values())
+    return extra
+
+
 def test_copy_with_changes_only_the_named_fields():
     s = bench.load("ptpc").initial_state()
     t = copy_with(s, ticked=True, msg_seq=4)
@@ -316,3 +369,18 @@ def test_copy_with_changes_only_the_named_fields():
     assert copy_with(t, ticked=False, msg_seq=0) == s
     with pytest.raises(TypeError, match="clokc"):
         copy_with(s, clokc=Fraction(1))
+    # `copy_with` drops exactly the caches named in `CACHES`: every one the
+    # package writes must be named there, or a copy would keep a cache of
+    # the fields it changed.
+    assert _cache_names_in_source() <= set(CACHES)
+    assert _cache_names_in_records() == set(CACHES)
+    cfg = s.machines[0].cfg
+    hash(cfg)
+    config_vars(cfg)
+    canonicalize(s)
+    exact_links(s)
+    for record in (cfg, s.machines[0], s.conns[0]):
+        assert set(record.__dict__) > set(type(record).__dataclass_fields__)
+        copy = copy_with(record)
+        assert copy == record
+        assert set(copy.__dict__) == set(type(record).__dataclass_fields__)

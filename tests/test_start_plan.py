@@ -26,9 +26,10 @@ from plcreach.values import EvalError, band, conjuncts, copy_with, irredundant
 from test_system import ctx_for, make_machine, make_system, table_for
 
 
-def _reference_start_scans(table, s, mids, chosen):
+def _reference_start_scans(table, s, mids, chosen, memo=None):
     """Begin the next scan of each machine in `mids`, working out every
-    machine's publish, sense and feed locations anew."""
+    machine's publish, sense and feed locations anew, and keeping
+    nothing in `memo`."""
     for mid in mids:
         m = s.machine(mid)
         cfg = m.cfg

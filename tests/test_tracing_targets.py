@@ -4,22 +4,50 @@
 outside the program, and `perfbench/calibration.py` rebinds
 `explorer.successors`.  A refactor that moves or renames one of those
 names would only show when the benchmark runs with `--trace 1`; this test
-loads the tracer by path, unedited, and fails first.
+loads the tracer by path, unedited, and fails first.  So does a search
+that stops calling `successors` the way the calibration wrapper passes
+it on (by keyword only), or that counts another number of scan starts,
+the numerator of `sim_cycles_per_s`.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from plcreach import bench, explorer, por
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load(TRACING)
+
+
+@pytest.mark.parametrize("name", ["ptpc", "rvc"])
+def test_a_concrete_full_search_passes_the_calibration_wrapper(name):
+    """The two models of the `concrete-full` workload at its bound, under
+    the wrappers an untraced benchmark run installs."""
+    tracing = _load_tracing()
+    calibration = _load(PERFBENCH / "calibration.py")
+    scen = bench.load(name)
+    samples, starts = [], [0]
+    with tracing.counting_starts(starts), calibration.calibrating(samples):
+        r = explorer.search(scen.context(), scen.initial_state(por=False), bound=10)
+    assert (r.states_explored, r.transitions_fired) == (6601, 15504)
+    # one enumeration per stored state, each through the wrapper, which
+    # times a chunk at every EVERY-th
+    assert len(samples) == r.states_explored // calibration.EVERY
+    assert starts[0] == 1668
+    assert explorer.successors is por.successors
 
 
 def test_rebinding_targets_resolve_to_callables():
