@@ -9,8 +9,10 @@ reduction keys on the move's `private` flag, set as described below.
 No rule builds a successor state.  A `Move` keeps its two halves apart:
 `shared`, the system state with the move's effect on links, `msg_seq` and
 the path condition, and `cfg`, the machine's configuration after the
-move; `Move.state` joins them through `with_cfg`.  The rule that makes a
-move also decides whether it is `private`, with the reason next to it.
+move.  `por.successors` chains a machine's moves on these halves and
+builds each successor once, from its parent and what the chain changed
+(`model.moved_state`).  The rule that makes a move also decides whether
+it is `private`, with the reason next to it.
 
 The rules are pure functions of what they read, so `por.successors`
 memoises a machine's moves, chained, in `RuleCtx.moves` for concrete
@@ -57,17 +59,6 @@ class Move:
     shared: SystemState
     cfg: KConfig
     private: bool
-
-    @property
-    def state(self) -> SystemState:
-        return with_cfg(self.shared, self.mid, self.cfg)
-
-
-def with_cfg(s: SystemState, mid: str, cfg: KConfig) -> SystemState:
-    # Any machine move re-arms time passage: a tick after it is no
-    # longer a mergeable continuation of the previous tick.
-    machines = tuple(copy_with(x, cfg=cfg) if x.mid == mid else x for x in s.machines)
-    return copy_with(s, machines=machines, ticked=False)
 
 
 def chainable(out) -> bool:

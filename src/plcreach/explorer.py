@@ -207,7 +207,10 @@ def search(
     endpoint comparisons).  Witness states satisfy the property with the
     global clock inside the bound.  The options of `s0` decide the mode
     and whether the reduction runs.  `max_states`, a positive int, caps
-    the stored states; the verdict is then BoundExhausted.
+    the stored states, the initial one included: the search stops
+    expanding once it has stored that many, checks the property at the
+    stored states it has not expanded, and answers BoundExhausted unless
+    one of them is a witness.
     """
     if isinstance(bound, bool):
         raise ValueError(f"bound must be a number, got {bound!r}")
@@ -235,9 +238,9 @@ def search(
     endpoints = set()
     stuck = []  # (concrete clock or None, key) of each time-locked state
     notes = set()  # their `diagnose_stuck` reasons
-    capped = False
+    capped = max_states is not None and len(parents) >= max_states
 
-    while queue:
+    while queue and not capped:
         s, key = queue.popleft()
         if prop is not None:
             w = _solution_at(ctx, s, key, parents, prop, bound)
@@ -278,7 +281,13 @@ def search(
             queue.append((st, k2))
             if max_states is not None and len(parents) >= max_states:
                 capped = True
-                queue.clear()
+                break
+    if capped and prop is not None:
+        # the stored states left unexpanded are reachable too
+        for s, key in queue:
+            w = _solution_at(ctx, s, key, parents, prop, bound)
+            if w is not None:
+                witnesses.append(w)
                 break
 
     if witnesses:

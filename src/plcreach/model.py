@@ -472,10 +472,11 @@ def kept_pieces(s: SystemState) -> tuple:
 def moved_keys(s: SystemState, pieces: tuple, i: int, deltas: tuple) -> list:
     """`canonicalize` of each successor of `s` by a move of machine `i`,
     from `pieces = kept_pieces(s)`, without building it.  Each delta is
-    `(tid, cfg, conns, msg_seq)`, as `RuleCtx.moves` holds it: the move
-    leaves the machine's configuration at `cfg` and the links at `conns`
-    (None: unchanged).  `s` has no fresh variables; a machine move
-    clears the fold flag."""
+    `(tid, cfg, conns, msg_seq, constraints)`, as `RuleCtx.moves` holds
+    it: the move leaves the machine's configuration at `cfg` and the
+    links at `conns` (None: unchanged).  `s` has no fresh variables, so
+    its path condition stays empty; a machine move clears the fold
+    flag."""
     machines, links = pieces
     head, tail = machines[:i], machines[i + 1:]
     # the configuration comes second in a machine piece (`_machine_piece`)
@@ -485,24 +486,32 @@ def moved_keys(s: SystemState, pieces: tuple, i: int, deltas: tuple) -> list:
         (head + ((mid, cfg) + rest,) + tail,
          links if conns is None else tuple([_kept(c, _link_piece) for c in conns]),
          clock, (), False)
-        for _, cfg, conns, _ in deltas
+        for _, cfg, conns, _, _ in deltas
     ]
 
 
 def moved_state(s: SystemState, i: int, cfg: KConfig, conns: tuple = None, msg_seq: int = None,
-                piece: tuple = None) -> SystemState:
+                constraints: tuple = None, piece: tuple = None) -> SystemState:
     """The successor of `s` by a move of machine `i` that leaves its
-    configuration at `cfg` and the links at `conns` (None: unchanged)
-    with `msg_seq`: one copy of the machine and one of the state.  The
-    moved machine keeps `piece` as its key piece, when given (the one
-    `moved_keys` made)."""
+    configuration at `cfg`, and the links, `msg_seq` and the path
+    condition at `conns`, `msg_seq` and `constraints` (each None:
+    unchanged): one copy of the machine and one of the state.  The moved
+    machine keeps `piece` as its key piece, when given (the one
+    `moved_keys` made).  The fold flag clears: a tick after a machine
+    move is no longer a mergeable continuation of the tick before it."""
     m = copy_with(s.machines[i], cfg=cfg)
     if piece is not None:
         m.__dict__[_PIECE] = piece
-    machines = s.machines[:i] + (m,) + s.machines[i + 1:]
-    if conns is None:
-        return copy_with(s, machines=machines, ticked=False)
-    return copy_with(s, machines=machines, conns=conns, msg_seq=msg_seq, ticked=False)
+    new = copy_with(s, machines=s.machines[:i] + (m,) + s.machines[i + 1:], ticked=False)
+    # the copy is fresh and its caches are gone, so its fields may be set
+    fields = new.__dict__
+    if conns is not None:
+        fields["conns"] = conns
+    if msg_seq is not None:
+        fields["msg_seq"] = msg_seq
+    if constraints is not None:
+        fields["constraints"] = constraints
+    return new
 
 
 def exact_links(s: SystemState) -> tuple:

@@ -18,8 +18,15 @@ The reduction picks, per state, a sound subset of enabled transitions:
 Loop steps are never private, so that every cycle in the reduced graph
 contains a fully expanded state.
 
-A concrete-mode state without fresh variables takes its machine moves
-from `RuleCtx.moves` and its ticks from `RuleCtx.ticks`.  A machine's
+One loop enumerates every state.  Each machine's moves, chained, come
+as deltas `(tid, cfg, conns, msg_seq, constraints)`: the chain's id,
+the machine's end configuration, and the links, `msg_seq` and path
+condition the chain left, each None when the chain left it unchanged;
+`model.moved_state` builds a successor from its parent and a delta.
+
+A concrete-mode state without fresh variables takes its deltas from
+`RuleCtx.moves` and its ticks from `RuleCtx.ticks`; every other state
+is enumerated afresh, with none of their bookkeeping.  A machine's
 entry in `moves` is keyed first by its configuration and the options,
 then by the widest thing its chains read of the shared state: nothing;
 whether each link is up; the exact links and `msg_seq`; those and the
@@ -42,7 +49,7 @@ every other state, successors come built, as the rules make them.
 from __future__ import annotations
 
 from . import comm
-from .comm import NEVER_PRIVATE, READ_VALIDITY, chainable, machine_moves, with_cfg
+from .comm import NEVER_PRIVATE, READ_VALIDITY, chainable, machine_moves
 from .kmachine import Done, Internal, KConfig, NeedsComm
 from .model import (SystemState, TransitionId, canonicalize, exact_links, kept_pieces,
                     moved_keys, moved_state)
@@ -209,40 +216,50 @@ def _links(ctx: RuleCtx, s: SystemState) -> tuple:
     return got
 
 
-def _group(ctx: RuleCtx, s: SystemState, i: int, links: tuple) -> tuple:
+def _group(ctx: RuleCtx, s: SystemState, i: int, links) -> tuple:
     """Machine `s.machines[i]`'s chained moves in `s` as `(private,
-    deltas)` (see `RuleCtx.moves`): recalled, or enumerated, chained and
-    remembered.  Each delta is a chain's id and end configuration, and,
-    when the chain changed the links, the links and `msg_seq` it left
-    (else None twice)."""
+    deltas)`: whether every unchained move is private, and per chain its
+    delta.  Given `links` (`_links(ctx, s)`, for a concrete state without
+    fresh variables), the group is recalled from or remembered in
+    `ctx.moves` (see `RuleCtx.moves`); without, it is enumerated afresh,
+    and what the chains read is not taken."""
     m = s.machines[i]
-    key = (m.mid, m.cfg, s.options)
-    entry = ctx.moves.get(key)
-    if entry.__class__ is tuple:
-        return entry
-    if entry is not None:
-        got = entry.groups.get(_second(entry.level, s, m, links))
-        if got is not None:
-            return got
+    keyed = links is not None
+    if keyed:
+        key = (m.mid, m.cfg, s.options)
+        entry = ctx.moves.get(key)
+        if entry.__class__ is tuple:
+            return entry
+        if entry is not None:
+            got = entry.groups.get(_second(entry.level, s, m, links))
+            if got is not None:
+                return got
     moves = machine_moves(ctx, s, m.mid)
-    level = _reads(ctx.steps[m.cfg], moves, s)
+    level = _reads(ctx.steps[m.cfg], moves, s) if keyed else _NOTHING
+    private = True
     deltas = []
     for v in moves:
-        tid, shared, cfg, reads = _chain_internal(ctx, v, keyed=True)
+        tid, shared, cfg, reads = _chain_internal(ctx, v, keyed)
         if reads > level:
             level = reads
-        if shared.conns is s.conns and shared.msg_seq == s.msg_seq:
-            deltas.append((tid, cfg, None, None))
-        else:
-            deltas.append((tid, cfg, shared.conns, shared.msg_seq))
-    got = (all(v.private for v in moves), tuple(deltas))
+        if not v.private:
+            private = False
+        deltas.append((
+            tid, cfg,
+            None if shared.conns is s.conns else shared.conns,
+            None if shared.msg_seq == s.msg_seq else shared.msg_seq,
+            None if shared.constraints is s.constraints else shared.constraints,
+        ))
+    got = (private, tuple(deltas))
+    if not keyed:
+        return got
     if level == _NOTHING:
         ctx.moves[key] = got
-        return got
-    if entry is None or entry.level < level:
-        # widen: the groups kept so far are keyed too narrowly for this one
-        entry = ctx.moves[key] = _Reads(level)
-    entry.groups[_second(entry.level, s, m, links)] = got
+    else:
+        if entry is None or entry.level < level:
+            # widen: the groups kept so far are keyed too narrowly for this one
+            entry = ctx.moves[key] = _Reads(level)
+        entry.groups[_second(entry.level, s, m, links)] = got
     return got
 
 
@@ -262,26 +279,29 @@ class Delta(tuple):
         return self[0]
 
     def state(self) -> SystemState:
-        key, s, i, (_, cfg, conns, msg_seq) = self
-        return moved_state(s, i, cfg, conns, msg_seq, key[0][i])
+        key, s, i, (_, cfg, conns, msg_seq, constraints) = self
+        return moved_state(s, i, cfg, conns, msg_seq, constraints, key[0][i])
 
 
-def _moved(s: SystemState, i: int, deltas: tuple, bound, pieces: tuple) -> list:
+def _moved(s: SystemState, i: int, deltas: tuple, bound, pieces) -> list:
     """Machine `s.machines[i]`'s successors in `s` from its deltas: built
-    when `bound` is None; else each as a `Delta`, or as None when `s`
-    lies past the bound."""
-    if bound is None:
-        return [(tid, moved_state(s, i, cfg, conns, msg_seq))
-                for tid, cfg, conns, msg_seq in deltas]
+    when `pieces` (`kept_pieces(s)`) is None; else each as a `Delta`, or
+    as None when `s` lies past `bound`."""
+    if pieces is None:
+        return [(tid, moved_state(s, i, cfg, conns, msg_seq, constraints))
+                for tid, cfg, conns, msg_seq, constraints in deltas]
     if s.clock > bound:
         return [(d[0], None) for d in deltas]
     keys = moved_keys(s, pieces, i, deltas)
     return [(d[0], Delta((k, s, i, d))) for d, k in zip(deltas, keys)]
 
 
-def _ticks(ctx: RuleCtx, s: SystemState, links: tuple, bound) -> list:
-    """The ticks of `s`, recalled from or remembered in `ctx.ticks`; with
-    a bound, one that ends past it as None."""
+def _ticks(ctx: RuleCtx, s: SystemState, links, bound) -> list:
+    """The ticks of `s`.  With `links` recalled from or remembered in
+    `ctx.ticks`, and with a bound, one that ends past it as None; without
+    `links` made afresh."""
+    if links is None:
+        return (tick_symbolic if s.options.symbolic else tick_concrete)(ctx, s)
     key = (tuple([(m.timer, window_left(m)) for m in s.machines]), links[0], s.options)
     menu = ctx.ticks.get(key)
     if menu is None:
@@ -302,32 +322,6 @@ def _ticks(ctx: RuleCtx, s: SystemState, links: tuple, bound) -> list:
     return out
 
 
-def _memoised(ctx: RuleCtx, s: SystemState, por: bool, first: bool, starts: list, bound) -> list:
-    """`successors` of a concrete-mode state without fresh variables,
-    through the memo tables `ctx.moves` and `ctx.ticks`."""
-    links = _links(ctx, s)
-    pieces = None if bound is None else kept_pieces(s)
-    per = []
-    for i in range(len(s.machines)):
-        private, deltas = _group(ctx, s, i, links)
-        if deltas and (first or (por and private)):
-            return _moved(s, i, deltas, bound, pieces)
-        per.append(deltas)
-    out = list(starts)
-    for i, deltas in enumerate(per):
-        if deltas:
-            out.extend(_moved(s, i, deltas, bound, pieces))
-    out.extend(_ticks(ctx, s, links, bound))
-    out.extend(env_tick(ctx, s))
-    return out
-
-
-def _joined(ctx: RuleCtx, v) -> tuple:
-    """The chain of move `v` as a (TransitionId, state) pair."""
-    tid, shared, cfg, _ = _chain_internal(ctx, v)
-    return tid, with_cfg(shared, v.mid, cfg)
-
-
 def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = False,
                bound=None) -> list:
     """Enabled transitions from `s` as (TransitionId, state) pairs, as the
@@ -341,12 +335,13 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     then envTicks).  `por` is moot then: the reduction never splits a
     group.
 
-    A concrete-mode state without fresh variables takes the groups from
-    the memo tables `ctx.moves` and `ctx.ticks` (`_memoised`, see
-    `RuleCtx`); any other state is enumerated afresh, without their
-    bookkeeping.
+    Each machine's chained moves come as deltas (`_group`), built into
+    states by `model.moved_state`.  A concrete-mode state without fresh
+    variables takes them, and its ticks, from the memo tables
+    `ctx.moves` and `ctx.ticks` (see `RuleCtx`); any other state is
+    enumerated afresh, without their bookkeeping.
 
-    `bound`, a search's time bound, asks such a state for its
+    `bound`, a search's time bound, asks such a memoised state for its
     successors keyed before they are built: each chained machine move
     comes as a `Delta`, whose canonical key is made from the key pieces
     the parent keeps and the moved machine's new piece, so a search
@@ -360,18 +355,19 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     starts = start_variants(ctx, s)
     if starts and (por or first):
         return starts
-    if not (s.fresh_counter or s.options.symbolic):
-        return _memoised(ctx, s, por, first, starts, bound)
+    links = None if s.fresh_counter or s.options.symbolic else _links(ctx, s)
+    pieces = None if links is None or bound is None else kept_pieces(s)
     per = []
-    for m in s.machines:
-        moves = machine_moves(ctx, s, m.mid)
-        if moves and (first or (por and all(v.private for v in moves))):
-            return [_joined(ctx, v) for v in moves]
-        per.append(moves)
+    for i in range(len(s.machines)):
+        private, deltas = _group(ctx, s, i, links)
+        if deltas and (first or (por and private)):
+            return _moved(s, i, deltas, bound, pieces)
+        per.append(deltas)
     out = list(starts)
-    for moves in per:
-        out.extend(_joined(ctx, v) for v in moves)
-    out.extend((tick_symbolic if s.options.symbolic else tick_concrete)(ctx, s))
+    for i, deltas in enumerate(per):
+        if deltas:
+            out.extend(_moved(s, i, deltas, bound, pieces))
+    out.extend(_ticks(ctx, s, links, bound))
     out.extend(env_tick(ctx, s))
     return out
 

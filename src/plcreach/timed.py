@@ -88,9 +88,11 @@ class RuleCtx:
 
     `moves` holds each machine's chained moves (`comm.machine_moves`
     across `por._chain_internal`), as `(private, deltas)`: whether every
-    unchained move is private, and per chain its transition id, the
-    machine's end `KConfig`, and, when the chain changed the links, the
-    links and `msg_seq` it left (else None twice).  The first-level key
+    unchained move is private, and per chain its delta `(tid, cfg, conns,
+    msg_seq, constraints)`, the transition id, the machine's end
+    `KConfig`, and the links, `msg_seq` and path condition it left, each
+    None when the chain left it unchanged (the path condition of such a
+    state always is).  The first-level key
     is `(mid, cfg, options)`: a chain reads the machine's configuration
     and, through its rules, the options and `comm_ample`.  A chain that
     reaches a communication, `assertTime` or `setDelay` step may read
@@ -139,7 +141,7 @@ class RuleCtx:
     so their `KConfig` part merges `1` and `True` in a store exactly as
     `steps` does; the links part of `moves` and `ticks` keeps them apart.
 
-    All nine tables stay valid for as long as the context lives.
+    All eight tables stay valid for as long as the context lives.
     `Scenario.context()` makes a new, empty context for each search, so a
     fresh context starts cold, which the benchmark's determinism guard
     relies on: it checks that the number of `step` calls repeats exactly

@@ -107,6 +107,27 @@ class TestConcreteSearch:
         r = search(ctx, s0, "waterLevel < 5", bound=200, max_states=4)
         assert r.verdict == BOUND_EXHAUSTED
 
+    def test_a_capped_search_checks_the_states_it_left_unexpanded(self):
+        # `therc` meets its property with 10 states stored; a cap of 5
+        # stores the witness before it would expand it.
+        scen = bench.load("therc")
+        prop = scen.analysis.property
+        full = search(scen.context(), scen.initial_state(), prop, bound=30)
+        assert full.verdict == SOLUTION_FOUND and full.states_explored == 10
+        for cap in (10, 5):
+            r = search(scen.context(), scen.initial_state(), prop, bound=30, max_states=cap)
+            assert r.verdict == SOLUTION_FOUND and r.states_explored == cap
+            assert [w.path for w in r.witnesses] == [w.path for w in full.witnesses]
+        r = search(scen.context(), scen.initial_state(), prop, bound=30, max_states=2)
+        assert r.verdict == BOUND_EXHAUSTED and not r.witnesses
+
+    @pytest.mark.parametrize("max_states", [1, 2, 3])
+    def test_the_state_cap_counts_the_initial_state(self, max_states):
+        scen = bench.load("therc")
+        r = search(scen.context(), scen.initial_state(), bound=30, max_states=max_states)
+        assert r.verdict == BOUND_EXHAUSTED
+        assert r.states_explored == max_states
+
     @pytest.mark.parametrize("max_states", [0, -3, True, 2.5])
     def test_state_cap_must_be_a_positive_int(self, max_states):
         scen = bench.load("tank")

@@ -31,6 +31,7 @@ PINS = [
     ("diamond", "concrete", False, 3, "x1 = 2 AND x2 = 0", (SOLUTION_FOUND, 11, 15, 0, 1, 0)),
     ("therc", "concrete", True, 20, None, (NO_SOLUTION, 1893, 2478, 0, 4, 9)),
     ("commdemo", "symbolic", True, 20, None, (NO_SOLUTION, 986, 1301, 117, 4, 1)),
+    ("commdemo", "symbolic", False, 5, None, (NO_SOLUTION, 1357, 2579, 70, 1, 0)),
     ("query1", "symbolic", True, 5, None, (NO_SOLUTION, 1529, 1808, 29, 1, 0)),
     ("query1", "symbolic", True, 10, "pump1 = 1", (SOLUTION_FOUND, 529, 588, 12, 1, 0)),
 ]

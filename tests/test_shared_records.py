@@ -17,10 +17,10 @@ from collections import deque
 import pytest
 
 from plcreach import bench, comm
-from plcreach.comm import machine_moves, with_cfg
+from plcreach.comm import machine_moves
 from plcreach.explorer import random_walk
 from plcreach.kmachine import NeedsComm, step
-from plcreach.model import _PIECE, canonicalize
+from plcreach.model import _PIECE, canonicalize, moved_state
 from plcreach.por import successors
 from plcreach.solver import SmtCheck
 from plcreach.timed import RuleCtx
@@ -73,11 +73,11 @@ def test_a_copy_carries_no_key_piece():
     assert _PIECE in m.__dict__ and _PIECE in conn.__dict__
     assert _PIECE not in copy_with(m, timer=m.timer).__dict__
     assert _PIECE not in copy_with(conn, valid=conn.valid).__dict__
-    assert _PIECE not in with_cfg(s, m.mid, m.cfg).machine(m.mid).__dict__
+    assert _PIECE not in moved_state(s, 0, m.cfg).machines[0].__dict__
 
 
-def _seen(moves) -> list:
-    return [(v.state, v.label, v.key, v.private) for v in moves]
+def _seen(moves, i) -> list:
+    return [(moved_state(v.shared, i, v.cfg), v.label, v.key, v.private) for v in moves]
 
 
 @pytest.mark.parametrize(
@@ -93,12 +93,12 @@ def test_a_chain_configuration_beside_the_shared_state(name, mode):
         ctx = scen.context()
         walk = random_walk(ctx, s0, 40, random.Random(f"{name}-{seed}"))
         for _, s in walk:
-            for m in s.machines:
+            for i, m in enumerate(s.machines):
                 for v in machine_moves(ctx, s, m.mid):
                     # `v.shared` still holds the configuration before `v`.
                     apart = machine_moves(ctx, v.shared, v.mid, v.cfg)
-                    joined = machine_moves(ctx, v.state, v.mid)
-                    assert _seen(apart) == _seen(joined)
+                    joined = machine_moves(ctx, moved_state(v.shared, i, v.cfg), v.mid)
+                    assert _seen(apart, i) == _seen(joined, i)
                     checked += len(joined)
     assert checked > 0
 

@@ -18,6 +18,7 @@ from plcreach.model import (
     SystemState,
     canonicalize,
     conn_pair,
+    moved_state,
     validate_flow,
 )
 from plcreach.por import TransitionId, apply, check_independence, successors
@@ -180,13 +181,20 @@ def env_value(m, prog, name):
     return m.cfg.read(env[name])
 
 
+def joined(v):
+    """The system state move `v` leads to: its shared half, with the
+    moving machine at its configuration after the move."""
+    i = next(k for k, m in enumerate(v.shared.machines) if m.mid == v.mid)
+    return moved_state(v.shared, i, v.cfg)
+
+
 def take(ctx, s, mid, label=None):
     """The unique enabled move of one machine (optionally by label)."""
     moves = machine_moves(ctx, s, mid)
     if label is not None:
         moves = [v for v in moves if v.label == label]
     assert len(moves) == 1, [v.label for v in moves]
-    return moves[0].state
+    return joined(moves[0])
 
 
 def run_until(ctx, s, mid, stop_labels):
@@ -200,7 +208,7 @@ def run_until(ctx, s, mid, stop_labels):
         if hit:
             return s, hit[0].label
         assert len(moves) == 1, labels
-        s = moves[0].state
+        s = joined(moves[0])
     raise AssertionError("machine did not reach " + str(stop_labels))
 
 
@@ -211,7 +219,7 @@ def run_scan(ctx, s, mid):
         if not moves:
             return s
         assert len(moves) == 1, [v.label for v in moves]
-        s = moves[0].state
+        s = joined(moves[0])
     raise AssertionError("scan did not finish")
 
 
@@ -368,7 +376,7 @@ class TestCommTrace:
         assert (msg.min_timer, msg.max_timer) == (F(0), F(10))
         moves = machine_moves(ctx, s, "plc2")
         assert [v.label for v in moves] == ["rcvData"]  # open window: no give-up
-        s = moves[0].state
+        s = joined(moves[0])
         assert s.conn("T1", "T2").buffer == ()
         assert s.machine("plc2").timer == 7
 
@@ -448,7 +456,7 @@ class TestConnectionRules:
         s, _ = run_until(ctx, s, "m1", {"conSucc"})
         moves = machine_moves(ctx, s, "m1")
         assert sorted(v.label for v in moves) == ["conFail", "conSucc"]
-        by = {v.label: v.state for v in moves}
+        by = {v.label: joined(v) for v in moves}
         assert by["conSucc"].conn("S1", "S2").valid is True
         assert by["conFail"].conn("S1", "S2").valid is False
 
@@ -477,7 +485,7 @@ class TestConnectionRules:
         s, _ = run_until(ctx, s, "m1", {"conSucc", "conFail"})
         moves = machine_moves(ctx, s, "m1")
         assert [v.label for v in moves] == ["conSucc"]
-        assert moves[0].state.conn("S1", "S2").valid is True
+        assert joined(moves[0]).conn("S1", "S2").valid is True
 
     def test_disconnect_keeps_inflight_messages(self):
         msg = Msg("S1", "S2", "a", "b", 1, F(0), F(5), seq=0)
@@ -548,7 +556,7 @@ class TestTransferRules:
         moves = machine_moves(ctx, s, "m1")
         assert [v.label for v in moves] == ["rcvData"]
         assert moves[0].key == (3,)
-        s = moves[0].state
+        s = joined(moves[0])
         assert s.conn("S1", "S2").buffer == ()
         s = run_scan(ctx, s, "m1")
         assert env_value(s.machine("m1"), "S2", "r") == 42
@@ -563,7 +571,7 @@ class TestTransferRules:
         moves = machine_moves(ctx, s, "m1")
         assert sorted(v.key for v in moves) == [(0,), (1,)]
         for v in moves:
-            rest = v.state.conn("S1", "S2").buffer
+            rest = joined(v).conn("S1", "S2").buffer
             assert len(rest) == 1 and rest[0].seq != v.key[0]
 
     def test_pending_message_blocks_by_default(self):
@@ -663,7 +671,7 @@ class TestTimePassage:
         at3 = tick_concrete(ctx, s)[0][1]
         moves = machine_moves(ctx, at3, "m1")
         assert [v.label for v in moves] == ["assertTime"]
-        done = run_scan(ctx, moves[0].state, "m1")
+        done = run_scan(ctx, joined(moves[0]), "m1")
         assert env_value(done.machine("m1"), "W", "x") == 1
         at5 = tick_concrete(ctx, s)[1][1]
         assert [v.label for v in machine_moves(ctx, at5, "m1")] == ["assertTime"]
@@ -904,7 +912,7 @@ END_PROGRAM
         moves = machine_moves(ctx, s, "m1")
         assert sorted(v.label for v in moves) == ["if-false", "if-true"]
         for v in moves:
-            done = run_scan(ctx, v.state, "m1")
+            done = run_scan(ctx, joined(v), "m1")
             z = env_value(done.machine("m1"), "P1", "z")
             assert z == (1 if v.label == "if-true" else 0)
 
