@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .kmachine import Literals, eval_expr
 from .model import ModelError, SystemState, canonicalize
-from .por import Delta, apply, successors
+from .por import apply, successors
 from .st import LexError, ParseError, parse_expression
 from .symbolic import concrete_or_none, feasible
 # perfbench/tracing.py rebinds explorer.due_machines, so the name stays
@@ -261,23 +261,18 @@ def search(
             endpoints.add(_endpoint_record(s))
         for tid, st in succ:
             fired += 1
-            if st is None:  # past the bound, and never built
+            if st is None:  # a tick past the bound, and never built
                 continue
-            if st.__class__ is Delta:
-                k2 = st.key
-            else:
-                # Absorb states past the bound; pin symbolic clocks inside it.
-                st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
-                if st is False:
-                    continue
-                k2 = canonicalize(st, memo)
+            # Absorb states past the bound; pin symbolic clocks inside it.
+            st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
+            if st is False:
+                continue
+            k2 = canonicalize(st, memo)
             # One lookup hashes the key once; a known key keeps its entry.
             n = len(parents)
             parents.setdefault(k2, (key, tid))
             if len(parents) == n:
                 continue
-            if st.__class__ is Delta:
-                st = st.state()
             queue.append((st, k2))
             if max_states is not None and len(parents) >= max_states:
                 capped = True

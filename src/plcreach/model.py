@@ -461,47 +461,16 @@ def _kept(record, piece_of, entry: str = _PIECE) -> tuple:
     return piece
 
 
-def kept_pieces(s: SystemState) -> tuple:
-    """The key pieces that the machines and the links of `s` keep, as
-    `(machine pieces, link pieces)`: the first two parts of
-    `canonicalize(s)` when `s` has no fresh variables."""
-    return (tuple([_kept(m, _machine_piece) for m in s.machines]),
-            tuple([_kept(c, _link_piece) for c in s.conns]))
-
-
-def moved_keys(s: SystemState, pieces: tuple, i: int, deltas: tuple) -> list:
-    """`canonicalize` of each successor of `s` by a move of machine `i`,
-    from `pieces = kept_pieces(s)`, without building it.  Each delta is
-    `(tid, cfg, conns, msg_seq, constraints)`, as `RuleCtx.moves` holds
-    it: the move leaves the machine's configuration at `cfg` and the
-    links at `conns` (None: unchanged).  `s` has no fresh variables, so
-    its path condition stays empty; a machine move clears the fold
-    flag."""
-    machines, links = pieces
-    head, tail = machines[:i], machines[i + 1:]
-    # the configuration comes second in a machine piece (`_machine_piece`)
-    mid, rest = machines[i][0], machines[i][2:]
-    clock = s.clock
-    return [
-        (head + ((mid, cfg) + rest,) + tail,
-         links if conns is None else tuple([_kept(c, _link_piece) for c in conns]),
-         clock, (), False)
-        for _, cfg, conns, _, _ in deltas
-    ]
-
-
 def moved_state(s: SystemState, i: int, cfg: KConfig, conns: tuple = None, msg_seq: int = None,
-                constraints: tuple = None, piece: tuple = None) -> SystemState:
+                constraints: tuple = None) -> SystemState:
     """The successor of `s` by a move of machine `i` that leaves its
     configuration at `cfg`, and the links, `msg_seq` and the path
     condition at `conns`, `msg_seq` and `constraints` (each None:
-    unchanged): one copy of the machine and one of the state.  The moved
-    machine keeps `piece` as its key piece, when given (the one
-    `moved_keys` made).  The fold flag clears: a tick after a machine
-    move is no longer a mergeable continuation of the tick before it."""
+    unchanged): one copy of the machine and one of the state.  Every
+    record the move left alone keeps its key piece (`canonicalize`).  The
+    fold flag clears: a tick after a machine move is no longer a
+    mergeable continuation of the tick before it."""
     m = copy_with(s.machines[i], cfg=cfg)
-    if piece is not None:
-        m.__dict__[_PIECE] = piece
     new = copy_with(s, machines=s.machines[:i] + (m,) + s.machines[i + 1:], ticked=False)
     # the copy is fresh and its caches are gone, so its fields may be set
     fields = new.__dict__
@@ -540,9 +509,12 @@ def canonicalize(s: SystemState, memo: dict = None) -> tuple:
     Every fresh name comes from `symbolic.fresh_var`, which counts it, so
     a state whose counter is zero has the identity renaming and keeps no
     constraint.  Such a state's key is made of pieces that each machine
-    and link keeps in its instance dict, built on first use: a successor
-    reuses the pieces of every record it shares with its parent.  The
-    pieces are the ones the walk would build, so both ways give one key.
+    and link keeps in its instance dict, built on first use.  A search
+    canonicalizes every built successor it meets (`por.successors`), and
+    a successor reuses the pieces of every record it shares with its
+    parent: a machine move makes one machine piece anew, and new link
+    pieces only for the links it changed.  The pieces are the ones the
+    walk would build, so both ways give one key.
 
     The path condition comes irredundant (`SystemState.constraints`), so
     two states whose conditions differ only by implied inequalities get
@@ -559,8 +531,8 @@ def canonicalize(s: SystemState, memo: dict = None) -> tuple:
     used.
     """
     if not s.fresh_counter:
-        machines_key, conns_key = kept_pieces(s)
-        return (machines_key, conns_key, s.clock, (), s.ticked)
+        return (tuple([_kept(m, _machine_piece) for m in s.machines]),
+                tuple([_kept(c, _link_piece) for c in s.conns]), s.clock, (), s.ticked)
     if memo is None:
         memo = {}
     names: dict = {}  # fresh variable -> its `v{i}`, in first-use order

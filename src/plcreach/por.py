@@ -34,16 +34,9 @@ timer.  The rules are deterministic in what they read, so an entry
 holds for every state that agrees on what was read (the argument is at
 `RuleCtx`).
 
-Key before build: a search passes its bound, and then each chained
-machine move of such a state comes as a `Delta`, the canonical key of
-the successor, made from the key pieces the parent keeps
-(`model.kept_pieces`) and the moved machine's new piece, beside what
-builds it.  The search builds a state only for a key it has not stored,
-and the moved machine keeps its piece.  A move or tick whose state lies
-past the bound comes as None: it counts as a transition and as a
-successor for the time-lock test, and is never built.  Without a bound
-(`simulate`, `random_walk`, `replay`, `check_independence`), and for
-every other state, successors come built, as the rules make them.
+Successors come built.  Only a tick of a memoised state whose end lies
+past a search's bound comes as None: it counts as a transition and as
+a successor for the time-lock test, and is never built.
 """
 
 from __future__ import annotations
@@ -51,8 +44,7 @@ from __future__ import annotations
 from . import comm
 from .comm import NEVER_PRIVATE, READ_VALIDITY, chainable, machine_moves
 from .kmachine import Done, Internal, KConfig, NeedsComm
-from .model import (SystemState, TransitionId, canonicalize, exact_links, kept_pieces,
-                    moved_keys, moved_state)
+from .model import SystemState, TransitionId, canonicalize, exact_links, moved_state
 from .st.ast import AssertTimeAnn, DelayAnn
 from .timed import (
     RuleCtx,
@@ -263,37 +255,10 @@ def _group(ctx: RuleCtx, s: SystemState, i: int, links) -> tuple:
     return got
 
 
-class Delta(tuple):
-    """A chained machine move out of a concrete state without fresh
-    variables, keyed before it is built: `(key, parent, i, delta)`, where
-    `key` is the canonical key of the successor (`model.moved_keys`) and
-    `delta` machine `i`'s entry in `RuleCtx.moves`.  `state()` builds the
-    successor, the moved machine keeping its key piece.  `successors`
-    with a bound returns these in place of states, so that a search
-    builds only the successors it has not stored."""
-
-    __slots__ = ()
-
-    @property
-    def key(self) -> tuple:
-        return self[0]
-
-    def state(self) -> SystemState:
-        key, s, i, (_, cfg, conns, msg_seq, constraints) = self
-        return moved_state(s, i, cfg, conns, msg_seq, constraints, key[0][i])
-
-
-def _moved(s: SystemState, i: int, deltas: tuple, bound, pieces) -> list:
-    """Machine `s.machines[i]`'s successors in `s` from its deltas: built
-    when `pieces` (`kept_pieces(s)`) is None; else each as a `Delta`, or
-    as None when `s` lies past `bound`."""
-    if pieces is None:
-        return [(tid, moved_state(s, i, cfg, conns, msg_seq, constraints))
-                for tid, cfg, conns, msg_seq, constraints in deltas]
-    if s.clock > bound:
-        return [(d[0], None) for d in deltas]
-    keys = moved_keys(s, pieces, i, deltas)
-    return [(d[0], Delta((k, s, i, d))) for d, k in zip(deltas, keys)]
+def _moved(s: SystemState, i: int, deltas: tuple) -> list:
+    """Machine `s.machines[i]`'s successors in `s`, built from its deltas."""
+    return [(tid, moved_state(s, i, cfg, conns, msg_seq, constraints))
+            for tid, cfg, conns, msg_seq, constraints in deltas]
 
 
 def _ticks(ctx: RuleCtx, s: SystemState, links, bound) -> list:
@@ -341,14 +306,9 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     `ctx.moves` and `ctx.ticks` (see `RuleCtx`); any other state is
     enumerated afresh, without their bookkeeping.
 
-    `bound`, a search's time bound, asks such a memoised state for its
-    successors keyed before they are built: each chained machine move
-    comes as a `Delta`, whose canonical key is made from the key pieces
-    the parent keeps and the moved machine's new piece, so a search
-    builds a state only for a key it has not stored.  A move or tick
-    whose state lies past the bound comes with None in place of a state:
-    it is enabled, but nothing is built.  Starts, ticks inside the bound
-    and the successors of every other state come built.
+    Every successor comes built, save one: given `bound`, a search's
+    time bound, a tick of a memoised state whose end lies past it comes
+    with None in place of a state.  It is enabled, but nothing is built.
     """
     if por is None:
         por = s.options.por
@@ -356,17 +316,15 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     if starts and (por or first):
         return starts
     links = None if s.fresh_counter or s.options.symbolic else _links(ctx, s)
-    pieces = None if links is None or bound is None else kept_pieces(s)
     per = []
     for i in range(len(s.machines)):
         private, deltas = _group(ctx, s, i, links)
         if deltas and (first or (por and private)):
-            return _moved(s, i, deltas, bound, pieces)
+            return _moved(s, i, deltas)
         per.append(deltas)
     out = list(starts)
     for i, deltas in enumerate(per):
-        if deltas:
-            out.extend(_moved(s, i, deltas, bound, pieces))
+        out.extend(_moved(s, i, deltas))
     out.extend(_ticks(ctx, s, links, bound))
     out.extend(env_tick(ctx, s))
     return out

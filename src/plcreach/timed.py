@@ -147,9 +147,8 @@ class RuleCtx:
     relies on: it checks that the number of `step` calls repeats exactly
     from one run of a query to the next.
 
-    `por.successors` given a search's bound keys each machine move before
-    building it (`por.Delta`): the search builds only the states whose
-    keys it has not stored.
+    `por.successors` builds every successor it recalls from `moves` and
+    `ticks`, save a tick past a search's bound, which comes as None.
     """
 
     table: PouTable

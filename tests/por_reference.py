@@ -70,9 +70,9 @@ def successors(ctx, s, por=None, *, first=False):
 
 
 def form(succ) -> list:
-    """What the comparison holds of each successor; a state that is not
-    a whole system state (a keyed delta, or None past a bound) stays as
-    it came, so that it differs from every state."""
+    """What the comparison holds of each successor; a successor that is
+    not a whole system state (None, for a tick past a bound) stays as it
+    came, so that it differs from every state."""
     return [(tid, canonicalize(st), st.constraints, st.msg_seq, st.fresh_counter,
              exact_links(st)) if hasattr(st, "machines") else (tid, st)
             for tid, st in succ]

@@ -1,13 +1,11 @@
-"""A search's successors come keyed before they are built.
+"""A search's successors are the ones the rules make.
 
-With a bound, `por.successors` gives each chained machine move of a
-concrete state without fresh variables as a `por.Delta`: the canonical
-key of the successor, made from the key pieces its parent keeps, and a
-way to build it.  A time step that ends past the bound comes as None.
-The search builds only the successors whose keys it has not stored.  So
-the keys must be the keys of the states the deltas build, and those
-states the ones the rules make, message identities and the classes of
-values included.
+With a bound, `por.successors` recalls each machine's chained moves of a
+concrete state without fresh variables from `RuleCtx.moves` as deltas,
+and its ticks from `RuleCtx.ticks`, and builds every successor from
+them; only a tick that ends past the bound comes as None.  So the
+states built must be the ones the rules make, message identities and
+the classes of values included, and their canonical keys theirs.
 
 `RuleCtx.moves` keys each configuration's chained moves by the widest
 thing they read: nothing, whether each link is up, the exact links, the
@@ -22,8 +20,8 @@ import pytest
 
 from plcreach import bench, por
 from plcreach.explorer import random_walk, search, simulate
-from plcreach.model import canonicalize, exact_links
-from plcreach.por import Delta, successors
+from plcreach.model import SystemState, canonicalize, exact_links
+from plcreach.por import successors
 from plcreach.values import copy_with
 
 MODELS = ["ptpc", "rvc", "therc", "commdemo"]
@@ -42,15 +40,11 @@ def _exact(tid, s):
 
 
 def _built(ctx, s, por_on, bound):
-    """The keyed enumeration of `s`, each delta checked against its key
-    and built; a step past the bound stays None."""
-    out = []
-    for tid, st in successors(ctx, s, por_on, bound=bound):
-        if isinstance(st, Delta):
-            built = st.state()
-            assert st.key == canonicalize(built)
-            st = built
-        out.append((tid, st))
+    """The enumeration of `s` under `bound`: every successor a built
+    state, save a tick past the bound, which stays None."""
+    out = successors(ctx, s, por_on, bound=bound)
+    for tid, st in out:
+        assert isinstance(st, SystemState) or (st is None and tid.cls == "tick")
     return out
 
 
@@ -58,15 +52,12 @@ def _built(ctx, s, por_on, bound):
 def test_each_delta_builds_the_state_the_rules_make(name):
     scen, states = _walk(name)
     ctx = scen.context()
-    deltas = 0
     for s in states:
         for por_on in (False, True):
-            keyed = successors(ctx, s, por_on, bound=WIDE)
-            deltas += sum(isinstance(st, Delta) for _, st in keyed)
             got = [_exact(tid, st) for tid, st in _built(ctx, s, por_on, WIDE)]
             want = [_exact(tid, st) for tid, st in successors(scen.context(), s, por_on)]
             assert got == want
-    assert deltas > len(states)
+    assert ctx.moves and ctx.ticks and ctx.links
 
 
 @pytest.mark.parametrize("name", MODELS)
