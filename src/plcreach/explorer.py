@@ -1,10 +1,13 @@
 """Bounded reachability search over the system transition graph.
 
-The search walks breadth-first through canonically deduplicated states,
-prunes branches once the global clock provably exceeds the bound, and
-tests a user property at every retained state.  Concrete runs evaluate
-the property directly; symbolic runs hand the path condition plus the
-property to the satisfiability checker and extract a witness model.
+The search walks breadth-first through canonically deduplicated states
+and tests a user property at every retained state.  The bound is a rule
+of the time steps, the only moves of the global clock: a bounded
+`por.successors` hands each time step pinned inside the bound, or as
+None when it provably ends past it, so the search bounds only its start.
+Concrete runs evaluate the property directly; symbolic runs hand the
+path condition plus the property to the satisfiability checker and
+extract a witness model.
 """
 
 from __future__ import annotations
@@ -230,9 +233,13 @@ def search(
         ctx.started = {}
     # The canonical form's memo; lives as long as `parents`.
     memo: dict = {}
-    key0 = canonicalize(s0, memo)
+    # Only time steps move the clock, and `successors` pins each one
+    # inside the bound, so the start is the one state bounded here.  A
+    # start past the bound is stored, but neither checked nor expanded.
+    start = feasible(ctx.checker, s0, cmp_le(s0.clock, bound), cls="env")
+    key0 = canonicalize(s0 if start is False else start, memo)
     parents = {key0: None}
-    queue = deque([(s0, key0)])
+    queue = deque() if start is False else deque([(start, key0)])
     witnesses = []
     fired = 0
     endpoints = set()
@@ -243,7 +250,7 @@ def search(
     while queue and not capped:
         s, key = queue.popleft()
         if prop is not None:
-            w = _solution_at(ctx, s, key, parents, prop, bound)
+            w = _solution_at(ctx, s, key, parents, prop)
             if w is not None:
                 witnesses.append(w)
                 break
@@ -261,11 +268,7 @@ def search(
             endpoints.add(_endpoint_record(s))
         for tid, st in succ:
             fired += 1
-            if st is None:  # a tick past the bound, and never built
-                continue
-            # Absorb states past the bound; pin symbolic clocks inside it.
-            st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
-            if st is False:
+            if st is None:  # a time step past the bound
                 continue
             k2 = canonicalize(st, memo)
             # One lookup hashes the key once; a known key keeps its entry.
@@ -280,7 +283,7 @@ def search(
     if capped and prop is not None:
         # the stored states left unexpanded are reachable too
         for s, key in queue:
-            w = _solution_at(ctx, s, key, parents, prop, bound)
+            w = _solution_at(ctx, s, key, parents, prop)
             if w is not None:
                 witnesses.append(w)
                 break
@@ -319,11 +322,12 @@ def _endpoint_record(s: SystemState):
     return tuple((m.mid, m.state) for m in s.machines)
 
 
-def _solution_at(ctx, s, key, parents, prop, bound):
+def _solution_at(ctx, s, key, parents, prop):
     got = prop(s)
     if got is False:
         return None
-    cond = band(*s.constraints, cmp_le(s.clock, bound), got)
+    # a queued state's path condition already holds its clock inside the bound
+    cond = band(*s.constraints, got)
     if cond is False:
         return None
     model = {} if cond is True else ctx.checker.check(cond, cls="property")

@@ -34,9 +34,12 @@ timer.  The rules are deterministic in what they read, so an entry
 holds for every state that agrees on what was read (the argument is at
 `RuleCtx`).
 
-Successors come built.  Only a tick of a memoised state whose end lies
-past a search's bound comes as None: it counts as a transition and as
-a successor for the time-lock test, and is never built.
+The time bound of a search is a rule of the time steps, the only moves
+of the global clock.  A bounded enumeration hands every tick and
+envTick pinned inside the bound (`_pinned`), or as None when it ends
+past it: such a step counts as a transition and as a successor for the
+time-lock test, but leads nowhere.  A memoised tick past the bound is
+never built.  Every other successor comes built, and unbounded.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .comm import NEVER_PRIVATE, READ_VALIDITY, chainable, machine_moves
 from .kmachine import Done, Internal, KConfig, NeedsComm
 from .model import SystemState, TransitionId, canonicalize, exact_links, moved_state
 from .st.ast import AssertTimeAnn, DelayAnn
+from .symbolic import feasible
 from .timed import (
     RuleCtx,
     env_mte,
@@ -59,7 +63,7 @@ from .timed import (
     tick_with,
     window_left,
 )
-from .values import copy_with
+from .values import cmp_le, copy_with
 
 
 class ReplayError(Exception):
@@ -262,20 +266,17 @@ def _moved(s: SystemState, i: int, deltas: tuple) -> list:
 
 
 def _ticks(ctx: RuleCtx, s: SystemState, links, bound) -> list:
-    """The ticks of `s`.  With `links` recalled from or remembered in
-    `ctx.ticks`, and with a bound, one that ends past it as None; without
-    `links` made afresh."""
+    """The ticks of `s`: without `links` made afresh, else from the menu
+    recalled from or remembered in `ctx.ticks`, where a tick that ends
+    past `bound` comes as None and is never built."""
     if links is None:
         return (tick_symbolic if s.options.symbolic else tick_concrete)(ctx, s)
     key = (tuple([(m.timer, window_left(m)) for m in s.machines]), links[0], s.options)
     menu = ctx.ticks.get(key)
     if menu is None:
-        out = tick_concrete(ctx, s)
-        ctx.ticks[key] = tuple([
-            (tid, tuple([x.timer for x in st.machines]), st.conns) for tid, st in out])
-        if bound is not None:
-            out = [(tid, None if st.clock > bound else st) for tid, st in out]
-        return out
+        menu = ctx.ticks[key] = tuple([
+            (tid, tuple([x.timer for x in st.machines]), st.conns)
+            for tid, st in tick_concrete(ctx, s)])
     sep = s.options.clock_sep
     out = []
     for tid, timers, conns in menu:
@@ -285,6 +286,13 @@ def _ticks(ctx: RuleCtx, s: SystemState, links, bound) -> list:
         else:
             out.append((tid, tick_with(ctx, s, d, timers, conns)))
     return out
+
+
+def _pinned(ctx: RuleCtx, st: SystemState, bound):
+    """Time step `st` with its clock pinned inside `bound`, or None when
+    it ends past it."""
+    st = feasible(ctx.checker, st, cmp_le(st.clock, bound), cls="env")
+    return None if st is False else st
 
 
 def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = False,
@@ -306,9 +314,11 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     `ctx.moves` and `ctx.ticks` (see `RuleCtx`); any other state is
     enumerated afresh, without their bookkeeping.
 
-    Every successor comes built, save one: given `bound`, a search's
-    time bound, a tick of a memoised state whose end lies past it comes
-    with None in place of a state.  It is enabled, but nothing is built.
+    Given `bound`, a search's time bound, every time step (tick or
+    envTick) comes with its clock pinned inside it, or with None in
+    place of a state when it ends past it: it is enabled, but leads
+    nowhere.  The other successors come as the rules make them: they do
+    not move the clock, so they lie inside the bound whenever `s` does.
     """
     if por is None:
         por = s.options.por
@@ -325,8 +335,10 @@ def successors(ctx: RuleCtx, s: SystemState, por: bool = None, *, first: bool = 
     out = list(starts)
     for i, deltas in enumerate(per):
         out.extend(_moved(s, i, deltas))
-    out.extend(_ticks(ctx, s, links, bound))
-    out.extend(env_tick(ctx, s))
+    steps = _ticks(ctx, s, links, bound) + env_tick(ctx, s)
+    if bound is not None:
+        steps = [(tid, None if st is None else _pinned(ctx, st, bound)) for tid, st in steps]
+    out.extend(steps)
     return out
 
 

@@ -148,7 +148,9 @@ class RuleCtx:
     from one run of a query to the next.
 
     `por.successors` builds every successor it recalls from `moves` and
-    `ticks`, save a tick past a search's bound, which comes as None.
+    `ticks`, save a tick past a search's bound, which it never builds.
+    A bounded enumeration hands every time step, memoised or not, pinned
+    inside the bound, or as None when it ends past it.
     """
 
     table: PouTable

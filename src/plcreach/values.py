@@ -74,7 +74,8 @@ def rat(x):
     else a Fraction with denominator > 1.
 
     Accepts ints, Fractions, strings like '3/4', and floats (read through
-    their decimal repr); a bool counts as 0 or 1.  Every number the engine
+    their decimal repr); a bool counts as 0 or 1.  A string that names no
+    rational, '1/0' included, raises ValueError.  Every number the engine
     loads or computes passes through here, so no value is a float, no
     integral value a Fraction, and equal numbers have one class.  An int
     equals, and hashes like, the Fraction it stands for, so keys built
@@ -88,7 +89,10 @@ def rat(x):
     if isinstance(x, int):  # bool
         return int(x)
     if isinstance(x, str):
-        return rat(Fraction(x))
+        try:
+            return rat(Fraction(x))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         # floats only appear via JSON configs; convert through repr so that
         # "0.5" means one half, not the binary float neighborhood

@@ -3,7 +3,7 @@
 With a bound, `por.successors` recalls each machine's chained moves of a
 concrete state without fresh variables from `RuleCtx.moves` as deltas,
 and its ticks from `RuleCtx.ticks`, and builds every successor from
-them; only a tick that ends past the bound comes as None.  So the
+them; only a time step that ends past the bound comes as None.  So the
 states built must be the ones the rules make, message identities and
 the classes of values included, and their canonical keys theirs.
 
@@ -22,16 +22,17 @@ from plcreach import bench, por
 from plcreach.explorer import random_walk, search, simulate
 from plcreach.model import SystemState, canonicalize, exact_links
 from plcreach.por import successors
-from plcreach.values import copy_with
+from plcreach.symbolic import concrete_or_none, feasible
+from plcreach.values import cmp_le, cmp_lt, copy_with
 
 MODELS = ["ptpc", "rvc", "therc", "commdemo"]
 # far past every clock the walks reach: nothing is cut
 WIDE = 1000
 
 
-def _walk(name, steps=40, seed=7):
+def _walk(name, steps=40, seed=7, **options):
     scen = bench.load(name)
-    s0 = scen.initial_state()
+    s0 = scen.initial_state(**options)
     return scen, [s0] + [s for _, s in random_walk(scen.context(), s0, steps, random.Random(seed))]
 
 
@@ -41,10 +42,10 @@ def _exact(tid, s):
 
 def _built(ctx, s, por_on, bound):
     """The enumeration of `s` under `bound`: every successor a built
-    state, save a tick past the bound, which stays None."""
+    state, save a time step past the bound, which stays None."""
     out = successors(ctx, s, por_on, bound=bound)
     for tid, st in out:
-        assert isinstance(st, SystemState) or (st is None and tid.cls == "tick")
+        assert isinstance(st, SystemState) or (st is None and tid.cls in ("tick", "env"))
     return out
 
 
@@ -60,23 +61,48 @@ def test_each_delta_builds_the_state_the_rules_make(name):
     assert ctx.moves and ctx.ticks and ctx.links
 
 
-@pytest.mark.parametrize("name", MODELS)
-def test_a_step_past_the_bound_is_enabled_but_not_built(name):
-    scen, states = _walk(name)
+# concrete walks, symbolic ones, and clock-separated ones, whose ticks
+# leave the clock and whose envTicks move it
+BOUNDED_WALKS = {
+    **{name: (name, {}) for name in MODELS},
+    "commdemo-symbolic": ("commdemo", {"mode": "symbolic"}),
+    "query1-symbolic": ("query1", {"mode": "symbolic"}),
+    "ptpc-clock-sep": ("ptpc", {"clock_sep": True}),
+}
+
+
+@pytest.mark.parametrize("name, options", BOUNDED_WALKS.values(), ids=BOUNDED_WALKS.keys())
+def test_a_step_past_the_bound_is_enabled_but_not_built(name, options):
+    """A bounded enumeration has the transitions of the unbounded one.
+    Every state it builds lies provably inside the bound, and a time step
+    whose unbounded twin ends provably past the bound comes as None.  The
+    bounds are the parent's clock, and one and ten units later: a state
+    whose clock holds a fresh duration has no clock to bound it by, and
+    is left out."""
+    scen, states = _walk(name, **options)
     ctx = scen.context()
-    clipped = 0
+    checker = ctx.checker
+    clipped = kept = 0
     for s in states:
-        bound = s.clock + 1
-        got = _built(ctx, s, False, bound)
+        clock = concrete_or_none(s.clock)
+        if clock is None:
+            continue
         want = successors(scen.context(), s, False)
-        assert [tid for tid, _ in got] == [tid for tid, _ in want]
-        for (_, st), (tid, w) in zip(got, want):
-            if st is None:
-                clipped += 1
-                assert tid.cls == "tick" and w.clock > bound
-            else:
-                assert st.clock <= bound and _exact(tid, st) == _exact(tid, w)
-    assert clipped
+        for bound in (clock, clock + 1, clock + 10):
+            got = _built(ctx, s, False, bound)
+            assert [tid for tid, _ in got] == [tid for tid, _ in want]
+            for (_, st), (tid, w) in zip(got, want):
+                if st is None:
+                    clipped += 1
+                    assert feasible(checker, w, cmp_le(w.clock, bound)) is False
+                    continue
+                assert feasible(checker, st, cmp_lt(bound, st.clock)) is False
+                if tid.cls in ("tick", "env"):
+                    kept += 1
+                    # pinning adds to the path condition, and to nothing else
+                    st = copy_with(st, constraints=w.constraints)
+                assert _exact(tid, st) == _exact(tid, w)
+    assert clipped and kept
 
 
 def _retimed(s):

@@ -911,6 +911,36 @@ def test_numbers_from_outside_are_ints_when_integral():
     assert type(simulate(scen.context(), s0, F(40, 2))[-1][1].clock) is int
 
 
+@pytest.mark.parametrize(
+    "field", ["cycleTime", "delay", "analysis.bound", "min", "search", "simulate"])
+def test_a_zero_denominator_fails_cleanly(field):
+    """'1/0' names no number: a file field holding it is a ScenarioError,
+    and the search bound or the simulation horizon a ValueError, as any
+    other text that names no number is."""
+    if field in ("search", "simulate"):
+        scen = scenario_from_dict(tank_doc(), table_for())
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            if field == "search":
+                search(scen.context(), scen.initial_state(), bound="1/0")
+            else:
+                simulate(scen.context(), scen.initial_state(), "1/0")
+        return
+    doc = tank_doc(analysis={"mode": "symbolic"})
+    machine = doc["machines"][0]
+    if field == "cycleTime":
+        machine["cycleTime"] = "1/0"
+    elif field == "delay":
+        machine["programs"] = ["TANK", "AUX"]
+        machine["inputs"] = {}
+        doc["connections"] = [{"a": "TANK", "b": "AUX", "delay": ["1/0", 20]}]
+    elif field == "analysis.bound":
+        doc["analysis"]["bound"] = "1/0"
+    else:
+        machine["inputs"]["waterLevel"] = {"kind": "free", "min": "1/0", "max": 1}
+    with pytest.raises(ScenarioError, match="not a number: '1/0'"):
+        scenario_from_dict(doc, table_for(TWO_PROG_SRC))
+
+
 def linked(stmt="", delay=(10, 20)):
     doc = {
         "machines": [
